@@ -36,9 +36,8 @@ from math import ceil, sqrt
 
 from mpmath import mp
 
-from .characters import chi12, chi60
+from .characters import bernoulli_delta, chi12, chi60
 from .errors import ConvergenceError, OnCutError
-from .series import bernoulli_poly
 
 __all__ = [
     "TERM_BUDGET",
@@ -225,10 +224,8 @@ def trefoil_bn_exact(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = 2 * n + 4
-    delta = bernoulli_poly(m, Fraction(1, 12)) - bernoulli_poly(m, Fraction(5, 12))
     return Fraction(6 * (-6) ** (n + 1),
-                    math.factorial(n + 2) * math.factorial(n)) * delta
+                    math.factorial(n + 2) * math.factorial(n)) * bernoulli_delta(2 * n + 4)
 
 
 def trefoil_taylor_exact(order: int) -> list[Fraction]:

@@ -17,6 +17,7 @@ from .series import bernoulli_poly
 
 __all__ = [
     "DirichletCharacter",
+    "bernoulli_delta",
     "chi12",
     "chi60",
     "l_value_exact",
@@ -68,6 +69,13 @@ def chi60(which: int) -> DirichletCharacter:
     raise ValueError("which must be 1 or 2")
 
 
+def bernoulli_delta(m: int) -> Fraction:
+    """B_m(1/12) - B_m(5/12), the Bernoulli difference that the mod-12
+    character's even L-values, the trefoil coefficients and the Taylor
+    coefficients of its Borel transform are all rational multiples of."""
+    return bernoulli_poly(m, Fraction(1, 12)) - bernoulli_poly(m, Fraction(5, 12))
+
+
 def l_value_exact(n: int) -> tuple[Fraction, int]:
     """Exact even L-value of the mod-12 character.
 
@@ -82,8 +90,7 @@ def l_value_exact(n: int) -> tuple[Fraction, int]:
     if n < 0:
         raise ValueError("n must be >= 0")
     s = 2 * n + 2
-    delta = bernoulli_poly(s, Fraction(1, 12)) - bernoulli_poly(s, Fraction(5, 12))
-    r = Fraction((-4) ** n, factorial(2 * n + 1) * (n + 1)) * delta
+    r = Fraction((-4) ** n, factorial(2 * n + 1) * (n + 1)) * bernoulli_delta(s)
     return r, s
 
 

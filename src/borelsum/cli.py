@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -55,7 +54,6 @@ class RunConfig:
     eps_ray: float = _DEFAULT_EPS_RAY
     object: str = "trefoil"
     output: str = "plain"
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.precision_digits < 15:
@@ -66,8 +64,6 @@ class RunConfig:
             raise ValueError("object must be 'trefoil' or 'poincare'")
         if self.output not in ("json", "csv", "plain"):
             raise ValueError("output must be json, csv, or plain")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 class _UsageError(Exception):
@@ -146,7 +142,6 @@ def _build_config(args) -> RunConfig:
             eps_ray=pick(args.eps_ray, "eps_ray", float, _DEFAULT_EPS_RAY),
             object=pick(args.object, "object", str, "trefoil"),
             output=pick(args.output, "output", str, "plain"),
-            jobs=pick(args.jobs, "jobs", int, 1),
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -412,30 +407,13 @@ def _verify_identities(cfg: RunConfig) -> list:
     return checks
 
 
-def _cross_gap_worker(task):
-    model, x_text, tol_text, dps = task
-    mp.dps = dps
-    xz = _parse_complex(x_text)
-    routes = cross_routes(model, xz, tol=tol_text)
-    base = routes["erfi-series"]
-    gap = max(abs(base - v) for v in routes.values())
-    return mp.nstr(gap, 20)
-
-
-def _verify_summation(cfg: RunConfig) -> list:
+def _verify_summation() -> list:
     checks = []
-    tasks = [
-        ("trefoil", "2", "1e-10", mp.dps),
-        ("trefoil", "5+3i", "1e-10", mp.dps),
-        ("poincare", "3", "1e-10", mp.dps),
-        ("poincare", "8+2i", "1e-10", mp.dps),
-    ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            gaps = list(pool.map(_cross_gap_worker, tasks))
-    else:
-        gaps = [_cross_gap_worker(task) for task in tasks]
-    for (model, x_text, _, _), gap in zip(tasks, gaps):
+    for model, x_text in (("trefoil", "2"), ("trefoil", "5+3i"),
+                          ("poincare", "3"), ("poincare", "8+2i")):
+        routes = cross_routes(model, _parse_complex(x_text), tol="1e-10")
+        base = routes["erfi-series"]
+        gap = max(abs(base - v) for v in routes.values())
         checks.append(_check(f"cross-route-{model}-{x_text}", gap, "1e-8"))
 
     med = sum_median("trefoil", mp.mpf("3.7"), tol="1e-14").value
@@ -508,7 +486,7 @@ def _cmd_verify(cfg: RunConfig, args) -> tuple[dict, bool]:
     if args.suite in ("identities", "all"):
         checks.extend(_verify_identities(cfg))
     if args.suite == "all":
-        checks.extend(_verify_summation(cfg))
+        checks.extend(_verify_summation())
         checks.extend(_verify_poincare_transseries())
     passed = all(c["passed"] for c in checks)
     payload = {
@@ -632,8 +610,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="which model (default trefoil)")
     common.add_argument("--output", choices=("json", "csv", "plain"), default=None,
                         help="output format (default plain)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers for grid evaluations (default 1)")
     common.add_argument("--out", default=None, help="write the report to this file")
 
     parser = argparse.ArgumentParser(

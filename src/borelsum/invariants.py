@@ -23,9 +23,9 @@ from math import factorial
 
 from mpmath import mp
 
+from .characters import bernoulli_delta
 from .series import (
     FormalSeries,
-    bernoulli_poly,
     cos_series,
     series_product,
     series_quotient_even,
@@ -262,17 +262,13 @@ class CoefficientTable:
         return FormalSeries(tuple(self.scaled(n) for n in range(len(self.a))), "inverse-x")
 
 
-def _delta_bernoulli(m: int) -> Fraction:
-    return bernoulli_poly(m, Fraction(1, 12)) - bernoulli_poly(m, Fraction(5, 12))
-
-
 def trefoil_coeffs(order: int, route: str = "generating-function") -> CoefficientTable:
     """a_0..a_order for the trefoil model via the requested route."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if route == "bernoulli-closed-form":
         a = tuple(
-            Fraction(24) ** n * 6 * Fraction((-6) ** n, factorial(n + 1)) * _delta_bernoulli(2 * n + 2)
+            Fraction(24) ** n * 6 * Fraction((-6) ** n, factorial(n + 1)) * bernoulli_delta(2 * n + 2)
             for n in range(order + 1)
         )
         return CoefficientTable("trefoil", a, route)

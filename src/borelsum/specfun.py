@@ -1,14 +1,18 @@
 """Dawson-type special functions and the shared quadrature/extrapolation kit.
 
-dawson uses a Maclaurin series below the crossover radius |z|^2 ~ dps*ln(10)
-(with working precision raised to absorb the cancellation, which costs about
-0.4343*|z|^2 digits) and the divergent large-z series truncated at its
-smallest term above it.  Off the real axis the truncated series is completed
-by the exponentially small term +i*sgn(Im z)*(sqrt(pi)/2)*e^{-z^2}; on the
-real axis the function is real and no such term is added.
+One kernel, _remainder(z, k0) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k,
+gives every Dawson-type function: dawson is R_0/(2z), dawson_deficit R_1,
+e_mod_deficit z^2 R_2/sqrt(pi), and the closed routes take R_3 and z^2 R_4.
+Removing the leading terms inside the kernel avoids the cancellation of
+about 2 k0 log10|z| digits that forming the difference outside would cost.
 
-e_mod_deficit has its own large-z series because computing it through dawson
-would lose roughly 4*log10|z| digits to cancellation.
+Below the crossover radius |z|^2 = (dps+12) ln 10 the kernel sums the
+Maclaurin series once, at a precision raised by 0.4343 |z|^2 (its own
+cancellation) plus 2 k0 log10(1+|z|) digits, and then subtracts the leading
+terms.  Above it the divergent large-z series is summed from k = k0 and cut at
+its smallest term.  Off the real axis that sum is completed by the
+exponentially small term i*sgn(Im z)*sqrt(pi)*z*e^{-z^2}; on the real axis the
+function is real and no such term is added.
 
 Quadrature is composite Gauss-Legendre with cached nodes and bisection on
 disagreement between two orders; it raises QuadratureError instead of
@@ -60,23 +64,41 @@ def _dawson_maclaurin(z):
         term = term * (-2 * z2) / (2 * k + 3)
         acc += term
         k += 1
-        if k > peak and abs(term) < mp.eps * abs(acc):
+        if k > peak and abs(term) <= mp.eps * abs(acc):
             return acc
 
 
-def _dawson_series_tail(z):
-    # sum (2k-1)!!/(2^{k+1} z^{2k+1}), truncated at the smallest term
-    z2 = z * z
-    term = 1 / (2 * z)
+def _remainder(z, k0: int):
+    """R_k0(z) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k, even in z and
+    O(z^{-2 k0}) at infinity away from the diagonals arg z = +-pi/4."""
+    zz = mp.mpc(z)
+    r2 = abs(zz) ** 2
+    if r2 <= (mp.dps + 12) * _LN10:
+        # the Maclaurin sum cancels about 0.4343 |z|^2 digits, and removing
+        # the k0 leading terms about 2 k0 log10|z| more
+        boost = int(0.4343 * r2 + 2 * k0 * mp.log10(1 + abs(zz))) + 12
+        with mp.extradps(boost):
+            zb = mp.mpc(zz)
+            two_z2 = 2 * zb * zb
+            acc = 2 * zb * _dawson_maclaurin(zb) - mp.fsum(
+                mp.fac2(2 * k - 1) / two_z2**k for k in range(k0))
+        return +acc
+    # sum_{k>=k0} of the divergent series, cut at its smallest term
+    two_z2 = 2 * zz * zz
+    term = mp.fac2(2 * k0 - 1) / two_z2**k0
     acc = term
-    k = 0
+    k = k0
     while True:
-        nxt = term * (2 * k + 1) / (2 * z2)
+        nxt = term * (2 * k + 1) / two_z2
         if abs(nxt) >= abs(term) or abs(nxt) < mp.eps * abs(acc):
-            return acc
+            break
         acc += nxt
         term = nxt
         k += 1
+    s = _sgn_imag(zz)
+    if s:
+        acc += s * mp.j * mp.sqrt(mp.pi) * zz * mp.exp(-zz * zz)
+    return acc
 
 
 def dawson(z):
@@ -84,22 +106,8 @@ def dawson(z):
     zz = mp.mpc(z)
     if zz == 0:
         return mp.mpf(0)
-    real_input = mp.im(zz) == 0
-    if mp.re(zz) < 0:
-        out = -dawson(-zz)
-        return mp.re(out) if real_input else out
-    r2 = abs(zz) ** 2
-    if r2 <= (mp.dps + 6) * _LN10:
-        boost = int(0.4343 * r2) + 10
-        with mp.extradps(boost):
-            out = _dawson_maclaurin(mp.mpc(zz))
-        out = +out
-    else:
-        out = _dawson_series_tail(zz)
-        s = _sgn_imag(zz)
-        if s:
-            out += s * mp.j * (mp.sqrt(mp.pi) / 2) * mp.exp(-zz * zz)
-    return mp.re(out) if real_input else out
+    out = _remainder(zz, 0) / (2 * zz)
+    return mp.re(out) if mp.im(zz) == 0 else out
 
 
 def erfi(z):
@@ -111,34 +119,13 @@ def erfi(z):
 
 
 def e_mod_deficit(z):
-    """(z^2 (2 z D(z) - 1) - 1/2) / sqrt(pi); even, O(z^{-2}) for large |z|
-    away from the diagonals arg z = +-pi/4, where the oscillatory term
-    i*sgn(Im z) z^3 e^{-z^2} stops decaying."""
+    """(z^2 (2 z D(z) - 1) - 1/2) / sqrt(pi) = z^2 R_2(z) / sqrt(pi); even,
+    O(z^{-2}) for large |z| away from the diagonals arg z = +-pi/4, where the
+    oscillatory term i*sgn(Im z) z^3 e^{-z^2} stops decaying."""
     zz = mp.mpc(z)
-    r2 = abs(zz) ** 2
-    if r2 <= (mp.dps + 12) * _LN10:
-        boost = int(0.4343 * r2 + 4 * mp.log10(1 + abs(zz))) + 12
-        with mp.extradps(boost):
-            zb = mp.mpc(zz)
-            val = zb * zb * (2 * zb * dawson(zb) - 1) - mp.mpf(1) / 2
-        return +val / mp.sqrt(mp.pi)
-    # own large-z series: sum_{k>=2} (2k-1)!!/(2^k z^{2k-2}), then the
-    # exponentially small completion
-    z2 = zz * zz
-    term = 3 / (4 * z2)
-    acc = term
-    k = 2
-    while True:
-        nxt = term * (2 * k + 1) / (2 * z2)
-        if abs(nxt) >= abs(term) or abs(nxt) < mp.eps * (abs(acc) + mp.eps):
-            break
-        acc += nxt
-        term = nxt
-        k += 1
-    s = _sgn_imag(zz)
-    if s:
-        acc += s * mp.j * mp.sqrt(mp.pi) * zz**3 * mp.exp(-z2)
-    return acc / mp.sqrt(mp.pi)
+    if zz == 0:
+        return mp.mpc(-1) / (2 * mp.sqrt(mp.pi))
+    return zz * zz * _remainder(zz, 2) / mp.sqrt(mp.pi)
 
 
 def e_mod(z):
@@ -148,64 +135,14 @@ def e_mod(z):
 
 
 def dawson_deficit(z):
-    """2 z D(z) - 1; O(z^{-2}) at infinity away from the diagonals.
-
-    Forming the difference through dawson cancels about 2 log10|z| digits,
-    so it is taken at raised precision below the crossover and from its own
-    series sum_{k>=1} (2k-1)!!/(2^k z^{2k}) beyond it."""
-    zz = mp.mpc(z)
-    r2 = abs(zz) ** 2
-    if r2 <= (mp.dps + 12) * _LN10:
-        boost = int(0.4343 * r2 + 2 * mp.log10(1 + abs(zz))) + 10
-        with mp.extradps(boost):
-            zb = mp.mpc(zz)
-            val = 2 * zb * dawson(zb) - 1
-        return +val
-    z2 = zz * zz
-    term = 1 / (2 * z2)
-    acc = term
-    k = 1
-    while True:
-        nxt = term * (2 * k + 1) / (2 * z2)
-        if abs(nxt) >= abs(term) or abs(nxt) < mp.eps * (abs(acc) + mp.eps):
-            break
-        acc += nxt
-        term = nxt
-        k += 1
-    s = _sgn_imag(zz)
-    if s:
-        acc += s * mp.j * mp.sqrt(mp.pi) * zz * mp.exp(-z2)
-    return acc
+    """2 z D(z) - 1 = R_1(z); O(z^{-2}) at infinity away from the diagonals."""
+    return _remainder(z, 1)
 
 
 def _emodd_tail2(z):
-    # sqrt(pi) e_mod_deficit(z) - 3/(4 z^2) - 15/(8 z^4): the subtraction
-    # costs up to 8 log10|z| digits, so raise precision or use the series
-    # starting at 105/(16 z^6)
+    # sqrt(pi) e_mod_deficit(z) - 3/(4 z^2) - 15/(8 z^4) = z^2 R_4(z)
     zz = mp.mpc(z)
-    r2 = abs(zz) ** 2
-    if r2 <= (mp.dps + 12) * _LN10:
-        boost = int(0.4343 * r2 + 8 * mp.log10(1 + abs(zz))) + 12
-        with mp.extradps(boost):
-            zb = mp.mpc(zz)
-            z2 = zb * zb
-            val = mp.sqrt(mp.pi) * e_mod_deficit(zb) - 3 / (4 * z2) - 15 / (8 * z2 * z2)
-        return +val
-    z2 = zz * zz
-    term = 105 / (16 * z2**3)
-    acc = term
-    k = 4
-    while True:
-        nxt = term * (2 * k + 1) / (2 * z2)
-        if abs(nxt) >= abs(term) or abs(nxt) < mp.eps * (abs(acc) + mp.eps):
-            break
-        acc += nxt
-        term = nxt
-        k += 1
-    s = _sgn_imag(zz)
-    if s:
-        acc += s * mp.j * mp.sqrt(mp.pi) * zz**3 * mp.exp(-z2)
-    return acc
+    return zz * zz * _remainder(zz, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from .specfun import (
     RayContour,
     _adaptive_segment,
     _emodd_tail2,
+    _remainder,
     dawson_deficit,
     e_mod_deficit,
     gaussian_tail,
@@ -244,8 +245,9 @@ def _closed_base_trefoil(mdl: SqrtBranched, x, tol):
 
 
 def _closed_base_poincare(mdl: SqrtBranched, x, tol):
-    # two algebraic orders of 2 z D(z) - 1 are peeled off each transform and
-    # restored through Hurwitz-zeta sums, leaving n^{-7} term decay
+    # each transform keeps only R_3 = 2 z D(z) - 1 - 1/(2 z^2) - 3/(4 z^4);
+    # the two peeled orders are restored through Hurwitz-zeta sums, leaving
+    # n^{-7} term decay
     law = mdl.tail
     nu_l = mp.mpf(law.eta_lower)
     nu_u = mp.mpf(law.eta_upper)
@@ -269,9 +271,7 @@ def _closed_base_poincare(mdl: SqrtBranched, x, tol):
             if c == 0:
                 continue
             eta_n = mdl.eta(n)
-            z2 = eta_n * x
-            peeled = 1 / (2 * z2) + 3 / (4 * z2**2)
-            acc += c * 2 * (dawson_deficit(mp.sqrt(z2)) - peeled) / mp.sqrt(eta_n)
+            acc += c * 2 * _remainder(mp.sqrt(eta_n * x), 3) / mp.sqrt(eta_n)
     return 1 + readd + acc
 
 
@@ -311,8 +311,17 @@ def _eta_integral_value(xz, side, tol, eps_ray):
     if side not in ("mul", "mur"):
         raise ValueError("side must be 'mul', 'mur', or 'median'")
     orient = -1 if side == "mul" else 1
-    eps = mp.pi / 16 if eps_ray is None else mp.mpf(eps_ray)
     arg_x = mp.arg(xz)
+    # room: angle from x to the imaginary axis on this side.  A ray past it
+    # has cos(theta) <= 0, and one near it a contour as long as 1/cos(theta),
+    # so a narrow room starts the ray halfway to the axis
+    room = mp.pi / 2 - orient * arg_x
+    if eps_ray is not None:
+        eps = mp.mpf(eps_ray)
+    elif 0 < room < mp.pi / 8:
+        eps = room / 2
+    else:
+        eps = mp.pi / 16
     dist_floor = mp.sqrt(tol)
     theta = None
     while eps < mp.pi / 2:

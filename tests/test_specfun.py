@@ -9,6 +9,7 @@ from mpmath import mp
 
 from borelsum.specfun import (
     RayContour,
+    _emodd_tail2,
     dawson,
     dawson_deficit,
     e_mod,
@@ -86,6 +87,40 @@ def test_e_mod_limit_and_offset():
 def test_e_mod_deficit_is_even():
     z = mp.mpc("1.1", "0.4")
     assert abs(e_mod_deficit(z) - e_mod_deficit(-z)) < mp.mpf("1e-22")
+
+
+def _two_z_dawson_minus_leading(z, k0):
+    # 2 z D(z) from the library erfi, less its first k0 asymptotic terms
+    two_z_d = mp.sqrt(mp.pi) * z * mp.exp(-z * z) * mp.erfi(z)
+    return two_z_d - mp.fsum(mp.fac2(2 * k - 1) / (2 * z * z) ** k for k in range(k0))
+
+
+_DEFICITS = {
+    "dawson_deficit": (dawson_deficit, lambda z: _two_z_dawson_minus_leading(z, 1)),
+    "e_mod_deficit": (
+        e_mod_deficit,
+        lambda z: z * z * _two_z_dawson_minus_leading(z, 2) / mp.sqrt(mp.pi),
+    ),
+    "_emodd_tail2": (_emodd_tail2, lambda z: z * z * _two_z_dawson_minus_leading(z, 4)),
+}
+
+
+@pytest.mark.parametrize("dps", [25, 50])
+@pytest.mark.parametrize("name", sorted(_DEFICITS))
+def test_deficit_family_against_library_erfi(name, dps):
+    """Both sides of the crossover radius |z|^2 = (dps + 12) ln 10, in both
+    half planes, inside and beyond the diagonals arg z = +-pi/4."""
+    func, reference = _DEFICITS[name]
+    with mp.workdps(dps):
+        crossover = mp.sqrt((dps + 12) * mp.log(10))
+        bound = mp.mpf(10) ** (5 - dps)
+        for modulus in (mp.mpf("1.5"), crossover * mp.mpf("0.8"), crossover * mp.mpf("1.25")):
+            for angle in ("0.4", "1.2", "2.6", "-0.4", "-1.2", "-2.6"):
+                z = modulus * mp.expj(mp.mpf(angle))
+                got = func(z)
+                with mp.workdps(dps + 60):
+                    want = reference(z)
+                assert abs(got - want) <= bound * max(1, abs(want)), (name, dps, z)
 
 
 def test_integrate_segment_polynomial():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from borelsum import summation
-from borelsum.errors import DomainError, ToleranceError
+from borelsum.errors import DomainError, RayGeometryError, ToleranceError
 from borelsum.invariants import phi
 from borelsum.summation import (
     AverageKind,
@@ -106,6 +106,18 @@ def test_eta_integral_matches_closed_median():
 def test_eta_integral_rejects_zero():
     with pytest.raises(DomainError):
         sum_eta_integral(0)
+
+
+def test_eta_integral_near_the_imaginary_axis():
+    """At 0.4+2i the default pi/16 offset would leave cos(theta) ~ 0.001."""
+    x = mp.mpc("0.4", 2)
+    mur = sum_eta_integral(x, side="mur", tol="1e-10")
+    assert abs(mur.value - sum_erfi("trefoil", x, "mur", tol="1e-12").value) < mp.mpf("1e-8")
+
+
+def test_eta_integral_without_room_raises():
+    with pytest.raises(RayGeometryError):
+        sum_eta_integral(1j, side="mur")
 
 
 def test_cross_routes_trefoil_keys_and_gaps():
