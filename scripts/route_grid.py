@@ -15,7 +15,7 @@ import sys
 
 from mpmath import mp
 
-from borelsum.summation import cross_routes
+from borelsum.summation import cross_routes, route_gap
 
 
 def parse_args() -> argparse.Namespace:
@@ -59,8 +59,7 @@ def main() -> int:
         for im_part in axis(*args.im):
             x = mp.mpc(re_part, im_part)
             routes = cross_routes(args.model, x, tol=args.tol)
-            values = list(routes.values())
-            gap = max(abs(a - b) for a in values for b in values)
+            gap = route_gap(routes)
             if gap > worst:
                 worst, worst_at = gap, x
             print(f"{mp.nstr(x, 6):>24}  "

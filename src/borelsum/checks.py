@@ -1,0 +1,319 @@
+"""Named identity checks shared by ``borelsum verify`` and the test suite.
+
+Each residual function evaluates one identity at the points it is given and
+returns its worst residual (exact checks return whether the identity holds),
+so the command line and the tests measure an identity the same way and
+differ only in points and bounds.  ``run_suite`` assembles the three verify
+suites from them, at fixed points and bounds.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from mpmath import mp
+
+from .borel import poincare_appendix_direct, poincare_borel
+from .characters import chi12, l_series_partial
+from .invariants import phi, poincare_coeffs, trefoil_coeffs
+from .modular import eta_tilde, eta_tilde_radial, rational_parts, zagier_g, zagier_g_taylor
+from .series import borel_transform
+from .summation import (
+    _chi12_l_value,
+    cross_routes,
+    dirichlet_delta,
+    radial_limit,
+    route_gap,
+    sum_erfi,
+)
+from .transseries import closed_bn, exact_bn, extract_ckl, normalized_residual
+
+__all__ = ["Check", "SUITES", "run_suite"]
+
+# f_n = a_n / 24^n and the Borel-plane Taylor values b_n, as printed
+TREFOIL_SCALED = (
+    Fraction(1),
+    Fraction(23, 24),
+    Fraction(1681, 1152),
+    Fraction(257543, 82944),
+    Fraction(67637281, 7962624),
+)
+TREFOIL_TAYLOR = (
+    Fraction(23, 24),
+    Fraction(1681, 1152),
+    Fraction(257543, 165888),
+    Fraction(67637281, 47775744),
+)
+APPENDIX_FACTOR = -900
+
+
+def _mpf(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def printed_coefficients_match() -> bool:
+    table = trefoil_coeffs(len(TREFOIL_SCALED) - 1)
+    return all(table.scaled(n) == f for n, f in enumerate(TREFOIL_SCALED))
+
+
+def borel_first_values_match(bn, count: int) -> bool:
+    """bn(n) equals the printed b_n for n < count."""
+    return all(bn(n) == TREFOIL_TAYLOR[n] for n in range(count))
+
+
+def coefficient_routes_agree(n: int) -> bool:
+    return trefoil_coeffs(n).a == trefoil_coeffs(n, route="bernoulli-closed-form").a
+
+
+def borel_routes_agree(n_max: int) -> bool:
+    return all(exact_bn(n) == closed_bn(n) for n in range(n_max + 1))
+
+
+def formal_borel_agrees() -> bool:
+    formal = borel_transform(trefoil_coeffs(12).f_series())
+    return formal.coeffs[10] == exact_bn(10)
+
+
+def poincare_first_coefficients_match() -> bool:
+    a = poincare_coeffs(1).a
+    return a[0] == 1 and a[1] == 119
+
+
+def l_value_fill(terms, dps: int, js=range(26)):
+    """Worst |partial sum - L(2j+2)| / certified tail over j in js and each
+    truncation in terms, summed at dps digits; at most 1 when every
+    certified tail holds."""
+    chi = chi12()
+    worst = mp.mpf(0)
+    with mp.workdps(dps):
+        for j in js:
+            exact_val = _chi12_l_value(j)
+            for n in terms:
+                partial, tail = l_series_partial(chi, 2 * j + 2, n)
+                worst = max(worst, abs(partial - exact_val) / tail)
+    return +worst
+
+
+def l2_closed_form_gap():
+    """|L(2) by trigamma values - pi^2 / (6 sqrt 3)|."""
+    trigamma = (
+        mp.polygamma(1, mp.mpf(1) / 12)
+        - mp.polygamma(1, mp.mpf(5) / 12)
+        - mp.polygamma(1, mp.mpf(7) / 12)
+        + mp.polygamma(1, mp.mpf(11) / 12)
+    ) / 144
+    return abs(trigamma - mp.pi**2 / (6 * mp.sqrt(3)))
+
+
+def route_gap_at(model, points, tol):
+    """Worst route_gap of cross_routes over the points."""
+    return max(route_gap(cross_routes(model, x, tol=tol)) for x in points)
+
+
+def delta_theta_gap(x, tol):
+    """Lateral difference against the weighted theta series at x."""
+    delta = dirichlet_delta("trefoil", x, tol=tol)
+    theta_form = (mp.j * mp.sqrt(2) * (mp.pi * x) ** mp.mpf("1.5")
+                  * eta_tilde(2 * mp.pi * mp.j * x))
+    return abs(delta - theta_form)
+
+
+def phi_gap(alpha, value, weight=1):
+    """A boundary value at angle alpha against weight * phi(alpha); radial
+    limits of eta_tilde have weight -2."""
+    return abs(value - weight * phi(alpha))
+
+
+def g_inversion_gap(alphas, tol, g=zagier_g):
+    """Worst |g(a) - (i a)^{-3/2} g(-1/a)| over the alphas."""
+    worst = mp.mpf(0)
+    for alpha in alphas:
+        a, _ = rational_parts(alpha)
+        right = mp.power(mp.j * a, mp.mpf("-1.5")) * g(Fraction(-1) / alpha, tol=tol)
+        worst = max(worst, abs(g(alpha, tol=tol) - right))
+    return worst
+
+
+def two_phi_gap(tol, g=zagier_g):
+    """|phi(1) + i^{-3/2} phi(-1) - g(1)|."""
+    two_phi = phi(1) + mp.power(mp.j, mp.mpf("-1.5")) * phi(-1)
+    return abs(two_phi - g(Fraction(1), tol=tol))
+
+
+def g_route_ratio(x, direct_tol, laplace_tol, g=zagier_g):
+    """Direct-route g over Laplace-route g at x; x-independent in theory."""
+    return g(x, tol=direct_tol, route="direct") / g(x, tol=laplace_tol)
+
+
+def g_route_constant():
+    """The measured value of g_route_ratio, 2 pi / sqrt 3 e^{-i pi/4}."""
+    return 2 * mp.pi / mp.sqrt(3) * mp.expjpi(mp.mpf(-1) / 4)
+
+
+def g_jet_gaps(count: int):
+    """(|c_n - t_n|, |t_n|) for n < count, with c_n the Taylor coefficients
+    of g at 0 and t_n = (-pi i/12)^n a_n."""
+    a = trefoil_coeffs(count).a
+    targets = [(-mp.pi * mp.j / 12) ** n * _mpf(a[n]) for n in range(count)]
+    return [(abs(c - t), abs(t)) for c, t in zip(zagier_g_taylor(count), targets)]
+
+
+def reality_gap(model, points, tol):
+    """Worst |Im median| over real points."""
+    return max(abs(mp.im(sum_erfi(model, x, tol=tol).value)) for x in points)
+
+
+def conjugation_gap(points, tol):
+    """Worst |conj mul(x) - mur(conj x)| for the trefoil over the points."""
+    worst = mp.mpf(0)
+    for x in points:
+        left = mp.conj(sum_erfi("trefoil", x, kind="mul", tol=tol).value)
+        right = sum_erfi("trefoil", mp.conj(x), kind="mur", tol=tol).value
+        worst = max(worst, abs(left - right))
+    return worst
+
+
+def asymptotic_ratio(x, orders, tol):
+    """Worst |median(x) - sum_{n<N} f_n x^-n| / |f_N x^-N| over N in orders;
+    at most 2 when each remainder is within twice the first omitted term."""
+    table = trefoil_coeffs(max(orders))
+    value = sum_erfi("trefoil", x, tol=tol).value
+    worst = mp.mpf(0)
+    for top in orders:
+        partial = mp.fsum(_mpf(table.scaled(n)) / x**n for n in range(top))
+        omitted = abs(_mpf(table.scaled(top))) / x**top
+        worst = max(worst, abs(value - partial) / omitted)
+    return worst
+
+
+def appendix_factor_gap(p, terms: int):
+    """(|r - APPENDIX_FACTOR| / 900, r) with r the Poincare transform over its
+    literal appendix form, both summed to the same truncation at p."""
+    mdl = poincare_borel()
+    partial = mp.fsum(
+        mdl.coeff(n) * mp.power(mdl.eta(n) - p, mp.mpf("-1.5"))
+        for n in range(1, terms + 1)
+    )
+    ratio = partial / poincare_appendix_direct(p, terms=terms)
+    return abs(ratio - APPENDIX_FACTOR) / abs(APPENDIX_FACTOR), ratio
+
+
+def poincare_taylor_gaps(count: int, tol):
+    """|b_n - a_{n+1} / ((n+1)! n! 120^{n+1})| for n < count, b_n from the
+    resummed Poincare transform."""
+    table = poincare_coeffs(count)
+    got = poincare_borel().taylor_coeffs(count, tol=tol)
+    return [abs(got[n] - _mpf(table.scaled(n + 1) / factorial(n)))
+            for n in range(count)]
+
+
+def reconstruction_error(table, ns):
+    """Worst relative error of the transseries table against exact b_n."""
+    worst = mp.mpf(0)
+    for n in ns:
+        exact = _mpf(exact_bn(n))
+        worst = max(worst, abs(table.reconstruct(n) - exact) / abs(exact))
+    return worst
+
+
+def mean_residual_ratio(n0: int, count: int):
+    """Mean ratio of successive k=1 residuals over n0..n0+count-1; 1/25 in
+    theory."""
+    residuals = [normalized_residual(m) for m in range(n0, n0 + count)]
+    ratios = [b / a for a, b in zip(residuals, residuals[1:])]
+    return sum(ratios) / len(ratios)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named residual against its bound, a decimal string.  Exact
+    checks carry the integers residual 0 (holds) or 1 and bound 0."""
+
+    name: str
+    residual: object
+    bound: object
+    note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= mp.mpf(self.bound))
+
+
+def _exact(name: str, ok: bool) -> Check:
+    return Check(name, 0 if ok else 1, 0)
+
+
+def _exact_suite():
+    yield _exact("trefoil-scaled-coefficients", printed_coefficients_match())
+    yield _exact("borel-taylor-first-values", borel_first_values_match(exact_bn, 2))
+    yield _exact("coefficient-route-agreement", coefficient_routes_agree(40))
+    yield _exact("borel-route-agreement", borel_routes_agree(30))
+    yield _exact("formal-borel-cross", formal_borel_agrees())
+    # the certified tail at s = 52 is ~1e-90, so the partials must be summed
+    # well below that roundoff level for the ratio to test the bound itself
+    yield Check("l-value-certified-partials", l_value_fill((60,), 120), "1")
+    yield Check("l2-closed-form", l2_closed_form_gap(), "1e-12")
+
+
+def _identity_suite():
+    # g(1) and g(1/2) enter three checks each; evaluate them once
+    g = lru_cache(maxsize=None)(zagier_g)
+    yield Check("delta-theta-identity", delta_theta_gap(mp.mpf(1), "1e-20"), "1e-12")
+    for a in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
+        yield Check(f"strange-radial-{a.numerator}-{a.denominator}",
+                    phi_gap(a, eta_tilde_radial(a)[0], -2), "1e-4")
+    for a in (Fraction(1), Fraction(2), Fraction(1, 2)):
+        yield Check(f"g-modularity-{a.numerator}-{a.denominator}",
+                    g_inversion_gap([a], "1e-16", g), "1e-6")
+    yield Check("two-phi-identity", two_phi_gap("1e-16", g), "1e-4")
+    # matched truncation: the n^-3 coefficient decay caps plain partial sums
+    # near 1e-7, but the same cutoff on both sides cancels exactly in the ratio
+    gap, ratio = appendix_factor_gap(mp.mpf("0.1"), 4000)
+    yield Check("poincare-appendix-factor", gap, "1e-9",
+                f"measured conversion factor {mp.nstr(ratio, 12)}")
+    r_one = g_route_ratio(Fraction(1), "1e-14", "1e-16", g)
+    r_half = g_route_ratio(Fraction(1, 2), "1e-14", "1e-16", g)
+    reference = g_route_constant()
+    yield Check("g-direct-route-constant", abs(r_one - r_half) / abs(r_one), "1e-6",
+                f"measured ratio {mp.nstr(r_one, 12)}; "
+                f"2*pi/sqrt(3)*exp(-i*pi/4) = {mp.nstr(reference, 12)}; "
+                f"difference {mp.nstr(abs(r_one - reference), 3)}")
+
+
+def _summation_suite():
+    for model, x in (("trefoil", "2"), ("trefoil", "5+3i"), ("poincare", "3"),
+                     ("poincare", "8+2i")):
+        point = mp.mpc(complex(x.replace("i", "j")))
+        yield Check(f"cross-route-{model}-{x}", route_gap_at(model, [point], "1e-10"), "1e-8")
+    yield Check("median-reality", reality_gap("trefoil", [mp.mpf("3.7")], "1e-14"), "1e-10")
+    yield Check("conjugation-symmetry", conjugation_gap([mp.mpc(2, "1.5")], "1e-12"), "1e-8")
+    yield Check("asymptotic-truncation", asymptotic_ratio(mp.mpf(20), [4], "1e-14"), "2",
+                "remainder over the first omitted term")
+    limit = radial_limit(Fraction(1), tol="1e-12").value
+    yield Check("radial-limit-alpha-1", phi_gap(Fraction(1), limit), "1e-4")
+
+
+def _poincare_transseries_suite():
+    yield _exact("poincare-first-coefficients", poincare_first_coefficients_match())
+    yield Check("poincare-borel-taylor", max(poincare_taylor_gaps(7, "1e-12")), "1e-8")
+    table = extract_ckl(7, 6)
+    yield Check("transseries-reconstruction", reconstruction_error(table, range(30, 61, 5)),
+                "1e-6", f"window k <= 7, l <= 6, normalization {table.normalization}")
+    mean_ratio = mean_residual_ratio(30, 8)
+    yield Check("transseries-residual-decay", abs(mean_ratio - mp.mpf(1) / 25), "0.008",
+                f"mean k=1 residual ratio {mp.nstr(mean_ratio, 8)}")
+
+
+SUITES = {
+    "exact": (_exact_suite,),
+    "identities": (_identity_suite,),
+    "all": (_exact_suite, _identity_suite, _summation_suite, _poincare_transseries_suite),
+}
+
+
+def run_suite(name: str) -> list:
+    """The checks of one verify suite, in order, at the working precision."""
+    return [check for group in SUITES[name] for check in group()]

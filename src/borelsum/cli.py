@@ -15,34 +15,15 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from mpmath import mp
 
-from .borel import poincare_appendix_direct, poincare_borel, taylor_coeffs
-from .characters import chi12, l_series_partial, l_value_exact
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    QuadratureError,
-    ToleranceError,
-)
+from .checks import SUITES, run_suite
+from .errors import ConvergenceError, DomainError, QuadratureError, ToleranceError
 from .invariants import phi, poincare_coeffs, trefoil_coeffs
-from .modular import eta_tilde_radial, zagier_g
-from .series import borel_transform
-from .summation import (
-    AverageKind,
-    cross_routes,
-    dirichlet_delta,
-    radial_limit,
-    sum_erfi,
-    sum_median,
-)
-from .transseries import exact_bn, closed_bn, extract_ckl, verify_transseries
+from .summation import AverageKind, radial_limit, route_gap, sum_erfi, sum_median
 
 __all__ = ["RunConfig", "main"]
-
-_DEFAULT_EPS_RAY = 0.19634954084936207  # pi/16
 
 
 @dataclass(frozen=True)
@@ -51,7 +32,6 @@ class RunConfig:
 
     precision_digits: int = 25
     tol: str = "1e-10"
-    eps_ray: float = _DEFAULT_EPS_RAY
     object: str = "trefoil"
     output: str = "plain"
 
@@ -139,7 +119,6 @@ def _build_config(args) -> RunConfig:
         return RunConfig(
             precision_digits=pick(args.precision, "precision_digits", int, 25),
             tol=pick(args.tol, "tol", str, "1e-10"),
-            eps_ray=pick(args.eps_ray, "eps_ray", float, _DEFAULT_EPS_RAY),
             object=pick(args.object, "object", str, "trefoil"),
             output=pick(args.output, "output", str, "plain"),
         )
@@ -165,25 +144,9 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _check(name: str, residual, bound, note: str = "") -> dict:
-    r = mp.mpf(residual)
-    return {
-        "name": name,
-        "passed": bool(r <= mp.mpf(bound)),
-        "residual": _real_str(r),
-        "bound": _real_str(mp.mpf(bound)),
-        "note": note,
-    }
-
-
-def _exact_check(name: str, ok: bool, note: str = "") -> dict:
-    return {
-        "name": name,
-        "passed": bool(ok),
-        "residual": "0" if ok else "1",
-        "bound": "0",
-        "note": note,
-    }
+def _number_str(value) -> str:
+    # exact checks report the integers 0 and 1
+    return str(value) if isinstance(value, int) else _real_str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +181,11 @@ def _cmd_sum(cfg: RunConfig, args) -> tuple[dict, bool]:
     if args.cross_check and method != "median":
         raise _UsageError("--cross-check applies to the median method")
     if args.cross_check:
-        cross_tol = mp.mpf(args.cross_tol)
-        routes = cross_routes(cfg.object, x, tol=cross_tol / 4)
-        value = routes["erfi-series"]
-        gap = max(abs(value - v) for v in routes.values())
-        if gap > cross_tol:
-            raise ToleranceError(
-                f"routes disagree by {mp.nstr(gap)} (allowed {mp.nstr(cross_tol)})"
-            )
-        result = sum_median(cfg.object, x, tol=cfg.tol)
+        result = sum_median(cfg.object, x, tol=cfg.tol, cross_check=True,
+                            cross_tol=args.cross_tol)
         extra = {
-            "routes": {name: _complex_pair(v) for name, v in routes.items()},
-            "max_discrepancy": _real_str(gap),
+            "routes": {name: _complex_pair(v) for name, v in result.routes.items()},
+            "max_discrepancy": _real_str(route_gap(result.routes)),
         }
     else:
         result = sum_erfi(cfg.object, x, kind=AverageKind(method), tol=cfg.tol)
@@ -251,13 +207,8 @@ def _cmd_radial(cfg: RunConfig, args) -> tuple[dict, bool]:
     alpha = _parse_fraction(args.alpha)
     if alpha == 0:
         raise _UsageError("--alpha must be nonzero")
-    result = radial_limit(
-        alpha,
-        rungs=args.rungs,
-        ratio=args.ratio,
-        eps0=args.eps0,
-        tol=cfg.tol,
-    )
+    result = radial_limit(alpha, rungs=args.rungs, ratio=args.ratio,
+                          eps0=args.eps0, tol=cfg.tol)
     target = phi(alpha)
     payload = {
         "command": "radial",
@@ -271,223 +222,17 @@ def _cmd_radial(cfg: RunConfig, args) -> tuple[dict, bool]:
     return payload, True
 
 
-# ---------------------------------------------------------------------------
-# verify suite
-
-def _verify_exact() -> list:
-    checks = []
-    printed = [
-        Fraction(1),
-        Fraction(23, 24),
-        Fraction(1681, 1152),
-        Fraction(257543, 82944),
-        Fraction(67637281, 7962624),
-    ]
-    table = trefoil_coeffs(4)
-    checks.append(
-        _exact_check(
-            "trefoil-scaled-coefficients",
-            all(table.scaled(n) == printed[n] for n in range(5)),
-        )
-    )
-    checks.append(
-        _exact_check(
-            "borel-taylor-first-values",
-            exact_bn(0) == Fraction(23, 24) and exact_bn(1) == Fraction(1681, 1152),
-        )
-    )
-    gen = trefoil_coeffs(40)
-    closed = trefoil_coeffs(40, "bernoulli-closed-form")
-    checks.append(_exact_check("coefficient-route-agreement", gen.a == closed.a))
-    checks.append(
-        _exact_check(
-            "borel-route-agreement",
-            all(exact_bn(n) == closed_bn(n) for n in range(31)),
-        )
-    )
-    formal = borel_transform(trefoil_coeffs(12).f_series())
-    checks.append(_exact_check("formal-borel-cross", formal.coeffs[10] == exact_bn(10)))
-
-    chi = chi12()
-    # the certified tail at s = 52 is ~1e-90, so the partials must be summed
-    # well below that roundoff level for the ratio to test the bound itself
-    worst = mp.mpf(0)
-    with mp.workdps(120):
-        for j in range(26):
-            r, s = l_value_exact(j)
-            exact_val = mp.mpf(r.numerator) / r.denominator * mp.pi**s / mp.sqrt(3)
-            partial, bound = l_series_partial(chi, s, 60)
-            worst = max(worst, abs(partial - exact_val) / bound)
-    checks.append(_check("l-value-certified-partials", worst, 1))
-
-    trigamma = (
-        mp.polygamma(1, mp.mpf(1) / 12)
-        - mp.polygamma(1, mp.mpf(5) / 12)
-        - mp.polygamma(1, mp.mpf(7) / 12)
-        + mp.polygamma(1, mp.mpf(11) / 12)
-    ) / 144
-    checks.append(
-        _check("l2-closed-form", abs(trigamma - mp.pi**2 / (6 * mp.sqrt(3))), "1e-12")
-    )
-    return checks
-
-
-def _verify_identities(cfg: RunConfig) -> list:
-    from .modular import eta_tilde
-
-    checks = []
-    x = mp.mpf(1)
-    delta = dirichlet_delta("trefoil", x, tol="1e-20")
-    theta_form = mp.j * mp.sqrt(2) * (mp.pi * x) ** mp.mpf("1.5") * eta_tilde(2 * mp.pi * mp.j * x)
-    checks.append(_check("delta-theta-identity", abs(delta - theta_form), "1e-12"))
-
-    for alpha in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
-        limit, _ = eta_tilde_radial(alpha)
-        checks.append(
-            _check(
-                f"strange-radial-{alpha.numerator}-{alpha.denominator}",
-                abs(limit + 2 * phi(alpha)),
-                "1e-4",
-            )
-        )
-
-    for alpha in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        a_mp = mp.mpf(alpha.numerator) / alpha.denominator
-        left = zagier_g(alpha, tol="1e-16", eps_ray=cfg.eps_ray)
-        right = mp.power(mp.j * a_mp, mp.mpf("-1.5")) * zagier_g(
-            Fraction(-1) / alpha, tol="1e-16", eps_ray=cfg.eps_ray
-        )
-        checks.append(
-            _check(
-                f"g-modularity-{alpha.numerator}-{alpha.denominator}",
-                abs(left - right),
-                "1e-6",
-            )
-        )
-
-    g_one = zagier_g(1, tol="1e-16", eps_ray=cfg.eps_ray)
-    two_phi = phi(1) + mp.power(mp.j, mp.mpf("-1.5")) * phi(-1)
-    checks.append(_check("two-phi-identity", abs(two_phi - g_one), "1e-4"))
-
-    # matched truncation: the n^-3 coefficient decay caps plain partial sums
-    # near 1e-7, but the same cutoff on both sides cancels exactly in the ratio
-    p = mp.mpf("0.1")
-    terms = 4000
-    mdl = poincare_borel()
-    partial = mp.fsum(
-        mdl.coeff(n) * mp.power(mdl.eta(n) - p, mp.mpf("-1.5"))
-        for n in range(1, terms + 1)
-    )
-    ratio = partial / poincare_appendix_direct(p, terms=terms)
-    checks.append(
-        _check(
-            "poincare-appendix-factor",
-            abs(ratio + 900) / 900,
-            "1e-9",
-            note=f"measured conversion factor {mp.nstr(ratio, 12)}",
-        )
-    )
-
-    r_one = zagier_g(1, tol="1e-14", route="direct") / g_one
-    g_half = zagier_g(Fraction(1, 2), tol="1e-16", eps_ray=cfg.eps_ray)
-    r_half = zagier_g(Fraction(1, 2), tol="1e-14", route="direct") / g_half
-    reference = 2 * mp.pi / mp.sqrt(3) * mp.expjpi(mp.mpf("-0.25"))
-    checks.append(
-        _check(
-            "g-direct-route-constant",
-            abs(r_one - r_half) / abs(r_one),
-            "1e-6",
-            note=(
-                f"measured ratio {mp.nstr(r_one, 12)}; "
-                f"2*pi/sqrt(3)*exp(-i*pi/4) = {mp.nstr(reference, 12)}; "
-                f"difference {mp.nstr(abs(r_one - reference), 3)}"
-            ),
-        )
-    )
-    return checks
-
-
-def _verify_summation() -> list:
-    checks = []
-    for model, x_text in (("trefoil", "2"), ("trefoil", "5+3i"),
-                          ("poincare", "3"), ("poincare", "8+2i")):
-        routes = cross_routes(model, _parse_complex(x_text), tol="1e-10")
-        base = routes["erfi-series"]
-        gap = max(abs(base - v) for v in routes.values())
-        checks.append(_check(f"cross-route-{model}-{x_text}", gap, "1e-8"))
-
-    med = sum_median("trefoil", mp.mpf("3.7"), tol="1e-14").value
-    checks.append(_check("median-reality", abs(mp.im(med)), "1e-10"))
-
-    point = mp.mpc(2, mp.mpf("1.5"))
-    left = mp.conj(sum_erfi("trefoil", point, "mul", tol="1e-12").value)
-    right = sum_erfi("trefoil", mp.conj(point), "mur", tol="1e-12").value
-    checks.append(_check("conjugation-symmetry", abs(left - right), "1e-8"))
-
-    x = mp.mpf(20)
-    table = trefoil_coeffs(5)
-    partial = sum(
-        mp.mpf(table.scaled(n).numerator) / table.scaled(n).denominator / x**n
-        for n in range(4)
-    )
-    omitted = abs(mp.mpf(table.scaled(4).numerator) / table.scaled(4).denominator) / x**4
-    med20 = sum_median("trefoil", x, tol="1e-14").value
-    checks.append(_check("asymptotic-truncation", abs(med20 - partial), 2 * omitted))
-
-    result = radial_limit(Fraction(1), tol="1e-12")
-    checks.append(_check("radial-limit-alpha-1", abs(result.value - phi(1)), "1e-4"))
-    return checks
-
-
-def _verify_poincare_transseries() -> list:
-    checks = []
-    table = poincare_coeffs(7)
-    checks.append(
-        _exact_check(
-            "poincare-first-coefficients",
-            table.a[0] == 1 and table.a[1] == 119,
-        )
-    )
-    numeric = taylor_coeffs(poincare_borel(), 7, tol="1e-12")
-    worst = mp.mpf(0)
-    for n in range(7):
-        exact_val = table.scaled(n + 1) / factorial(n)
-        target = mp.mpf(exact_val.numerator) / exact_val.denominator
-        worst = max(worst, abs(numeric[n] - target))
-    checks.append(_check("poincare-borel-taylor", worst, "1e-8"))
-
-    window = extract_ckl(7, 6)
-    report = verify_transseries(window)
-    checks.append(
-        _check(
-            "transseries-reconstruction",
-            max(mp.mpf(e) for e in report.rel_errors),
-            "1e-6",
-            note=f"normalization measured: {report.normalization_measured}",
-        )
-    )
-    ratios = [mp.mpf(r) for r in report.residual_ratios]
-    mean_ratio = sum(ratios) / len(ratios)
-    checks.append(
-        _check(
-            "transseries-residual-decay",
-            abs(mean_ratio - mp.mpf(1) / 25),
-            mp.mpf("0.2") / 25,
-            note=f"mean k=1 residual ratio {mp.nstr(mean_ratio, 8)}",
-        )
-    )
-    return checks
-
-
 def _cmd_verify(cfg: RunConfig, args) -> tuple[dict, bool]:
-    checks = []
-    if args.suite in ("exact", "all"):
-        checks.extend(_verify_exact())
-    if args.suite in ("identities", "all"):
-        checks.extend(_verify_identities(cfg))
-    if args.suite == "all":
-        checks.extend(_verify_summation())
-        checks.extend(_verify_poincare_transseries())
+    checks = [
+        {
+            "name": c.name,
+            "passed": c.passed,
+            "residual": _number_str(c.residual),
+            "bound": _number_str(c.bound),
+            "note": c.note,
+        }
+        for c in run_suite(args.suite)
+    ]
     passed = all(c["passed"] for c in checks)
     payload = {
         "command": "verify",
@@ -604,8 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int, default=None, dest="precision",
                         help="working precision in digits (default 25)")
     common.add_argument("--tol", default=None, help="target tolerance (default 1e-10)")
-    common.add_argument("--eps-ray", type=float, default=None, dest="eps_ray",
-                        help="ray offset angle in radians (default pi/16)")
     common.add_argument("--object", choices=("trefoil", "poincare"), default=None,
                         help="which model (default trefoil)")
     common.add_argument("--output", choices=("json", "csv", "plain"), default=None,
@@ -638,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_radial.add_argument("--eps0", default=None, help="starting ladder offset")
 
     p_verify = sub.add_parser("verify", parents=[common], help="identity and acceptance checks")
-    p_verify.add_argument("--suite", choices=("exact", "identities", "all"), default="all")
+    p_verify.add_argument("--suite", choices=tuple(SUITES), default="all")
 
     return parser
 

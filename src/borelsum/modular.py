@@ -27,7 +27,14 @@ from mpmath import mp
 
 from .characters import chi12
 from .errors import ConvergenceError, DomainError
-from .specfun import RayContour, fit_poly_coeffs, gaussian_tail, ray_integrate
+from .specfun import (
+    RayContour,
+    fit_poly_coeffs,
+    gaussian_tail,
+    geometric_ladder,
+    ray_integrate,
+    richardson_limit,
+)
 
 __all__ = [
     "eta",
@@ -65,6 +72,14 @@ def _theta_sum(tau, weight: int):
             term *= mp.mpf(n) ** weight
         acc += s * term
     return acc
+
+
+def rational_parts(alpha):
+    """(value, denominator) of a rational or real alpha; reals count as
+    denominator 1."""
+    if hasattr(alpha, "numerator"):
+        return mp.mpf(alpha.numerator) / alpha.denominator, abs(alpha.denominator)
+    return mp.mpf(alpha), 1
 
 
 def eta(tau, route: str = "theta"):
@@ -106,24 +121,10 @@ def eta_tilde_radial(alpha, eps0=None, rungs: int = 9, ratio: int = 2):
     Richardson-extrapolated to eps = 0.  The error series blows up with the
     denominator of alpha, so the default start shrinks as 1/denominator^2.
     Returns (limit, err_estimate)."""
-    from .specfun import richardson_limit
-
-    if hasattr(alpha, "numerator"):
-        a = mp.mpf(alpha.numerator) / alpha.denominator
-        den = abs(alpha.denominator)
-    else:
-        a = mp.mpf(alpha)
-        den = 1
-    if rungs < 2:
-        raise ValueError("need at least two rungs")
-    eps = mp.mpf("0.002") / den**2 if eps0 is None else mp.mpf(eps0)
-    hs = []
-    vals = []
-    for _ in range(rungs):
-        hs.append(eps)
-        vals.append(eta_tilde(a + mp.j * eps))
-        eps /= ratio
-    return richardson_limit(hs, vals)
+    a, den = rational_parts(alpha)
+    hs = geometric_ladder(mp.mpf("0.002") / den**2 if eps0 is None else eps0,
+                          rungs, ratio)
+    return richardson_limit(hs, [eta_tilde(a + mp.j * eps) for eps in hs])
 
 
 def eta_prime(tau):
@@ -156,7 +157,7 @@ def _g_direct(xr, tol, theta=None):
     return value
 
 
-def zagier_g(x, tol="1e-16", eps_ray=None, route: str = "laplace"):
+def zagier_g(x, tol="1e-16", route: str = "laplace"):
     """Boundary function at real x != 0.
 
     The default route delegates to the lateral Laplace value at i/(2 pi x),
@@ -165,7 +166,7 @@ def zagier_g(x, tol="1e-16", eps_ray=None, route: str = "laplace"):
     two routes differ by a fixed x-independent constant."""
     from .summation import sum_eta_integral
 
-    a = mp.mpf(x.numerator) / x.denominator if hasattr(x, "numerator") else mp.mpf(x)
+    a, _ = rational_parts(x)
     if a == 0:
         raise DomainError("x must be nonzero")
     if route == "direct":
@@ -174,7 +175,7 @@ def zagier_g(x, tol="1e-16", eps_ray=None, route: str = "laplace"):
         raise ValueError("route must be 'laplace' or 'direct'")
     point = mp.j / (2 * mp.pi * a)
     side = "mul" if a > 0 else "mur"
-    return sum_eta_integral(point, side=side, tol=tol, eps_ray=eps_ray).value
+    return sum_eta_integral(point, side=side, tol=tol).value
 
 
 def zagier_g_taylor(count: int = 4, h="1e-3", tol="1e-20"):

@@ -38,6 +38,8 @@ __all__ = [
     "ray_integrate",
     "gaussian_tail",
     "richardson_limit",
+    "geometric_ladder",
+    "extrapolation_gain",
     "fit_poly_coeffs",
 ]
 
@@ -307,6 +309,26 @@ def richardson_limit(hs, vals):
         if m < n - 1:
             diag_prev = tab[0]
     return tab[0], abs(tab[0] - diag_prev)
+
+
+def geometric_ladder(start, rungs: int, ratio):
+    """The offsets start / ratio^j, j < rungs, of an extrapolation ladder."""
+    if rungs < 2:
+        raise ValueError("need at least two rungs")
+    start = mp.mpf(start)
+    return [start / ratio**j for j in range(rungs)]
+
+
+def extrapolation_gain(hs):
+    """Sum over j of |prod_{k != j} h_k / (h_k - h_j)|.
+
+    The extrapolated value at h = 0 is sum_j w_j vals[j] with these w_j, so
+    an error e in every sample moves it by at most e times this sum."""
+    hs = [mp.mpf(h) for h in hs]
+    return mp.fsum(
+        abs(mp.fprod(hk / (hk - hj) for k, hk in enumerate(hs) if k != j))
+        for j, hj in enumerate(hs)
+    )
 
 
 def fit_poly_coeffs(xs, ys):

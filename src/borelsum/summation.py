@@ -23,7 +23,7 @@ integral route (5/2-power model only): the weight-3/2 theta integral
 
     sqrt(3) x^{3/2} int_ray eta(2 pi i z) (x - z)^{-3/2} dz
 
-along a ray at angle arg(x) -+ eps_ray (mul below, mur above the point x).
+along a ray at angle arg(x) -+ eps (mul below, mur above the point x).
 It converges for boundary x on the imaginary axis, where the closed route
 diverges, and includes the constant term automatically.
 
@@ -54,7 +54,7 @@ from .errors import (
     RayGeometryError,
     ToleranceError,
 )
-from .modular import eta
+from .modular import eta, rational_parts
 from .specfun import (
     RayContour,
     _adaptive_segment,
@@ -62,7 +62,9 @@ from .specfun import (
     _remainder,
     dawson_deficit,
     e_mod_deficit,
+    extrapolation_gain,
     gaussian_tail,
+    geometric_ladder,
     ray_integrate,
     richardson_limit,
 )
@@ -75,6 +77,7 @@ __all__ = [
     "sum_eta_integral",
     "dirichlet_delta",
     "cross_routes",
+    "route_gap",
     "sum_median",
     "radial_limit",
     "median_laplace_unit",
@@ -96,7 +99,8 @@ class SummationResult:
     """Value of one summation route at one point, with its context.
 
     err_estimate is an a-posteriori bound: the requested tolerance, or the
-    measured cross-route discrepancy when one was computed."""
+    measured cross-route discrepancy when one was computed.  routes holds
+    the independent route values of a cross-checked median, else None."""
 
     model: str
     x: object
@@ -104,6 +108,7 @@ class SummationResult:
     route: str
     value: object
     err_estimate: object
+    routes: dict | None = None
 
 
 def _kind(kind) -> AverageKind:
@@ -303,10 +308,10 @@ def sum_erfi(model, x, kind="median", tol="1e-12") -> SummationResult:
     return SummationResult(mdl.label, xz, knd, "erfi-series", value, tol)
 
 
-def _eta_integral_value(xz, side, tol, eps_ray):
+def _eta_integral_value(xz, side, tol):
     if side == "median":
-        lo = _eta_integral_value(xz, "mul", tol, eps_ray)
-        hi = _eta_integral_value(xz, "mur", tol, eps_ray)
+        lo = _eta_integral_value(xz, "mul", tol)
+        hi = _eta_integral_value(xz, "mur", tol)
         return (lo + hi) / 2
     if side not in ("mul", "mur"):
         raise ValueError("side must be 'mul', 'mur', or 'median'")
@@ -316,9 +321,7 @@ def _eta_integral_value(xz, side, tol, eps_ray):
     # has cos(theta) <= 0, and one near it a contour as long as 1/cos(theta),
     # so a narrow room starts the ray halfway to the axis
     room = mp.pi / 2 - orient * arg_x
-    if eps_ray is not None:
-        eps = mp.mpf(eps_ray)
-    elif 0 < room < mp.pi / 8:
+    if 0 < room < mp.pi / 8:
         eps = room / 2
     else:
         eps = mp.pi / 16
@@ -356,18 +359,19 @@ def _eta_integral_value(xz, side, tol, eps_ray):
     return mp.sqrt(3) * mp.power(xz, mp.mpf("1.5")) * integral
 
 
-def sum_eta_integral(x, side="mul", tol="1e-16", eps_ray=None) -> SummationResult:
+def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
     """Integral-route value for the 5/2-power model, constant term included.
 
     Quadrature of the weight-1/2 theta series against (x - z)^{-3/2} along
-    a ray at angle arg(x) -+ eps_ray (mul below, mur above); 'median'
-    averages the two sides.  The starting eps_ray is doubled while the
-    ray-to-x distance |x| sin(eps) stays below sqrt(tol)."""
+    a ray at angle arg(x) -+ eps (mul below, mur above); 'median' averages
+    the two sides.  eps starts at pi/16, or halfway to the imaginary axis
+    when that is closer, and is doubled while the ray-to-x distance
+    |x| sin(eps) stays below sqrt(tol)."""
     xz = mp.mpc(x)
     if xz == 0:
         raise DomainError("x must be nonzero")
     tol = mp.mpf(tol)
-    value = _eta_integral_value(xz, side, tol, eps_ray)
+    value = _eta_integral_value(xz, side, tol)
     kind = AverageKind.MEDIAN if side == "median" else AverageKind(side)
     return SummationResult("trefoil", xz, kind, "eta-integral", value, tol)
 
@@ -386,8 +390,8 @@ def cross_routes(model, x, tol="1e-10"):
     routes = {"erfi-series": closed}
     if mdl.k == 5:
         part = tol / 4
-        mul = _eta_integral_value(xz, "mul", part, None)
-        mur = _eta_integral_value(xz, "mur", part, None)
+        mul = _eta_integral_value(xz, "mul", part)
+        mur = _eta_integral_value(xz, "mur", part)
         routes["eta-integral-average"] = (mul + mur) / 2
         routes["eta-integral-mul-plus-delta"] = mul + dirichlet_delta(mdl, xz, part)
     else:
@@ -409,31 +413,38 @@ def cross_routes(model, x, tol="1e-10"):
     return routes
 
 
+def route_gap(routes):
+    """Largest pairwise disagreement among the values of a route dict."""
+    values = list(routes.values())
+    return max(abs(a - b) for a in values for b in values)
+
+
 def sum_median(model, x, tol="1e-12", cross_check: bool = False,
                cross_tol=None) -> SummationResult:
     """Median value at x by the closed route.
 
-    With cross_check the independent routes are also evaluated and the
-    largest discrepancy is folded into err_estimate; if cross_tol is
-    given, exceeding it raises ToleranceError."""
+    With cross_check the independent routes are also evaluated, at a
+    quarter of cross_tol (default max(100 tol, 1e-10)), and returned as
+    .routes; their route_gap is folded into err_estimate, and if cross_tol
+    is given, exceeding it raises ToleranceError.  The value itself is the
+    closed route at tol."""
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
     tol = mp.mpf(tol)
-    if not cross_check:
-        value = _closed_value(mdl, xz, AverageKind.MEDIAN, tol)
-        return SummationResult(mdl.label, xz, AverageKind.MEDIAN,
-                               "erfi-series", value, tol)
-    check_tol = mp.mpf(cross_tol) if cross_tol is not None else max(
-        tol * 100, mp.mpf("1e-10"))
-    routes = cross_routes(mdl, xz, tol=check_tol / 4)
-    value = routes["erfi-series"]
-    gap = max(abs(value - v) for v in routes.values())
-    if cross_tol is not None and gap > check_tol:
-        raise ToleranceError(
-            f"median routes disagree by {mp.nstr(gap)} (allowed {mp.nstr(check_tol)})"
-        )
+    routes, err = None, tol
+    if cross_check:
+        check_tol = mp.mpf(cross_tol) if cross_tol is not None else max(
+            tol * 100, mp.mpf("1e-10"))
+        routes = cross_routes(mdl, xz, tol=check_tol / 4)
+        gap = route_gap(routes)
+        if cross_tol is not None and gap > check_tol:
+            raise ToleranceError(
+                f"median routes disagree by {mp.nstr(gap)} (allowed {mp.nstr(check_tol)})"
+            )
+        err = max(gap, tol)
+    value = _closed_value(mdl, xz, AverageKind.MEDIAN, tol)
     return SummationResult(mdl.label, xz, AverageKind.MEDIAN, "erfi-series",
-                           value, max(gap, tol))
+                           value, err, routes)
 
 
 def averaged_value(model, avg, p, tol="1e-10"):
@@ -482,21 +493,16 @@ def radial_limit(alpha, eps_seq=None, rungs: int = 9, ratio: int = 2,
     Median values at x_j = eps_j + i y are Richardson-extrapolated in eps;
     the limit is the unit-circle boundary value at angle alpha.  The error
     series in eps grows with the denominator of alpha, so the default start
-    shrinks as y / denominator^2.  eps_seq overrides the ladder entirely."""
-    if hasattr(alpha, "numerator"):
-        a = mp.mpf(alpha.numerator) / alpha.denominator
-        den = abs(alpha.denominator)
-    else:
-        a = mp.mpf(alpha)
-        den = 1
+    shrinks as y / denominator^2.  eps_seq overrides the ladder entirely.
+    err_estimate adds the rung tolerance, amplified by the extrapolation
+    weights, to the last Richardson correction."""
+    a, den = rational_parts(alpha)
     if a == 0:
         raise DomainError("alpha must be nonzero")
     y = 1 / (2 * mp.pi * a)
     if eps_seq is None:
-        if rungs < 2:
-            raise ValueError("need at least two rungs")
-        start = abs(y) / (50 * den**2) if eps0 is None else mp.mpf(eps0)
-        eps_seq = [start / ratio**j for j in range(rungs)]
+        eps_seq = geometric_ladder(abs(y) / (50 * den**2) if eps0 is None else eps0,
+                                   rungs, ratio)
     hs = [mp.mpf(e) for e in eps_seq]
     if len(hs) < 2 or any(e <= 0 for e in hs) or any(
             b >= a_ for a_, b in zip(hs, hs[1:])):
@@ -506,4 +512,4 @@ def radial_limit(alpha, eps_seq=None, rungs: int = 9, ratio: int = 2,
     vals = [_closed_value(mdl, e + mp.j * y, AverageKind.MEDIAN, inner) for e in hs]
     limit, err = richardson_limit(hs, vals)
     return SummationResult("trefoil", mp.mpc(0, y), AverageKind.MEDIAN,
-                           "radial", limit, err)
+                           "radial", limit, err + inner * extrapolation_gain(hs))

@@ -8,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from borelsum import checks
 from borelsum.borel import (
     TERM_BUDGET,
     SheetedPoint,
     SqrtBranched,
     TailLaw,
     periodic_power_sum,
-    poincare_appendix_direct,
     poincare_borel,
     poincare_coefficient_trig,
     taylor_coeffs,
@@ -22,24 +22,18 @@ from borelsum.borel import (
     trefoil_borel,
     trefoil_taylor_exact,
 )
+from borelsum.checks import TREFOIL_TAYLOR
 from borelsum.errors import ConvergenceError, OnCutError
-from borelsum.invariants import poincare_coeffs, trefoil_coeffs
-
-TREFOIL_B = (
-    Fraction(23, 24),
-    Fraction(1681, 1152),
-    Fraction(257543, 165888),
-    Fraction(67637281, 47775744),
-)
+from borelsum.invariants import trefoil_coeffs
 
 
-@pytest.mark.parametrize("n,value", list(enumerate(TREFOIL_B)))
+@pytest.mark.parametrize("n,value", list(enumerate(TREFOIL_TAYLOR)))
 def test_trefoil_taylor_first_values(n, value):
     assert trefoil_bn_exact(n) == value
 
 
 def test_trefoil_taylor_exact_list():
-    assert trefoil_taylor_exact(3) == list(TREFOIL_B)
+    assert trefoil_taylor_exact(3) == list(TREFOIL_TAYLOR)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -51,23 +45,19 @@ def test_taylor_matches_rescaled_asymptotic_coefficients(n):
 
 def test_module_level_wrapper_is_exact_for_trefoil():
     vals = taylor_coeffs(trefoil_borel(), 4)
-    assert vals == list(TREFOIL_B)
+    assert vals == list(TREFOIL_TAYLOR)
     assert all(isinstance(v, Fraction) for v in vals)
 
 
 def test_numeric_taylor_agrees_with_exact():
     got = trefoil_borel().taylor_coeffs(4, tol="1e-10")
-    for v, b in zip(got, TREFOIL_B):
+    for v, b in zip(got, TREFOIL_TAYLOR):
         assert abs(v - mp.mpf(b.numerator) / b.denominator) < mp.mpf("1e-10")
 
 
 def test_poincare_taylor_periodic_route():
     """The 60-periodic coefficients let the Taylor sums close exactly."""
-    got = poincare_borel().taylor_coeffs(3, tol="1e-20")
-    a = poincare_coeffs(4).a
-    for n in range(3):
-        b = a[n + 1] / (factorial(n + 1) * factorial(n) * 120 ** (n + 1))
-        assert abs(got[n] - mp.mpf(b.numerator) / b.denominator) < mp.mpf("1e-20")
+    assert max(checks.poincare_taylor_gaps(3, "1e-20")) < mp.mpf("1e-20")
 
 
 def test_trefoil_singularity_layout():
@@ -90,7 +80,7 @@ def test_eta_and_coeff_reject_index_zero():
 
 def test_eval_at_origin_is_b0():
     mdl = trefoil_borel()
-    b0 = TREFOIL_B[0]
+    b0 = TREFOIL_TAYLOR[0]
     got = mdl.eval(0, tol="1e-10")
     assert abs(got - mp.mpf(b0.numerator) / b0.denominator) < mp.mpf("1e-10")
 
@@ -181,15 +171,9 @@ def test_periodic_power_sum_requires_period():
 
 def test_appendix_route_conversion_factor():
     """Matched truncations make the slowly-converging ratio exact."""
-    p = mp.mpf("0.1")
-    mdl = poincare_borel()
     for terms in (500, 4000):
-        partial = mp.fsum(
-            mdl.coeff(n) * mp.power(mdl.eta(n) - p, mp.mpf("-1.5"))
-            for n in range(1, terms + 1)
-        )
-        ratio = partial / poincare_appendix_direct(p, terms=terms)
-        assert abs(ratio + 900) < mp.mpf("1e-9") * 900
+        gap, _ = checks.appendix_factor_gap(mp.mpf("0.1"), terms)
+        assert gap < mp.mpf("1e-9")
 
 
 def test_term_budget_is_generous():

@@ -79,6 +79,14 @@ def test_sum_unreachable_cross_tolerance():
     assert proc.returncode == 4
 
 
+def test_sum_cross_check_err_covers_the_route_gap():
+    proc = run_cli("sum", "--x", "2+1.5i", "--cross-check", "--tol", "1e-12",
+                   "--output", "json")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert mp.mpf(doc["err_estimate"]) >= mp.mpf(doc["max_discrepancy"])
+
+
 def test_radial_csv_hits_the_boundary_target():
     proc = run_cli("radial", "--alpha", "1/2", "--output", "csv")
     assert proc.returncode == 0
@@ -98,6 +106,7 @@ def test_usage_errors_exit_two():
     assert run_cli("sum").returncode == 2
     assert run_cli("verify", "--suite", "everything").returncode == 2
     assert run_cli().returncode == 2
+    assert run_cli("sum", "--x", "2", "--eps-ray", "0.1").returncode == 2
 
 
 def test_verify_exact_suite_passes():
@@ -105,6 +114,19 @@ def test_verify_exact_suite_passes():
     assert proc.returncode == 0
     assert "l2-closed-form" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+def test_verify_exact_json_lists_its_checks_in_order():
+    proc = run_cli("verify", "--suite", "exact", "--output", "json")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["passed"] is True
+    assert [c["name"] for c in doc["checks"]] == [
+        "trefoil-scaled-coefficients", "borel-taylor-first-values",
+        "coefficient-route-agreement", "borel-route-agreement",
+        "formal-borel-cross", "l-value-certified-partials", "l2-closed-form",
+    ]
+    assert doc["checks"][0]["residual"] == "0"
 
 
 def test_out_file_and_config_merge(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from borelsum.checks import TREFOIL_SCALED
 from borelsum.invariants import (
     CoefficientTable,
     RationalAngle,
@@ -24,14 +25,6 @@ TREFOIL_A = (
     Fraction(1681, 2),
     Fraction(257543, 6),
     Fraction(67637281, 24),
-)
-
-TREFOIL_SCALED = (
-    Fraction(1),
-    Fraction(23, 24),
-    Fraction(1681, 1152),
-    Fraction(257543, 82944),
-    Fraction(67637281, 7962624),
 )
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from borelsum import checks
 from borelsum.errors import DomainError
-from borelsum.invariants import phi, trefoil_coeffs
 from borelsum.modular import (
     eta,
     eta_prime,
@@ -15,7 +15,6 @@ from borelsum.modular import (
     zagier_g,
     zagier_g_taylor,
 )
-from borelsum.summation import dirichlet_delta
 
 G_AT_ONE = mp.mpc("0.0999004225046296", "-0.241180954897479")
 
@@ -65,12 +64,7 @@ def test_eta_prime_is_the_derivative():
 
 
 def test_delta_equals_weighted_theta():
-    x = mp.mpf(1)
-    delta = dirichlet_delta("trefoil", x, tol="1e-20")
-    theta_form = (
-        mp.j * mp.sqrt(2) * (mp.pi * x) ** mp.mpf("1.5") * eta_tilde(2 * mp.pi * mp.j * x)
-    )
-    assert abs(delta - theta_form) < mp.mpf("1e-14")
+    assert checks.delta_theta_gap(mp.mpf(1), "1e-20") < mp.mpf("1e-14")
 
 
 @pytest.mark.parametrize(
@@ -78,7 +72,7 @@ def test_delta_equals_weighted_theta():
 )
 def test_boundary_limit_is_minus_two_phi(alpha):
     limit, err = eta_tilde_radial(alpha)
-    assert abs(limit + 2 * phi(alpha)) < mp.mpf("1e-10")
+    assert checks.phi_gap(alpha, limit, -2) < mp.mpf("1e-10")
     assert err < mp.mpf("1e-8")
 
 
@@ -96,35 +90,24 @@ def test_g_frozen_value_and_domain():
 
 
 def test_g_two_phi_identity():
-    left = phi(1) + mp.power(mp.j, mp.mpf("-1.5")) * phi(-1)
-    assert abs(left - zagier_g(1)) < mp.mpf("1e-14")
+    assert checks.two_phi_gap("1e-16") < mp.mpf("1e-14")
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(1, 2)])
 def test_g_inversion_identity(alpha):
-    a_mp = mp.mpf(alpha.numerator) / alpha.denominator
-    left = zagier_g(alpha, tol="1e-16")
-    right = mp.power(mp.j * a_mp, mp.mpf("-1.5")) * zagier_g(
-        Fraction(-1) / alpha, tol="1e-16"
-    )
-    assert abs(left - right) < mp.mpf("1e-12")
+    assert checks.g_inversion_gap([alpha], "1e-16") < mp.mpf("1e-12")
 
 
 def test_g_direct_route_differs_by_fixed_rotation():
     """The rotated-kernel route equals the Laplace route times a constant."""
-    constant = 2 * mp.pi / mp.sqrt(3) * mp.expjpi(mp.mpf(-1) / 4)
-    ratio = zagier_g(1, route="direct", tol="1e-12") / zagier_g(1, tol="1e-14")
-    assert abs(ratio - constant) < mp.mpf("1e-9")
+    ratio = checks.g_route_ratio(1, "1e-12", "1e-14")
+    assert abs(ratio - checks.g_route_constant()) < mp.mpf("1e-9")
 
 
 def test_g_taylor_matches_asymptotic_coefficients():
     """c_n = (-pi i/12)^n a_n ties the boundary jet to the x -> oo series."""
-    coeffs = zagier_g_taylor(4)
-    a = trefoil_coeffs(4).a
-    for n in range(4):
-        an = mp.mpf(a[n].numerator) / a[n].denominator
-        target = (-mp.pi * mp.j / 12) ** n * an
-        assert abs(coeffs[n] - target) < mp.mpf("1e-6") * (1 + abs(target))
+    for gap, size in checks.g_jet_gaps(4):
+        assert gap < mp.mpf("1e-6") * (1 + size)
 
 
 def test_g_taylor_count_validation():

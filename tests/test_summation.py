@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from borelsum import summation
+from borelsum import checks, summation
 from borelsum.errors import DomainError, RayGeometryError, ToleranceError
-from borelsum.invariants import phi
 from borelsum.summation import (
     AverageKind,
     averaged_value,
@@ -18,6 +17,7 @@ from borelsum.summation import (
     median_laplace_unit,
     median_laplace_unit_closed,
     radial_limit,
+    route_gap,
     sum_erfi,
     sum_eta_integral,
     sum_median,
@@ -44,8 +44,7 @@ def test_closed_route_tends_to_one():
 @given(x=st.floats(min_value=0.5, max_value=50))
 def test_median_is_real_on_the_positive_axis(x):
     for model in ("trefoil", "poincare"):
-        value = sum_erfi(model, mp.mpf(x), tol="1e-10").value
-        assert abs(mp.im(value)) < mp.mpf("1e-18")
+        assert checks.reality_gap(model, [mp.mpf(x)], "1e-10") < mp.mpf("1e-18")
 
 
 @settings(max_examples=10)
@@ -55,10 +54,7 @@ def test_median_is_real_on_the_positive_axis(x):
 )
 def test_lateral_conjugation_symmetry(re, im):
     """Reality of the coefficients swaps the two laterals under conjugation."""
-    x = mp.mpc(re, im)
-    left = mp.conj(sum_erfi("trefoil", x, kind="mul", tol="1e-12").value)
-    right = sum_erfi("trefoil", mp.conj(x), kind="mur", tol="1e-12").value
-    assert abs(left - right) < mp.mpf("1e-12")
+    assert checks.conjugation_gap([mp.mpc(re, im)], "1e-12") < mp.mpf("1e-12")
 
 
 def test_laterals_differ_by_twice_delta():
@@ -145,6 +141,18 @@ def test_sum_median_folds_cross_gap_into_error():
     assert abs(res.value - MEDIAN_TREFOIL_AT_2) < mp.mpf("1e-10")
 
 
+def test_sum_median_cross_check_value_is_the_closed_route_at_tol():
+    x = mp.mpc(2, "1.5")
+    res = sum_median("trefoil", x, tol="1e-14", cross_check=True)
+    reference = sum_erfi("trefoil", x, tol="1e-20").value
+    assert abs(res.value - reference) < mp.mpf("1e-14")
+    assert set(res.routes) == {
+        "erfi-series", "eta-integral-average", "eta-integral-mul-plus-delta",
+    }
+    assert res.err_estimate == max(route_gap(res.routes), mp.mpf("1e-14"))
+    assert sum_median("trefoil", x).routes is None
+
+
 def test_sum_median_raises_when_routes_disagree(monkeypatch):
     monkeypatch.setattr(
         summation, "cross_routes",
@@ -209,7 +217,17 @@ def test_laplace_unit_rejects_other_weights():
 def test_radial_limit_reaches_the_boundary_value():
     res = radial_limit(Fraction(1))
     assert res.route == "radial"
-    assert abs(res.value - phi(1)) < mp.mpf("1e-8")
+    gap = checks.phi_gap(Fraction(1), res.value)
+    assert gap < mp.mpf("1e-8")
+    assert res.err_estimate >= gap
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 5), Fraction(2, 5), Fraction(1, 3),
+                                   Fraction(3, 4)])
+def test_radial_limit_err_estimate_covers_the_error(alpha):
+    """The rung tolerance, amplified by the extrapolation weights, counts."""
+    res = radial_limit(alpha)
+    assert res.err_estimate >= checks.phi_gap(alpha, res.value)
 
 
 def test_radial_limit_half():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from borelsum.checks import TREFOIL_TAYLOR
 from borelsum.errors import ToleranceError
 from borelsum.transseries import (
     TransseriesTable,
@@ -19,19 +20,12 @@ from borelsum.transseries import (
     verify_transseries,
 )
 
-TREFOIL_B = (
-    Fraction(23, 24),
-    Fraction(1681, 1152),
-    Fraction(257543, 165888),
-    Fraction(67637281, 47775744),
-)
-
 
 def _mpf(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
 
-@pytest.mark.parametrize("n,value", list(enumerate(TREFOIL_B)))
+@pytest.mark.parametrize("n,value", list(enumerate(TREFOIL_TAYLOR)))
 def test_exact_bn_first_values(n, value):
     assert exact_bn(n) == value
 
