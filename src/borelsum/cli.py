@@ -87,6 +87,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise _UsageError(f"cannot parse '{text}' as a rational") from exc
 
 
+def _parse_positive(text: str, flag: str):
+    try:
+        value = mp.mpf(text)
+    except ValueError as exc:
+        raise _UsageError(f"cannot parse '{text}' as a number for {flag}") from exc
+    if not value > 0:
+        raise _UsageError(f"{flag} must be positive")
+    return value
+
+
 def _read_config(path: str) -> dict:
     values = {}
     try:
@@ -182,7 +192,7 @@ def _cmd_sum(cfg: RunConfig, args) -> tuple[dict, bool]:
         raise _UsageError("--cross-check applies to the median method")
     if args.cross_check:
         result = sum_median(cfg.object, x, tol=cfg.tol, cross_check=True,
-                            cross_tol=args.cross_tol)
+                            cross_tol=_parse_positive(args.cross_tol, "--cross-tol"))
         extra = {
             "routes": {name: _complex_pair(v) for name, v in result.routes.items()},
             "max_discrepancy": _real_str(route_gap(result.routes)),
@@ -207,8 +217,11 @@ def _cmd_radial(cfg: RunConfig, args) -> tuple[dict, bool]:
     alpha = _parse_fraction(args.alpha)
     if alpha == 0:
         raise _UsageError("--alpha must be nonzero")
-    result = radial_limit(alpha, rungs=args.rungs, ratio=args.ratio,
-                          eps0=args.eps0, tol=cfg.tol)
+    if args.rungs < 2 or args.ratio < 2:
+        raise _UsageError("need --rungs at least 2 and --ratio greater than 1")
+    eps0 = None if args.eps0 is None else _parse_positive(args.eps0, "--eps0")
+    result = radial_limit(alpha, rungs=args.rungs, ratio=args.ratio, eps0=eps0,
+                          tol=cfg.tol)
     target = phi(alpha)
     payload = {
         "command": "radial",

@@ -1,9 +1,8 @@
 """Finite q-factorial sums at roots of unity and the two coefficient tables.
 
 Roots of unity are always addressed by a rational angle alpha (q = e^{2 pi i
-alpha}), never by a floating-point q.  For denominators up to 12 the finite
-sums are evaluated exactly in Q[x]/Phi_d(x); beyond that, high-precision
-complex arithmetic with a small zero-detection threshold is used.
+alpha}), never by a floating-point q.  The finite sums are summed by one
+complex loop at the working precision, whatever the denominator.
 
 The two coefficient tables:
 
@@ -37,14 +36,12 @@ __all__ = [
     "CoefficientTable",
     "q_factorial",
     "f_at_root_of_unity",
-    "f_exact_cyclotomic",
     "phi",
     "trefoil_coeffs",
     "poincare_coeffs",
 ]
 
 _ROUTES = ("generating-function", "bernoulli-closed-form")
-_EXACT_DEN_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -68,115 +65,6 @@ def _angle(alpha) -> RationalAngle:
     if isinstance(alpha, RationalAngle):
         return alpha
     return RationalAngle(Fraction(alpha))
-
-
-# ---------------------------------------------------------------------------
-# exact cyclotomic arithmetic (denominator <= 12)
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 1)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / lead
-        if c:
-            quot[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-_CYC_CACHE: dict[int, list[Fraction]] = {}
-
-
-def _cyclotomic_poly(d: int) -> list[Fraction]:
-    """Coefficients (ascending) of Phi_d, by exact division of x^d - 1."""
-    if d in _CYC_CACHE:
-        return _CYC_CACHE[d]
-    poly = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
-    for e in range(1, d):
-        if d % e == 0:
-            poly, rem = _poly_divmod(poly, _cyclotomic_poly(e))
-            assert all(r == 0 for r in rem)
-    _CYC_CACHE[d] = poly
-    return poly
-
-
-class _Cyc:
-    """Element of Q[x]/Phi_d(x); x stands for the primitive root e^{2 pi i/d}."""
-
-    __slots__ = ("d", "coeffs")
-
-    def __init__(self, d: int, coeffs: list[Fraction]):
-        phi_d = _cyclotomic_poly(d)
-        deg = len(phi_d) - 1
-        if len(coeffs) > deg:
-            _, coeffs = _poly_divmod(coeffs, phi_d)
-        coeffs = list(coeffs) + [Fraction(0)] * (deg - len(coeffs))
-        self.d = d
-        self.coeffs = coeffs[:deg] if deg else [Fraction(0)]
-
-    @classmethod
-    def one(cls, d: int) -> "_Cyc":
-        return cls(d, [Fraction(1)])
-
-    @classmethod
-    def root_power(cls, d: int, k: int) -> "_Cyc":
-        k %= d
-        return cls(d, [Fraction(0)] * k + [Fraction(1)])
-
-    def __mul__(self, other: "_Cyc") -> "_Cyc":
-        return _Cyc(self.d, _poly_mul(self.coeffs, other.coeffs))
-
-    def __add__(self, other: "_Cyc") -> "_Cyc":
-        return _Cyc(self.d, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __rsub__(self, scalar: int) -> "_Cyc":
-        out = [-c for c in self.coeffs]
-        out[0] += scalar
-        return _Cyc(self.d, out)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def to_mpc(self):
-        root = mp.expjpi(mp.mpf(2) / self.d)
-        acc = mp.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * root + mp.mpf(c.numerator) / c.denominator
-        return acc
-
-
-def f_exact_cyclotomic(alpha) -> tuple[int, list[Fraction]]:
-    """Exact value of the finite sum at denominator <= 12.
-
-    Returns (d, coeffs) where coeffs are the coordinates of
-    sum_{n=0}^{d-1} (q)_n in the power basis of Q[x]/Phi_d(x), q = x^a.
-    """
-    a, d = _angle(alpha).reduced()
-    if d > _EXACT_DEN_LIMIT:
-        raise ValueError(f"exact path is limited to denominator {_EXACT_DEN_LIMIT}")
-    poch = _Cyc.one(d)
-    total = _Cyc.one(d)
-    for n in range(1, d):
-        poch = poch * (1 - _Cyc.root_power(d, a * n))
-        if poch.is_zero():
-            break
-        total = total + poch
-    return d, total.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +92,16 @@ def q_factorial(q, n: int):
 
 
 def f_at_root_of_unity(alpha):
-    """sum_{n>=0} (q)_n at q = e^{2 pi i alpha}; terminates after den(alpha) terms."""
-    ang = _angle(alpha)
-    a, d = ang.reduced()
-    if d <= _EXACT_DEN_LIMIT:
-        _, coeffs = f_exact_cyclotomic(ang)
-        return _Cyc(d, coeffs).to_mpc()
+    """sum_{n>=0} (q)_n at q = e^{2 pi i alpha}; terminates after den(alpha) terms.
+
+    No (q)_n with n < d vanishes at a reduced a/d.  Cancellation costs about
+    0.07 d digits at denominator d."""
+    a, d = _angle(alpha).reduced()
     q = mp.expjpi(mp.mpf(2 * a) / d)
     total = mp.mpc(1)
     poch = mp.mpc(1)
-    thresh = 10 * mp.eps
     for n in range(1, d):
         poch *= 1 - q**n
-        if abs(poch) < thresh:
-            break
         total += poch
     return total
 

@@ -14,13 +14,12 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 __all__ = [
     "FormalSeries",
-    "BernoulliCache",
     "bernoulli_number",
     "bernoulli_poly",
     "borel_transform",
@@ -66,34 +65,20 @@ class FormalSeries:
         return self.coeffs[n]
 
 
-@dataclass
-class BernoulliCache:
-    """B_0 .. B_max_index, extended on demand by bernoulli_number."""
-
-    numbers: list[Fraction] = field(default_factory=lambda: [Fraction(1)])
-
-    @property
-    def max_index(self) -> int:
-        return len(self.numbers) - 1
-
-    def extend_to(self, n: int) -> None:
-        while self.max_index < n:
-            m = self.max_index + 1
-            # B_m = -1/(m+1) * sum_{k<m} C(m+1,k) B_k
-            acc = sum(Fraction(comb(m + 1, k)) * self.numbers[k] for k in range(m))
-            self.numbers.append(-acc / (m + 1))
+# B_0, B_1, ...; bernoulli_number extends the list on demand
+_BERNOULLI = [Fraction(1)]
 
 
-_CACHE = BernoulliCache()
-
-
-def bernoulli_number(n: int, cache: BernoulliCache | None = None) -> Fraction:
+def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    c = cache if cache is not None else _CACHE
-    c.extend_to(n)
-    return c.numbers[n]
+    while len(_BERNOULLI) <= n:
+        m = len(_BERNOULLI)
+        # B_m = -1/(m+1) * sum_{k<m} C(m+1,k) B_k
+        acc = sum(Fraction(comb(m + 1, k)) * _BERNOULLI[k] for k in range(m))
+        _BERNOULLI.append(-acc / (m + 1))
+    return _BERNOULLI[n]
 
 
 def bernoulli_poly(n: int, x: Fraction | int | str) -> Fraction:

@@ -242,8 +242,9 @@ class RayContour:
         return abs(mp.im(u))
 
 
-def ray_integrate(f, contour: RayContour, tol, max_depth: int = 24):
-    """Integrate f along the contour with geometrically growing panels.
+def ray_integrate(f, contour: RayContour, tol):
+    """Integrate f along the contour with geometrically growing panels,
+    each bisected at most 24 levels deep.
 
     Returns (value, error_estimate); the estimate is the sum of the panel
     tolerances actually enforced, so it is conservative whenever the
@@ -259,7 +260,7 @@ def ray_integrate(f, contour: RayContour, tol, max_depth: int = 24):
     per_panel = tol / len(edges)
     acc = mp.mpc(0)
     for lo, hi in zip(edges, edges[1:]):
-        acc += _adaptive_segment(f, lo * direction, hi * direction, per_panel, max_depth)
+        acc += _adaptive_segment(f, lo * direction, hi * direction, per_panel, 24)
     return acc, per_panel * (len(edges) - 1)
 
 
@@ -316,6 +317,8 @@ def geometric_ladder(start, rungs: int, ratio):
     if rungs < 2:
         raise ValueError("need at least two rungs")
     start = mp.mpf(start)
+    if start <= 0 or ratio <= 1:
+        raise ValueError("need start > 0 and ratio > 1")
     return [start / ratio**j for j in range(rungs)]
 
 

@@ -486,27 +486,23 @@ def averaged_value(model, avg, p, tol="1e-10"):
     return ahead + phase * crossed
 
 
-def radial_limit(alpha, eps_seq=None, rungs: int = 9, ratio: int = 2,
-                 eps0=None, tol="1e-10") -> SummationResult:
+def radial_limit(alpha, rungs: int = 9, ratio: int = 2, eps0=None,
+                 tol="1e-10") -> SummationResult:
     """Boundary value at the point i/(2 pi alpha) by a radial median ladder.
 
-    Median values at x_j = eps_j + i y are Richardson-extrapolated in eps;
-    the limit is the unit-circle boundary value at angle alpha.  The error
-    series in eps grows with the denominator of alpha, so the default start
-    shrinks as y / denominator^2.  eps_seq overrides the ladder entirely.
+    Median values at x_j = eps0 / ratio^j + i y, j < rungs, are
+    Richardson-extrapolated in eps; the limit is the unit-circle boundary
+    value at angle alpha.  The error series in eps grows with the
+    denominator of alpha, so the default eps0 shrinks as y / denominator^2.
+    eps0 <= 0, ratio <= 1 or fewer than two rungs raise ValueError.
     err_estimate adds the rung tolerance, amplified by the extrapolation
     weights, to the last Richardson correction."""
     a, den = rational_parts(alpha)
     if a == 0:
         raise DomainError("alpha must be nonzero")
     y = 1 / (2 * mp.pi * a)
-    if eps_seq is None:
-        eps_seq = geometric_ladder(abs(y) / (50 * den**2) if eps0 is None else eps0,
-                                   rungs, ratio)
-    hs = [mp.mpf(e) for e in eps_seq]
-    if len(hs) < 2 or any(e <= 0 for e in hs) or any(
-            b >= a_ for a_, b in zip(hs, hs[1:])):
-        raise ValueError("eps_seq must be positive and strictly decreasing")
+    hs = geometric_ladder(abs(y) / (50 * den**2) if eps0 is None else eps0,
+                          rungs, ratio)
     mdl = trefoil_borel()
     inner = min(mp.mpf(tol) / 10, mp.mpf("1e-14"))
     vals = [_closed_value(mdl, e + mp.j * y, AverageKind.MEDIAN, inner) for e in hs]

@@ -228,36 +228,29 @@ def predicted_ckl(k: int, l: int) -> object:
     return _prefactor() * chi * gamma_l / mp.mpf(k) ** 4
 
 
+# reconstruct scales block k by k^{-2n}; verify_transseries measures this
+NORMALIZATION = "k^-2n"
+
+
 @dataclass(frozen=True)
 class TransseriesTable:
-    """Finite (k, l) window of transseries block coefficients.
-
-    ``normalization`` records which k-power convention ``reconstruct``
-    uses for the exponential monomial; it is a measured fact, set by
-    checking which convention actually reproduces b_n.
-    """
+    """Finite (k, l) window of transseries block coefficients."""
 
     c: Mapping[tuple[int, int], object]
     base: object
     power: object
     k_max: int
     l_max: int
-    normalization: str = "k^-2n"
     gamma_gap: object = None
 
     def value(self, k: int, l: int) -> object:
         return self.c.get((k, l), mp.mpf(0))
 
     def reconstruct(self, n: int, l_cap: int | None = None,
-                    k_cap: int | None = None,
-                    normalization: str | None = None) -> object:
-        """Windowed transseries value at index n."""
+                    k_cap: int | None = None) -> object:
+        """Windowed transseries value at index n, block k scaled by k^{-2n}."""
         l_top = self.l_max if l_cap is None else min(l_cap, self.l_max)
         k_top = self.k_max if k_cap is None else min(k_cap, self.k_max)
-        conv = self.normalization if normalization is None else normalization
-        if conv not in ("k^-2n", "k^-n"):
-            raise ValueError(f"unknown normalization {conv!r}")
-        expo = 2 * n if conv == "k^-2n" else n
         nn = mp.mpf(n)
         total = mp.mpf(0)
         for k in range(1, k_top + 1):
@@ -267,7 +260,7 @@ class TransseriesTable:
                 if coeff:
                     inner += coeff / nn ** l
             if inner:
-                total += inner / mp.mpf(k) ** expo
+                total += inner / mp.mpf(k) ** (2 * n)
         return mp.power(self.base, n) * mp.power(nn, self.power) * total
 
 
@@ -300,7 +293,7 @@ def extract_ckl(k_max: int, l_max: int, route: str = "fit") -> TransseriesTable:
             table[(k, l)] = weight * gammas[l] if chi(k) else mp.mpf(0)
     return TransseriesTable(c=table, base=6 / mp.pi ** 2,
                             power=mp.mpf(3) / 2, k_max=k_max, l_max=l_max,
-                            normalization="k^-2n", gamma_gap=gap)
+                            gamma_gap=gap)
 
 
 def _as_mpf(q: Fraction) -> object:
@@ -382,7 +375,7 @@ def verify_transseries(table: TransseriesTable,
         measured = "k^-n"
 
     passed = bool(max(rel_errors) < mp.mpf("1e-6")
-                  and measured == table.normalization)
+                  and measured == NORMALIZATION)
     return TransseriesReport(
         ns=ns,
         rel_errors=tuple(rel_errors),

@@ -1,5 +1,10 @@
 """Package surface: exports and the exception taxonomy."""
 
+import importlib
+import pkgutil
+
+import pytest
+
 import borelsum
 from borelsum.errors import (
     ConvergenceError,
@@ -14,6 +19,16 @@ from borelsum.errors import (
 def test_all_names_resolve():
     for name in borelsum.__all__:
         assert getattr(borelsum, name) is not None
+
+
+@pytest.mark.parametrize(
+    "module", [m.name for m in pkgutil.iter_modules(borelsum.__path__)]
+)
+def test_submodule_exports_resolve(module):
+    """A name deleted from a module cannot stay in its __all__."""
+    mod = importlib.import_module(f"borelsum.{module}")
+    for name in mod.__all__:
+        assert hasattr(mod, name), name
 
 
 def test_key_entry_points_are_exported():

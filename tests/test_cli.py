@@ -109,6 +109,24 @@ def test_usage_errors_exit_two():
     assert run_cli("sum", "--x", "2", "--eps-ray", "0.1").returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("radial", "--alpha", "1/2", "--ratio", "0"),
+    ("radial", "--alpha", "1/2", "--ratio", "1"),
+    ("radial", "--alpha", "1/2", "--ratio", "-2"),
+    ("radial", "--alpha", "1/2", "--rungs", "0"),
+    ("radial", "--alpha", "1/2", "--rungs", "1"),
+    ("radial", "--alpha", "1/2", "--eps0", "0"),
+    ("radial", "--alpha", "1/2", "--eps0", "-0.01"),
+    ("radial", "--alpha", "1/2", "--eps0", "abc"),
+    ("sum", "--x", "2", "--cross-check", "--cross-tol", "abc"),
+    ("sum", "--x", "2", "--cross-check", "--cross-tol", "-1"),
+])
+def test_bad_ladder_and_tolerance_values_exit_two(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "usage error" in proc.stderr
+
+
 def test_verify_exact_suite_passes():
     proc = run_cli("verify", "--suite", "exact")
     assert proc.returncode == 0

@@ -1,6 +1,7 @@
 """Coefficient tables and root-of-unity evaluations of the finite sum."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,6 @@ from borelsum.invariants import (
     CoefficientTable,
     RationalAngle,
     f_at_root_of_unity,
-    f_exact_cyclotomic,
     phi,
     poincare_coeffs,
     q_factorial,
@@ -97,23 +97,27 @@ def test_finite_sum_has_period_one(num, den):
     assert abs(left - right) < mp.mpf("1e-20")
 
 
-@pytest.mark.parametrize(
-    "alpha",
-    [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(5, 12)],
-)
-def test_cyclotomic_route_matches_numeric(alpha):
-    d, coeffs = f_exact_cyclotomic(alpha)
-    zeta = mp.expjpi(mp.mpf(2) / d)
-    exact = mp.fsum(
-        (mp.mpf(c.numerator) / c.denominator * zeta**j for j, c in enumerate(coeffs)),
-        absolute=False,
-    )
-    assert abs(exact - f_at_root_of_unity(alpha)) < mp.mpf("1e-20")
+def test_finite_sum_at_a_quarter_turn():
+    """q = i: 1 + (1 - i) + (2 - 2i) + 4."""
+    assert abs(f_at_root_of_unity(Fraction(1, 4)) - mp.mpc(8, -3)) < mp.mpf("1e-24")
 
 
-def test_cyclotomic_route_denominator_cap():
-    with pytest.raises(ValueError):
-        f_exact_cyclotomic(Fraction(1, 13))
+# a/d with 0 < |a| < 2d, gcd(a, d) = 1 and d <= 24: 718 angles
+ANGLES = [Fraction(a, d) for d in range(1, 25) for a in range(1 - 2 * d, 2 * d)
+          if a and gcd(a, d) == 1]
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_finite_sum_does_not_depend_on_the_working_precision(dps):
+    """The sum at dps digits agrees with the sum at dps + 20 to its last digits."""
+    assert len(ANGLES) == 718
+    for alpha in ANGLES:
+        with mp.workdps(dps + 20):
+            reference = f_at_root_of_unity(alpha)
+        with mp.workdps(dps):
+            value = f_at_root_of_unity(alpha)
+            bound = mp.mpf(10) ** (3 - dps) * max(1, abs(reference))
+        assert abs(value - reference) <= bound, alpha
 
 
 def test_phi_at_integers_and_halves():

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from borelsum.series import (
-    BernoulliCache,
     FormalSeries,
     bernoulli_number,
     bernoulli_poly,
@@ -30,6 +29,7 @@ BERNOULLI_TABLE = {
     8: Fraction(-1, 30),
     10: Fraction(5, 66),
     12: Fraction(-691, 2730),
+    20: Fraction(-174611, 330),
 }
 
 small_fractions = st.fractions(
@@ -45,13 +45,6 @@ def test_bernoulli_number_table(n, value):
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 21])
 def test_bernoulli_number_odd_vanishes(n):
     assert bernoulli_number(n) == 0
-
-
-def test_bernoulli_cache_grows_and_reuses():
-    cache = BernoulliCache()
-    assert bernoulli_number(20, cache) == Fraction(-174611, 330)
-    assert cache.max_index >= 20
-    assert bernoulli_number(4, cache) == Fraction(-1, 30)
 
 
 @given(

@@ -240,8 +240,10 @@ def test_radial_limit_validation():
     with pytest.raises(DomainError):
         radial_limit(0)
     with pytest.raises(ValueError):
-        radial_limit(1, eps_seq=[mp.mpf("0.1")])
+        radial_limit(1, eps0=0)
     with pytest.raises(ValueError):
-        radial_limit(1, eps_seq=[mp.mpf("0.1"), mp.mpf("0.2")])
+        radial_limit(1, eps0="-0.01")
+    with pytest.raises(ValueError):
+        radial_limit(1, ratio=1)
     with pytest.raises(ValueError):
         radial_limit(1, rungs=1)

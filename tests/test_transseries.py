@@ -118,23 +118,15 @@ def test_extract_ckl_validation():
 
 
 def test_reconstruct_normalization_guard():
-    table = extract_ckl(3, 1, route="exact")
-    with pytest.raises(ValueError):
-        table.reconstruct(40, normalization="k^-3n")
-    assert table.value(2, 0) == 0
-    assert table.value(99, 0) == 0
-
-
-def test_normalization_conventions_diverge_at_small_n():
-    """At small n the k >= 5 blocks are visible, so the conventions split."""
+    """Block k is suppressed by k^{-2n}; at small n the k >= 5 blocks show."""
     table = extract_ckl(7, 2, route="exact")
     n = 5
-    quad = table.reconstruct(n)
-    lin = table.reconstruct(n, normalization="k^-n")
-    assert abs(quad - lin) > mp.mpf("1e-10") * abs(quad)
-    assert table.reconstruct(n, k_cap=1) == table.reconstruct(
-        n, k_cap=1, normalization="k^-n"
-    )
+    blocks = mp.fsum(table.value(k, l) / mp.mpf(n) ** l / mp.mpf(k) ** (2 * n)
+                     for k in range(1, 8) for l in range(3))
+    target = mp.power(table.base, n) * mp.power(n, table.power) * blocks
+    assert abs(table.reconstruct(n) - target) < mp.mpf("1e-20") * abs(target)
+    assert table.value(2, 0) == 0
+    assert table.value(99, 0) == 0
 
 
 def test_verify_report_full_window():
