@@ -2,8 +2,9 @@
 """Fit the transseries block table and report reconstruction quality.
 
 Extracts the c[k, l] window from exact coefficients by the requested
-route, then prints per-index relative reconstruction errors and the
-measured residual decay that pins the k-power normalization.
+route, then prints per-index relative reconstruction errors, the power law
+of the residual at each truncation level, and the two transseries window
+checks of ``borelsum verify``, which give the verdict.
 
     python scripts/gamma_ladder.py --k-max 7 --l-max 6 --route fit
 """
@@ -15,7 +16,8 @@ import sys
 
 from mpmath import mp
 
-from borelsum.transseries import extract_ckl, predicted_ckl, verify_transseries
+from borelsum import checks
+from borelsum.transseries import extract_ckl
 
 
 def parse_args() -> argparse.Namespace:
@@ -38,30 +40,33 @@ def main() -> int:
     mp.dps = args.precision
 
     table = extract_ckl(args.k_max, args.l_max, route=args.route)
+    exact = extract_ckl(args.k_max, args.l_max, route="exact")
     print(f"# route={args.route} window k<={args.k_max} l<={args.l_max}")
     print(f"{'k':>3} {'l':>3}  {'c[k,l]':>24}  {'predicted':>24}")
     for (k, l), value in sorted(table.c.items()):
         if not value:
             continue
         print(f"{k:>3} {l:>3}  {mp.nstr(value, 15):>24}  "
-              f"{mp.nstr(predicted_ckl(k, l), 15):>24}")
+              f"{mp.nstr(exact.value(k, l), 15):>24}")
     if table.gamma_gap:
         print(f"# fit cross-range gap {mp.nstr(table.gamma_gap, 3)}")
 
-    report = verify_transseries(
-        table, n_range=range(args.n_start, args.n_stop + 1, args.n_step)
-    )
+    ns = range(args.n_start, args.n_stop + 1, args.n_step)
     print(f"\n{'n':>4}  {'rel error':>12}  {'omitted ratio':>14}")
-    for n, err, ratio in zip(report.ns, report.rel_errors,
-                             report.omitted_ratio):
+    for n, ratio in zip(ns, checks.omitted_term_ratios(table, ns)):
+        err = checks.reconstruction_error(table, [n])
         print(f"{n:>4}  {mp.nstr(err, 3):>12}  {mp.nstr(ratio, 3):>14}")
-    mean_ratio = sum(report.residual_ratios) / len(report.residual_ratios)
-    print(f"\n# residual decay {mp.nstr(mean_ratio, 5)} "
-          f"(quadratic normalization predicts {mp.nstr(mp.mpf(1) / 25, 5)})")
-    print(f"# normalization measured: {report.normalization_measured}")
-    print(f"# window verdict: {'ok' if report.passed else 'failed'}")
-    return 0 if report.passed else 1
-
+    print(f"\n{'L':>4}  {'fitted power':>14}  {'expected':>10}")
+    for level, fitted, expected in checks.level_decay(table, ns[0], ns[-1]):
+        print(f"{level:>4}  {mp.nstr(fitted, 5):>14}  {mp.nstr(expected, 5):>10}")
+    window = list(checks.transseries_window(table, ns))
+    print()
+    for check in window:
+        print(f"# {check.name} {mp.nstr(check.residual, 3)} "
+              f"(bound {check.bound}): {check.note}")
+    passed = all(check.passed for check in window)
+    print(f"# window verdict: {'ok' if passed else 'failed'}")
+    return 0 if passed else 1
 
 if __name__ == "__main__":
     sys.exit(main())

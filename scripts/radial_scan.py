@@ -18,7 +18,7 @@ from math import gcd
 
 from mpmath import mp
 
-from borelsum.invariants import phi
+from borelsum.checks import phi_gap
 from borelsum.summation import radial_limit
 
 
@@ -52,7 +52,7 @@ def main() -> int:
             alpha = Fraction(num, den)
             res = radial_limit(alpha, rungs=args.rungs, ratio=args.ratio,
                                eps0=args.eps0)
-            gap = abs(res.value - phi(alpha))
+            gap = phi_gap(alpha, res.value)
             worst = max(worst, gap)
             print(f"{str(alpha):>8}  {mp.nstr(gap, 4):>18}  "
                   f"{mp.nstr(res.err_estimate, 4):>16}")

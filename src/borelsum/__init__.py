@@ -8,8 +8,6 @@ supplies the eta-function identities the summed values are tested against.
 """
 
 from .borel import (
-    SheetedPoint,
-    Singularity,
     SqrtBranched,
     TailLaw,
     poincare_borel,
@@ -49,13 +47,11 @@ from .summation import (
 )
 from .transseries import (
     GammaFit,
-    TransseriesReport,
     TransseriesTable,
     exact_bn,
     extract_ckl,
     stirling_gamma_fit,
     stirling_gammas,
-    verify_transseries,
 )
 
 __version__ = "0.1.0"
@@ -71,13 +67,10 @@ __all__ = [
     "OnCutError",
     "QuadratureError",
     "RayGeometryError",
-    "SheetedPoint",
-    "Singularity",
     "SqrtBranched",
     "SummationResult",
     "TailLaw",
     "ToleranceError",
-    "TransseriesReport",
     "TransseriesTable",
     "averaged_value",
     "bernoulli_number",
@@ -113,7 +106,6 @@ __all__ = [
     "taylor_coeffs",
     "trefoil_borel",
     "trefoil_coeffs",
-    "verify_transseries",
     "zagier_g",
     "zagier_g_taylor",
 ]

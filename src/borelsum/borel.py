@@ -42,8 +42,6 @@ from .errors import ConvergenceError, OnCutError
 __all__ = [
     "TERM_BUDGET",
     "TailLaw",
-    "Singularity",
-    "SheetedPoint",
     "SqrtBranched",
     "trefoil_borel",
     "poincare_borel",
@@ -66,23 +64,6 @@ class TailLaw:
     power: int
     eta_lower: float
     eta_upper: float
-
-
-@dataclass(frozen=True)
-class Singularity:
-    index: int
-    location: object
-    coefficient: object
-
-
-@dataclass(frozen=True)
-class SheetedPoint:
-    p: object
-    sheet: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sheet not in (0, 1):
-            raise ValueError("sheet must be 0 or 1")
 
 
 class SqrtBranched:
@@ -111,12 +92,6 @@ class SqrtBranched:
             raise ValueError("singularities are indexed from 1")
         return self._coeff_fn(n)
 
-    def singularity(self, n: int) -> Singularity:
-        return Singularity(n, self.eta(n), self.coeff(n))
-
-    def singularities(self, count: int) -> list[Singularity]:
-        return [self.singularity(n) for n in range(1, count + 1)]
-
     def _terms_for(self, decay: int, scale, tol) -> int:
         # smallest N with scale * N^{-decay} / decay <= tol
         n = int(ceil((scale / (decay * mp.mpf(tol))) ** (mp.mpf(1) / decay)))
@@ -128,17 +103,11 @@ class SqrtBranched:
             )
         return n
 
-    def eval(self, point, tol="1e-8", sheet: int | None = None):
+    def eval(self, point, tol="1e-8", sheet: int = 0):
         """Value at p on the requested sheet, within absolute tolerance tol."""
-        if isinstance(point, SheetedPoint):
-            if sheet is not None and sheet != point.sheet:
-                raise ValueError("conflicting sheet selections")
-            p, sheet = mp.mpc(point.p), point.sheet
-        else:
-            p = mp.mpc(point)
-            sheet = 0 if sheet is None else sheet
         if sheet not in (0, 1):
             raise ValueError("sheet must be 0 or 1")
+        p = mp.mpc(point)
         if mp.im(p) == 0 and mp.re(p) >= self.eta(1):
             raise OnCutError("real p >= eta_1 lies on the branch cut")
 

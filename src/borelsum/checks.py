@@ -225,6 +225,30 @@ def reconstruction_error(table, ns):
     return worst
 
 
+def omitted_term_ratios(table, ns):
+    """Per n in ns, the reconstruction error over the first omitted k=1
+    monomial c[1, l_max+1] b^n n^{p-l_max-1}, with c[1, l_max+1] from the
+    exact route; order 1 when the window is honest."""
+    top = table.l_max + 1
+    c_next = abs(extract_ckl(1, top, route="exact").value(1, top))
+    return [abs(table.reconstruct(n) - _mpf(exact_bn(n)))
+            / (mp.power(table.base, n) * mp.power(n, table.power - top) * c_next)
+            for n in ns]
+
+
+def level_decay(table, n_lo: int, n_hi: int):
+    """(L, fitted, expected) per truncation level L < l_max: the power of n in
+    the k=1 residual b_n - reconstruct(n, l_cap=L, k_cap=1), with b^n divided
+    out, fitted between n_lo and n_hi, next to the expected 3/2 - (L+1)."""
+    out = []
+    for level in range(table.l_max):
+        lo, hi = (abs(_mpf(exact_bn(n)) - table.reconstruct(n, l_cap=level, k_cap=1))
+                  * mp.power(table.base, -n) for n in (n_lo, n_hi))
+        fitted = mp.log(hi / lo) / mp.log(mp.mpf(n_hi) / n_lo)
+        out.append((level, fitted, table.power - (level + 1)))
+    return out
+
+
 def mean_residual_ratio(n0: int, count: int):
     """Mean ratio of successive k=1 residuals over n0..n0+count-1; 1/25 in
     theory."""
@@ -305,10 +329,17 @@ def _summation_suite():
 def _poincare_transseries_suite():
     yield _exact("poincare-first-coefficients", poincare_first_coefficients_match())
     yield Check("poincare-borel-taylor", max(poincare_taylor_gaps(7, "1e-12")), "1e-8")
-    table = extract_ckl(7, 6)
-    yield Check("transseries-reconstruction", reconstruction_error(table, range(30, 61, 5)),
-                "1e-6", f"window k <= 7, l <= 6, normalization {NORMALIZATION}")
-    mean_ratio = mean_residual_ratio(30, 8)
+    yield from transseries_window(extract_ckl(7, 6), range(30, 61, 5))
+
+
+def transseries_window(table, ns):
+    """The reconstruction error of table over ns, and the mean k=1 residual
+    ratio over ns[0]..ns[0]+7 against 1/25.  The decay bound also rules out the
+    k^{-n} normalization, whose mean ratio would be 1/5."""
+    yield Check("transseries-reconstruction", reconstruction_error(table, ns), "1e-6",
+                f"window k <= {table.k_max}, l <= {table.l_max}, "
+                f"normalization {NORMALIZATION}")
+    mean_ratio = mean_residual_ratio(ns[0], 8)
     yield Check("transseries-residual-decay", abs(mean_ratio - mp.mpf(1) / 25), "0.008",
                 f"mean k=1 residual ratio {mp.nstr(mean_ratio, 8)}")
 

@@ -114,16 +114,15 @@ def eta_tilde(tau):
     return _theta_sum(tz, 1)
 
 
-def eta_tilde_radial(alpha, eps0=None, rungs: int = 9, ratio: int = 2):
+def eta_tilde_radial(alpha):
     """Radial limit of eta_tilde at the real point alpha.
 
-    Values on the vertical ladder alpha + i eps_j, eps_j geometric, are
-    Richardson-extrapolated to eps = 0.  The error series blows up with the
-    denominator of alpha, so the default start shrinks as 1/denominator^2.
+    Values on the vertical ladder alpha + i eps_j, eps_j = 0.002 2^-j / den^2
+    for j < 9, are Richardson-extrapolated to eps = 0.  The error series blows
+    up with the denominator of alpha, hence the 1/den^2 start.
     Returns (limit, err_estimate)."""
     a, den = rational_parts(alpha)
-    hs = geometric_ladder(mp.mpf("0.002") / den**2 if eps0 is None else eps0,
-                          rungs, ratio)
+    hs = geometric_ladder(mp.mpf("0.002") / den**2, 9, 2)
     return richardson_limit(hs, [eta_tilde(a + mp.j * eps) for eps in hs])
 
 
@@ -137,13 +136,11 @@ def eta_prime(tau):
     return mp.pi * mp.j / 12 * _theta_sum(tz, 2)
 
 
-def _g_direct(xr, tol, theta=None):
+def _g_direct(xr, tol):
     # branch point z = x sits on the closed original contour for x > 0;
-    # the ray into the upper half plane keeps Im(z - x) > 0 throughout,
-    # so the principal power never meets its cut
-    th = 3 * mp.pi / 8 if theta is None else mp.mpf(theta)
-    if not 0 < th < mp.pi:
-        raise DomainError("ray angle must point into the upper half plane")
+    # the ray at angle 3 pi/8 into the upper half plane keeps Im(z - x) > 0
+    # throughout, so the principal power never meets its cut
+    th = 3 * mp.pi / 8
     digits = mp.dps + 8
     ln10 = mp.log(10)
     r_min = mp.pi * mp.sin(th) / (12 * digits * ln10)

@@ -4,8 +4,8 @@ The exact coefficients b_n split into blocks indexed by the support of
 the mod-12 character: a dominant k=1 block growing like
 (6/pi^2)^n n^{3/2} (gamma_0 + gamma_1/n + ...) and exponentially
 suppressed blocks at k = 5, 7, 11, ...  This module extracts the block
-coefficients c[k, l], reconstructs b_n from a finite (k, l) window, and
-measures how the residuals decay.
+coefficients c[k, l] and reconstructs b_n from a finite (k, l) window;
+``borelsum.checks`` measures how well the window and the residuals behave.
 
 Two independent routes produce the gamma ladder:
 
@@ -19,7 +19,7 @@ Two independent routes produce the gamma ladder:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -39,12 +39,15 @@ __all__ = [
     "stirling_gammas",
     "GammaFit",
     "stirling_gamma_fit",
-    "predicted_ckl",
     "TransseriesTable",
     "extract_ckl",
-    "TransseriesReport",
-    "verify_transseries",
 ]
+
+
+def _central_ratio(n: int) -> Fraction:
+    """(2n+3)! / ((n+1)! n!), the factorial ratio common to every block."""
+    return Fraction(math.factorial(2 * n + 3),
+                    math.factorial(n + 1) * math.factorial(n))
 
 
 def exact_bn(n: int) -> Fraction:
@@ -61,20 +64,12 @@ def closed_bn(n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     r, _ = l_value_exact(n + 1)
-    comb = Fraction(math.factorial(2 * n + 3),
-                    math.factorial(n + 1) * math.factorial(n))
-    return 9 * Fraction(3, 2) ** n * comb * r
-
-
-_PREFACTOR_CACHE: dict[int, object] = {}
+    return 9 * Fraction(3, 2) ** n * _central_ratio(n) * r
 
 
 def _prefactor() -> object:
     """9*sqrt(3)/pi^4, the overall scale of every character block."""
-    key = mp.prec
-    if key not in _PREFACTOR_CACHE:
-        _PREFACTOR_CACHE[key] = 9 * mp.sqrt(3) / mp.pi ** 4
-    return _PREFACTOR_CACHE[key]
+    return 9 * mp.sqrt(3) / mp.pi ** 4
 
 
 def block_term(k: int, n: int) -> object:
@@ -87,9 +82,7 @@ def block_term(k: int, n: int) -> object:
     chi = chi12()(k)
     if chi == 0:
         return mp.mpf(0)
-    comb = Fraction(math.factorial(2 * n + 3),
-                    math.factorial(n + 1) * math.factorial(n))
-    scale = Fraction(3 ** n, 2 ** n) * comb / Fraction(k ** (2 * n + 4))
+    scale = Fraction(3 ** n, 2 ** n) * _central_ratio(n) / k ** (2 * n + 4)
     value = mp.mpf(scale.numerator) / mp.mpf(scale.denominator)
     return _prefactor() * chi * value / mp.pi ** (2 * n)
 
@@ -152,8 +145,7 @@ def stirling_gammas(count: int) -> list[Fraction]:
 
 def _factorial_ratio_scaled(n: int) -> object:
     """(2n+3)!/((n+1)! n! 4^n n^{3/2}); tends to gamma_0 = 8/sqrt(pi)."""
-    q = Fraction(math.factorial(2 * n + 3),
-                 math.factorial(n + 1) * math.factorial(n) * 4 ** n)
+    q = _central_ratio(n) / 4 ** n
     val = mp.mpf(q.numerator) / mp.mpf(q.denominator)
     return val / mp.power(n, mp.mpf(3) / 2)
 
@@ -193,19 +185,22 @@ class GammaFit:
     cross_gap: object
 
 
-def stirling_gamma_fit(l_max: int,
-                       ranges: Sequence[tuple[int, float, int]] = (
-                           (400, 1.3, 16), (700, 1.3, 16)),
-                       agreement: str | float = "1e-9") -> GammaFit:
+# (start, ratio, points) of the two disjoint n ranges, and the largest
+# cross-range disagreement stirling_gamma_fit accepts
+_FIT_RANGES = ((400, 1.3, 16), (700, 1.3, 16))
+_FIT_AGREEMENT = "1e-9"
+
+
+def stirling_gamma_fit(l_max: int) -> GammaFit:
     """Fit gamma_0..gamma_{l_max} by Richardson peeling at large n.
 
-    Runs the peel on each n range independently and raises
+    Runs the peel on each of the ``_FIT_RANGES`` independently and raises
     ToleranceError if any coefficient differs across ranges by more
-    than ``agreement``.
+    than ``_FIT_AGREEMENT``.
     """
-    tol = mp.mpf(agreement)
+    tol = mp.mpf(_FIT_AGREEMENT)
     with mp.workdps(mp.dps + 40):
-        fits = [_peel_gammas(_geometric_ns(*r), l_max) for r in ranges]
+        fits = [_peel_gammas(_geometric_ns(*r), l_max) for r in _FIT_RANGES]
         gap = mp.mpf(0)
         for row in fits[1:]:
             for a, b in zip(fits[0], row):
@@ -218,17 +213,7 @@ def stirling_gamma_fit(l_max: int,
     return GammaFit(values=values, cross_gap=+gap)
 
 
-def predicted_ckl(k: int, l: int) -> object:
-    """Block coefficient c[k, l] from the exact gamma route."""
-    chi = chi12()(k)
-    if chi == 0:
-        return mp.mpf(0)
-    g = stirling_gammas(l + 1)[l]
-    gamma_l = (mp.mpf(g.numerator) / mp.mpf(g.denominator)) / mp.sqrt(mp.pi)
-    return _prefactor() * chi * gamma_l / mp.mpf(k) ** 4
-
-
-# reconstruct scales block k by k^{-2n}; verify_transseries measures this
+# reconstruct scales block k by k^{-2n}; the residual decay check measures this
 NORMALIZATION = "k^-2n"
 
 
@@ -294,95 +279,3 @@ def extract_ckl(k_max: int, l_max: int, route: str = "fit") -> TransseriesTable:
     return TransseriesTable(c=table, base=6 / mp.pi ** 2,
                             power=mp.mpf(3) / 2, k_max=k_max, l_max=l_max,
                             gamma_gap=gap)
-
-
-def _as_mpf(q: Fraction) -> object:
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
-
-
-@dataclass(frozen=True)
-class TransseriesReport:
-    """Reconstruction quality over an n range.
-
-    * ``rel_errors``: relative error of the full-window reconstruction.
-    * ``omitted_ratio``: those errors divided by the size of the first
-      omitted k=1 monomial; order 1 when the window is honest.
-    * ``l_decay``: per truncation level L, the fitted exponent of the
-      residual power law next to the expected 3/2 - (L+1).
-    * ``residual_ratios``: successive ratios of the k=1-block residual;
-      they approach 1/25.
-    * ``normalization_measured``: which k-power convention reproduced
-      b_n.
-    """
-
-    ns: tuple
-    rel_errors: tuple
-    omitted_ratio: tuple
-    l_decay: tuple
-    residual_ratios: tuple
-    c10_trend: tuple
-    normalization_measured: str
-    passed: bool = field(default=True)
-
-
-def verify_transseries(table: TransseriesTable,
-                       n_range: Sequence[int] = tuple(range(30, 61, 5)),
-                       ) -> TransseriesReport:
-    """Measure how well the windowed table reconstructs exact b_n."""
-    ns = tuple(int(n) for n in n_range)
-    exact = {n: _as_mpf(exact_bn(n)) for n in ns}
-
-    rel_errors = []
-    omitted = []
-    g_next = stirling_gammas(table.l_max + 2)[table.l_max + 1]
-    gamma_next = _as_mpf(g_next) / mp.sqrt(mp.pi)
-    c_next = _prefactor() * gamma_next
-    for n in ns:
-        err = abs(table.reconstruct(n) - exact[n]) / abs(exact[n])
-        rel_errors.append(err)
-        first_omitted = abs(c_next) / mp.mpf(n) ** (table.l_max + 1)
-        scale = abs(exact[n]) / (mp.power(table.base, n)
-                                 * mp.power(n, table.power))
-        omitted.append(err * scale / first_omitted)
-
-    l_decay = []
-    n_lo, n_hi = ns[0], ns[-1]
-    for level in range(table.l_max):
-        r_lo = abs(exact[n_lo] - table.reconstruct(n_lo, l_cap=level, k_cap=1))
-        r_hi = abs(exact[n_hi] - table.reconstruct(n_hi, l_cap=level, k_cap=1))
-        r_lo *= mp.power(table.base, -n_lo)
-        r_hi *= mp.power(table.base, -n_hi)
-        fitted = mp.log(r_hi / r_lo) / mp.log(mp.mpf(n_hi) / n_lo)
-        l_decay.append((level, fitted, mp.mpf(3) / 2 - (level + 1)))
-
-    residual_ratios = []
-    prev = None
-    for n in range(ns[0], ns[0] + 8):
-        cur = normalized_residual(n)
-        if prev is not None and prev != 0:
-            residual_ratios.append(cur / prev)
-        prev = cur
-
-    c10_trend = tuple(exact[n] * mp.power(table.base, -n)
-                      / mp.power(n, table.power) for n in ns)
-
-    # the k-block suppression is read off the residual ratios: quadratic
-    # normalization predicts 1/25 per step, linear would predict 1/5
-    mean_ratio = sum(residual_ratios) / len(residual_ratios)
-    if abs(mean_ratio - mp.mpf(1) / 25) < abs(mean_ratio - mp.mpf(1) / 5):
-        measured = "k^-2n"
-    else:
-        measured = "k^-n"
-
-    passed = bool(max(rel_errors) < mp.mpf("1e-6")
-                  and measured == NORMALIZATION)
-    return TransseriesReport(
-        ns=ns,
-        rel_errors=tuple(rel_errors),
-        omitted_ratio=tuple(omitted),
-        l_decay=tuple(l_decay),
-        residual_ratios=tuple(residual_ratios),
-        c10_trend=c10_trend,
-        normalization_measured=measured,
-        passed=passed,
-    )

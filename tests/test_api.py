@@ -41,7 +41,6 @@ def test_key_entry_points_are_exported():
         "l_value_exact",
         "zagier_g",
         "extract_ckl",
-        "verify_transseries",
     ):
         assert name in borelsum.__all__
 

@@ -11,7 +11,6 @@ from mpmath import mp
 from borelsum import checks
 from borelsum.borel import (
     TERM_BUDGET,
-    SheetedPoint,
     SqrtBranched,
     TailLaw,
     periodic_power_sum,
@@ -62,12 +61,11 @@ def test_poincare_taylor_periodic_route():
 
 def test_trefoil_singularity_layout():
     mdl = trefoil_borel()
-    sings = mdl.singularities(12)
-    for s in sings:
-        assert abs(s.location - mp.pi**2 * s.index**2 / 6) < mp.mpf("1e-20")
-        if s.index % 2 == 0 or s.index % 3 == 0:
-            assert s.coefficient == 0
-    assert sings[0].coefficient > 0 and sings[4].coefficient < 0
+    for n in range(1, 13):
+        assert abs(mdl.eta(n) - mp.pi**2 * n**2 / 6) < mp.mpf("1e-20")
+        if n % 2 == 0 or n % 3 == 0:
+            assert mdl.coeff(n) == 0
+    assert mdl.coeff(1) > 0 and mdl.coeff(5) < 0
 
 
 def test_eta_and_coeff_reject_index_zero():
@@ -89,17 +87,12 @@ def test_eval_second_sheet_flips_sign():
     mdl = trefoil_borel()
     p = mp.mpf("0.37")
     assert mdl.eval(p, sheet=1) == -mdl.eval(p, sheet=0)
-    assert mdl.eval(SheetedPoint(p, 1)) == mdl.eval(p, sheet=1)
 
 
 def test_eval_sheet_conflicts_and_validation():
     mdl = trefoil_borel()
     with pytest.raises(ValueError):
-        mdl.eval(SheetedPoint(0.2, 1), sheet=0)
-    with pytest.raises(ValueError):
         mdl.eval(0.2, sheet=2)
-    with pytest.raises(ValueError):
-        SheetedPoint(0.2, 3)
 
 
 def test_eval_refuses_the_cut():

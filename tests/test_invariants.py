@@ -120,6 +120,21 @@ def test_finite_sum_does_not_depend_on_the_working_precision(dps):
         assert abs(value - reference) <= bound, alpha
 
 
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("den", [100, 200, 300])
+def test_finite_sum_keeps_its_digits_at_large_denominators(den, dps):
+    """|(q)_n| rises to about e^{0.16 d} before the sum settles, so the loop
+    needs guard digits growing with d to keep the last digits of the sum."""
+    for num in (1, 7, den // 2 - 1, den - 1):
+        alpha = Fraction(num, den)
+        with mp.workdps(dps + 60):
+            reference = f_at_root_of_unity(alpha)
+        with mp.workdps(dps):
+            value = f_at_root_of_unity(alpha)
+            bound = mp.mpf(10) ** (3 - dps) * max(1, abs(reference))
+        assert abs(value - reference) <= bound, alpha
+
+
 def test_phi_at_integers_and_halves():
     """Small denominators reduce to short sums evaluable by hand."""
     assert abs(phi(1) - mp.expjpi(mp.mpf(1) / 12)) < mp.mpf("1e-24")

@@ -76,11 +76,6 @@ def test_boundary_limit_is_minus_two_phi(alpha):
     assert err < mp.mpf("1e-8")
 
 
-def test_radial_ladder_validation():
-    with pytest.raises(ValueError):
-        eta_tilde_radial(1, rungs=1)
-
-
 def test_g_frozen_value_and_domain():
     assert abs(zagier_g(1) - G_AT_ONE) < mp.mpf("1e-12")
     with pytest.raises(DomainError):

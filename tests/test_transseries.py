@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from borelsum import checks, transseries
 from borelsum.checks import TREFOIL_TAYLOR
 from borelsum.errors import ToleranceError
 from borelsum.transseries import (
@@ -14,10 +15,8 @@ from borelsum.transseries import (
     exact_bn,
     extract_ckl,
     normalized_residual,
-    predicted_ckl,
     stirling_gamma_fit,
     stirling_gammas,
-    verify_transseries,
 )
 
 
@@ -89,17 +88,19 @@ def test_gamma_fit_matches_exact_ladder():
     assert fit.cross_gap < mp.mpf("1e-20")
 
 
-def test_gamma_fit_range_disagreement_raises():
+def test_gamma_fit_range_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(transseries, "_FIT_RANGES", ((12, 1.2, 5), (700, 1.3, 16)))
+    monkeypatch.setattr(transseries, "_FIT_AGREEMENT", "1e-30")
     with pytest.raises(ToleranceError):
-        stirling_gamma_fit(2, ranges=((12, 1.2, 5), (700, 1.3, 16)),
-                           agreement="1e-30")
+        stirling_gamma_fit(2)
 
 
 def test_predicted_c10_closed_form():
+    predicted = extract_ckl(5, 0, route="exact")
     target = 72 * mp.sqrt(3) / (mp.sqrt(mp.pi) * mp.pi**4)
-    assert abs(predicted_ckl(1, 0) - target) < mp.mpf("1e-22")
-    assert predicted_ckl(2, 0) == 0
-    assert abs(predicted_ckl(5, 0) + predicted_ckl(1, 0) / 625) < mp.mpf("1e-22")
+    assert abs(predicted.value(1, 0) - target) < mp.mpf("1e-22")
+    assert predicted.value(2, 0) == 0
+    assert abs(predicted.value(5, 0) + predicted.value(1, 0) / 625) < mp.mpf("1e-22")
 
 
 def test_exact_and_fitted_tables_agree():
@@ -131,14 +132,18 @@ def test_reconstruct_normalization_guard():
 
 def test_verify_report_full_window():
     table = extract_ckl(7, 6, route="exact")
-    report = verify_transseries(table)
-    assert report.passed
-    assert report.normalization_measured == "k^-2n"
-    assert max(report.rel_errors) < mp.mpf("1e-6")
-    for r in report.omitted_ratio:
+    ns = range(30, 61, 5)
+    window = list(checks.transseries_window(table, ns))
+    assert [c.name for c in window] == ["transseries-reconstruction",
+                                        "transseries-residual-decay"]
+    assert all(c.passed for c in window)
+    assert checks.reconstruction_error(table, ns) < mp.mpf("1e-6")
+    for r in checks.omitted_term_ratios(table, ns):
         assert mp.mpf("0.5") < r < 3
-    for _, fitted, expected in report.l_decay:
+    for _, fitted, expected in checks.level_decay(table, 30, 60):
         assert abs(fitted - expected) < mp.mpf("0.25")
-    c10 = predicted_ckl(1, 0)
-    assert abs(report.c10_trend[-1] - c10) < mp.mpf("0.05") * abs(c10)
-    assert abs(report.c10_trend[-1] - c10) < abs(report.c10_trend[0] - c10)
+    c10 = table.value(1, 0)
+    trend = [_mpf(exact_bn(n)) * mp.power(table.base, -n) / mp.power(n, table.power)
+             for n in (30, 60)]
+    assert abs(trend[-1] - c10) < mp.mpf("0.05") * abs(c10)
+    assert abs(trend[-1] - c10) < abs(trend[0] - c10)
