@@ -28,10 +28,9 @@ from .invariants import (
     f_at_root_of_unity,
     phi,
     poincare_coeffs,
-    q_factorial,
     trefoil_coeffs,
 )
-from .modular import eta, eta_prime, eta_tilde, eta_tilde_radial, zagier_g, zagier_g_taylor
+from .modular import eta, eta_tilde, eta_tilde_radial, zagier_g, zagier_g_taylor
 from .series import FormalSeries, bernoulli_number, bernoulli_poly, borel_transform
 from .specfun import dawson, dawson_deficit, e_mod_deficit, erfi
 from .summation import (
@@ -85,7 +84,6 @@ __all__ = [
     "e_mod_deficit",
     "erfi",
     "eta",
-    "eta_prime",
     "eta_tilde",
     "eta_tilde_radial",
     "exact_bn",
@@ -96,7 +94,6 @@ __all__ = [
     "phi",
     "poincare_borel",
     "poincare_coeffs",
-    "q_factorial",
     "radial_limit",
     "stirling_gamma_fit",
     "stirling_gammas",

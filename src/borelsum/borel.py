@@ -58,7 +58,9 @@ TERM_BUDGET = 100_000
 @dataclass(frozen=True)
 class TailLaw:
     """Loose envelope |c_n| <= coeff_bound * n^power and
-    eta_lower * n^2 <= eta_n <= eta_upper * n^2."""
+    eta_lower * n^2 <= eta_n <= eta_upper * n^2.  For a model with a period,
+    power is also exact: c_n / n^power has that period (periodic_power_sum
+    checks it)."""
 
     coeff_bound: float
     power: int
@@ -68,7 +70,9 @@ class TailLaw:
 
 class SqrtBranched:
     """One of the branch-term sums above, evaluated lazily at the current
-    working precision (eta/coeff recompute their constants on every call)."""
+    working precision (eta/coeff recompute their constants on every call).
+
+    period, when given, is that of c_n / n^{tail.power}."""
 
     def __init__(self, label: str, k: int, a0, eta_fn, coeff_fn, tail: TailLaw,
                  period: int | None = None):
@@ -163,23 +167,27 @@ _PERIODIC_SUM_CACHE: dict = {}
 
 
 def periodic_power_sum(g: SqrtBranched, s):
-    """sum_n c_n eta_n^{-s} when c_n has period g.period and eta_n = nu n^2.
+    """sum_n c_n eta_n^{-s} when c_n = n^p w_n, p = g.tail.power, with w_n of
+    period g.period, and eta_n = nu n^2.
 
-    Reduces to Hurwitz zeta values at the residues, exact at working
-    precision; cached per (model, s, precision)."""
+    Reduces to Hurwitz zeta values zeta(2s - p, a/period) at the residues a,
+    exact at working precision.  Cached per w_1..w_period, eta_1, p, s and
+    precision, the data the sum depends on; a new entry first checks w over a
+    second period and raises ValueError where c_n / n^p is not periodic."""
     if not g.period:
         raise ValueError("model has no periodic coefficient structure")
-    key = (g.label, str(s), mp.prec)
-    hit = _PERIODIC_SUM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    s2 = 2 * mp.mpf(s)
-    total = mp.mpf(0)
-    for a in range(1, g.period + 1):
-        c = g.coeff(a)
-        if c:
-            total += c * mp.zeta(s2, mp.mpf(a) / g.period)
-    value = g.eta(1) ** (-mp.mpf(s)) * mp.power(g.period, -s2) * total
+    p, period = g.tail.power, g.period
+    w = [g.coeff(a) / mp.mpf(a) ** p for a in range(1, period + 1)]
+    key = (tuple(w), g.eta(1), p, str(s), mp.prec)
+    if key in _PERIODIC_SUM_CACHE:
+        return _PERIODIC_SUM_CACHE[key]
+    for a, w_a in enumerate(w, 1):
+        if abs(g.coeff(a + period) / mp.mpf(a + period) ** p - w_a) > 16 * mp.eps * abs(w_a):
+            raise ValueError(f"{g.label}: c_n / n^{p} does not have period {period}")
+    expo = 2 * mp.mpf(s) - p
+    total = mp.fsum(w_a * mp.zeta(expo, mp.mpf(a) / period)
+                    for a, w_a in enumerate(w, 1) if w_a)
+    value = g.eta(1) ** (-mp.mpf(s)) * mp.power(period, -expo) * total
     _PERIODIC_SUM_CACHE[key] = value
     return value
 
@@ -226,7 +234,8 @@ def trefoil_borel() -> SqrtBranched:
         return s * n * 3 * mp.pi / (2 * mp.sqrt(2))
 
     # |c_n| <= 3.34 n; 1.64 n^2 <= eta_n <= 1.645 n^2
-    return SqrtBranched("trefoil", 5, 1, eta, coeff, TailLaw(3.34, 1, 1.64, 1.645))
+    return SqrtBranched("trefoil", 5, 1, eta, coeff, TailLaw(3.34, 1, 1.64, 1.645),
+                        period=12)
 
 
 def poincare_coefficient_trig(n: int):
@@ -242,6 +251,13 @@ def poincare_coefficient_trig(n: int):
     )
 
 
+@cache
+def _poincare_constants(prec: int):
+    """sqrt(30), c1 and c2 at one working precision."""
+    root5 = mp.sqrt(5)
+    return mp.sqrt(30), mp.sqrt(6 * (5 + root5)) / 120, mp.sqrt(6 * (5 - root5)) / 120
+
+
 def poincare_borel() -> SqrtBranched:
     chi1 = chi60(1)
     chi2 = chi60(2)
@@ -253,10 +269,8 @@ def poincare_borel() -> SqrtBranched:
         s1, s2 = chi1(n), chi2(n)
         if s1 == 0 and s2 == 0:
             return mp.mpf(0)
-        root5 = mp.sqrt(5)
-        c1 = mp.sqrt(6 * (5 + root5)) / 120
-        c2 = mp.sqrt(6 * (5 - root5)) / 120
-        return -mp.sqrt(30) * (c1 * s1 + c2 * s2)
+        root30, c1, c2 = _poincare_constants(mp.prec)
+        return -root30 * (c1 * s1 + c2 * s2)
 
     # |c_n| <= sqrt(30)(c1 + c2) < 0.44; 0.32 n^2 <= eta_n <= 0.33 n^2
     return SqrtBranched("poincare", 3, 1, eta, coeff,
@@ -273,9 +287,7 @@ def poincare_appendix_direct(p, terms: int = 3000):
     """
     chi1 = chi60(1)
     chi2 = chi60(2)
-    root5 = mp.sqrt(5)
-    c1 = mp.sqrt(6 * (5 + root5)) / 120
-    c2 = mp.sqrt(6 * (5 - root5)) / 120
+    _, c1, c2 = _poincare_constants(mp.prec)
     pp = mp.mpc(p)
     acc1 = mp.mpc(0)
     acc2 = mp.mpc(0)

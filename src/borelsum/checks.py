@@ -16,13 +16,12 @@ from math import factorial
 
 from mpmath import mp
 
-from .borel import poincare_appendix_direct, poincare_borel
-from .characters import chi12, l_series_partial
+from .borel import periodic_power_sum, poincare_appendix_direct, poincare_borel, trefoil_borel
+from .characters import chi12, l_series_partial, l_value_exact
 from .invariants import phi, poincare_coeffs, trefoil_coeffs
 from .modular import eta_tilde, eta_tilde_radial, rational_parts, zagier_g, zagier_g_taylor
 from .series import borel_transform
 from .summation import (
-    _chi12_l_value,
     cross_routes,
     dirichlet_delta,
     radial_limit,
@@ -82,6 +81,12 @@ def poincare_first_coefficients_match() -> bool:
     return a[0] == 1 and a[1] == 119
 
 
+def _chi12_l_value(j: int):
+    # L(2j+2) for the period-12 sign table, exact up to the working precision
+    r, s = l_value_exact(j)
+    return mp.mpf(r.numerator) / r.denominator * mp.pi**s / mp.sqrt(3)
+
+
 def l_value_fill(terms, dps: int, js=range(26)):
     """Worst |partial sum - L(2j+2)| / certified tail over j in js and each
     truncation in terms, summed at dps digits; at most 1 when every
@@ -95,6 +100,20 @@ def l_value_fill(terms, dps: int, js=range(26)):
                 partial, tail = l_series_partial(chi, 2 * j + 2, n)
                 worst = max(worst, abs(partial - exact_val) / tail)
     return +worst
+
+
+def l_value_hurwitz_gap():
+    """Worst relative gap, j < 26, between the Hurwitz-zeta sum the closed
+    route restores, periodic_power_sum(trefoil, j + 3/2), and kappa nu^{-(j+3/2)} L(2j+2)."""
+    mdl = trefoil_borel()
+    kappa = 3 * mp.pi / (2 * mp.sqrt(2))
+    nu = mp.pi**2 / 6
+    worst = mp.mpf(0)
+    for j in range(26):
+        s = mp.mpf(2 * j + 3) / 2
+        target = kappa * nu ** (-s) * _chi12_l_value(j)
+        worst = max(worst, abs(periodic_power_sum(mdl, s) - target) / abs(target))
+    return worst
 
 
 def l2_closed_form_gap():
@@ -311,6 +330,8 @@ def _identity_suite():
                 f"measured ratio {mp.nstr(r_one, 12)}; "
                 f"2*pi/sqrt(3)*exp(-i*pi/4) = {mp.nstr(reference, 12)}; "
                 f"difference {mp.nstr(abs(r_one - reference), 3)}")
+    yield Check("l-value-hurwitz-sums", l_value_hurwitz_gap(), f"1e{5 - mp.dps}",
+                "relative, against kappa nu^-s L(2s-1)")
 
 
 def _summation_suite():

@@ -34,7 +34,6 @@ from .series import (
 __all__ = [
     "RationalAngle",
     "CoefficientTable",
-    "q_factorial",
     "f_at_root_of_unity",
     "phi",
     "trefoil_coeffs",
@@ -68,28 +67,7 @@ def _angle(alpha) -> RationalAngle:
 
 
 # ---------------------------------------------------------------------------
-# numeric q-factorials and the boundary sums
-
-def q_factorial(q, n: int):
-    """(q)_n = prod_{j=1..n} (1 - q^j), with (q)_0 = 1.
-
-    A factor smaller than 10 units in the last place is treated as an exact
-    zero, so the product terminates cleanly at roots of unity.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    qz = mp.mpc(q)
-    out = mp.mpc(1)
-    power = mp.mpc(1)
-    thresh = 10 * mp.eps
-    for _ in range(n):
-        power *= qz
-        factor = 1 - power
-        if abs(factor) < thresh:
-            return mp.mpc(0)
-        out *= factor
-    return out
-
+# the boundary sums
 
 def f_at_root_of_unity(alpha):
     """sum_{n>=0} (q)_n at q = e^{2 pi i alpha}; terminates after den(alpha) terms.

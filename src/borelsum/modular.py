@@ -40,7 +40,6 @@ __all__ = [
     "eta",
     "eta_tilde",
     "eta_tilde_radial",
-    "eta_prime",
     "zagier_g",
     "zagier_g_taylor",
 ]
@@ -69,7 +68,7 @@ def _theta_sum(tau, weight: int):
             continue
         term = mp.expjpi(mp.mpf(n) ** 2 * tau / 12)
         if weight:
-            term *= mp.mpf(n) ** weight
+            term *= n
         acc += s * term
     return acc
 
@@ -124,16 +123,6 @@ def eta_tilde_radial(alpha):
     a, den = rational_parts(alpha)
     hs = geometric_ladder(mp.mpf("0.002") / den**2, 9, 2)
     return richardson_limit(hs, [eta_tilde(a + mp.j * eps) for eps in hs])
-
-
-def eta_prime(tau):
-    """Termwise derivative of eta, (pi i/12) sum chi(n) n^2 e^{pi i n^2 tau/12}.
-
-    No inversion step, so keep Im tau away from 0."""
-    tz = mp.mpc(tau)
-    if mp.im(tz) <= 0:
-        raise DomainError("tau must have positive imaginary part")
-    return mp.pi * mp.j / 12 * _theta_sum(tz, 2)
 
 
 def _g_direct(xr, tol):

@@ -2,9 +2,9 @@
 
 One kernel, _remainder(z, k0) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k,
 gives every Dawson-type function: dawson is R_0/(2z), dawson_deficit R_1,
-e_mod_deficit z^2 R_2/sqrt(pi), and the closed routes take R_3 and z^2 R_4.
-Removing the leading terms inside the kernel avoids the cancellation of
-about 2 k0 log10|z| digits that forming the difference outside would cost.
+e_mod_deficit z^2 R_2/sqrt(pi), and the closed route R_K with K chosen per
+call.  Removing the leading terms inside the kernel avoids the cancellation
+of about 2 k0 log10|z| digits that forming the difference outside would cost.
 
 Below the crossover radius |z|^2 = (dps+12) ln 10 the kernel sums the
 Maclaurin series once, at a precision raised by 0.4343 |z|^2 (its own
@@ -13,6 +13,13 @@ terms.  Above it the divergent large-z series is summed from k = k0 and cut at
 its smallest term.  Off the real axis that sum is completed by the
 exponentially small term i*sgn(Im z)*sqrt(pi)*z*e^{-z^2}; on the real axis the
 function is real and no such term is added.
+
+For |arg z| < pi/4, R_K(z) is the erfc remainder at w = -+ i z plus that
+term.  DLMF 7.12(i) bounds the former by csc(2|arg z|) times the first
+neglected term (2K-1)!!/|2 z^2|^K; near the real axis Olver's Stokes-line
+bound for the incomplete gamma function gives the factor 1 + chi(K - 1/2),
+chi(p) = sqrt(pi) Gamma(p/2 + 1)/Gamma(p/2 + 1/2).  _remainder_factor takes
+the smaller.
 
 Quadrature is composite Gauss-Legendre with cached nodes and bisection on
 disagreement between two orders; it raises QuadratureError instead of
@@ -44,15 +51,6 @@ __all__ = [
 ]
 
 _LN10 = 2.302585092994046
-
-
-def _sgn_imag(z) -> int:
-    y = mp.im(z)
-    if y > 0:
-        return 1
-    if y < 0:
-        return -1
-    return 0
 
 
 def _dawson_maclaurin(z):
@@ -97,10 +95,18 @@ def _remainder(z, k0: int):
         acc += nxt
         term = nxt
         k += 1
-    s = _sgn_imag(zz)
+    s = mp.sign(mp.im(zz))
     if s:
         acc += s * mp.j * mp.sqrt(mp.pi) * zz * mp.exp(-zz * zz)
     return acc
+
+
+def _remainder_factor(k0: int, phase):
+    """C with |R_k0(z)| <= C (2k0-1)!!/|2 z^2|^k0 + sqrt(pi) |z| e^{-Re z^2}
+    when 2|arg z| = phase < pi/2."""
+    p = k0 - mp.mpf(1) / 2
+    stokes = 1 + mp.sqrt(mp.pi) * mp.gamma(p / 2 + 1) / mp.gamma(p / 2 + mp.mpf(1) / 2)
+    return stokes if phase == 0 else min(stokes, 1 / mp.sin(phase))
 
 
 def dawson(z):
@@ -268,7 +274,7 @@ def ray_integrate(f, contour: RayContour, tol):
 # tail bounds and extrapolation
 
 def gaussian_tail(n_cut: int, beta, s: int = 0):
-    """Upper bound for sum_{n > n_cut} n^s e^{-beta n^2}, for s in {0, 1, 2}.
+    """Upper bound for sum_{n > n_cut} n^s e^{-beta n^2}, for s in {0, 1}.
 
     Uses (n_cut+m)^2 >= n_cut^2 + 2 n_cut m, giving a geometric majorant with
     ratio q = e^{-2 beta n_cut}.
@@ -284,10 +290,7 @@ def gaussian_tail(n_cut: int, beta, s: int = 0):
         return head * g1
     if s == 1:
         return head * (n_cut * g1 + g2)
-    if s == 2:
-        g3 = q * (1 + q) / (1 - q) ** 3
-        return head * (n_cut**2 * g1 + 2 * n_cut * g2 + g3)
-    raise ValueError("s must be 0, 1, or 2")
+    raise ValueError("s must be 0 or 1")
 
 
 def richardson_limit(hs, vals):

@@ -1,12 +1,12 @@
 """Generalized summation of the factorially divergent series, three ways.
 
 closed route: the median Laplace transform of each branch term
-(eta - p)^{-k/2} reduces to Dawson-integral expressions,
+(eta - p)^{-k/2}, k = 2m + 1, reduces to the Dawson remainder R_m,
 
-    k = 3:  eta^{-1/2} * 2 (2 sqrt(y) D(sqrt y) - 1),        y = eta x,
-    k = 5:  eta^{-3/2} * (4/3) (y (2 sqrt(y) D(sqrt y) - 1) - 1/2),
+    a_k eta^{1/2-m} y^{m-1} R_m(sqrt y),   y = eta x,  a_k = 2^m/(2m-1)!!,
 
-summed over the singularities together with the constant term.  The result
+(k = 3: eta^{-1/2} 2 (2 sqrt(y) D(sqrt y) - 1)), summed over the
+singularities together with the constant term.  The result
 is real on x > 0 (the median value) and analytic on Re x > 0, so the same
 formula is the analytic continuation of the median everywhere it converges.
 The lateral values differ from it by the explicit exponentially small series
@@ -14,10 +14,11 @@ dirichlet_delta, with
 
     mur = median + delta,   mul = median - delta.
 
-For the 5/2-power model the slowly convergent algebraic part is accelerated:
-the two leading orders 3/(4 z^2) + 15/(8 z^4) of each term are subtracted
-and their full sums restored exactly through closed-form Dirichlet L-values,
-which cuts the term count near the boundary Re x -> 0 by orders of magnitude.
+The slowly convergent algebraic part is accelerated for any model whose
+coefficients are n^power times a periodic table: each term keeps only R_K,
+and the orders m..K-1 it drops are restored in full through Hurwitz-zeta
+sums (periodic_power_sum).  K is chosen per call from the precision, |x| and
+tol, and the tail past N terms is bounded through the DLMF 7.12 bound on R_K.
 
 integral route (5/2-power model only): the weight-3/2 theta integral
 
@@ -34,9 +35,10 @@ boundary value at angle alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from math import ceil, sqrt
+from itertools import count, islice
 
 from mpmath import mp
 
@@ -47,7 +49,6 @@ from .borel import (
     poincare_borel,
     trefoil_borel,
 )
-from .characters import l_value_exact
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -58,8 +59,8 @@ from .modular import eta, rational_parts
 from .specfun import (
     RayContour,
     _adaptive_segment,
-    _emodd_tail2,
     _remainder,
+    _remainder_factor,
     dawson_deficit,
     e_mod_deficit,
     extrapolation_gain,
@@ -137,12 +138,6 @@ def _require_right_half(x):
     return xz
 
 
-def _chi12_l_value(j: int):
-    # L(2j+2) for the period-12 sign table, exact up to the working precision
-    r, s = l_value_exact(j)
-    return mp.mpf(r.numerator) / r.denominator * mp.pi**s / mp.sqrt(3)
-
-
 def median_laplace_unit_closed(k: int, y):
     """Median Laplace transform of (1 - p)^{-k/2} against e^{-y p}, k in {3, 5}."""
     z = mp.sqrt(mp.mpc(y))
@@ -183,6 +178,35 @@ def median_laplace_unit(k: int, y, tol="1e-10", rungs: int = 9):
     return limit
 
 
+def _grid(n_min) -> int:
+    """Smallest term count >= n_min in 8, 15, 25, 39, ... (40% steps)."""
+    n = 8
+    while n < n_min:
+        n = int(n * 1.4) + 4
+    return n
+
+
+def _roundoff_floor():
+    """Smallest tolerance the closed route accepts at the working precision."""
+    return mp.mpf(10) ** (3 - mp.dps)
+
+
+def _gaussian_terms(mdl: SqrtBranched, x, scale, tol, what: str):
+    """(N, guard digits) for a sum of terms up to scale n^s e^{-nu n^2 Re x},
+    s and nu from the tail law of mdl: N is the smallest grid count whose
+    tail is at most tol/2, and the guard holds the roundoff on the largest
+    total the terms can reach under tol."""
+    law = mdl.tail
+    beta = mp.mpf(law.eta_lower) * mp.re(x)
+    n = 8
+    while scale * gaussian_tail(n, beta, law.power) > tol / 2:
+        n = _grid(n + 1)
+        if n > TERM_BUDGET:
+            raise ConvergenceError(f"{what}: Re x too small for the budget")
+    size = scale * (mp.exp(-beta) + gaussian_tail(1, beta, law.power))
+    return n, max(0, int(mp.ceil(mp.log10(size * _roundoff_floor() / tol))))
+
+
 def dirichlet_delta(model, x, tol="1e-16"):
     """Exponentially small lateral difference: median - mul = mur - median.
 
@@ -193,102 +217,84 @@ def dirichlet_delta(model, x, tol="1e-16"):
     tol = mp.mpf(tol)
     k = mdl.k
     pref = mp.j**k * mp.gamma(1 - mp.mpf(k) / 2) * mp.power(xz, mp.mpf(k) / 2 - 1)
-    law = mdl.tail
-    beta = mp.mpf(law.eta_lower) * mp.re(xz)
-    target = tol / (2 * abs(pref) * law.coeff_bound)
-    n_terms = 8
-    while gaussian_tail(n_terms, beta, law.power) > target:
-        n_terms = int(n_terms * 1.4) + 4
-        if n_terms > TERM_BUDGET:
-            raise ConvergenceError("lateral difference: Re x too small for the budget")
-    acc = mp.mpc(0)
-    for n in range(1, n_terms + 1):
-        c = mdl.coeff(n)
-        if c == 0:
-            continue
-        acc += c * mp.exp(-mdl.eta(n) * xz)
+    n_terms, guard = _gaussian_terms(mdl, xz, abs(pref) * mdl.tail.coeff_bound, tol,
+                                     "lateral difference")
+    with mp.extradps(guard):
+        acc = mp.fsum(c * mp.exp(-mdl.eta(n) * xz)
+                      for n in range(1, n_terms + 1) if (c := mdl.coeff(n)))
     return pref * acc
 
 
-def _closed_base_trefoil(mdl: SqrtBranched, x, tol):
+def _peel_order(mdl: SqrtBranched, x, tol):
+    """(K, N, guard digits): peel the orders j < K, sum N terms, and guard the
+    largest restored order and the roundoff on the Gaussian part.  Past N the
+    algebraic part of the R_K bound, summed as N^{s-2K}/(2K-s), and its
+    Gaussian part are each held to tol/2;
+    K = m + M rises from M = 2 while one more order, which costs a
+    periodic_power_sum fill, saves 8 terms; N is the _grid count above it."""
     law = mdl.tail
-    nu_l = mp.mpf(law.eta_lower)
-    nu_u = mp.mpf(law.eta_upper)
-    a_bound = mp.mpf(law.coeff_bound)
-    ax = abs(x)
-    beta = nu_l * mp.re(x)
-    # tail pieces: algebraic remainder past the two subtracted orders, and
-    # the two Gaussian envelopes from the oscillatory completion
-    c_alg = mp.mpf(4) / 3 * a_bound * nu_l ** mp.mpf("-4.5") / ax**3
-    c_g0 = mp.mpf(8) / 3 * mp.sqrt(mp.pi) * a_bound * nu_l ** mp.mpf("-1.5")
-    c_g1 = c_g0 * (nu_u / nu_l) ** mp.mpf("1.5") * ax ** mp.mpf("1.5")
-    n_terms = max(8, ceil(3 / sqrt(float(nu_l * ax))))
-    while (
-        c_alg * mp.mpf(n_terms) ** -7
-        + c_g0 * gaussian_tail(n_terms, beta, 0)
-        + c_g1 * gaussian_tail(n_terms, beta, 1)
-    ) > tol:
-        n_terms = int(n_terms * 1.4) + 4
-        if n_terms > TERM_BUDGET:
-            raise ConvergenceError("trefoil closed route: tolerance out of reach")
-    kappa = 3 * mp.pi / (2 * mp.sqrt(2))
-    nu = mp.pi**2 / 6
-    exact = (
-        kappa * nu ** mp.mpf("-2.5") * _chi12_l_value(1) / x
-        + mp.mpf("2.5") * kappa * nu ** mp.mpf("-3.5") * _chi12_l_value(2) / x**2
-    )
-    acc = mp.mpc(0)
-    four_thirds = mp.mpf(4) / 3
-    for n in range(1, n_terms + 1):
-        c = mdl.coeff(n)
-        if c == 0:
-            continue
-        eta_n = mdl.eta(n)
-        z = mp.sqrt(eta_n * x)
-        acc += c * four_thirds * eta_n ** mp.mpf("-1.5") * _emodd_tail2(z)
-    return 1 + exact + acc
+    m = (mdl.k - 1) // 2
+    s = law.power
+    scale = 2**m / math.prod(range(1, 2 * m, 2)) * law.coeff_bound  # a_k A
+    ax = float(abs(x))
+
+    def log_order(j: int) -> float:
+        # log a_k A (2j-1)!!/2^j |x|^{m-1-j} nu^{-j-1/2}: order j over n, up to a zeta
+        return (math.log(scale) + math.lgamma(2 * j + 1) - math.lgamma(j + 1)
+                - 2 * j * math.log(2) + (m - 1 - j) * math.log(ax)
+                - (j + 0.5) * math.log(law.eta_lower))
+
+    c_gauss = scale * math.sqrt(math.pi) * ax ** (m - 0.5)
+    n_gauss, guard = _gaussian_terms(mdl, x, c_gauss, tol, f"{mdl.label} closed route")
+    log_half_tol = float(mp.log(tol / 2))
+
+    def terms(big_k: int) -> float:
+        log_c = (log_order(big_k) - math.log(2 * big_k - s) - log_half_tol
+                 + math.log(float(_remainder_factor(big_k, abs(mp.arg(x))))))
+        return max(math.exp(min(log_c / (2 * big_k - s), 100.0)), n_gauss)
+
+    big_k = m + 2
+    n_exact = terms(big_k)
+    while n_exact - (nxt := terms(big_k + 1)) >= 8:
+        big_k, n_exact = big_k + 1, nxt
+    n_terms = _grid(n_exact)
+    if n_terms > TERM_BUDGET:
+        raise ConvergenceError(f"{mdl.label} closed route: tolerance out of reach")
+    # zeta(2j + 1 - s) <= 2 bounds the restored sum of order j
+    biggest = max(log_order(j) for j in range(m, big_k)) + math.log(2)
+    return big_k, n_terms, max(0, int(biggest / math.log(10)), guard)
 
 
-def _closed_base_poincare(mdl: SqrtBranched, x, tol):
-    # each transform keeps only R_3 = 2 z D(z) - 1 - 1/(2 z^2) - 3/(4 z^4);
-    # the two peeled orders are restored through Hurwitz-zeta sums, leaving
-    # n^{-7} term decay
-    law = mdl.tail
-    nu_l = mp.mpf(law.eta_lower)
-    nu_u = mp.mpf(law.eta_upper)
-    a_bound = mp.mpf(law.coeff_bound)
-    ax = abs(x)
-    beta = nu_l * mp.re(x)
-    c_alg = a_bound * mp.mpf("3.75") * nu_l ** mp.mpf("-3.5") / ax**3
-    c_g = 10 * a_bound * mp.sqrt(nu_u / nu_l) * mp.sqrt(ax)
-    n_terms = max(8, ceil(2 / sqrt(float(nu_l * ax))))
-    while (c_alg * mp.mpf(n_terms) ** -6 + c_g * gaussian_tail(n_terms, beta, 0)) > tol:
-        n_terms = int(n_terms * 1.4) + 4
-        if n_terms > TERM_BUDGET:
-            raise ConvergenceError("poincare closed route: tolerance out of reach")
-    readd = (periodic_power_sum(mdl, mp.mpf(3) / 2) / x
-             + mp.mpf(3) / 2 * periodic_power_sum(mdl, mp.mpf(5) / 2) / x**2)
-    boost = 8 + max(0, int(-4 * mp.log10(nu_l * ax)))
+def _closed_base(mdl: SqrtBranched, x, tol):
+    """Median value by the erfi series, for any periodic model of odd k.
+
+    With k = 2m + 1 and a_k = 2^m/(2m-1)!!, the transform of c (eta - p)^{-k/2}
+    is c a_k eta^{1/2-m} y^{m-1} R_m(sqrt y) = c a_k x^{m-1} R_m(sqrt y)/sqrt(eta),
+    y = eta x.  Each term keeps only R_K; the orders j = m..K-1 it drops come
+    back exactly as a_k (2j-1)!!/2^j x^{m-1-j} periodic_power_sum(j + 1/2)."""
+    if not mdl.period:
+        raise ValueError(f"{mdl.label}: the closed route needs periodic coefficients")
+    big_k, n_terms, boost = _peel_order(mdl, x, tol)
+    m = (mdl.k - 1) // 2
     with mp.extradps(boost):
-        acc = mp.mpc(0)
-        for n in range(1, n_terms + 1):
-            c = mdl.coeff(n)
-            if c == 0:
-                continue
-            eta_n = mdl.eta(n)
-            acc += c * 2 * _remainder(mp.sqrt(eta_n * x), 3) / mp.sqrt(eta_n)
-    return 1 + readd + acc
+        restored = mp.fsum(
+            mp.fac2(2 * j - 1) / mp.mpf(2) ** j * x ** (m - 1 - j)
+            * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2)
+            for j in range(m, big_k))
+        root_x = mp.sqrt(x)
+        acc = mp.fsum(c * _remainder((root_eta := mp.sqrt(mdl.eta(n))) * root_x, big_k)
+                      / root_eta for n in range(1, n_terms + 1) if (c := mdl.coeff(n)))
+        total = mdl.a0 + mp.mpf(2) ** m / mp.fac2(2 * m - 1) * (restored + x ** (m - 1) * acc)
+    return +total
 
 
 def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
+    if tol < _roundoff_floor():
+        raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the roundoff "
+                             f"floor {mp.nstr(_roundoff_floor(), 3)} of {mp.dps} digits")
     factor = _DELTA_FACTOR[kind]
     part = tol / 2 if factor == 0 else tol / 3
-    if mdl.k == 5:
-        base = _closed_base_trefoil(mdl, xz, part)
-    elif mdl.k == 3:
-        base = _closed_base_poincare(mdl, xz, part)
-    else:
-        raise ValueError("closed route knows k = 3 and k = 5 only")
+    base = _closed_base(mdl, xz, part)
     if factor:
         base += factor * dirichlet_delta(mdl, xz, part)
     return base
@@ -397,18 +403,11 @@ def cross_routes(model, x, tol="1e-10"):
     else:
         # swap the first three nonzero closed-form transforms for quadrature
         other = closed
-        swapped = 0
-        n = 0
-        while swapped < 3:
-            n += 1
-            c = mdl.coeff(n)
-            if c == 0:
-                continue
+        for n in islice(filter(mdl.coeff, count(1)), 3):
             eta_n = mdl.eta(n)
             closed_term = median_laplace_unit_closed(mdl.k, eta_n * xz)
             quad = median_laplace_unit(mdl.k, eta_n * xz, tol=tol / 8)
-            other += c * eta_n ** (-mp.mpf(mdl.k) / 2 + 1) * (quad - closed_term)
-            swapped += 1
+            other += mdl.coeff(n) * eta_n ** (-mp.mpf(mdl.k) / 2 + 1) * (quad - closed_term)
         routes["finite-part-quadrature"] = other
     return routes
 
@@ -464,7 +463,7 @@ def averaged_value(model, avg, p, tol="1e-10"):
     nu_l = mp.mpf(law.eta_lower)
     decay = mdl.k - law.power - 1
     scale = mp.mpf(law.coeff_bound) * (2 / nu_l) ** (mp.mpf(mdl.k) / 2)
-    n_min = int(ceil(sqrt(2 * float(pr) / law.eta_lower))) + 1
+    n_min = math.ceil(math.sqrt(2 * float(pr) / law.eta_lower)) + 1
     n_terms = max(mdl._terms_for(decay, scale, mp.mpf(tol)), n_min)
     expo = -mp.mpf(mdl.k) / 2
     ahead = mp.mpf(0)
@@ -504,7 +503,7 @@ def radial_limit(alpha, rungs: int = 9, ratio: int = 2, eps0=None,
     hs = geometric_ladder(abs(y) / (50 * den**2) if eps0 is None else eps0,
                           rungs, ratio)
     mdl = trefoil_borel()
-    inner = min(mp.mpf(tol) / 10, mp.mpf("1e-14"))
+    inner = max(min(mp.mpf(tol) / 10, mp.mpf("1e-14")), _roundoff_floor())
     vals = [_closed_value(mdl, e + mp.j * y, AverageKind.MEDIAN, inner) for e in hs]
     limit, err = richardson_limit(hs, vals)
     return SummationResult("trefoil", mp.mpc(0, y), AverageKind.MEDIAN,

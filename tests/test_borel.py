@@ -158,8 +158,19 @@ def test_periodic_power_sum_matches_partial_sums():
 
 
 def test_periodic_power_sum_requires_period():
+    mdl = SqrtBranched("aperiodic", 3, 1, lambda n: mp.mpf(n) ** 2, lambda n: mp.mpf(1),
+                       TailLaw(1, 0, 1, 1))
     with pytest.raises(ValueError):
-        periodic_power_sum(trefoil_borel(), 2)
+        periodic_power_sum(mdl, 2)
+
+
+def test_periodic_power_sum_checks_the_structure():
+    """A tail power that is only an envelope leaves c_n / n^power aperiodic."""
+    mdl = trefoil_borel()
+    loose = SqrtBranched("trefoil", mdl.k, mdl.a0, mdl.eta, mdl.coeff,
+                         TailLaw(3.34, 2, 1.64, 1.645), period=12)
+    with pytest.raises(ValueError):
+        periodic_power_sum(loose, 2)
 
 
 def test_appendix_route_conversion_factor():

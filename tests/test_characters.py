@@ -88,6 +88,11 @@ def test_partial_sums_respect_certified_tail(n):
     assert checks.l_value_fill((40, 200), 80, [n]) <= 1
 
 
+def test_hurwitz_sums_match_the_l_values():
+    """The trefoil sums the closed route restores, against exact L-values."""
+    assert checks.l_value_hurwitz_gap() < mp.mpf("1e-20")
+
+
 def test_partial_sum_rejects_divergent_exponent():
     with pytest.raises(ValueError):
         l_series_partial(chi12(), 1, 50)

@@ -50,7 +50,7 @@ def test_sum_json_value_and_csv_header():
     assert doc["model"] == "trefoil"
     assert doc["kind"] == "median"
     value = mp.mpc(mp.mpf(doc["value"]["re"]), mp.mpf(doc["value"]["im"]))
-    target = mp.mpf("1.647573486032229956085889")
+    target = mp.mpf("1.647573486032229842086266")
     assert abs(value - target) < mp.mpf("1e-9")
     assert doc["value"]["im"] == "0.0"
 
@@ -79,6 +79,12 @@ def test_sum_unreachable_cross_tolerance():
     assert proc.returncode == 4
 
 
+def test_sum_tolerance_below_roundoff_exits_four():
+    proc = run_cli("sum", "--x", "2", "--tol", "1e-30")
+    assert proc.returncode == 4
+    assert "roundoff" in proc.stderr
+
+
 def test_sum_cross_check_err_covers_the_route_gap():
     proc = run_cli("sum", "--x", "2+1.5i", "--cross-check", "--tol", "1e-12",
                    "--output", "json")
@@ -93,6 +99,16 @@ def test_radial_csv_hits_the_boundary_target():
     header, row = proc.stdout.splitlines()[:2]
     fields = dict(zip(header.split(","), row.split(",")))
     assert fields["alpha"] == "1/2"
+    assert mp.mpf(fields["abs_diff"]) < mp.mpf("1e-8")
+
+
+def test_radial_at_fifteen_digits():
+    """The lowest precision the command line accepts still reaches the rungs'
+    tolerance."""
+    proc = run_cli("radial", "--alpha", "1/2", "--precision", "15", "--output", "csv")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()[:2]
+    fields = dict(zip(header.split(","), row.split(",")))
     assert mp.mpf(fields["abs_diff"]) < mp.mpf("1e-8")
 
 

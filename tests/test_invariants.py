@@ -15,7 +15,6 @@ from borelsum.invariants import (
     f_at_root_of_unity,
     phi,
     poincare_coeffs,
-    q_factorial,
     trefoil_coeffs,
 )
 
@@ -68,22 +67,6 @@ def test_poincare_leading_coefficients():
 def test_coefficient_table_validates_name():
     with pytest.raises(ValueError):
         CoefficientTable("granny", "generating-function", (Fraction(1),))
-
-
-@given(
-    d=st.integers(min_value=1, max_value=12),
-    extra=st.integers(min_value=0, max_value=6),
-)
-def test_q_factorial_vanishes_past_the_order(d, extra):
-    """(q; q)_n = 0 once n reaches the order of the root of unity."""
-    q = mp.expjpi(mp.mpf(2) / d)
-    assert abs(q_factorial(q, d + extra)) < mp.mpf("1e-18")
-
-
-def test_q_factorial_small_values():
-    assert q_factorial(mp.mpf(1), 0) == 1
-    assert abs(q_factorial(mp.mpf(-1), 1) - 2) < mp.mpf("1e-24")
-    assert abs(q_factorial(mp.mpf(-1), 2)) < mp.mpf("1e-24")
 
 
 @given(

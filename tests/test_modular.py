@@ -9,7 +9,6 @@ from borelsum import checks
 from borelsum.errors import DomainError
 from borelsum.modular import (
     eta,
-    eta_prime,
     eta_tilde,
     eta_tilde_radial,
     zagier_g,
@@ -44,8 +43,6 @@ def test_eta_domain_and_route_validation():
         eta(mp.mpc(1, -1))
     with pytest.raises(DomainError):
         eta_tilde(mp.mpf(1))
-    with pytest.raises(DomainError):
-        eta_prime(mp.mpc(0, 0))
     with pytest.raises(ValueError):
         eta(mp.j, route="magic")
 
@@ -53,14 +50,6 @@ def test_eta_domain_and_route_validation():
 def test_eta_tilde_conjugation():
     tau = mp.mpc("0.4", "0.9")
     assert abs(eta_tilde(-mp.conj(tau)) - mp.conj(eta_tilde(tau))) < mp.mpf("1e-22")
-
-
-def test_eta_prime_is_the_derivative():
-    tau = mp.mpc("0.3", "1.1")
-    with mp.workdps(45):
-        h = mp.mpf("1e-10")
-        diff = (eta(tau + h) - eta(tau - h)) / (2 * h)
-    assert abs(eta_prime(tau) - diff) < mp.mpf("1e-12")
 
 
 def test_delta_equals_weighted_theta():

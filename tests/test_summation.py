@@ -1,5 +1,6 @@
 """Lateral and median resummations: closed route, integrals, cross-checks."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from borelsum import checks, summation
+from borelsum.borel import SqrtBranched, poincare_borel, trefoil_borel
 from borelsum.errors import DomainError, RayGeometryError, ToleranceError
 from borelsum.summation import (
     AverageKind,
@@ -23,12 +25,13 @@ from borelsum.summation import (
     sum_median,
 )
 
-# median at x = 2, agreed on by three routes at 25 digits
-MEDIAN_TREFOIL_AT_2 = mp.mpf("1.647573486032229956085889")
+# median at x = 2, agreed on by the closed route, the eta-integral average
+# and eta-integral mul plus delta at 40 and 60 digits
+MEDIAN_TREFOIL_AT_2 = mp.mpf("1.647573486032229842086266")
 
 
 def test_closed_route_frozen_value():
-    res = sum_erfi("trefoil", 2, tol="1e-14")
+    res = sum_erfi("trefoil", 2, tol="1e-21")
     assert res.model == "trefoil"
     assert res.kind is AverageKind.MEDIAN
     assert res.route == "erfi-series"
@@ -55,6 +58,88 @@ def test_median_is_real_on_the_positive_axis(x):
 def test_lateral_conjugation_symmetry(re, im):
     """Reality of the coefficients swaps the two laterals under conjugation."""
     assert checks.conjugation_gap([mp.mpc(re, im)], "1e-12") < mp.mpf("1e-12")
+
+
+def _scaled(mdl, factor):
+    """The model with every coefficient multiplied by factor, under the same
+    label, so that no cache keyed by label can hand back the original's sums."""
+    return SqrtBranched(mdl.label, mdl.k, mdl.a0, mdl.eta,
+                        lambda n: factor * mdl.coeff(n),
+                        replace(mdl.tail, coeff_bound=factor * mdl.tail.coeff_bound),
+                        period=mdl.period)
+
+
+@pytest.mark.parametrize("model", [trefoil_borel, poincare_borel])
+def test_closed_route_is_linear_in_the_coefficients(model):
+    """Both weights: the closed route uses the model's own coefficients."""
+    mdl = model()
+    for x in (mp.mpf(2), mp.mpc("0.7", "1.3")):
+        once = sum_erfi(mdl, x, tol="1e-16").value - 1
+        twice = sum_erfi(_scaled(mdl, 2), x, tol="1e-16").value - 1
+        assert abs(twice - 2 * once) < mp.mpf("1e-15")
+
+
+def test_closed_route_needs_periodic_coefficients():
+    mdl = trefoil_borel()
+    aperiodic = SqrtBranched("aperiodic", mdl.k, mdl.a0, mdl.eta, mdl.coeff, mdl.tail)
+    with pytest.raises(ValueError):
+        sum_erfi(aperiodic, 2)
+
+
+def test_tolerance_below_roundoff_raises():
+    """At 25 digits 1e-30 is below the roundoff of the sum itself."""
+    with pytest.raises(ToleranceError):
+        sum_erfi("trefoil", 2, tol="1e-30")
+    with pytest.raises(ToleranceError):
+        sum_median("poincare", 2, tol="1e-30")
+
+
+def test_readme_quick_start_at_fifteen_digits():
+    """mpmath's default precision leaves the default tolerances reachable."""
+    poincare_at_2 = sum_erfi("poincare", 2, tol="1e-20").value
+    with mp.workdps(15):
+        res = sum_median("trefoil", 2, cross_check=True)
+        assert abs(res.value - MEDIAN_TREFOIL_AT_2) < mp.mpf("1e-12")
+        assert abs(sum_erfi("poincare", 2).value - poincare_at_2) < mp.mpf("1e-12")
+        limit = radial_limit(Fraction(1, 2))
+        assert checks.phi_gap(Fraction(1, 2), limit.value) <= limit.err_estimate
+
+
+@pytest.mark.parametrize("kind", ["median", "mur", "mul"])
+def test_tolerance_near_roundoff_is_reached_near_the_boundary(kind):
+    """At 0.01 + 3i the terms reach 10^4 while the trefoil sums are O(10^2):
+    the working precision must grow with them for the floor tolerance."""
+    x = mp.mpc("0.01", 3)
+    tol = mp.mpf("1e-22")
+    value = sum_erfi("trefoil", x, kind=kind, tol=tol).value
+    with mp.workdps(mp.dps + 30):
+        reference = sum_erfi("trefoil", x, kind=kind, tol="1e-45").value
+        assert abs(value - reference) <= tol
+
+
+def _reference_error(model, x, tol):
+    """|closed route at tol - closed route at dps + 30 and a far smaller tol|."""
+    value = sum_median(model, x, tol=tol).value
+    with mp.workdps(mp.dps + 30):
+        reference = sum_median(model, x, tol=mp.mpf(tol) * mp.mpf(10) ** -10).value
+        return abs(value - reference)
+
+
+@pytest.mark.parametrize("x", ["2", "0.6"])
+def test_poincare_tol_1e28_at_50_digits(x):
+    """The fixed two-order peel ran out of terms here."""
+    with mp.workdps(50):
+        assert _reference_error("poincare", mp.mpf(x), mp.mpf("1e-28")) <= mp.mpf("1e-28")
+
+
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_tolerance_near_roundoff_is_reached(model):
+    """tol = 10^(5-dps) at 50 digits on three corners and an inner point of
+    the default route grid; the actual error must not exceed the tolerance."""
+    with mp.workdps(50):
+        tol = mp.mpf(10) ** (5 - mp.dps)
+        for x in (mp.mpf("0.6"), mp.mpc(8, 2), mp.mpc("0.6", 2), mp.mpc("3.07", "0.67")):
+            assert _reference_error(model, x, tol) <= tol, x
 
 
 def test_laterals_differ_by_twice_delta():
