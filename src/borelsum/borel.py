@@ -144,10 +144,11 @@ class SqrtBranched:
         nu_l = mp.mpf(law.eta_lower)
         out = []
         k_half = mp.mpf(self.k) / 2
+        weights = periodic_weights(self) if self.period else None
         for j in range(count):
             m = self.k + 2 * j
             if self.period:
-                acc = periodic_power_sum(self, mp.mpf(m) / 2)
+                acc = periodic_power_sum(self, mp.mpf(m) / 2, weights)
             else:
                 decay = m - law.power - 1
                 scale = mp.mpf(law.coeff_bound) * nu_l ** (-mp.mpf(m) / 2)
@@ -166,19 +167,30 @@ class SqrtBranched:
 _PERIODIC_SUM_CACHE: dict = {}
 
 
-def periodic_power_sum(g: SqrtBranched, s):
+def periodic_weights(g: SqrtBranched) -> tuple:
+    """w_a = c_a / a^p, a = 1..g.period, p = g.tail.power, at the working
+    precision: the coefficient data periodic_power_sum depends on.  A caller
+    that sums several orders of one model builds them once and passes them
+    to each call."""
+    if not g.period:
+        raise ValueError("model has no periodic coefficient structure")
+    p = g.tail.power
+    return tuple(g.coeff(a) / mp.mpf(a) ** p for a in range(1, g.period + 1))
+
+
+def periodic_power_sum(g: SqrtBranched, s, weights: tuple | None = None):
     """sum_n c_n eta_n^{-s} when c_n = n^p w_n, p = g.tail.power, with w_n of
     period g.period, and eta_n = nu n^2.
 
     Reduces to Hurwitz zeta values zeta(2s - p, a/period) at the residues a,
     exact at working precision.  Cached per w_1..w_period, eta_1, p, s and
-    precision, the data the sum depends on; a new entry first checks w over a
-    second period and raises ValueError where c_n / n^p is not periodic."""
-    if not g.period:
-        raise ValueError("model has no periodic coefficient structure")
+    precision, the data the sum depends on; weights, when given, must be
+    periodic_weights(g) at the working precision.  A new entry first checks
+    w over a second period and raises ValueError where c_n / n^p is not
+    periodic."""
+    w = periodic_weights(g) if weights is None else weights
     p, period = g.tail.power, g.period
-    w = [g.coeff(a) / mp.mpf(a) ** p for a in range(1, period + 1)]
-    key = (tuple(w), g.eta(1), p, str(s), mp.prec)
+    key = (w, g.eta(1), p, str(s), mp.prec)
     if key in _PERIODIC_SUM_CACHE:
         return _PERIODIC_SUM_CACHE[key]
     for a, w_a in enumerate(w, 1):

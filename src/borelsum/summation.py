@@ -24,7 +24,8 @@ integral route (5/2-power model only): the weight-3/2 theta integral
 
     sqrt(3) x^{3/2} int_ray eta(2 pi i z) (x - z)^{-3/2} dz
 
-along a ray at angle arg(x) -+ eps (mul below, mur above the point x).
+along the ray halfway between arg x and the imaginary axis, below the point
+x for mul and above it for mur.
 It converges for boundary x on the imaginary axis, where the closed route
 diverges, and includes the constant term automatically.
 
@@ -46,6 +47,7 @@ from .borel import (
     TERM_BUDGET,
     SqrtBranched,
     periodic_power_sum,
+    periodic_weights,
     poincare_borel,
     trefoil_borel,
 )
@@ -150,20 +152,29 @@ def median_laplace_unit_closed(k: int, y):
 
 def median_laplace_unit(k: int, y, tol="1e-10", rungs: int = 9):
     """Same transform by finite-part quadrature: integrate up to 1 - s,
-    subtract the divergent endpoint terms, extrapolate in sqrt(s)."""
+    subtract the divergent endpoint terms, extrapolate in sqrt(s).
+
+    The rungs s_j = 4^{-j}/16 share their integrals: [0, 15/16] is
+    integrated once and each rung adds only [1 - s_{j-1}, 1 - s_j], every
+    piece to tol/(50 rungs), so each rung's integral stays within tol/50."""
     if k not in (3, 5):
         raise ValueError("k must be 3 or 5")
     yz = mp.mpc(y)
     tol = mp.mpf(tol)
     k_half = mp.mpf(k) / 2
+    piece_tol = tol / (50 * rungs)
+
+    def integrand(p):
+        return mp.exp(-yz * p) * mp.power(1 - p, -k_half)
+
     hs = []
     vals = []
     s = mp.mpf(1) / 16
+    t_prev = mp.mpf(0)
+    integral = mp.mpc(0)
     for _ in range(rungs):
         t = 1 - s
-        integral = _adaptive_segment(
-            lambda p: mp.exp(-yz * p) * mp.power(1 - p, -k_half), 0, t, tol / 50, 40
-        )
+        integral += _adaptive_segment(integrand, t_prev, t, piece_tol, 40)
         endpoint = mp.exp(-yz * t)
         if k == 3:
             f = integral - 2 * endpoint / mp.sqrt(s)
@@ -173,6 +184,7 @@ def median_laplace_unit(k: int, y, tol="1e-10", rungs: int = 9):
             )
         hs.append(mp.sqrt(s))
         vals.append(f)
+        t_prev = t
         s /= 4
     limit, _ = richardson_limit(hs, vals)
     return limit
@@ -277,9 +289,10 @@ def _closed_base(mdl: SqrtBranched, x, tol):
     big_k, n_terms, boost = _peel_order(mdl, x, tol)
     m = (mdl.k - 1) // 2
     with mp.extradps(boost):
+        weights = periodic_weights(mdl)
         restored = mp.fsum(
             mp.fac2(2 * j - 1) / mp.mpf(2) ** j * x ** (m - 1 - j)
-            * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2)
+            * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2, weights)
             for j in range(m, big_k))
         root_x = mp.sqrt(x)
         acc = mp.fsum(c * _remainder((root_eta := mp.sqrt(mdl.eta(n))) * root_x, big_k)
@@ -323,28 +336,19 @@ def _eta_integral_value(xz, side, tol):
         raise ValueError("side must be 'mul', 'mur', or 'median'")
     orient = -1 if side == "mul" else 1
     arg_x = mp.arg(xz)
-    # room: angle from x to the imaginary axis on this side.  A ray past it
-    # has cos(theta) <= 0, and one near it a contour as long as 1/cos(theta),
-    # so a narrow room starts the ray halfway to the axis
+    # room: angle from x to the imaginary axis on this side.  eta(2 pi i z)
+    # (x - z)^{-3/2} is analytic on Re z > 0 away from z = x, so every ray
+    # inside that sector gives the same lateral value; the bisector stays
+    # farthest from both the branch point x and the natural boundary Re z = 0
     room = mp.pi / 2 - orient * arg_x
-    if 0 < room < mp.pi / 8:
-        eps = room / 2
-    else:
-        eps = mp.pi / 16
-    dist_floor = mp.sqrt(tol)
-    theta = None
-    while eps < mp.pi / 2:
-        cand = arg_x + orient * eps
-        if mp.cos(cand) > 0 and abs(xz) * mp.sin(eps) >= dist_floor:
-            theta = cand
-            break
-        eps *= 2
-    if theta is None:
+    half = room / 2
+    dist = abs(xz) * mp.sin(half)
+    if mp.re(xz) < 0 or room <= 0 or dist < mp.sqrt(tol):
         raise RayGeometryError(
             f"no admissible ray for side '{side}' at arg x = {mp.nstr(arg_x)}"
         )
+    theta = arg_x + orient * half
     cos_t = mp.cos(theta)
-    dist = abs(xz) * mp.sin(eps)
     digits = mp.dps + 8 + max(0, int(-1.5 * mp.log10(dist))) + int(1.5 * mp.log10(1 + abs(xz)))
     ln10 = mp.log(10)
     r_min = cos_t / (24 * digits * ln10)
@@ -369,10 +373,11 @@ def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
     """Integral-route value for the 5/2-power model, constant term included.
 
     Quadrature of the weight-1/2 theta series against (x - z)^{-3/2} along
-    a ray at angle arg(x) -+ eps (mul below, mur above); 'median' averages
-    the two sides.  eps starts at pi/16, or halfway to the imaginary axis
-    when that is closer, and is doubled while the ray-to-x distance
-    |x| sin(eps) stays below sqrt(tol)."""
+    the ray that bisects the sector between arg x and the imaginary axis,
+    below x for mul and above it for mur; 'median' averages the two sides.
+    That sector has room = pi/2 -+ arg x; RayGeometryError is raised when
+    Re x < 0, where the sector would cross Re z = 0, when it is empty, or
+    when the ray-to-x distance |x| sin(room/2) is below sqrt(tol)."""
     xz = mp.mpc(x)
     if xz == 0:
         raise DomainError("x must be nonzero")

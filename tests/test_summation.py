@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from borelsum import checks, summation
+from borelsum import checks, specfun, summation
 from borelsum.borel import SqrtBranched, poincare_borel, trefoil_borel
 from borelsum.errors import DomainError, RayGeometryError, ToleranceError
+from borelsum.modular import zagier_g
 from borelsum.summation import (
     AverageKind,
     averaged_value,
@@ -190,7 +191,8 @@ def test_eta_integral_rejects_zero():
 
 
 def test_eta_integral_near_the_imaginary_axis():
-    """At 0.4+2i the default pi/16 offset would leave cos(theta) ~ 0.001."""
+    """At 0.4+2i the mur sector is only 0.197 rad wide; its bisector keeps
+    the ray 0.2 from x and cos(theta) at 0.099."""
     x = mp.mpc("0.4", 2)
     mur = sum_eta_integral(x, side="mur", tol="1e-10")
     assert abs(mur.value - sum_erfi("trefoil", x, "mur", tol="1e-12").value) < mp.mpf("1e-8")
@@ -199,6 +201,51 @@ def test_eta_integral_near_the_imaginary_axis():
 def test_eta_integral_without_room_raises():
     with pytest.raises(RayGeometryError):
         sum_eta_integral(1j, side="mur")
+
+
+@pytest.mark.parametrize("side", ["mul", "mur"])
+@pytest.mark.parametrize("arg", ["-1.3", "-0.9", "0", "0.9", "1.3"])
+def test_eta_integral_on_the_bisector_matches_the_closed_route(arg, side):
+    """Every ray in the sector gives the same lateral value, so the bisector
+    must agree with the erfi series across the whole half plane."""
+    x = 2 * mp.expj(mp.mpf(arg))
+    got = sum_eta_integral(x, side=side, tol="1e-14").value
+    assert abs(got - sum_erfi("trefoil", x, side, tol="1e-16").value) < mp.mpf("1e-12")
+
+
+def test_eta_integral_ray_too_close_to_x_raises():
+    """A mur sector 1e-6 rad wide leaves the ray 1e-6 from x, below sqrt(tol);
+    left of the imaginary axis the mul sector would cross Re z = 0."""
+    x = 2 * mp.expj(mp.pi / 2 - mp.mpf("1e-6"))
+    with pytest.raises(RayGeometryError):
+        sum_eta_integral(x, side="mur", tol="1e-10")
+    with pytest.raises(RayGeometryError):
+        sum_eta_integral(mp.mpc(-1, 1), side="mul")
+
+
+@pytest.mark.parametrize("run,budget", [
+    pytest.param(lambda: sum_eta_integral(mp.mpc(2, "1.5"), "mul", tol="1e-16"), 609,
+                 id="eta-integral-mul"),
+    pytest.param(lambda: zagier_g(1, tol="1e-16"), 1392, id="zagier-g-1"),
+    pytest.param(lambda: cross_routes("poincare", mp.mpc(2, "1.5"), "2.5e-10"), 3291,
+                 id="poincare-cross-routes"),
+    pytest.param(lambda: cross_routes("trefoil", mp.mpc(2, "1.5"), "2.5e-10"), 1073,
+                 id="trefoil-cross-routes"),
+])
+def test_quadrature_evaluation_budgets(monkeypatch, run, budget):
+    """Integrand evaluations, summed over every quadrature panel at 25
+    digits, stay within budget: the bisector ray, the shared finite-part
+    rungs and the order ladder each take a share of the cut."""
+    total = [0]
+    inner = specfun.integrate_segment
+
+    def counted(f, a, b, order=24):
+        total[0] += order
+        return inner(f, a, b, order)
+
+    monkeypatch.setattr(specfun, "integrate_segment", counted)
+    run()
+    assert total[0] <= budget
 
 
 def test_cross_routes_trefoil_keys_and_gaps():
@@ -285,11 +332,12 @@ def test_averaged_value_domain_errors():
 def test_laplace_unit_quadrature_matches_closed_form():
     # the k = 5 endpoint subtraction amplifies roundoff, so it gets a
     # looser target than k = 3 at the working precision
-    y = mp.mpf("4.2")
-    for k, tol, bound in ((3, "1e-11", "1e-10"), (5, "1e-9", "1e-8")):
-        quad = median_laplace_unit(k, y, tol=tol)
-        closed = median_laplace_unit_closed(k, y)
-        assert abs(quad - closed) < mp.mpf(bound)
+    for y in (mp.mpf("4.2"), 4.2 * mp.expj(0.9), 4.2 * mp.expj(-0.9),
+              mp.mpf("0.3"), mp.mpf(30)):
+        for k, tol, bound in ((3, "1e-11", "1e-10"), (5, "1e-9", "1e-8")):
+            quad = median_laplace_unit(k, y, tol=tol)
+            closed = median_laplace_unit_closed(k, y)
+            assert abs(quad - closed) < mp.mpf(bound), (y, k)
 
 
 def test_laplace_unit_rejects_other_weights():
