@@ -6,6 +6,15 @@ tau}); both routes are exposed so they can be checked against each other.
 For |tau| < 1 the theta route applies eta(-1/tau) = sqrt(tau/i) eta(tau)
 once, which keeps term counts small uniformly along rays approaching 0.
 
+Both theta sums run over n = 12 k + r, r in {1, 5, 7, 11}.  The terms k = 0,
+1 of each residue come from expjpi, so a sum of at most 23 terms (every eta
+in the quadrature at 25 digits) makes one transcendental call per term; past
+them each residue steps by two products per term from q^288 = expjpi(24 tau).
+Near the real axis that turns thousands of expjpi calls into nine.  The
+recurrence runs under 2 log10(k_max) guard digits for the drift of its
+products plus log10 of an a-priori bound on sum |term|, the digits the sum
+cancels.
+
 eta_tilde is the companion weighted by an extra factor n.  Its radial limits
 at rational points are finite even though the unweighted series has none,
 which is what the boundary identities in the tests probe.
@@ -21,7 +30,7 @@ suite rather than folded in here.
 
 from __future__ import annotations
 
-from math import ceil, sqrt
+from math import ceil, e, log10, pi, sqrt
 
 from mpmath import mp
 
@@ -29,6 +38,7 @@ from .characters import chi12
 from .errors import ConvergenceError, DomainError
 from .specfun import (
     RayContour,
+    extrapolation_gain,
     fit_poly_coeffs,
     gaussian_tail,
     geometric_ladder,
@@ -56,21 +66,44 @@ def _gauss_cutoff(beta, s: int, target) -> int:
     return n
 
 
+def _theta_head(tau, weight: int, n_terms: int, chi):
+    """The terms n <= min(n_terms, 23), one expjpi each: their sum, and
+    q^{n^2} by n."""
+    acc = mp.mpc(0)
+    head = {}
+    for n in range(1, min(n_terms, 23) + 1):
+        if s := chi(n):
+            term = head[n] = mp.expjpi(mp.mpf(n) ** 2 * tau / 12)
+            acc += s * n * term if weight else s * term
+    return acc, head
+
+
 def _theta_sum(tau, weight: int):
+    # past the head, T_k = q^{n^2}, n = 12 k + r, q = e^{pi i tau/12}, steps as
+    # T_{k+1} = T_k R_k with R_k = T_{k+1}/T_k, and R_{k+1} = R_k q^288
     chi = chi12()
     beta = mp.pi * mp.im(tau) / 12
     target = mp.exp(-beta) * mp.mpf(10) ** (-(mp.dps + 5))
     n_terms = _gauss_cutoff(beta, weight, target)
-    acc = mp.mpc(0)
-    for n in range(1, n_terms + 1):
-        s = chi(n)
-        if s == 0:
-            continue
-        term = mp.expjpi(mp.mpf(n) ** 2 * tau / 12)
-        if weight:
-            term *= n
-        acc += s * term
-    return acc
+    k_max = (n_terms - 1) // 12
+    if k_max < 2:
+        return _theta_head(tau, weight, n_terms, chi)[0]
+    # sum |term| is at most the integral of n^weight e^{-beta n^2} over n > 0
+    # plus its largest value; the products drift by about k^2 ulps
+    b = float(beta)
+    size = 1 / (2 * b) + 1 / sqrt(2 * e * b) if weight else sqrt(pi / b) / 2
+    with mp.extradps(int(2 * log10(k_max) + log10(size)) + 3):
+        acc, head = _theta_head(tau, weight, n_terms, chi)
+        step = mp.expjpi(24 * tau)
+        for r in (1, 5, 7, 11):  # the residues mod 12 where chi does not vanish
+            term, ratio = head[r + 12], head[r + 12] / head[r] * step
+            part = mp.mpc(0)
+            for n in range(r + 24, n_terms + 1, 12):
+                term *= ratio
+                ratio *= step
+                part += n * term if weight else term
+            acc += chi(r) * part
+    return +acc
 
 
 def rational_parts(alpha):
@@ -119,10 +152,19 @@ def eta_tilde_radial(alpha):
     Values on the vertical ladder alpha + i eps_j, eps_j = 0.002 2^-j / den^2
     for j < 9, are Richardson-extrapolated to eps = 0.  The error series blows
     up with the denominator of alpha, hence the 1/den^2 start.
-    Returns (limit, err_estimate)."""
-    a, den = rational_parts(alpha)
-    hs = geometric_ladder(mp.mpf("0.002") / den**2, 9, 2)
-    return richardson_limit(hs, [eta_tilde(a + mp.j * eps) for eps in hs])
+    The ladder runs under 5 guard digits, so that alpha, the samples and the
+    tableau are resolved past the working precision.  Returns (limit,
+    err_estimate): the last Richardson correction plus the extrapolation
+    gain times eps max |sample| at the working eps, which covers the
+    rounding and recurrence drift of each sample and the rounding of the
+    limit."""
+    with mp.extradps(5):
+        a, den = rational_parts(alpha)
+        hs = geometric_ladder(mp.mpf("0.002") / den**2, 9, 2)
+        samples = [eta_tilde(a + mp.j * eps) for eps in hs]
+        limit, correction = richardson_limit(hs, samples)
+    sample_err = mp.eps * max(abs(v) for v in samples)
+    return +limit, correction + extrapolation_gain(hs) * sample_err
 
 
 def _g_direct(xr, tol):

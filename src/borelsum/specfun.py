@@ -9,8 +9,12 @@ of about 2 k0 log10|z| digits that forming the difference outside would cost.
 Below the crossover radius |z|^2 = (dps+12) ln 10 the kernel sums the
 Maclaurin series once, at a precision raised by 0.4343 |z|^2 (its own
 cancellation) plus 2 k0 log10(1+|z|) digits, and then subtracts the leading
-terms.  Above it the divergent large-z series is summed from k = k0 and cut at
-its smallest term.  Off the real axis that sum is completed by the
+terms.  Above it the divergent large-z series is summed from k = k0, each
+term the last times (2k+1) w with w = 1/(2 z^2) formed once and (2k0-1)!! an
+exact integer, and cut at its smallest term or once a term falls below eps
+times the sum.  That cut is decided on float shadows of term and sum over the
+first term, so the loop does no mp division and no abs per step.  Off the
+real axis that sum is completed by the
 exponentially small term i*sgn(Im z)*sqrt(pi)*z*e^{-z^2}; on the real axis the
 function is real and no such term is added.
 
@@ -30,6 +34,7 @@ value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -74,7 +79,7 @@ def _remainder(z, k0: int):
     """R_k0(z) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k, even in z and
     O(z^{-2 k0}) at infinity away from the diagonals arg z = +-pi/4."""
     zz = mp.mpc(z)
-    r2 = abs(zz) ** 2
+    r2 = zz.real * zz.real + zz.imag * zz.imag
     if r2 <= (mp.dps + 12) * _LN10:
         # the Maclaurin sum cancels about 0.4343 |z|^2 digits, and removing
         # the k0 leading terms about 2 k0 log10|z| more
@@ -85,17 +90,23 @@ def _remainder(z, k0: int):
             acc = 2 * zb * _dawson_maclaurin(zb) - mp.fsum(
                 mp.fac2(2 * k - 1) / two_z2**k for k in range(k0))
         return +acc
-    # sum_{k>=k0} of the divergent series, cut at its smallest term
-    two_z2 = 2 * zz * zz
-    term = mp.fac2(2 * k0 - 1) / two_z2**k0
-    acc = term
+    # sum_{k>=k0} of the divergent series, cut at its smallest term or below
+    # eps |acc|; the cut is decided on float shadows of term and acc over the
+    # first term, so the loop does no mp division and no abs
+    w = 1 / (2 * zz * zz)
+    term = acc = math.prod(range(1, 2 * k0, 2)) * w**k0
+    w_f = complex(w)
+    eps = float(mp.eps)
+    term_f = acc_f = 1 + 0j
     k = k0
     while True:
-        nxt = term * (2 * k + 1) / two_z2
-        if abs(nxt) >= abs(term) or abs(nxt) < mp.eps * abs(acc):
+        ratio = (2 * k + 1) * w_f
+        term_f *= ratio
+        if abs(ratio) >= 1 or abs(term_f) <= eps * abs(acc_f):
             break
-        acc += nxt
-        term = nxt
+        acc_f += term_f
+        term = term * w * (2 * k + 1)
+        acc += term
         k += 1
     s = mp.sign(mp.im(zz))
     if s:
@@ -247,14 +258,6 @@ class RayContour:
 
     def point(self, r):
         return mp.mpf(r) * mp.expj(self.theta)
-
-    def distance_to(self, x) -> object:
-        """Distance from x to the full ray {r e^{i theta}: r >= 0}."""
-        xz = mp.mpc(x)
-        u = xz * mp.expj(-self.theta)
-        if mp.re(u) <= 0:
-            return abs(xz)
-        return abs(mp.im(u))
 
 
 def ray_integrate(f, contour: RayContour, tol):

@@ -294,9 +294,11 @@ def _closed_base(mdl: SqrtBranched, x, tol):
             mp.fac2(2 * j - 1) / mp.mpf(2) ** j * x ** (m - 1 - j)
             * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2, weights)
             for j in range(m, big_k))
-        root_x = mp.sqrt(x)
-        acc = mp.fsum(c * _remainder((root_eta := mp.sqrt(mdl.eta(n))) * root_x, big_k)
-                      / root_eta for n in range(1, n_terms + 1) if (c := mdl.coeff(n)))
+        # eta_n = nu n^2, so sqrt(y_n) = n sqrt(nu x) and sqrt(eta_n) = n sqrt(nu)
+        root_nu = mp.sqrt(mdl.eta(1))
+        z_one = root_nu * mp.sqrt(x)
+        acc = mp.fsum(c * _remainder(n * z_one, big_k) / n
+                      for n in range(1, n_terms + 1) if (c := mdl.coeff(n))) / root_nu
         total = mdl.a0 + mp.mpf(2) ** m / mp.fac2(2 * m - 1) * (restored + x ** (m - 1) * acc)
     return +total
 

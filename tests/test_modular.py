@@ -6,7 +6,9 @@ import pytest
 from mpmath import mp
 
 from borelsum import checks
+from borelsum.characters import chi12
 from borelsum.errors import DomainError
+from borelsum.invariants import phi
 from borelsum.modular import (
     eta,
     eta_tilde,
@@ -63,6 +65,77 @@ def test_boundary_limit_is_minus_two_phi(alpha):
     limit, err = eta_tilde_radial(alpha)
     assert checks.phi_gap(alpha, limit, -2) < mp.mpf("1e-10")
     assert err < mp.mpf("1e-8")
+
+
+BOUNDARY_ALPHAS = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+                   Fraction(1, 4), Fraction(3, 4)]
+
+
+@pytest.mark.parametrize("dps", [15, 25])
+@pytest.mark.parametrize("alpha", BOUNDARY_ALPHAS)
+def test_eta_tilde_radial_error_estimate_covers_the_error(alpha, dps):
+    with mp.workdps(dps):
+        limit, err = eta_tilde_radial(alpha)
+    with mp.workdps(dps + 30):
+        actual = abs(limit + 2 * phi(alpha))
+    assert err >= actual, (alpha, dps)
+
+
+def test_theta_sum_transcendental_call_budget(monkeypatch):
+    """Near the real axis the theta recurrence replaces thousands of expjpi
+    calls by a few; sums of at most 23 terms, as in the eta integrand,
+    make one call per term as before."""
+    calls = [0]
+    inner = mp.expjpi
+
+    def counted(x):
+        calls[0] += 1
+        return inner(x)
+
+    monkeypatch.setattr(mp, "expjpi", counted)
+    for run, budget in [
+        (lambda: eta_tilde(mp.mpf(2) / 3 + mp.j * mp.mpf("0.002") / 2304), 16),
+        (lambda: eta(mp.j), 6),
+        (lambda: eta(mp.mpc("0.3", "0.9")), 6),
+    ]:
+        calls[0] = 0
+        run()
+        assert calls[0] <= budget
+
+
+def _plain_theta_sums(tau, dps):
+    """(eta sum, its sum |term|, eta_tilde sum, its sum |term|) at tau, one
+    expjpi per term at dps + 20, with no inversion step."""
+    chi = chi12()
+    with mp.workdps(dps + 20):
+        beta = mp.pi * mp.im(tau) / 12
+        n_max = int(mp.sqrt((dps + 20) * mp.log(10) / beta)) + 12
+        sums = [mp.mpc(0), mp.mpf(0), mp.mpc(0), mp.mpf(0)]
+        for n in range(1, n_max + 1):
+            if s := chi(n):
+                term = mp.expjpi(mp.mpf(n) ** 2 * tau / 12)
+                sums[0] += s * term
+                sums[1] += abs(term)
+                sums[2] += s * n * term
+                sums[3] += n * abs(term)
+    return sums
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("re_part,im_part", [
+    pytest.param(Fraction(2, 3), "1e-7", id="2/3+1e-7i"),
+    pytest.param(Fraction(1, 3), "1e-6", id="1/3+1e-6i"),
+    pytest.param(Fraction(3, 10), "0.9", id="0.3+0.9i"),
+    pytest.param(Fraction(5), "2", id="5+2i"),
+])
+def test_theta_recurrence_matches_plain_sum(re_part, im_part, dps):
+    with mp.workdps(dps):
+        tz = mp.mpc(mp.mpf(re_part.numerator) / re_part.denominator, mp.mpf(im_part))
+        got = eta(tz), eta_tilde(tz)
+    plain, size, plain_tilde, size_tilde = _plain_theta_sums(tz, dps)
+    bound = mp.mpf(10) ** (5 - dps)
+    assert abs(got[0] - plain) <= bound * max(1, size)
+    assert abs(got[1] - plain_tilde) <= bound * max(1, size_tilde)
 
 
 def test_g_frozen_value_and_domain():
