@@ -3,8 +3,9 @@
 
 For each a/d in the requested denominator range the extrapolated interior
 value is printed next to the exact finite-sum target, together with the
-ladder's internal error estimate.  Useful for choosing ladder parameters:
-the error series steepens quickly with d.
+ladder's internal error estimate and the wall seconds the ladder took.
+Useful for choosing ladder parameters: the error series steepens quickly
+with d.
 
     python scripts/radial_scan.py --max-den 3 --rungs 9
 """
@@ -15,6 +16,7 @@ import argparse
 import sys
 from fractions import Fraction
 from math import gcd
+from time import perf_counter
 
 from mpmath import mp
 
@@ -43,19 +45,21 @@ def main() -> int:
         return 2
     mp.dps = args.precision
 
-    print(f"{'alpha':>8}  {'|limit - target|':>18}  {'ladder estimate':>16}")
+    print(f"{'alpha':>8}  {'|limit - target|':>18}  {'ladder estimate':>16}  {'wall s':>7}")
     worst = mp.mpf(0)
     for den in range(1, args.max_den + 1):
         for num in range(1, den + 1):
             if gcd(num, den) != 1:
                 continue
             alpha = Fraction(num, den)
+            start = perf_counter()
             res = radial_limit(alpha, rungs=args.rungs, ratio=args.ratio,
                                eps0=args.eps0)
+            wall = perf_counter() - start
             gap = phi_gap(alpha, res.value)
             worst = max(worst, gap)
             print(f"{str(alpha):>8}  {mp.nstr(gap, 4):>18}  "
-                  f"{mp.nstr(res.err_estimate, 4):>16}")
+                  f"{mp.nstr(res.err_estimate, 4):>16}  {wall:>7.3f}")
     print(f"# worst gap {mp.nstr(worst, 4)}")
     return 0
 

@@ -6,14 +6,14 @@ tau}); both routes are exposed so they can be checked against each other.
 For |tau| < 1 the theta route applies eta(-1/tau) = sqrt(tau/i) eta(tau)
 once, which keeps term counts small uniformly along rays approaching 0.
 
-Both theta sums run over n = 12 k + r, r in {1, 5, 7, 11}.  The terms k = 0,
-1 of each residue come from expjpi, so a sum of at most 23 terms (every eta
-in the quadrature at 25 digits) makes one transcendental call per term; past
-them each residue steps by two products per term from q^288 = expjpi(24 tau).
-Near the real axis that turns thousands of expjpi calls into nine.  The
-recurrence runs under 2 log10(k_max) guard digits for the drift of its
-products plus log10 of an a-priori bound on sum |term|, the digits the sum
-cancels.
+Both theta sums run over n = 12 k + r, r in {1, 5, 7, 11}.  A sum of at most
+35 terms (every eta in the quadrature at 25 digits) makes one expjpi call
+per term.  In a longer sum the terms k = 0, 1 of each residue come from
+expjpi, and past them each residue steps by two products per term from
+q^288 = expjpi(24 tau).  Near the real axis that turns thousands of expjpi
+calls into nine.  The recurrence runs under 2 log10(k_max) guard digits for
+the drift of its products plus log10 of an a-priori bound on sum |term|, the
+digits the sum cancels.
 
 eta_tilde is the companion weighted by an extra factor n.  Its radial limits
 at rational points are finite even though the unweighted series has none,
@@ -66,12 +66,15 @@ def _gauss_cutoff(beta, s: int, target) -> int:
     return n
 
 
-def _theta_head(tau, weight: int, n_terms: int, chi):
-    """The terms n <= min(n_terms, 23), one expjpi each: their sum, and
-    q^{n^2} by n."""
+# past about 35 terms the recurrence beats one expjpi per term
+_DIRECT_TERMS = 35
+
+
+def _theta_head(tau, weight: int, n_max: int, chi):
+    """The terms n <= n_max, one expjpi each: their sum, and q^{n^2} by n."""
     acc = mp.mpc(0)
     head = {}
-    for n in range(1, min(n_terms, 23) + 1):
+    for n in range(1, n_max + 1):
         if s := chi(n):
             term = head[n] = mp.expjpi(mp.mpf(n) ** 2 * tau / 12)
             acc += s * n * term if weight else s * term
@@ -79,21 +82,21 @@ def _theta_head(tau, weight: int, n_terms: int, chi):
 
 
 def _theta_sum(tau, weight: int):
-    # past the head, T_k = q^{n^2}, n = 12 k + r, q = e^{pi i tau/12}, steps as
-    # T_{k+1} = T_k R_k with R_k = T_{k+1}/T_k, and R_{k+1} = R_k q^288
+    # past the terms n <= 23, T_k = q^{n^2}, n = 12 k + r, q = e^{pi i tau/12},
+    # steps as T_{k+1} = T_k R_k with R_k = T_{k+1}/T_k, and R_{k+1} = R_k q^288
     chi = chi12()
     beta = mp.pi * mp.im(tau) / 12
     target = mp.exp(-beta) * mp.mpf(10) ** (-(mp.dps + 5))
     n_terms = _gauss_cutoff(beta, weight, target)
-    k_max = (n_terms - 1) // 12
-    if k_max < 2:
+    if n_terms <= _DIRECT_TERMS:
         return _theta_head(tau, weight, n_terms, chi)[0]
+    k_max = (n_terms - 1) // 12
     # sum |term| is at most the integral of n^weight e^{-beta n^2} over n > 0
     # plus its largest value; the products drift by about k^2 ulps
     b = float(beta)
     size = 1 / (2 * b) + 1 / sqrt(2 * e * b) if weight else sqrt(pi / b) / 2
     with mp.extradps(int(2 * log10(k_max) + log10(size)) + 3):
-        acc, head = _theta_head(tau, weight, n_terms, chi)
+        acc, head = _theta_head(tau, weight, 23, chi)
         step = mp.expjpi(24 * tau)
         for r in (1, 5, 7, 11):  # the residues mod 12 where chi does not vanish
             term, ratio = head[r + 12], head[r + 12] / head[r] * step

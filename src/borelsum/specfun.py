@@ -2,26 +2,33 @@
 
 One kernel, _remainder(z, k0) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k,
 gives every Dawson-type function: dawson is R_0/(2z), dawson_deficit R_1,
-e_mod_deficit z^2 R_2/sqrt(pi), and the closed route R_K with K chosen per
-call.  Removing the leading terms inside the kernel avoids the cancellation
-of about 2 k0 log10|z| digits that forming the difference outside would cost.
+e_mod_deficit z^2 R_2/sqrt(pi).  Removing the leading terms inside the
+kernel avoids the cancellation of about 2 k0 log10|z| digits that forming
+the difference outside would cost.  The kernel is two parts,
+
+    R_k0(z) = A_k0(z) + i sgn(Im z) sqrt(pi) z e^{-z^2},
+
+the algebraic part _algebraic(z, k0) and the Stokes term _stokes(z), which
+vanishes on the real axis.  The closed route sums the two parts separately,
+each only as far as its own part of the tail bound asks.
 
 Below the crossover radius |z|^2 = (dps+12) ln 10 the kernel sums the
 Maclaurin series once, at a precision raised by 0.4343 |z|^2 (its own
 cancellation) plus 2 k0 log10(1+|z|) digits, and then subtracts the leading
-terms.  Above it the divergent large-z series is summed from k = k0, each
-term the last times (2k+1) w with w = 1/(2 z^2) formed once and (2k0-1)!! an
-exact integer, and cut at its smallest term or once a term falls below eps
-times the sum.  That cut is decided on float shadows of term and sum over the
-first term, so the loop does no mp division and no abs per step.  Off the
-real axis that sum is completed by the
-exponentially small term i*sgn(Im z)*sqrt(pi)*z*e^{-z^2}; on the real axis the
-function is real and no such term is added.
+terms; A_k0 also subtracts the Stokes term there, under the same boost.
+Past the peak of the Maclaurin terms the cut |term| <= eps |sum| is decided
+on a float shadow of |term| over the last measured |sum|, which is measured
+again only when the shadow passes.  Above the crossover the divergent
+large-z series is A_k0: it is summed from k = k0, each term the last times
+(2k+1) w with w = 1/(2 z^2) formed once and (2k0-1)!! an exact integer, and
+cut at its smallest term or once a term falls below eps times the sum.  That
+cut is decided on float shadows of term and sum over the first term, so the
+loop does no mp division and no abs per step.  R_k0 adds the Stokes term.
 
-For |arg z| < pi/4, R_K(z) is the erfc remainder at w = -+ i z plus that
-term.  DLMF 7.12(i) bounds the former by csc(2|arg z|) times the first
-neglected term (2K-1)!!/|2 z^2|^K; near the real axis Olver's Stokes-line
-bound for the incomplete gamma function gives the factor 1 + chi(K - 1/2),
+For |arg z| < pi/4, A_K(z) is the erfc remainder at w = -+ i z.  DLMF
+7.12(i) bounds it by csc(2|arg z|) times the first neglected term
+(2K-1)!!/|2 z^2|^K; near the real axis Olver's Stokes-line bound for the
+incomplete gamma function gives the factor 1 + chi(K - 1/2),
 chi(p) = sqrt(pi) Gamma(p/2 + 1)/Gamma(p/2 + 1/2).  _remainder_factor takes
 the smaller.
 
@@ -61,35 +68,56 @@ _LN10 = 2.302585092994046
 
 
 def _dawson_maclaurin(z):
-    # term ratio -2 z^2 / (2k+3); terms peak near k ~ |z|^2
+    # term ratio -2 z^2 / (2k+3); terms peak near k ~ |z|^2.  Past the peak the
+    # cut |term| <= eps |acc| is decided on rel, a float shadow of |term| over
+    # |acc| as last measured, and abs is taken only when the shadow passes;
+    # rel is held below 1e300, where a float would overflow
     z2 = z * z
-    term = z
-    acc = z
+    step = -2 * z2
+    term = acc = z
     k = 0
     peak = abs(z2)
+    two_r2 = float(2 * peak)
+    eps = mp.eps
+    eps_f = float(eps)
+    rel = 0.0
     while True:
-        term = term * (-2 * z2) / (2 * k + 3)
+        term = term * step / (2 * k + 3)
         acc += term
         k += 1
-        if k > peak and abs(term) <= mp.eps * abs(acc):
-            return acc
+        rel *= two_r2 / (2 * k + 1)
+        if k > peak and rel <= eps_f:
+            size = abs(acc)
+            if abs(term) <= eps * size:
+                return acc
+            rel = min(float(abs(term) / size), 1e300)
 
 
-def _remainder(z, k0: int):
-    """R_k0(z) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k, even in z and
-    O(z^{-2 k0}) at infinity away from the diagonals arg z = +-pi/4."""
-    zz = mp.mpc(z)
+def _stokes(z):
+    """i sgn(Im z) sqrt(pi) z e^{-z^2}, the part of R_k0 past every algebraic
+    order; 0 on the real axis."""
+    s = mp.sign(mp.im(z))
+    return s * mp.j * mp.sqrt(mp.pi) * z * mp.exp(-z * z) if s else mp.mpf(0)
+
+
+def _maclaurin_boost(zz, k0: int):
+    """Guard digits of the Maclaurin branch, or None past the crossover
+    |z|^2 = (dps+12) ln 10: the Maclaurin sum cancels about 0.4343 |z|^2
+    digits, and removing the k0 leading terms about 2 k0 log10|z| more."""
     r2 = zz.real * zz.real + zz.imag * zz.imag
-    if r2 <= (mp.dps + 12) * _LN10:
-        # the Maclaurin sum cancels about 0.4343 |z|^2 digits, and removing
-        # the k0 leading terms about 2 k0 log10|z| more
-        boost = int(0.4343 * r2 + 2 * k0 * mp.log10(1 + abs(zz))) + 12
-        with mp.extradps(boost):
-            zb = mp.mpc(zz)
-            two_z2 = 2 * zb * zb
-            acc = 2 * zb * _dawson_maclaurin(zb) - mp.fsum(
-                mp.fac2(2 * k - 1) / two_z2**k for k in range(k0))
-        return +acc
+    if r2 > (mp.dps + 12) * _LN10:
+        return None
+    return int(0.4343 * r2 + 2 * k0 * mp.log10(1 + abs(zz))) + 12
+
+
+def _maclaurin_remainder(z, k0: int):
+    """R_k0 from the Maclaurin sum, at the working precision."""
+    two_z2 = 2 * z * z
+    return 2 * z * _dawson_maclaurin(z) - mp.fsum(
+        mp.fac2(2 * k - 1) / two_z2**k for k in range(k0))
+
+
+def _large_z_sum(zz, k0: int):
     # sum_{k>=k0} of the divergent series, cut at its smallest term or below
     # eps |acc|; the cut is decided on float shadows of term and acc over the
     # first term, so the loop does no mp division and no abs
@@ -108,15 +136,39 @@ def _remainder(z, k0: int):
         term = term * w * (2 * k + 1)
         acc += term
         k += 1
-    s = mp.sign(mp.im(zz))
-    if s:
-        acc += s * mp.j * mp.sqrt(mp.pi) * zz * mp.exp(-zz * zz)
     return acc
 
 
+def _remainder(z, k0: int):
+    """R_k0(z) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k, even in z and
+    O(z^{-2 k0}) at infinity away from the diagonals arg z = +-pi/4.  It is
+    _algebraic(z, k0) plus _stokes(z); below the crossover the Maclaurin sum
+    gives it whole."""
+    zz = mp.mpc(z)
+    boost = _maclaurin_boost(zz, k0)
+    if boost is None:
+        return _large_z_sum(zz, k0) + _stokes(zz)
+    with mp.extradps(boost):
+        acc = _maclaurin_remainder(zz, k0)
+    return +acc
+
+
+def _algebraic(z, k0: int):
+    """A_k0(z) = R_k0(z) - _stokes(z): the remainder of the algebraic series
+    alone, bounded on |arg z| < pi/4 by _remainder_factor times its first
+    neglected term (2k0-1)!!/|2 z^2|^k0."""
+    zz = mp.mpc(z)
+    boost = _maclaurin_boost(zz, k0)
+    if boost is None:
+        return _large_z_sum(zz, k0)
+    with mp.extradps(boost):
+        acc = _maclaurin_remainder(zz, k0) - _stokes(zz)
+    return +acc
+
+
 def _remainder_factor(k0: int, phase):
-    """C with |R_k0(z)| <= C (2k0-1)!!/|2 z^2|^k0 + sqrt(pi) |z| e^{-Re z^2}
-    when 2|arg z| = phase < pi/2."""
+    """C with |A_k0(z)| <= C (2k0-1)!!/|2 z^2|^k0, hence |R_k0(z)| <= that
+    plus sqrt(pi) |z| e^{-Re z^2}, when 2|arg z| = phase < pi/2."""
     p = k0 - mp.mpf(1) / 2
     stokes = 1 + mp.sqrt(mp.pi) * mp.gamma(p / 2 + 1) / mp.gamma(p / 2 + mp.mpf(1) / 2)
     return stokes if phase == 0 else min(stokes, 1 / mp.sin(phase))

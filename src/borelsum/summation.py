@@ -18,7 +18,12 @@ The slowly convergent algebraic part is accelerated for any model whose
 coefficients are n^power times a periodic table: each term keeps only R_K,
 and the orders m..K-1 it drops are restored in full through Hurwitz-zeta
 sums (periodic_power_sum).  K is chosen per call from the precision, |x| and
-tol, and the tail past N terms is bounded through the DLMF 7.12 bound on R_K.
+tol.  R_K is its algebraic part A_K plus an exponentially small Stokes term,
+and the two are summed to counts of their own: the A_K terms as far as the
+DLMF 7.12 bound on A_K asks, the Stokes terms, a weighted theta series like
+dirichlet_delta's, as far as their Gaussian decay asks.  Near the imaginary
+axis the second count is the larger by far, and each of its terms costs two
+products of one recurrence per residue instead of a kernel call.
 
 integral route (5/2-power model only): the weight-3/2 theta integral
 
@@ -61,7 +66,7 @@ from .modular import eta, rational_parts
 from .specfun import (
     RayContour,
     _adaptive_segment,
-    _remainder,
+    _algebraic,
     _remainder_factor,
     dawson_deficit,
     e_mod_deficit,
@@ -219,11 +224,44 @@ def _gaussian_terms(mdl: SqrtBranched, x, scale, tol, what: str):
     return n, max(0, int(mp.ceil(mp.log10(size * _roundoff_floor() / tol))))
 
 
+def _gaussian_sum(mdl: SqrtBranched, weights: tuple, x, n_terms: int):
+    """sum_{n <= n_terms} c_n e^{-eta_n x}, c_n = n^p w_n from
+    periodic_weights, eta_n = nu n^2, at the working precision.
+
+    Per residue a mod the period P, with n = a + P j, the terms step as
+    T_{j+1} = T_j R_j and R_{j+1} = R_j Q, Q = e^{-2 nu P^2 x}, from T_0 and
+    R_0 = T_1/T_0, under 2 log10(j_max) + 3 guard digits for the drift of
+    the products.  A sum of fewer than three terms per residue is direct."""
+    period, p = mdl.period, mdl.tail.power
+    j_max = (n_terms - 1) // period
+    if j_max < 2:
+        nu = mdl.eta(1)
+        return mp.fsum(w * n**p * mp.exp(-nu * n * n * x) for n in range(1, n_terms + 1)
+                       if (w := weights[(n - 1) % period]))
+    with mp.extradps(int(2 * math.log10(j_max)) + 3):
+        nu_x = mdl.eta(1) * x
+        step = mp.exp(-2 * period**2 * nu_x)
+        acc = mp.mpc(0)
+        for a, w in enumerate(weights, 1):
+            if not w:
+                continue
+            term = mp.exp(-a * a * nu_x)
+            ratio = mp.exp(-period * (2 * a + period) * nu_x)
+            part = a**p * term
+            for n in range(a + period, n_terms + 1, period):
+                term *= ratio
+                ratio *= step
+                part += n**p * term if p else term
+            acc += w * part
+    return +acc
+
+
 def dirichlet_delta(model, x, tol="1e-16"):
     """Exponentially small lateral difference: median - mul = mur - median.
 
     Equals i^k Gamma(1 - k/2) x^{k/2-1} sum_n c_n e^{-eta_n x}; the sum is a
-    weighted theta series, so the cutoff is Gaussian in n."""
+    weighted theta series, so the cutoff is Gaussian in n.  Like the closed
+    route, it needs a model with periodic coefficients."""
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
     tol = mp.mpf(tol)
@@ -232,18 +270,19 @@ def dirichlet_delta(model, x, tol="1e-16"):
     n_terms, guard = _gaussian_terms(mdl, xz, abs(pref) * mdl.tail.coeff_bound, tol,
                                      "lateral difference")
     with mp.extradps(guard):
-        acc = mp.fsum(c * mp.exp(-mdl.eta(n) * xz)
-                      for n in range(1, n_terms + 1) if (c := mdl.coeff(n)))
+        acc = _gaussian_sum(mdl, periodic_weights(mdl), xz, n_terms)
     return pref * acc
 
 
 def _peel_order(mdl: SqrtBranched, x, tol):
-    """(K, N, guard digits): peel the orders j < K, sum N terms, and guard the
-    largest restored order and the roundoff on the Gaussian part.  Past N the
-    algebraic part of the R_K bound, summed as N^{s-2K}/(2K-s), and its
-    Gaussian part are each held to tol/2;
-    K = m + M rises from M = 2 while one more order, which costs a
-    periodic_power_sum fill, saves 8 terms; N is the _grid count above it."""
+    """(K, N_alg, N_gauss, guard digits): peel the orders j < K, sum the
+    algebraic parts A_K of N_alg terms and the Stokes terms of N_gauss, and
+    guard the largest restored order and the roundoff on the Gaussian part.
+    Past N_alg the algebraic part of the R_K bound, summed as
+    N^{s-2K}/(2K-s), and past N_gauss its Gaussian part are each held to
+    tol/2; K = m + M rises from M = 2 while one more order, which costs a
+    periodic_power_sum fill, saves 8 algebraic terms.  Both counts are on
+    the _grid."""
     law = mdl.tail
     m = (mdl.k - 1) // 2
     s = law.power
@@ -263,18 +302,18 @@ def _peel_order(mdl: SqrtBranched, x, tol):
     def terms(big_k: int) -> float:
         log_c = (log_order(big_k) - math.log(2 * big_k - s) - log_half_tol
                  + math.log(float(_remainder_factor(big_k, abs(mp.arg(x))))))
-        return max(math.exp(min(log_c / (2 * big_k - s), 100.0)), n_gauss)
+        return math.exp(min(log_c / (2 * big_k - s), 100.0))
 
     big_k = m + 2
     n_exact = terms(big_k)
     while n_exact - (nxt := terms(big_k + 1)) >= 8:
         big_k, n_exact = big_k + 1, nxt
-    n_terms = _grid(n_exact)
-    if n_terms > TERM_BUDGET:
+    n_alg = _grid(n_exact)
+    if n_alg > TERM_BUDGET:
         raise ConvergenceError(f"{mdl.label} closed route: tolerance out of reach")
     # zeta(2j + 1 - s) <= 2 bounds the restored sum of order j
     biggest = max(log_order(j) for j in range(m, big_k)) + math.log(2)
-    return big_k, n_terms, max(0, int(biggest / math.log(10)), guard)
+    return big_k, n_alg, n_gauss, max(0, int(biggest / math.log(10)), guard)
 
 
 def _closed_base(mdl: SqrtBranched, x, tol):
@@ -283,11 +322,17 @@ def _closed_base(mdl: SqrtBranched, x, tol):
     With k = 2m + 1 and a_k = 2^m/(2m-1)!!, the transform of c (eta - p)^{-k/2}
     is c a_k eta^{1/2-m} y^{m-1} R_m(sqrt y) = c a_k x^{m-1} R_m(sqrt y)/sqrt(eta),
     y = eta x.  Each term keeps only R_K; the orders j = m..K-1 it drops come
-    back exactly as a_k (2j-1)!!/2^j x^{m-1-j} periodic_power_sum(j + 1/2)."""
+    back exactly as a_k (2j-1)!!/2^j x^{m-1-j} periodic_power_sum(j + 1/2).
+    R_K = A_K + i sgn(Im z) sqrt(pi) z e^{-z^2} is summed in two parts, with
+    the two counts of _peel_order: the algebraic parts A_K(n z_1) c_n/n over
+    n <= N_alg, and the Stokes terms, which with z_n = n z_1 and z_1^2 = nu x
+    make i sgn sqrt(pi) z_1 times the Gaussian sum c_n e^{-eta_n x} over
+    n <= N_gauss (_gaussian_sum)."""
     if not mdl.period:
         raise ValueError(f"{mdl.label}: the closed route needs periodic coefficients")
-    big_k, n_terms, boost = _peel_order(mdl, x, tol)
+    big_k, n_alg, n_gauss, boost = _peel_order(mdl, x, tol)
     m = (mdl.k - 1) // 2
+    p = mdl.tail.power
     with mp.extradps(boost):
         weights = periodic_weights(mdl)
         restored = mp.fsum(
@@ -297,9 +342,13 @@ def _closed_base(mdl: SqrtBranched, x, tol):
         # eta_n = nu n^2, so sqrt(y_n) = n sqrt(nu x) and sqrt(eta_n) = n sqrt(nu)
         root_nu = mp.sqrt(mdl.eta(1))
         z_one = root_nu * mp.sqrt(x)
-        acc = mp.fsum(c * _remainder(n * z_one, big_k) / n
-                      for n in range(1, n_terms + 1) if (c := mdl.coeff(n))) / root_nu
-        total = mdl.a0 + mp.mpf(2) ** m / mp.fac2(2 * m - 1) * (restored + x ** (m - 1) * acc)
+        acc = mp.fsum(w * n**p * _algebraic(n * z_one, big_k) / n
+                      for n in range(1, n_alg + 1) if (w := weights[(n - 1) % mdl.period]))
+        if sign := mp.sign(mp.im(x)):
+            acc += (sign * mp.j * mp.sqrt(mp.pi) * z_one
+                    * _gaussian_sum(mdl, weights, x, n_gauss))
+        total = mdl.a0 + mp.mpf(2) ** m / mp.fac2(2 * m - 1) * (
+            restored + x ** (m - 1) * acc / root_nu)
     return +total
 
 

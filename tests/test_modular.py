@@ -58,6 +58,14 @@ def test_delta_equals_weighted_theta():
     assert checks.delta_theta_gap(mp.mpf(1), "1e-20") < mp.mpf("1e-14")
 
 
+@pytest.mark.parametrize("x", ["0.001", "0.002+0.3j", "1e-5-0.2j"])
+def test_delta_equals_weighted_theta_near_the_axis(x):
+    """The per-residue recurrence of the lateral difference's Gaussian sum
+    (summation._gaussian_sum) against the theta recurrence here, which stays
+    a separate implementation."""
+    assert checks.delta_theta_gap(mp.mpmathify(x), "1e-20") < mp.mpf("1e-14")
+
+
 @pytest.mark.parametrize(
     "alpha", [Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)]
 )

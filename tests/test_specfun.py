@@ -9,6 +9,8 @@ from mpmath import mp
 
 from borelsum.specfun import (
     RayContour,
+    _algebraic,
+    _dawson_maclaurin,
     _emodd_tail2,
     _remainder,
     _remainder_factor,
@@ -65,6 +67,10 @@ def test_dawson_deficit_definition_across_branches(x):
     assert abs(got - direct) < mp.mpf("1e-22")
 
 
+def test_dawson_deficit_at_zero():
+    assert dawson_deficit(0) == -1
+
+
 def test_dawson_deficit_decay():
     assert abs(dawson_deficit(40)) < mp.mpf("4e-4")
     assert abs(dawson_deficit(40) - mp.mpf(1) / 3200) < mp.mpf("1e-6")
@@ -113,11 +119,13 @@ def test_deficit_family_against_library_erfi(name, dps):
     """Both sides of the crossover radius |z|^2 = (dps + 12) ln 10, in both
     half planes, inside and beyond the diagonals arg z = +-pi/4.  The angles
     +-(pi/4 - 1e-3) at up to 4 times the crossover are where the radial
-    ladders of the closed route put the large-z sum."""
+    ladders of the closed route put the large-z sum.  The bound is relative
+    to the value, which at large |z| is far below 1, so a cut that stops a
+    few terms early fails it."""
     func, reference = _DEFICITS[name]
     with mp.workdps(dps):
         crossover = mp.sqrt((dps + 12) * mp.log(10))
-        bound = mp.mpf(10) ** (5 - dps)
+        bound = mp.mpf(10) ** (3 - dps)
         near_diagonal = mp.pi / 4 - mp.mpf("1e-3")
         angles = [mp.mpf(a) for a in ("0.4", "1.2", "2.6", "-0.4", "-1.2", "-2.6")]
         for modulus in (mp.mpf("1.5"), crossover * mp.mpf("0.8"), crossover * mp.mpf("1.25"),
@@ -127,7 +135,22 @@ def test_deficit_family_against_library_erfi(name, dps):
                 got = func(z)
                 with mp.workdps(dps + 60):
                     want = reference(z)
-                assert abs(got - want) <= bound * max(1, abs(want)), (name, dps, z)
+                assert abs(got - want) <= bound * abs(want), (name, dps, z)
+
+
+@pytest.mark.parametrize("dps", [25, 50])
+def test_dawson_maclaurin_cut(dps):
+    """The Maclaurin sum alone, at the working precision, on |z| <= 1 where
+    its terms cancel less than one digit: D(z) to 10^(3-dps) relative, so a
+    cut that fires early fails it (the boosted kernel hides such a cut)."""
+    with mp.workdps(dps):
+        for modulus in ("0.05", "0.3", "1"):
+            for angle in ("0", "0.4", "1.2", "2.6", "-0.7"):
+                z = mp.mpf(modulus) * mp.expj(mp.mpf(angle))
+                got = _dawson_maclaurin(z)
+                with mp.workdps(dps + 20):
+                    want = mp.sqrt(mp.pi) / 2 * mp.exp(-z * z) * mp.erfi(z)
+                assert abs(got - want) <= mp.mpf(10) ** (3 - dps) * abs(want), (dps, z)
 
 
 @pytest.mark.parametrize("k0", range(2, 13))
@@ -145,6 +168,22 @@ def test_remainder_bound_majorizes_the_remainder(k0):
                          / abs(2 * z * z) ** k0
                          + mp.sqrt(mp.pi) * modulus * mp.exp(-mp.re(z * z)))
                 assert abs(_remainder(z, k0)) <= bound, (k0, z)
+
+
+@pytest.mark.parametrize("k0", range(2, 13))
+def test_algebraic_part_obeys_the_first_neglected_term_bound(k0):
+    """|A_K(z)| <= C (2K-1)!!/|2 z^2|^K, with no Gaussian part, on the grid
+    of test_remainder_bound_majorizes_the_remainder: the closed route bounds
+    the tail of its algebraic sum by exactly this."""
+    with mp.workdps(40):
+        for i in range(12):
+            modulus = mp.mpf("0.5") * mp.mpf(100) ** (mp.mpf(i) / 11)
+            for j in range(12):
+                angle = (mp.pi / 4 - mp.mpf("0.01")) * j / 11
+                z = modulus * mp.expj(angle)
+                bound = (_remainder_factor(k0, 2 * angle) * mp.fac2(2 * k0 - 1)
+                         / abs(2 * z * z) ** k0)
+                assert abs(_algebraic(z, k0)) <= bound, (k0, z)
 
 
 def test_integrate_segment_polynomial():

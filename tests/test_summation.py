@@ -369,6 +369,71 @@ def test_radial_limit_half():
     assert abs(res.value - target) < mp.mpf("1e-8")
 
 
+NEAR_AXIS_IM = ["0.16", "-0.16", "0.21", "-0.21", "3"]
+
+
+@pytest.mark.parametrize("re_part", ["1e-6", "1e-4", "1e-2"])
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_closed_route_near_the_imaginary_axis(model, re_part):
+    """Median and laterals where the Stokes sum runs to thousands of terms
+    and the algebraic sum stops far sooner, against the same values at
+    dps + 30 (laterals as median -+ delta there), within tol."""
+    tol = mp.mpf("1e-14")
+    for im_part in NEAR_AXIS_IM:
+        x = mp.mpc(re_part, im_part)
+        got = {kind: sum_erfi(model, x, kind, tol=tol).value
+               for kind in ("median", "mul", "mur")}
+        with mp.workdps(mp.dps + 30):
+            median = sum_erfi(model, x, tol="1e-24").value
+            delta = dirichlet_delta(model, x, tol="1e-24")
+        want = {"median": median, "mul": median - delta, "mur": median + delta}
+        for kind in got:
+            assert abs(got[kind] - want[kind]) <= tol, (model, x, kind)
+
+
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+@pytest.mark.parametrize("im_part", ["0.16", "-3"])
+def test_dirichlet_delta_far_down_the_gaussian(model, im_part):
+    """At Re x = 1e-6 the Gaussian sum takes thousands of recurrence steps
+    per residue; against one exp per term at dps + 20."""
+    mdl = summation._resolve_model(model)
+    x = mp.mpc("1e-6", im_part)
+    tol = mp.mpf("1e-16")
+    got = dirichlet_delta(model, x, tol=tol)
+    with mp.workdps(mp.dps + 20):
+        nu = mdl.eta(1)
+        n_max = int(mp.sqrt(mp.dps * mp.log(10) / (nu * mp.re(x)))) + 1
+        k = mdl.k
+        pref = mp.j**k * mp.gamma(1 - mp.mpf(k) / 2) * mp.power(x, mp.mpf(k) / 2 - 1)
+        want = pref * mp.fsum(c * mp.exp(-nu * n * n * x)
+                              for n in range(1, n_max + 1) if (c := mdl.coeff(n)))
+    assert abs(got - want) <= tol, (model, x)
+
+
+def test_radial_limit_work_budget(monkeypatch):
+    """The closed route splits each kernel into its algebraic part, summed
+    only as far as its own bound asks (39 terms per rung here), and the
+    Stokes term, summed as one Gaussian recurrence: radial_limit(3/4) made
+    5,831 kernel calls and 6,065 exp calls when each term paid a whole
+    kernel."""
+    calls = {"kernel": 0, "exp": 0}
+    kernel, exp = summation._algebraic, mp.exp
+
+    def counted_kernel(z, k0):
+        calls["kernel"] += 1
+        return kernel(z, k0)
+
+    def counted_exp(x):
+        calls["exp"] += 1
+        return exp(x)
+
+    monkeypatch.setattr(summation, "_algebraic", counted_kernel)
+    monkeypatch.setattr(mp, "exp", counted_exp)
+    radial_limit(Fraction(3, 4))
+    assert calls["kernel"] <= 250
+    assert calls["exp"] <= 800
+
+
 def test_radial_limit_validation():
     with pytest.raises(DomainError):
         radial_limit(0)
