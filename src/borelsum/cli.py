@@ -38,8 +38,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.precision_digits < 15:
             raise ValueError("precision_digits must be at least 15")
-        if mp.mpf(self.tol) <= 0:
-            raise ValueError("tol must be positive")
+        tol = mp.mpf(self.tol)
+        if not (tol > 0 and mp.isfinite(tol)):
+            raise ValueError("tol must be positive and finite")
         if self.object not in ("trefoil", "poincare"):
             raise ValueError("object must be 'trefoil' or 'poincare'")
         if self.output not in ("json", "csv", "plain"):
@@ -60,24 +61,19 @@ def _parse_complex(text: str):
     try:
         if t.endswith("i"):
             body = t[:-1]
-            split = None
-            for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "eE":
-                    split = pos
-                    break
-            re_part = body[:split] if split else ""
-            im_part = body[split:] if split else body
-            if im_part in ("", "+"):
-                imag = mp.mpf(1)
-            elif im_part == "-":
-                imag = mp.mpf(-1)
-            else:
-                imag = mp.mpf(im_part)
-            real = mp.mpf(re_part) if re_part else mp.mpf(0)
-            return mp.mpc(real, imag)
-        return mp.mpc(mp.mpf(t))
+            # the last sign that is not an exponent's starts the imaginary part
+            split = next((pos for pos in range(len(body) - 1, 0, -1)
+                          if body[pos] in "+-" and body[pos - 1] not in "eE"), 0)
+            imag = mp.mpf({"": 1, "+": 1, "-": -1}.get(body[split:], body[split:]))
+            real = mp.mpf(body[:split] or 0)
+            value = mp.mpc(real, imag)
+        else:
+            value = mp.mpc(mp.mpf(t))
     except ValueError as exc:
         raise _UsageError(f"cannot parse '{text}' as a number (use a+bi)") from exc
+    if not mp.isfinite(value):
+        raise _UsageError(f"'{text}' is not a finite number")
+    return value
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -92,8 +88,8 @@ def _parse_positive(text: str, flag: str):
         value = mp.mpf(text)
     except ValueError as exc:
         raise _UsageError(f"cannot parse '{text}' as a number for {flag}") from exc
-    if not value > 0:
-        raise _UsageError(f"{flag} must be positive")
+    if not (value > 0 and mp.isfinite(value)):
+        raise _UsageError(f"{flag} must be positive and finite")
     return value
 
 

@@ -9,8 +9,8 @@ the difference outside would cost.  The kernel is two parts,
     R_k0(z) = A_k0(z) + i sgn(Im z) sqrt(pi) z e^{-z^2},
 
 the algebraic part _algebraic(z, k0) and the Stokes term _stokes(z), which
-vanishes on the real axis.  The closed route sums the two parts separately,
-each only as far as its own part of the tail bound asks.
+vanishes on the real axis.  The closed route sums the algebraic parts
+alone: its Stokes terms add up to a multiple of summation.dirichlet_delta.
 
 Below the crossover radius |z|^2 = (dps+12) ln 10 the kernel sums the
 Maclaurin series once, at a precision raised by 0.4343 |z|^2 (its own
@@ -22,8 +22,9 @@ again only when the shadow passes.  Above the crossover the divergent
 large-z series is A_k0: it is summed from k = k0, each term the last times
 (2k+1) w with w = 1/(2 z^2) formed once and (2k0-1)!! an exact integer, and
 cut at its smallest term or once a term falls below eps times the sum.  That
-cut is decided on float shadows of term and sum over the first term, so the
-loop does no mp division and no abs per step.  R_k0 adds the Stokes term.
+cut is decided on the float logarithm of term over first term and a float
+shadow of sum over first term, so the loop does no mp division and no mp
+abs per step, at any precision.  R_k0 adds the Stokes term.
 
 For |arg z| < pi/4, A_K(z) is the erfc remainder at w = -+ i z.  DLMF
 7.12(i) bounds it by csc(2|arg z|) times the first neglected term
@@ -119,19 +120,22 @@ def _maclaurin_remainder(z, k0: int):
 
 def _large_z_sum(zz, k0: int):
     # sum_{k>=k0} of the divergent series, cut at its smallest term or below
-    # eps |acc|; the cut is decided on float shadows of term and acc over the
-    # first term, so the loop does no mp division and no abs
+    # eps |acc|.  The cut compares log_t = ln|term/first|, which cannot
+    # underflow as eps and the term do past about 300 digits, with
+    # ln(eps |acc/first|), acc/first shadowed in complex floats
     w = 1 / (2 * zz * zz)
     term = acc = math.prod(range(1, 2 * k0, 2)) * w**k0
     w_f = complex(w)
-    eps = float(mp.eps)
+    log_w = math.log(abs(w_f)) if w_f else float(mp.log(abs(w)))
+    log_eps = (1 - mp.prec) * math.log(2)  # ln eps
     term_f = acc_f = 1 + 0j
+    log_t = 0.0
     k = k0
-    while True:
-        ratio = (2 * k + 1) * w_f
-        term_f *= ratio
-        if abs(ratio) >= 1 or abs(term_f) <= eps * abs(acc_f):
+    while (log_ratio := math.log(2 * k + 1) + log_w) < 0:
+        log_t += log_ratio
+        if math.exp(min(log_t - log_eps, 700.0)) <= abs(acc_f):
             break
+        term_f *= (2 * k + 1) * w_f
         acc_f += term_f
         term = term * w * (2 * k + 1)
         acc += term

@@ -10,20 +10,20 @@ singularities together with the constant term.  The result
 is real on x > 0 (the median value) and analytic on Re x > 0, so the same
 formula is the analytic continuation of the median everywhere it converges.
 The lateral values differ from it by the explicit exponentially small series
-dirichlet_delta, with
-
-    mur = median + delta,   mul = median - delta.
+dirichlet_delta: mur = median + delta, mul = median - delta.
 
 The slowly convergent algebraic part is accelerated for any model whose
 coefficients are n^power times a periodic table: each term keeps only R_K,
 and the orders m..K-1 it drops are restored in full through Hurwitz-zeta
 sums (periodic_power_sum).  K is chosen per call from the precision, |x| and
-tol.  R_K is its algebraic part A_K plus an exponentially small Stokes term,
-and the two are summed to counts of their own: the A_K terms as far as the
-DLMF 7.12 bound on A_K asks, the Stokes terms, a weighted theta series like
-dirichlet_delta's, as far as their Gaussian decay asks.  Near the imaginary
-axis the second count is the larger by far, and each of its terms costs two
-products of one recurrence per residue instead of a kernel call.
+tol.  R_K is its algebraic part A_K plus the Stokes term
+i sgn(Im z) sqrt(pi) z e^{-z^2}, and as i^k Gamma(1 - k/2) = i sqrt(pi) a_k,
+the Stokes terms sum to exactly sgn(Im x) delta.  So the closed base sums
+the A_K terms alone, as far as the DLMF 7.12 bound on A_K asks: that is the
+lateral value L on the side of Im x (mul above the real axis, mur below it,
+the median on it), and
+
+    median = L + sgn(Im x) delta.
 
 integral route (5/2-power model only): the weight-3/2 theta integral
 
@@ -208,7 +208,7 @@ def _roundoff_floor():
     return mp.mpf(10) ** (3 - mp.dps)
 
 
-def _gaussian_terms(mdl: SqrtBranched, x, scale, tol, what: str):
+def _gaussian_terms(mdl: SqrtBranched, x, scale, tol):
     """(N, guard digits) for a sum of terms up to scale n^s e^{-nu n^2 Re x},
     s and nu from the tail law of mdl: N is the smallest grid count whose
     tail is at most tol/2, and the guard holds the roundoff on the largest
@@ -219,12 +219,12 @@ def _gaussian_terms(mdl: SqrtBranched, x, scale, tol, what: str):
     while scale * gaussian_tail(n, beta, law.power) > tol / 2:
         n = _grid(n + 1)
         if n > TERM_BUDGET:
-            raise ConvergenceError(f"{what}: Re x too small for the budget")
+            raise ConvergenceError("lateral difference: Re x too small for the budget")
     size = scale * (mp.exp(-beta) + gaussian_tail(1, beta, law.power))
     return n, max(0, int(mp.ceil(mp.log10(size * _roundoff_floor() / tol))))
 
 
-def _gaussian_sum(mdl: SqrtBranched, weights: tuple, x, n_terms: int):
+def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int):
     """sum_{n <= n_terms} c_n e^{-eta_n x}, c_n = n^p w_n from
     periodic_weights, eta_n = nu n^2, at the working precision.
 
@@ -232,7 +232,7 @@ def _gaussian_sum(mdl: SqrtBranched, weights: tuple, x, n_terms: int):
     T_{j+1} = T_j R_j and R_{j+1} = R_j Q, Q = e^{-2 nu P^2 x}, from T_0 and
     R_0 = T_1/T_0, under 2 log10(j_max) + 3 guard digits for the drift of
     the products.  A sum of fewer than three terms per residue is direct."""
-    period, p = mdl.period, mdl.tail.power
+    period, p, weights = mdl.period, mdl.tail.power, periodic_weights(mdl)
     j_max = (n_terms - 1) // period
     if j_max < 2:
         nu = mdl.eta(1)
@@ -267,40 +267,34 @@ def dirichlet_delta(model, x, tol="1e-16"):
     tol = mp.mpf(tol)
     k = mdl.k
     pref = mp.j**k * mp.gamma(1 - mp.mpf(k) / 2) * mp.power(xz, mp.mpf(k) / 2 - 1)
-    n_terms, guard = _gaussian_terms(mdl, xz, abs(pref) * mdl.tail.coeff_bound, tol,
-                                     "lateral difference")
+    n_terms, guard = _gaussian_terms(mdl, xz, abs(pref) * mdl.tail.coeff_bound, tol)
     with mp.extradps(guard):
-        acc = _gaussian_sum(mdl, periodic_weights(mdl), xz, n_terms)
+        acc = _gaussian_sum(mdl, xz, n_terms)
     return pref * acc
 
 
 def _peel_order(mdl: SqrtBranched, x, tol):
-    """(K, N_alg, N_gauss, guard digits): peel the orders j < K, sum the
-    algebraic parts A_K of N_alg terms and the Stokes terms of N_gauss, and
-    guard the largest restored order and the roundoff on the Gaussian part.
-    Past N_alg the algebraic part of the R_K bound, summed as
-    N^{s-2K}/(2K-s), and past N_gauss its Gaussian part are each held to
-    tol/2; K = m + M rises from M = 2 while one more order, which costs a
-    periodic_power_sum fill, saves 8 algebraic terms.  Both counts are on
-    the _grid."""
+    """(K, N_alg, guard digits): peel the orders j < K, sum the algebraic
+    parts A_K of N_alg terms, and guard the largest restored order.  Past
+    N_alg the bound on A_K, summed as N^{s-2K}/(2K-s), is held to tol;
+    K = m + M rises from M = 2 while one more order, which costs a
+    periodic_power_sum fill, saves 8 terms.  N_alg is on the _grid."""
     law = mdl.tail
     m = (mdl.k - 1) // 2
     s = law.power
     scale = 2**m / math.prod(range(1, 2 * m, 2)) * law.coeff_bound  # a_k A
-    ax = float(abs(x))
+    log_ax = float(mp.log(abs(x)))  # float(abs(x)) overflows past 1e308
 
     def log_order(j: int) -> float:
         # log a_k A (2j-1)!!/2^j |x|^{m-1-j} nu^{-j-1/2}: order j over n, up to a zeta
         return (math.log(scale) + math.lgamma(2 * j + 1) - math.lgamma(j + 1)
-                - 2 * j * math.log(2) + (m - 1 - j) * math.log(ax)
+                - 2 * j * math.log(2) + (m - 1 - j) * log_ax
                 - (j + 0.5) * math.log(law.eta_lower))
 
-    c_gauss = scale * math.sqrt(math.pi) * ax ** (m - 0.5)
-    n_gauss, guard = _gaussian_terms(mdl, x, c_gauss, tol, f"{mdl.label} closed route")
-    log_half_tol = float(mp.log(tol / 2))
+    log_tol = float(mp.log(tol))
 
     def terms(big_k: int) -> float:
-        log_c = (log_order(big_k) - math.log(2 * big_k - s) - log_half_tol
+        log_c = (log_order(big_k) - math.log(2 * big_k - s) - log_tol
                  + math.log(float(_remainder_factor(big_k, abs(mp.arg(x))))))
         return math.exp(min(log_c / (2 * big_k - s), 100.0))
 
@@ -313,24 +307,24 @@ def _peel_order(mdl: SqrtBranched, x, tol):
         raise ConvergenceError(f"{mdl.label} closed route: tolerance out of reach")
     # zeta(2j + 1 - s) <= 2 bounds the restored sum of order j
     biggest = max(log_order(j) for j in range(m, big_k)) + math.log(2)
-    return big_k, n_alg, n_gauss, max(0, int(biggest / math.log(10)), guard)
+    return big_k, n_alg, max(0, int(biggest / math.log(10)))
 
 
 def _closed_base(mdl: SqrtBranched, x, tol):
-    """Median value by the erfi series, for any periodic model of odd k.
+    """Lateral value L on the side of Im x by the erfi series, for any
+    periodic model of odd k: mul above the real axis, mur below it, the
+    median on it.
 
     With k = 2m + 1 and a_k = 2^m/(2m-1)!!, the transform of c (eta - p)^{-k/2}
     is c a_k eta^{1/2-m} y^{m-1} R_m(sqrt y) = c a_k x^{m-1} R_m(sqrt y)/sqrt(eta),
     y = eta x.  Each term keeps only R_K; the orders j = m..K-1 it drops come
     back exactly as a_k (2j-1)!!/2^j x^{m-1-j} periodic_power_sum(j + 1/2).
-    R_K = A_K + i sgn(Im z) sqrt(pi) z e^{-z^2} is summed in two parts, with
-    the two counts of _peel_order: the algebraic parts A_K(n z_1) c_n/n over
-    n <= N_alg, and the Stokes terms, which with z_n = n z_1 and z_1^2 = nu x
-    make i sgn sqrt(pi) z_1 times the Gaussian sum c_n e^{-eta_n x} over
-    n <= N_gauss (_gaussian_sum)."""
+    Of R_K = A_K + i sgn(Im z) sqrt(pi) z e^{-z^2} only the algebraic parts
+    A_K(n z_1) c_n/n, z_1^2 = nu x, are summed, over the n <= N_alg of
+    _peel_order; the Stokes terms it leaves out sum to sgn(Im x) delta."""
     if not mdl.period:
         raise ValueError(f"{mdl.label}: the closed route needs periodic coefficients")
-    big_k, n_alg, n_gauss, boost = _peel_order(mdl, x, tol)
+    big_k, n_alg, boost = _peel_order(mdl, x, tol)
     m = (mdl.k - 1) // 2
     p = mdl.tail.power
     with mp.extradps(boost):
@@ -344,24 +338,23 @@ def _closed_base(mdl: SqrtBranched, x, tol):
         z_one = root_nu * mp.sqrt(x)
         acc = mp.fsum(w * n**p * _algebraic(n * z_one, big_k) / n
                       for n in range(1, n_alg + 1) if (w := weights[(n - 1) % mdl.period]))
-        if sign := mp.sign(mp.im(x)):
-            acc += (sign * mp.j * mp.sqrt(mp.pi) * z_one
-                    * _gaussian_sum(mdl, weights, x, n_gauss))
         total = mdl.a0 + mp.mpf(2) ** m / mp.fac2(2 * m - 1) * (
             restored + x ** (m - 1) * acc / root_nu)
     return +total
 
 
 def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
+    """L + f delta, f = sgn(Im x) + the kind's delta factor."""
+    if not mp.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, not {tol}")
     if tol < _roundoff_floor():
         raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the roundoff "
                              f"floor {mp.nstr(_roundoff_floor(), 3)} of {mp.dps} digits")
-    factor = _DELTA_FACTOR[kind]
-    part = tol / 2 if factor == 0 else tol / 3
-    base = _closed_base(mdl, xz, part)
-    if factor:
-        base += factor * dirichlet_delta(mdl, xz, part)
-    return base
+    factor = int(mp.sign(mp.im(xz))) + _DELTA_FACTOR[kind]
+    if not factor:
+        return _closed_base(mdl, xz, tol)
+    return (_closed_base(mdl, xz, tol / 2)
+            + factor * dirichlet_delta(mdl, xz, tol / (2 * abs(factor))))
 
 
 def sum_erfi(model, x, kind="median", tol="1e-12") -> SummationResult:

@@ -136,6 +136,12 @@ def test_usage_errors_exit_two():
     ("radial", "--alpha", "1/2", "--eps0", "abc"),
     ("sum", "--x", "2", "--cross-check", "--cross-tol", "abc"),
     ("sum", "--x", "2", "--cross-check", "--cross-tol", "-1"),
+    ("sum", "--x", "nan"),
+    ("sum", "--x", "inf"),
+    ("sum", "--x", "2+infi"),
+    ("sum", "--x", "2", "--tol", "nan"),
+    ("sum", "--x", "2", "--tol", "inf"),
+    ("radial", "--alpha", "1/2", "--eps0", "inf"),
 ])
 def test_bad_ladder_and_tolerance_values_exit_two(args):
     proc = run_cli(*args)

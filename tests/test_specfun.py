@@ -153,6 +153,21 @@ def test_dawson_maclaurin_cut(dps):
                 assert abs(got - want) <= mp.mpf(10) ** (3 - dps) * abs(want), (dps, z)
 
 
+@pytest.mark.parametrize("dps", [330, 400])
+def test_large_z_cut_past_the_float_range(dps):
+    """Past about 310 digits eps |sum| underflows a float, so a cut decided
+    on float values of term and eps fires only when the term's shadow
+    underflows, near 1e-324 relative.  At z = 40 the large-z series runs
+    about 1600 terms before its smallest, far past eps."""
+    with mp.workdps(dps):
+        z = mp.mpf(40)
+        got = dawson_deficit(z)
+        eps = +mp.eps
+        with mp.workdps(dps + 100):
+            want = mp.sqrt(mp.pi) * z * mp.exp(-z * z) * mp.erfi(z) - 1
+            assert abs(got - want) <= 10 * eps * abs(want)
+
+
 @pytest.mark.parametrize("k0", range(2, 13))
 def test_remainder_bound_majorizes_the_remainder(k0):
     """|R_K(z)| <= C (2K-1)!!/|2 z^2|^K + sqrt(pi) |z| e^{-Re z^2} on |z| in

@@ -106,6 +106,15 @@ def test_readme_quick_start_at_fifteen_digits():
         assert checks.phi_gap(Fraction(1, 2), limit.value) <= limit.err_estimate
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_raises(tol):
+    """A nan or inf tol certifies nothing, so the closed route rejects it,
+    on the real axis too, where the median sums no Gaussian series."""
+    for kind in ("median", "mul"):
+        with pytest.raises(ValueError):
+            sum_erfi("trefoil", 2, kind=kind, tol=tol)
+
+
 @pytest.mark.parametrize("kind", ["median", "mur", "mul"])
 def test_tolerance_near_roundoff_is_reached_near_the_boundary(kind):
     """At 0.01 + 3i the terms reach 10^4 while the trefoil sums are O(10^2):
@@ -118,12 +127,17 @@ def test_tolerance_near_roundoff_is_reached_near_the_boundary(kind):
         assert abs(value - reference) <= tol
 
 
-def _reference_error(model, x, tol):
-    """|closed route at tol - closed route at dps + 30 and a far smaller tol|."""
-    value = sum_median(model, x, tol=tol).value
+def _reference_error(model, x, tol, kind="median"):
+    """|value at tol - value at dps + 30 and a far smaller tol|, of the
+    closed route of a sum_erfi kind or, for kind "delta", of dirichlet_delta."""
+    def value(t):
+        if kind == "delta":
+            return dirichlet_delta(model, x, tol=t)
+        return sum_erfi(model, x, kind, tol=t).value
+
+    got = value(tol)
     with mp.workdps(mp.dps + 30):
-        reference = sum_median(model, x, tol=mp.mpf(tol) * mp.mpf(10) ** -10).value
-        return abs(value - reference)
+        return abs(got - value(mp.mpf(tol) * mp.mpf(10) ** -10))
 
 
 @pytest.mark.parametrize("x", ["2", "0.6"])
@@ -141,6 +155,59 @@ def test_tolerance_near_roundoff_is_reached(model):
         tol = mp.mpf(10) ** (5 - mp.dps)
         for x in (mp.mpf("0.6"), mp.mpc(8, 2), mp.mpc("0.6", 2), mp.mpc("3.07", "0.67")):
             assert _reference_error(model, x, tol) <= tol, x
+
+
+# the real axis, both half planes, Re x = 1e-3 and |x| >= 40
+CALIBRATION_GRID = [("2", "0"), ("0.6", "2"), ("3", "-1.5"), ("1e-3", "0.5"),
+                    ("1e-3", "-3"), ("40", "0"), ("6", "-45")]
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_closed_route_family_meets_its_claimed_tolerance(model, dps):
+    """The three kinds and delta claim tol = 10^(5-dps) as their error
+    (err_estimate); against the same sums at dps + 30, at every precision
+    and every point of the grid, the claim holds."""
+    with mp.workdps(dps):
+        tol = mp.mpf(10) ** (5 - dps)
+        for re_part, im_part in CALIBRATION_GRID:
+            x = mp.mpc(re_part, im_part)
+            for kind in ("median", "mul", "mur", "delta"):
+                assert _reference_error(model, x, tol, kind) <= tol, (x, kind)
+
+
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_closed_route_beyond_the_float_range(model):
+    """|x| = 1e400 overflows a float; every kind is then a0 within tol."""
+    mdl = summation._resolve_model(model)
+    tol = mp.mpf("1e-20")
+    for x in (mp.mpf("1e400"), mp.mpc("1e400", "-3e399")):
+        for kind in ("median", "mul", "mur"):
+            assert abs(sum_erfi(model, x, kind, tol=tol).value - mdl.a0) <= tol, (x, kind)
+
+
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_closed_route_sums_delta_at_most_once(monkeypatch, model):
+    """The closed base sums the lateral value on the side of Im x, so that
+    lateral and the median on the real axis make no Gaussian sum, and every
+    other kind exactly one, through dirichlet_delta."""
+    calls = [0]
+    inner = summation._gaussian_sum
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(summation, "_gaussian_sum", counted)
+    cases = [(mp.mpc(2, "1.5"), "mul", 0), (mp.mpc(2, "-1.5"), "mur", 0),
+             (mp.mpf(2), "median", 0),
+             (mp.mpc(2, "1.5"), "median", 1), (mp.mpc(2, "-1.5"), "median", 1),
+             (mp.mpc(2, "1.5"), "mur", 1), (mp.mpc(2, "-1.5"), "mul", 1),
+             (mp.mpf(2), "mul", 1), (mp.mpf(2), "mur", 1)]
+    for x, kind, want in cases:
+        calls[0] = 0
+        sum_erfi(model, x, kind, tol="1e-16")
+        assert calls[0] == want, (x, kind)
 
 
 def test_laterals_differ_by_twice_delta():
