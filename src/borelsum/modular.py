@@ -13,7 +13,9 @@ expjpi, and past them each residue steps by two products per term from
 q^288 = expjpi(24 tau).  Near the real axis that turns thousands of expjpi
 calls into nine.  The recurrence runs under 2 log10(k_max) guard digits for
 the drift of its products plus log10 of an a-priori bound on sum |term|, the
-digits the sum cancels.
+digits the sum cancels, and in fixed point: specfun._quadratic_phase_sum
+steps each residue on Python integers scaled by 2^wp, wp = prec + 10 bits
+at the guarded precision.
 
 eta_tilde is the companion weighted by an extra factor n.  Its radial limits
 at rational points are finite even though the unweighted series has none,
@@ -38,6 +40,7 @@ from .characters import chi12
 from .errors import ConvergenceError, DomainError
 from .specfun import (
     RayContour,
+    _quadratic_phase_sum,
     extrapolation_gain,
     fit_poly_coeffs,
     gaussian_tail,
@@ -99,13 +102,9 @@ def _theta_sum(tau, weight: int):
         acc, head = _theta_head(tau, weight, 23, chi)
         step = mp.expjpi(24 * tau)
         for r in (1, 5, 7, 11):  # the residues mod 12 where chi does not vanish
-            term, ratio = head[r + 12], head[r + 12] / head[r] * step
-            part = mp.mpc(0)
-            for n in range(r + 24, n_terms + 1, 12):
-                term *= ratio
-                ratio *= step
-                part += n * term if weight else term
-            acc += chi(r) * part
+            ratio = head[r + 12] / head[r] * step
+            acc += chi(r) * _quadratic_phase_sum(head[r + 12] * ratio, ratio * step, step,
+                                                 r + 24, n_terms, 12, weight)
     return +acc
 
 

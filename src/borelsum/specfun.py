@@ -15,10 +15,13 @@ alone: its Stokes terms add up to a multiple of summation.dirichlet_delta.
 Below the crossover radius |z|^2 = (dps+12) ln 10 the kernel sums the
 Maclaurin series once, at a precision raised by 0.4343 |z|^2 (its own
 cancellation) plus 2 k0 log10(1+|z|) digits, and then subtracts the leading
-terms; A_k0 also subtracts the Stokes term there, under the same boost.
-Past the peak of the Maclaurin terms the cut |term| <= eps |sum| is decided
-on a float shadow of |term| over the last measured |sum|, which is measured
-again only when the shadow passes.  Above the crossover the divergent
+terms, by Horner's rule in 1/(2 z^2); A_k0 also subtracts the Stokes term
+there, under the same boost.  The Maclaurin loop runs in fixed point, on
+Python integers scaled by 2^wp: fixed point rounds to 2^-wp absolute where
+mpf rounds relative to each value, so wp is the raised precision plus the
+bits of 1/|z| below |z| = 1 and 8 more.  Past the peak of its terms the cut
+|term| <= eps |sum| is decided on the integer parts of term and sum, so it
+needs no mp abs.  Above the crossover the divergent
 large-z series is A_k0: it is summed from k = k0, each term the last times
 (2k+1) w with w = 1/(2 z^2) formed once and (2k0-1)!! an exact integer, and
 cut at its smallest term or once a term falls below eps times the sum.  That
@@ -33,6 +36,13 @@ incomplete gamma function gives the factor 1 + chi(K - 1/2),
 chi(p) = sqrt(pi) Gamma(p/2 + 1)/Gamma(p/2 + 1/2).  _remainder_factor takes
 the smaller.
 
+The theta sums of modular and the Gaussian sum of the lateral difference
+step the same recurrence, T <- T R and R <- R Q per term, with |T|, |R| and
+|Q| at most 1.  _quadratic_phase_sum runs it in fixed point at
+wp = prec + 10 bits, after the caller has raised prec by its own guard for
+the drift of the products: four integer products and two shifts per
+complex product, with no normalisation.
+
 Quadrature is composite Gauss-Legendre with cached nodes.  Each panel walks
 the orders 8, 12, 17, 24, 34 and returns the first value that agrees with the
 one of the order below it to the panel tolerance; a panel that no pair settles
@@ -46,6 +56,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .errors import QuadratureError
 
@@ -68,30 +79,80 @@ __all__ = [
 _LN10 = 2.302585092994046
 
 
+def _to_fixed(z, wp: int):
+    """(re, im) of z as Python integers scaled by 2^wp, truncated."""
+    re, im = mp.mpc(z)._mpc_
+    return to_fixed(re, wp), to_fixed(im, wp)
+
+
+def _from_fixed(re: int, im: int, wp: int):
+    """The mpc (re + i im) / 2^wp, rounded to the working precision."""
+    return mp.mpc(mp.mpf((re, -wp)), mp.mpf((im, -wp)))
+
+
+# fixed point rounds each product down to a multiple of 2^-wp, a bias that
+# drifts like the rounding of the seeds at prec; these bits keep it well
+# below that, so the sum is no less accurate than the same recurrence in mpc
+# at prec, whose drift the callers' guard digits cover
+_PHASE_GUARD_BITS = 10
+
+
+def _quadratic_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,
+                         weight: int):
+    """sum of n^weight T_n over n = n_first, n_first + stride, ... <= n_last,
+    where T_{n_first} = term and, from R = ratio, T <- T R and R <- R step
+    per stride.  Theta and Gaussian sums have this shape with |T|, |R| and
+    |step| at most 1, which bounds the fixed-point drift: the loop runs on
+    Python integers scaled by 2^wp, wp = prec + _PHASE_GUARD_BITS, each
+    complex product four integer products and two shifts."""
+    wp = mp.prec + _PHASE_GUARD_BITS
+    tr, ti = _to_fixed(term, wp)
+    rr, ri = _to_fixed(ratio, wp)
+    qr, qi = _to_fixed(step, wp)
+    scale = n_first**weight
+    sr, si = scale * tr, scale * ti
+    for n in range(n_first + stride, n_last + 1, stride):
+        tr, ti = (tr * rr - ti * ri) >> wp, (tr * ri + ti * rr) >> wp
+        rr, ri = (rr * qr - ri * qi) >> wp, (rr * qi + ri * qr) >> wp
+        if weight:
+            scale = n**weight
+            sr += scale * tr
+            si += scale * ti
+        else:
+            sr += tr
+            si += ti
+    return _from_fixed(sr, si, wp)
+
+
 def _dawson_maclaurin(z):
-    # term ratio -2 z^2 / (2k+3); terms peak near k ~ |z|^2.  Past the peak the
-    # cut |term| <= eps |acc| is decided on rel, a float shadow of |term| over
-    # |acc| as last measured, and abs is taken only when the shadow passes;
-    # rel is held below 1e300, where a float would overflow
-    z2 = z * z
-    step = -2 * z2
-    term = acc = z
+    # D(z) = sum_k z (-2 z^2)^k / (2k+1)!!, each term the last times -2 z^2
+    # over 2k+3, on integers scaled by 2^wp.  Fixed point rounds to 2^-wp
+    # absolute, so wp adds to prec the bits of 1/|z| below |z| = 1, where
+    # the sum is about z, and 8 bits for the roundings of about 100 steps.
+    # Terms peak near k ~ |z|^2; past the peak the cut |term| <= eps |acc|
+    # is decided on integer norms, |re| + |im| >= |term| against
+    # max(|re|, |im|) <= |acc|, so it fires no earlier than the mpf cut, or
+    # once the term is within one unit of 2^-wp, below which floor rounding
+    # would hold it at -1 for ever
+    zz = mp.mpc(z)
+    if not zz:
+        return zz
+    wp = mp.prec + max(0, -mp.mag(zz)) + 8
+    shift = mp.prec - 1  # eps = 2^(1 - prec)
+    tr, ti = ar, ai = _to_fixed(zz, wp)
+    sr, si = _to_fixed(-2 * zz * zz, wp)
+    peak = float(abs(zz)) ** 2
     k = 0
-    peak = abs(z2)
-    two_r2 = float(2 * peak)
-    eps = mp.eps
-    eps_f = float(eps)
-    rel = 0.0
     while True:
-        term = term * step / (2 * k + 3)
-        acc += term
+        d = 2 * k + 3
+        tr, ti = ((tr * sr - ti * si) >> wp) // d, ((tr * si + ti * sr) >> wp) // d
+        ar += tr
+        ai += ti
         k += 1
-        rel *= two_r2 / (2 * k + 1)
-        if k > peak and rel <= eps_f:
-            size = abs(acc)
-            if abs(term) <= eps * size:
-                return acc
-            rel = min(float(abs(term) / size), 1e300)
+        if k > peak:
+            size = abs(tr) + abs(ti)
+            if size <= 2 or size << shift <= max(abs(ar), abs(ai)):
+                return _from_fixed(ar, ai, wp)
 
 
 def _stokes(z):
@@ -113,9 +174,14 @@ def _maclaurin_boost(zz, k0: int):
 
 def _maclaurin_remainder(z, k0: int):
     """R_k0 from the Maclaurin sum, at the working precision."""
-    two_z2 = 2 * z * z
-    return 2 * z * _dawson_maclaurin(z) - mp.fsum(
-        mp.fac2(2 * k - 1) / two_z2**k for k in range(k0))
+    # the leading terms (2k-1)!! w^k, w = 1/(2 z^2), by Horner:
+    # 1 + w (1 + 3 w (1 + 5 w (...)))
+    lead = mp.mpf(min(k0, 1))
+    if k0 > 1:
+        w = 1 / (2 * z * z)
+        for k in range(k0 - 1, 0, -1):
+            lead = 1 + (2 * k - 1) * w * lead
+    return 2 * z * _dawson_maclaurin(z) - lead
 
 
 def _large_z_sum(zz, k0: int):

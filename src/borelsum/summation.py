@@ -67,6 +67,7 @@ from .specfun import (
     RayContour,
     _adaptive_segment,
     _algebraic,
+    _quadratic_phase_sum,
     _remainder_factor,
     dawson_deficit,
     e_mod_deficit,
@@ -137,12 +138,22 @@ def _resolve_model(model) -> SqrtBranched:
 
 def _require_right_half(x):
     xz = mp.mpc(x)
+    if not mp.isfinite(xz):
+        raise DomainError(f"x must be finite, not {xz}")
     if mp.re(xz) <= 0:
         raise DomainError(
             "closed-route sums converge only for Re x > 0; "
             "use the integral or radial route at the boundary"
         )
     return xz
+
+
+def _require_finite_tol(tol):
+    """tol as an mpf; a nan or inf tolerance certifies nothing."""
+    tol = mp.mpf(tol)
+    if not mp.isfinite(tol):
+        raise DomainError(f"tolerance must be finite, not {tol}")
+    return tol
 
 
 def median_laplace_unit_closed(k: int, y):
@@ -224,15 +235,17 @@ def _gaussian_terms(mdl: SqrtBranched, x, scale, tol):
     return n, max(0, int(mp.ceil(mp.log10(size * _roundoff_floor() / tol))))
 
 
-def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int):
-    """sum_{n <= n_terms} c_n e^{-eta_n x}, c_n = n^p w_n from
-    periodic_weights, eta_n = nu n^2, at the working precision.
+def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int, weights):
+    """sum_{n <= n_terms} c_n e^{-eta_n x}, c_n = n^p w_n with the weights
+    of periodic_weights, eta_n = nu n^2, at the working precision.
 
     Per residue a mod the period P, with n = a + P j, the terms step as
     T_{j+1} = T_j R_j and R_{j+1} = R_j Q, Q = e^{-2 nu P^2 x}, from T_0 and
     R_0 = T_1/T_0, under 2 log10(j_max) + 3 guard digits for the drift of
-    the products.  A sum of fewer than three terms per residue is direct."""
-    period, p, weights = mdl.period, mdl.tail.power, periodic_weights(mdl)
+    the products, in fixed point (specfun._quadratic_phase_sum, Python
+    integers scaled by 2^wp, wp = the guarded prec + 10 bits).  A sum of
+    fewer than three terms per residue is direct."""
+    period, p = mdl.period, mdl.tail.power
     j_max = (n_terms - 1) // period
     if j_max < 2:
         nu = mdl.eta(1)
@@ -243,33 +256,31 @@ def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int):
         step = mp.exp(-2 * period**2 * nu_x)
         acc = mp.mpc(0)
         for a, w in enumerate(weights, 1):
-            if not w:
-                continue
-            term = mp.exp(-a * a * nu_x)
-            ratio = mp.exp(-period * (2 * a + period) * nu_x)
-            part = a**p * term
-            for n in range(a + period, n_terms + 1, period):
-                term *= ratio
-                ratio *= step
-                part += n**p * term if p else term
-            acc += w * part
+            if w:
+                acc += w * _quadratic_phase_sum(
+                    mp.exp(-a * a * nu_x), mp.exp(-period * (2 * a + period) * nu_x), step,
+                    a, n_terms, period, p)
     return +acc
 
 
-def dirichlet_delta(model, x, tol="1e-16"):
+def dirichlet_delta(model, x, tol="1e-16", weights: tuple | None = None):
     """Exponentially small lateral difference: median - mul = mur - median.
 
     Equals i^k Gamma(1 - k/2) x^{k/2-1} sum_n c_n e^{-eta_n x}; the sum is a
     weighted theta series, so the cutoff is Gaussian in n.  Like the closed
-    route, it needs a model with periodic coefficients."""
+    route, it needs a model with periodic coefficients.  weights, when given,
+    must be periodic_weights of the model at no less than the working
+    precision; the closed route passes the table it has built."""
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
-    tol = mp.mpf(tol)
+    tol = _require_finite_tol(tol)
+    if weights is None:
+        weights = periodic_weights(mdl)
     k = mdl.k
     pref = mp.j**k * mp.gamma(1 - mp.mpf(k) / 2) * mp.power(xz, mp.mpf(k) / 2 - 1)
     n_terms, guard = _gaussian_terms(mdl, xz, abs(pref) * mdl.tail.coeff_bound, tol)
     with mp.extradps(guard):
-        acc = _gaussian_sum(mdl, xz, n_terms)
+        acc = _gaussian_sum(mdl, xz, n_terms, weights)
     return pref * acc
 
 
@@ -310,51 +321,53 @@ def _peel_order(mdl: SqrtBranched, x, tol):
     return big_k, n_alg, max(0, int(biggest / math.log(10)))
 
 
-def _closed_base(mdl: SqrtBranched, x, tol):
+def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int, weights):
     """Lateral value L on the side of Im x by the erfi series, for any
     periodic model of odd k: mul above the real axis, mur below it, the
-    median on it.
+    median on it.  At the working precision, with the order K = big_k and
+    the count N_alg = n_alg of _peel_order and the periodic_weights table.
 
     With k = 2m + 1 and a_k = 2^m/(2m-1)!!, the transform of c (eta - p)^{-k/2}
     is c a_k eta^{1/2-m} y^{m-1} R_m(sqrt y) = c a_k x^{m-1} R_m(sqrt y)/sqrt(eta),
     y = eta x.  Each term keeps only R_K; the orders j = m..K-1 it drops come
     back exactly as a_k (2j-1)!!/2^j x^{m-1-j} periodic_power_sum(j + 1/2).
     Of R_K = A_K + i sgn(Im z) sqrt(pi) z e^{-z^2} only the algebraic parts
-    A_K(n z_1) c_n/n, z_1^2 = nu x, are summed, over the n <= N_alg of
-    _peel_order; the Stokes terms it leaves out sum to sgn(Im x) delta."""
-    if not mdl.period:
-        raise ValueError(f"{mdl.label}: the closed route needs periodic coefficients")
-    big_k, n_alg, boost = _peel_order(mdl, x, tol)
+    A_K(n z_1) c_n/n, z_1^2 = nu x, are summed, over the n <= N_alg; the
+    Stokes terms it leaves out sum to sgn(Im x) delta."""
     m = (mdl.k - 1) // 2
     p = mdl.tail.power
-    with mp.extradps(boost):
-        weights = periodic_weights(mdl)
-        restored = mp.fsum(
-            mp.fac2(2 * j - 1) / mp.mpf(2) ** j * x ** (m - 1 - j)
-            * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2, weights)
-            for j in range(m, big_k))
-        # eta_n = nu n^2, so sqrt(y_n) = n sqrt(nu x) and sqrt(eta_n) = n sqrt(nu)
-        root_nu = mp.sqrt(mdl.eta(1))
-        z_one = root_nu * mp.sqrt(x)
-        acc = mp.fsum(w * n**p * _algebraic(n * z_one, big_k) / n
-                      for n in range(1, n_alg + 1) if (w := weights[(n - 1) % mdl.period]))
-        total = mdl.a0 + mp.mpf(2) ** m / mp.fac2(2 * m - 1) * (
-            restored + x ** (m - 1) * acc / root_nu)
-    return +total
+    restored = mp.fsum(
+        mp.fac2(2 * j - 1) / mp.mpf(2) ** j * x ** (m - 1 - j)
+        * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2, weights)
+        for j in range(m, big_k))
+    # eta_n = nu n^2, so sqrt(y_n) = n sqrt(nu x) and sqrt(eta_n) = n sqrt(nu)
+    root_nu = mp.sqrt(mdl.eta(1))
+    z_one = root_nu * mp.sqrt(x)
+    acc = mp.fsum(w * n**p * _algebraic(n * z_one, big_k) / n
+                  for n in range(1, n_alg + 1) if (w := weights[(n - 1) % mdl.period]))
+    return mdl.a0 + mp.mpf(2) ** m / mp.fac2(2 * m - 1) * (
+        restored + x ** (m - 1) * acc / root_nu)
 
 
 def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
-    """L + f delta, f = sgn(Im x) + the kind's delta factor."""
-    if not mp.isfinite(tol):
-        raise ValueError(f"tolerance must be finite, not {tol}")
+    """L + f delta, f = sgn(Im x) + the kind's delta factor, L to tol when
+    f = 0, else L to tol/2 and f delta to tol/2.  L is summed under the
+    guard digits of _peel_order, and one periodic_weights table built at
+    that precision serves L and delta."""
+    if not mdl.period:
+        raise ValueError(f"{mdl.label}: the closed route needs periodic coefficients")
+    tol = _require_finite_tol(tol)
     if tol < _roundoff_floor():
         raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the roundoff "
                              f"floor {mp.nstr(_roundoff_floor(), 3)} of {mp.dps} digits")
     factor = int(mp.sign(mp.im(xz))) + _DELTA_FACTOR[kind]
+    big_k, n_alg, boost = _peel_order(mdl, xz, tol / 2 if factor else tol)
+    with mp.extradps(boost):
+        weights = periodic_weights(mdl)
+        base = _closed_base(mdl, xz, big_k, n_alg, weights)
     if not factor:
-        return _closed_base(mdl, xz, tol)
-    return (_closed_base(mdl, xz, tol / 2)
-            + factor * dirichlet_delta(mdl, xz, tol / (2 * abs(factor))))
+        return +base
+    return base + factor * dirichlet_delta(mdl, xz, tol / (2 * abs(factor)), weights)
 
 
 def sum_erfi(model, x, kind="median", tol="1e-12") -> SummationResult:

@@ -60,9 +60,10 @@ def test_delta_equals_weighted_theta():
 
 @pytest.mark.parametrize("x", ["0.001", "0.002+0.3j", "1e-5-0.2j"])
 def test_delta_equals_weighted_theta_near_the_axis(x):
-    """The per-residue recurrence of the lateral difference's Gaussian sum
-    (summation._gaussian_sum) against the theta recurrence here, which stays
-    a separate implementation."""
+    """The lateral difference's Gaussian sum (summation._gaussian_sum)
+    against the theta sum here.  The two share only the fixed-point stepping
+    kernel (specfun._quadratic_phase_sum), which has its own test; their
+    seeds, cutoffs and guard digits are separate."""
     assert checks.delta_theta_gap(mp.mpmathify(x), "1e-20") < mp.mpf("1e-14")
 
 
@@ -79,7 +80,7 @@ BOUNDARY_ALPHAS = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                    Fraction(1, 4), Fraction(3, 4)]
 
 
-@pytest.mark.parametrize("dps", [15, 25])
+@pytest.mark.parametrize("dps", [15, 25, 50])
 @pytest.mark.parametrize("alpha", BOUNDARY_ALPHAS)
 def test_eta_tilde_radial_error_estimate_covers_the_error(alpha, dps):
     with mp.workdps(dps):

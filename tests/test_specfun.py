@@ -12,6 +12,8 @@ from borelsum.specfun import (
     _algebraic,
     _dawson_maclaurin,
     _emodd_tail2,
+    _maclaurin_boost,
+    _quadratic_phase_sum,
     _remainder,
     _remainder_factor,
     dawson,
@@ -142,15 +144,57 @@ def test_deficit_family_against_library_erfi(name, dps):
 def test_dawson_maclaurin_cut(dps):
     """The Maclaurin sum alone, at the working precision, on |z| <= 1 where
     its terms cancel less than one digit: D(z) to 10^(3-dps) relative, so a
-    cut that fires early fails it (the boosted kernel hides such a cut)."""
+    cut that fires early fails it (the boosted kernel hides such a cut).
+    At |z| = 1e-3 and 1e-8 the sum is about z, so the fixed-point loop
+    needs its extra bits for 1/|z|; just below the crossover radius the sum
+    runs under the kernel's own boost for the digits it cancels."""
     with mp.workdps(dps):
-        for modulus in ("0.05", "0.3", "1"):
+        crossover = mp.sqrt((dps + 12) * mp.log(10))
+        for modulus in ("1e-8", "1e-3", "0.05", "0.3", "1", crossover * mp.mpf("0.99")):
             for angle in ("0", "0.4", "1.2", "2.6", "-0.7"):
                 z = mp.mpf(modulus) * mp.expj(mp.mpf(angle))
-                got = _dawson_maclaurin(z)
-                with mp.workdps(dps + 20):
+                boost = _maclaurin_boost(z, 0) if abs(z) > 1 else 0
+                with mp.extradps(boost):
+                    got = _dawson_maclaurin(z)
+                with mp.workdps(dps + boost + 20):
                     want = mp.sqrt(mp.pi) / 2 * mp.exp(-z * z) * mp.erfi(z)
                 assert abs(got - want) <= mp.mpf(10) ** (3 - dps) * abs(want), (dps, z)
+
+
+def _plain_phase_sum(term, ratio, step, n_first, n_last, stride, weight):
+    acc = mp.mpc(0)
+    for n in range(n_first, n_last + 1, stride):
+        acc += n**weight * term
+        term *= ratio
+        ratio *= step
+    return acc
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("weight", [0, 1])
+def test_quadratic_phase_sum_against_plain_loop(dps, weight):
+    """The fixed-point kernel of the theta and Gaussian sums against the same
+    recurrence in mpc at dps + 20, on the theta shape T = q^{n^2}, n = 12 k
+    + 5, with q = e^{pi i tau/12} so near the real axis that |step| = |q|^288
+    is 1 - 2e-6, over 2 10^4 steps.  Under the callers' drift guard of
+    2 log10(steps) + 3 digits the sum is good to 10^-dps times
+    sum |term| n^weight, and no worse than the mpc loop it replaces at the
+    same precision (without its own guard bits it is worse)."""
+    n_first, stride, steps = 5, 12, 20_000
+    n_last = n_first + stride * steps
+    with mp.workdps(dps):
+        tau = mp.mpc(mp.mpf(2) / 7, "2e-9")
+        with mp.extradps(int(2 * mp.log10(steps)) + 3):
+            seeds = (mp.expjpi(n_first**2 * tau / 12),
+                     mp.expjpi((24 * n_first + 144) * tau / 12), mp.expjpi(24 * tau))
+            got = _quadratic_phase_sum(*seeds, n_first, n_last, stride, weight)
+            mpc_loop = _plain_phase_sum(*seeds, n_first, n_last, stride, weight)
+    assert 1 - mp.mpf("1e-5") < abs(seeds[2]) < 1
+    with mp.workdps(dps + 20):
+        want = _plain_phase_sum(*seeds, n_first, n_last, stride, weight)
+        size = abs(_plain_phase_sum(*map(abs, seeds), n_first, n_last, stride, weight))
+        assert abs(got - want) <= mp.mpf(10) ** -dps * size, (dps, weight)
+        assert abs(got - want) <= abs(mpc_loop - want), (dps, weight)
 
 
 @pytest.mark.parametrize("dps", [330, 400])

@@ -233,6 +233,33 @@ def test_closed_route_rejects_left_half_plane():
         sum_erfi("trefoil", mp.mpc(0, 2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sum_erfi("trefoil", mp.mpc(2, "nan")),
+    lambda: sum_median("trefoil", mp.mpc("nan", 1)),
+    lambda: sum_erfi("poincare", mp.mpc("inf", 1), kind="mul"),
+    lambda: dirichlet_delta("trefoil", 2, tol="nan"),
+    lambda: dirichlet_delta("trefoil", mp.mpc(2, "inf")),
+], ids=["sum_erfi-x", "sum_median-x", "sum_erfi-inf-x", "delta-tol", "delta-x"])
+def test_non_finite_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("kind", ["mul", "mur", "median"])
+def test_closed_value_builds_the_weights_once(monkeypatch, kind):
+    """The closed base and the lateral difference share one weight table."""
+    calls = [0]
+    inner = summation.periodic_weights
+
+    def counted(mdl):
+        calls[0] += 1
+        return inner(mdl)
+
+    monkeypatch.setattr(summation, "periodic_weights", counted)
+    sum_erfi("poincare", mp.mpc(2, "1.5"), kind, tol="1e-16")
+    assert calls[0] == 1
+
+
 def test_model_names_are_validated():
     with pytest.raises(ValueError):
         sum_erfi("lens", 2)
