@@ -40,10 +40,10 @@ from .characters import chi12
 from .errors import ConvergenceError, DomainError
 from .specfun import (
     RayContour,
+    _log_gaussian_tail,
     _quadratic_phase_sum,
     extrapolation_gain,
     fit_poly_coeffs,
-    gaussian_tail,
     geometric_ladder,
     ray_integrate,
     richardson_limit,
@@ -62,7 +62,10 @@ _SERIES_BUDGET = 2_000_000
 
 def _gauss_cutoff(beta, s: int, target) -> int:
     n = max(8, int(ceil(sqrt(float((mp.dps + 5) * mp.log(10) / beta)))))
-    while gaussian_tail(n, beta, s) > target:
+    # the float tail is good to about 1e-15 relative; 1e-9 keeps the cut
+    # on the side of the mpf bound gaussian_tail
+    b, log_target = float(beta), float(mp.log(target)) - 1e-9
+    while _log_gaussian_tail(n, b, s) > log_target:
         n = int(n * 1.3) + 1
         if n > _SERIES_BUDGET:
             raise ConvergenceError("theta series cutoff exceeded the term budget")

@@ -22,12 +22,17 @@ mpf rounds relative to each value, so wp is the raised precision plus the
 bits of 1/|z| below |z| = 1 and 8 more.  Past the peak of its terms the cut
 |term| <= eps |sum| is decided on the integer parts of term and sum, so it
 needs no mp abs.  Above the crossover the divergent
-large-z series is A_k0: it is summed from k = k0, each term the last times
-(2k+1) w with w = 1/(2 z^2) formed once and (2k0-1)!! an exact integer, and
-cut at its smallest term or once a term falls below eps times the sum.  That
-cut is decided on the float logarithm of term over first term and a float
-shadow of sum over first term, so the loop does no mp division and no mp
-abs per step, at any precision.  R_k0 adds the Stokes term.
+large-z series is A_k0, summed from k = k0 in fixed point too: the first
+term (2k0-1)!! w^k0, w = 1/(2 z^2), times the sum of t_k = term_k/first,
+t <- (2k+1) w t on integers at wp = prec + 10 bits + the bits of |z|^2,
+since the factor 2k+1 < 2|z|^2 multiplies the rounding of w.  The loop
+stops at the smallest term, found once in floats, or once |t| <= 2^-16 eps
+times the sum on the integer norms, which leaves the dropped tail far below
+an ulp; one mpc product at wp gives A_k0.  R_k0 adds the Stokes term.  The
+sizing around the kernels is in floats: _maclaurin_boost takes |z|^2 from
+the float parts of z, _remainder_factor uses lgamma rounded up, and the
+Gaussian cutoffs of summation and modular compare _log_gaussian_tail, the
+log of the mpf bound gaussian_tail, with the log of their target.
 
 For |arg z| < pi/4, A_K(z) is the erfc remainder at w = -+ i z.  DLMF
 7.12(i) bounds it by csc(2|arg z|) times the first neglected term
@@ -162,14 +167,20 @@ def _stokes(z):
     return s * mp.j * mp.sqrt(mp.pi) * z * mp.exp(-z * z) if s else mp.mpf(0)
 
 
+def _abs2(zz) -> float:
+    """|z|^2 from the float parts of z; inf past the float range."""
+    re, im = float(zz.real), float(zz.imag)
+    return re * re + im * im
+
+
 def _maclaurin_boost(zz, k0: int):
     """Guard digits of the Maclaurin branch, or None past the crossover
     |z|^2 = (dps+12) ln 10: the Maclaurin sum cancels about 0.4343 |z|^2
     digits, and removing the k0 leading terms about 2 k0 log10|z| more."""
-    r2 = zz.real * zz.real + zz.imag * zz.imag
+    r2 = _abs2(zz)
     if r2 > (mp.dps + 12) * _LN10:
         return None
-    return int(0.4343 * r2 + 2 * k0 * mp.log10(1 + abs(zz))) + 12
+    return int(0.4343 * r2 + 2 * k0 * math.log10(1 + math.sqrt(r2))) + 12
 
 
 def _maclaurin_remainder(z, k0: int):
@@ -184,29 +195,37 @@ def _maclaurin_remainder(z, k0: int):
     return 2 * z * _dawson_maclaurin(z) - lead
 
 
-def _large_z_sum(zz, k0: int):
-    # sum_{k>=k0} of the divergent series, cut at its smallest term or below
-    # eps |acc|.  The cut compares log_t = ln|term/first|, which cannot
-    # underflow as eps and the term do past about 300 digits, with
-    # ln(eps |acc/first|), acc/first shadowed in complex floats
-    w = 1 / (2 * zz * zz)
-    term = acc = math.prod(range(1, 2 * k0, 2)) * w**k0
-    w_f = complex(w)
-    log_w = math.log(abs(w_f)) if w_f else float(mp.log(abs(w)))
-    log_eps = (1 - mp.prec) * math.log(2)  # ln eps
-    term_f = acc_f = 1 + 0j
-    log_t = 0.0
-    k = k0
-    while (log_ratio := math.log(2 * k + 1) + log_w) < 0:
-        log_t += log_ratio
-        if math.exp(min(log_t - log_eps, 700.0)) <= abs(acc_f):
-            break
-        term_f *= (2 * k + 1) * w_f
-        acc_f += term_f
-        term = term * w * (2 * k + 1)
-        acc += term
-        k += 1
-    return acc
+def _large_z_sum(z, k0: int):
+    # sum_{k>=k0} of the divergent series as first * S, first = (2k0-1)!! w^k0
+    # with w = 1/(2 z^2), S the sum of t_k = term_k/first: t_k0 = 1 and
+    # t <- (2k+1) w t, on integers scaled by 2^wp.  Up to the smallest term,
+    # where (2k+1)|w| reaches 1, |t| <= 1, so each step rounds once, to
+    # 2^-wp absolute, after the product by 2k+1; that factor, below 2|z|^2,
+    # also multiplies the rounding of w, so wp adds to prec the bits of |z|^2
+    # and 10 more.  Before the smallest term the loop stops at |t| <=
+    # 2^-16 eps |S|, decided on integer norms as in _dawson_maclaurin: no
+    # earlier than the cut |t| <= eps |S| on the values, with no float, which
+    # eps underflows past 300 digits.  The tail that cut drops can reach an
+    # ulp of S; the 16 bits leave it far below one, so with w, first and
+    # first * S formed at wp, the sum is rounded to prec once, and no worse
+    # than the same loop in mpc
+    zz = mp.mpc(z)
+    r2 = min(_abs2(zz), 1e18)  # past 1e18 the cut fires within a few terms
+    shift = mp.prec + 15  # 2^-16 eps, eps = 2^(1 - prec)
+    wp = mp.prec + 10 + math.ceil(r2).bit_length()
+    with mp.workprec(wp):
+        w = 1 / (2 * zz * zz)
+        wr, wi = _to_fixed(w, wp)
+        tr, ti = ar, ai = 1 << wp, 0
+        for k in range(k0, math.ceil(r2 - 0.5)):  # while (2k+1) |w| < 1
+            d = 2 * k + 1
+            tr, ti = (d * (tr * wr - ti * wi)) >> wp, (d * (tr * wi + ti * wr)) >> wp
+            if (abs(tr) + abs(ti)) << shift <= max(abs(ar), abs(ai)):
+                break
+            ar += tr
+            ai += ti
+        acc = math.prod(range(1, 2 * k0, 2)) * w**k0 * _from_fixed(ar, ai, wp)
+    return +acc
 
 
 def _remainder(z, k0: int):
@@ -236,12 +255,16 @@ def _algebraic(z, k0: int):
     return +acc
 
 
-def _remainder_factor(k0: int, phase):
+def _remainder_factor(k0: int, phase) -> float:
     """C with |A_k0(z)| <= C (2k0-1)!!/|2 z^2|^k0, hence |R_k0(z)| <= that
-    plus sqrt(pi) |z| e^{-Re z^2}, when 2|arg z| = phase < pi/2."""
-    p = k0 - mp.mpf(1) / 2
-    stokes = 1 + mp.sqrt(mp.pi) * mp.gamma(p / 2 + 1) / mp.gamma(p / 2 + mp.mpf(1) / 2)
-    return stokes if phase == 0 else min(stokes, 1 / mp.sin(phase))
+    plus sqrt(pi) |z| e^{-Re z^2}, when 2|arg z| = phase < pi/2; a float,
+    rounded up."""
+    p = k0 - 0.5
+    stokes = 1 + math.sqrt(math.pi) * math.exp(math.lgamma(p / 2 + 1) - math.lgamma(p / 2 + 0.5))
+    if phase:
+        stokes = min(stokes, 1 / math.sin(float(phase)))
+    # 2^-40 relative is far above the rounding of lgamma, exp and sin
+    return stokes * (1 + 2.0**-40)
 
 
 def dawson(z):
@@ -425,6 +448,20 @@ def gaussian_tail(n_cut: int, beta, s: int = 0):
     if s == 1:
         return head * (n_cut * g1 + g2)
     raise ValueError("s must be 0 or 1")
+
+
+def _log_gaussian_tail(n_cut: int, b: float, s: int = 0) -> float:
+    """ln gaussian_tail(n_cut, b, s) in floats, for the cutoff loops:
+    -b n^2 - 2 b n - ln(1 - q), plus ln(n + 1/(1 - q)) when s = 1, with
+    1 - q = -expm1(-2 b n), which neither underflows to 0 as q does nor
+    rounds to 0 as 1 - q does for small b n.  inf when b is not positive,
+    as when beta underflows a float."""
+    x = 2 * b * n_cut
+    if not x > 0:
+        return math.inf
+    one_minus_q = -math.expm1(-x)
+    out = -b * n_cut * n_cut - x - math.log(one_minus_q)
+    return out + math.log(n_cut + 1 / one_minus_q) if s else out
 
 
 def richardson_limit(hs, vals):

@@ -67,6 +67,7 @@ from .specfun import (
     RayContour,
     _adaptive_segment,
     _algebraic,
+    _log_gaussian_tail,
     _quadratic_phase_sum,
     _remainder_factor,
     dawson_deficit,
@@ -226,8 +227,11 @@ def _gaussian_terms(mdl: SqrtBranched, x, scale, tol):
     total the terms can reach under tol."""
     law = mdl.tail
     beta = mp.mpf(law.eta_lower) * mp.re(x)
+    # the float tail is good to about 1e-15 relative; 1e-9 keeps the cut
+    # on the side of the mpf bound
+    b, log_target = float(beta), float(mp.log(tol / 2)) - float(mp.log(scale)) - 1e-9
     n = 8
-    while scale * gaussian_tail(n, beta, law.power) > tol / 2:
+    while _log_gaussian_tail(n, b, law.power) > log_target:
         n = _grid(n + 1)
         if n > TERM_BUDGET:
             raise ConvergenceError("lateral difference: Re x too small for the budget")
@@ -303,10 +307,11 @@ def _peel_order(mdl: SqrtBranched, x, tol):
                 - (j + 0.5) * math.log(law.eta_lower))
 
     log_tol = float(mp.log(tol))
+    phase = abs(float(mp.arg(x)))
 
     def terms(big_k: int) -> float:
         log_c = (log_order(big_k) - math.log(2 * big_k - s) - log_tol
-                 + math.log(float(_remainder_factor(big_k, abs(mp.arg(x))))))
+                 + math.log(_remainder_factor(big_k, phase)))
         return math.exp(min(log_c / (2 * big_k - s), 100.0))
 
     big_k = m + 2

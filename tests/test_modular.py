@@ -1,21 +1,24 @@
 """Theta-built eta functions, their boundary limits, and the g function."""
 
 from fractions import Fraction
+from math import ceil, sqrt
 
 import pytest
 from mpmath import mp
 
 from borelsum import checks
 from borelsum.characters import chi12
-from borelsum.errors import DomainError
+from borelsum.errors import ConvergenceError, DomainError
 from borelsum.invariants import phi
 from borelsum.modular import (
+    _gauss_cutoff,
     eta,
     eta_tilde,
     eta_tilde_radial,
     zagier_g,
     zagier_g_taylor,
 )
+from borelsum.specfun import gaussian_tail
 
 G_AT_ONE = mp.mpc("0.0999004225046296", "-0.241180954897479")
 
@@ -110,6 +113,31 @@ def test_theta_sum_transcendental_call_budget(monkeypatch):
         calls[0] = 0
         run()
         assert calls[0] <= budget
+
+
+def _mpf_gauss_cutoff(beta, s, target):
+    """_gauss_cutoff with its loop on the mpf bound gaussian_tail, kept as
+    the reference for the float log-domain loop."""
+    n = max(8, int(ceil(sqrt(float((mp.dps + 5) * mp.log(10) / beta)))))
+    while gaussian_tail(n, beta, s) > target:
+        n = int(n * 1.3) + 1
+        if n > 2_000_000:
+            raise ConvergenceError("theta series cutoff exceeded the term budget")
+    return n
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_gauss_cutoff_equals_the_mpf_loop(dps):
+    """The theta cutoff in floats picks the same count as the mpf loop, for
+    Im tau from 1e-5 to 1e3 at the target _theta_sum sets, with both
+    weights."""
+    with mp.workdps(dps):
+        for j in range(33):
+            beta = mp.pi * mp.mpf(10) ** (-5 + mp.mpf(j) / 4) / 12
+            target = mp.exp(-beta) * mp.mpf(10) ** (-(dps + 5))
+            for s in (0, 1):
+                assert _gauss_cutoff(beta, s, target) == _mpf_gauss_cutoff(beta, s, target), (
+                    beta, s)
 
 
 def _plain_theta_sums(tau, dps):

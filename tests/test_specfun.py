@@ -1,5 +1,6 @@
 """Error-function kin, ray quadrature, tail bounds, extrapolation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from borelsum.specfun import (
     _algebraic,
     _dawson_maclaurin,
     _emodd_tail2,
+    _large_z_sum,
+    _log_gaussian_tail,
     _maclaurin_boost,
     _quadratic_phase_sum,
     _remainder,
@@ -212,6 +215,88 @@ def test_large_z_cut_past_the_float_range(dps):
             assert abs(got - want) <= 10 * eps * abs(want)
 
 
+def _plain_large_z_sum(z, k0):
+    """The large-z series from k = k0 in mpc, one product per factor, to its
+    smallest term or until a term is below eps times the sum; also returns
+    sum |term|."""
+    w = 1 / (2 * z * z)
+    term = acc = mp.fac2(2 * k0 - 1) * w**k0
+    size = abs(term)
+    k = k0
+    while (2 * k + 1) * abs(w) < 1:
+        term = term * w * (2 * k + 1)
+        if abs(term) <= mp.eps * abs(acc):
+            break
+        acc += term
+        size += abs(term)
+        k += 1
+    return acc, size
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_large_z_sum_against_plain_loop(dps):
+    """The fixed-point large-z loop against the same series in mpc at
+    dps + 20, from 1.25 to 4 times the crossover radius, on and off the
+    diagonals: good to 10^-dps sum |term|, and no worse than the mpc loop
+    at the same precision."""
+    with mp.workdps(dps):
+        crossover = mp.sqrt((dps + 12) * mp.log(10))
+        near_diagonal = mp.pi / 4 - mp.mpf("1e-3")
+        angles = [mp.mpf(a) for a in ("0", "0.4", "-1.2", "2.6")] + [near_diagonal,
+                                                                      -near_diagonal]
+        for k0 in (0, 1, 2, 4, 7):
+            for factor in ("1.25", "2", "4"):
+                for angle in angles:
+                    z = crossover * mp.mpf(factor) * mp.expj(angle)
+                    got = _large_z_sum(z, k0)
+                    mpc_loop, _ = _plain_large_z_sum(z, k0)
+                    with mp.workdps(dps + 20):
+                        want, size = _plain_large_z_sum(z, k0)
+                        err = abs(got - want)
+                        assert err <= mp.mpf(10) ** -dps * size, (dps, k0, z)
+                        assert err <= abs(mpc_loop - want), (dps, k0, z)
+
+
+def test_large_z_sum_multiplication_budget(monkeypatch):
+    """At 400 digits and z = 40 the large-z loop runs about 390 steps, on
+    integers: the mpc products are a fixed handful, as in the theta
+    recurrence's transcendental budget, where the mpc loop made two a
+    step."""
+    mpc_type = type(mp.mpc(1))
+    calls = [0]
+
+    def counted(name):
+        inner = getattr(mpc_type, name)
+
+        def count(self, other):
+            calls[0] += 1
+            return inner(self, other)
+
+        monkeypatch.setattr(mpc_type, name, count)
+
+    with mp.workdps(400):
+        z = mp.mpc(40)
+        counted("__mul__")
+        counted("__rmul__")
+        _large_z_sum(z, 1)
+    assert calls[0] <= 4
+
+
+@pytest.mark.parametrize("phase", ["0", "0.3", "1.5"])
+def test_remainder_factor_bounds_its_gamma_form(phase):
+    """The float factor is never below the mp.gamma form at 50 digits, and
+    above it by no more than its relative 2^-40 rounding up."""
+    with mp.workdps(50):
+        phi = mp.mpf(phase)
+        for k0 in range(1, 61):
+            p = k0 - mp.mpf(1) / 2
+            exact = 1 + mp.sqrt(mp.pi) * mp.gamma(p / 2 + 1) / mp.gamma(p / 2 + mp.mpf(1) / 2)
+            if phi:
+                exact = min(exact, 1 / mp.sin(phi))
+            got = _remainder_factor(k0, phi)
+            assert exact <= got <= exact * (1 + mp.mpf(2) ** -39), (k0, phase)
+
+
 @pytest.mark.parametrize("k0", range(2, 13))
 def test_remainder_bound_majorizes_the_remainder(k0):
     """|R_K(z)| <= C (2K-1)!!/|2 z^2|^K + sqrt(pi) |z| e^{-Re z^2} on |z| in
@@ -288,6 +373,31 @@ def test_gaussian_tail_bounds_the_actual_tail(n_cut, beta_10x, s):
 def test_gaussian_tail_decreases_in_cutoff():
     vals = [gaussian_tail(n, mp.mpf("0.5"), 1) for n in (5, 10, 20)]
     assert vals[0] > vals[1] > vals[2] > 0
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_log_gaussian_tail_matches_gaussian_tail(s):
+    """The float log-domain tail against ln gaussian_tail at 30 digits, from
+    2 beta n near 1e-12, where q = e^{-2 beta n} rounds to 1, to past 745,
+    where q underflows a float to 0."""
+    with mp.workdps(30):
+        for beta in ("1e-14", "1e-7", "0.003", "0.5", "2", "60", "1e3"):
+            for n in (1, 8, 39, 300, 5000):
+                got = _log_gaussian_tail(n, float(beta), s)
+                want = mp.log(gaussian_tail(n, mp.mpf(beta), s))
+                assert abs(got - want) <= 1e-12 * max(1, abs(want)), (beta, n, s)
+
+
+def test_log_gaussian_tail_at_the_float_edges():
+    """e^{-2 b n} underflows to 0 for b n > 373 and the tail stays finite;
+    a beta that underflows a float to 0, or a subnormal one, reads as an
+    infinite tail rather than dividing by zero."""
+    assert math.exp(-2 * 1e3 * 8) == 0
+    assert _log_gaussian_tail(8, 1e3, 0) == -64e3 - 16e3
+    assert _log_gaussian_tail(8, 1e3, 1) == pytest.approx(-80e3 + math.log(9), abs=1e-9)
+    for s in (0, 1):
+        assert _log_gaussian_tail(8, 0.0, s) == math.inf
+        assert _log_gaussian_tail(8, 5e-324, s) > 700
 
 
 def test_richardson_exact_on_polynomials():

@@ -1,5 +1,6 @@
 """Lateral and median resummations: closed route, integrals, cross-checks."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from mpmath import mp
 
 from borelsum import checks, specfun, summation
 from borelsum.borel import SqrtBranched, poincare_borel, trefoil_borel
-from borelsum.errors import DomainError, RayGeometryError, ToleranceError
+from borelsum.errors import ConvergenceError, DomainError, RayGeometryError, ToleranceError
 from borelsum.modular import zagier_g
 from borelsum.summation import (
     AverageKind,
@@ -208,6 +209,54 @@ def test_closed_route_sums_delta_at_most_once(monkeypatch, model):
         calls[0] = 0
         sum_erfi(model, x, kind, tol="1e-16")
         assert calls[0] == want, (x, kind)
+
+
+def _mpf_gaussian_terms(mdl, x, scale, tol):
+    """_gaussian_terms with its cutoff loop on the mpf bound gaussian_tail,
+    kept as the reference for the float log-domain loop."""
+    law = mdl.tail
+    beta = mp.mpf(law.eta_lower) * mp.re(x)
+    n = 8
+    while scale * specfun.gaussian_tail(n, beta, law.power) > tol / 2:
+        n = summation._grid(n + 1)
+        if n > summation.TERM_BUDGET:
+            raise ConvergenceError("lateral difference: Re x too small for the budget")
+    size = scale * (mp.exp(-beta) + specfun.gaussian_tail(1, beta, law.power))
+    return n, max(0, int(mp.ceil(mp.log10(size * summation._roundoff_floor() / tol))))
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("model", [trefoil_borel, poincare_borel])
+def test_gaussian_terms_equal_the_mpf_loop(model, dps):
+    """The float cutoff of the lateral difference picks the same count and
+    guard as the mpf loop, on Re x from 1e-5 to 1e3 and tolerances from
+    the roundoff floor to 1e-10; at the top of the range e^{-2 beta n}
+    underflows a float, and at the bottom both exceed the term budget."""
+    mdl = model()
+    with mp.workdps(dps):
+        assert math.exp(-2 * mdl.tail.eta_lower * 1e3 * 8) == 0
+        for j in range(33):
+            x = mp.mpc(mp.mpf(10) ** (-5 + mp.mpf(j) / 4), "0.7")
+            pref = mp.gamma(1 - mp.mpf(mdl.k) / 2) * mp.power(x, mp.mpf(mdl.k) / 2 - 1)
+            scale = abs(pref) * mdl.tail.coeff_bound
+            for tol in (summation._roundoff_floor(), mp.mpf(10) ** (5 - dps), mp.mpf("1e-10")):
+                try:
+                    want = _mpf_gaussian_terms(mdl, x, scale, tol)
+                except ConvergenceError:
+                    with pytest.raises(ConvergenceError):
+                        summation._gaussian_terms(mdl, x, scale, tol)
+                    continue
+                assert summation._gaussian_terms(mdl, x, scale, tol) == want, (x, tol)
+
+
+@pytest.mark.parametrize("re_part", ["1e-320", "1e-330"])
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_dirichlet_delta_with_beta_below_the_float_range(model, re_part):
+    """Re x so small that beta is subnormal or 0 as a float: the cutoff
+    runs into the term budget, as the mpf loop did, and does not divide
+    by zero."""
+    with pytest.raises(ConvergenceError):
+        dirichlet_delta(model, mp.mpc(re_part, 1), tol="1e-10")
 
 
 def test_laterals_differ_by_twice_delta():
