@@ -184,13 +184,14 @@ def periodic_power_sum(g: SqrtBranched, s, weights: tuple | None = None):
 
     Reduces to Hurwitz zeta values zeta(2s - p, a/period) at the residues a,
     exact at working precision.  Cached per w_1..w_period, eta_1, p, s and
-    precision, the data the sum depends on; weights, when given, must be
-    periodic_weights(g) at the working precision.  A new entry first checks
-    w over a second period and raises ValueError where c_n / n^p is not
-    periodic."""
+    precision, the data the sum depends on (w and eta_1 by their raw mpf
+    tuples, which hash and compare faster than mpf objects); weights, when
+    given, must be periodic_weights(g) at the working precision.  A new
+    entry first checks w over a second period and raises ValueError where
+    c_n / n^p is not periodic."""
     w = periodic_weights(g) if weights is None else weights
     p, period = g.tail.power, g.period
-    key = (w, g.eta(1), p, str(s), mp.prec)
+    key = (tuple(w_a._mpf_ for w_a in w), mp.mpf(g.eta(1))._mpf_, p, str(s), mp.prec)
     if key in _PERIODIC_SUM_CACHE:
         return _PERIODIC_SUM_CACHE[key]
     for a, w_a in enumerate(w, 1):

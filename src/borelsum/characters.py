@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 from mpmath import mp
 
-from .series import bernoulli_poly
+from .series import _BERNOULLI, bernoulli_number
 
 __all__ = [
     "DirichletCharacter",
@@ -72,8 +72,25 @@ def chi60(which: int) -> DirichletCharacter:
 def bernoulli_delta(m: int) -> Fraction:
     """B_m(1/12) - B_m(5/12), the Bernoulli difference that the mod-12
     character's even L-values, the trefoil coefficients and the Taylor
-    coefficients of its Borel transform are all rational multiples of."""
-    return bernoulli_poly(m, Fraction(1, 12)) - bernoulli_poly(m, Fraction(5, 12))
+    coefficients of its Borel transform are all rational multiples of.
+
+    Summed as one integer dot product: with L the common denominator of
+    B_0..B_m,
+
+        12^m L (B_m(1/12) - B_m(5/12)) = sum_k C(m, k) (L B_k) 12^k (1 - 5^{m-k}).
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    bernoulli_number(m)  # fills the cached B_0..B_m
+    bs = _BERNOULLI[:m + 1]
+    den = lcm(*(b.denominator for b in bs))
+    total, p12, p5 = 0, 1, 5**m  # p12 = 12^k, p5 = 5^{m-k}
+    for k, b in enumerate(bs):
+        if b:
+            total += comb(m, k) * b.numerator * (den // b.denominator) * p12 * (1 - p5)
+        p12 *= 12
+        p5 //= 5
+    return Fraction(total, den * 12**m)
 
 
 def l_value_exact(n: int) -> tuple[Fraction, int]:

@@ -4,32 +4,43 @@ Roots of unity are always addressed by a rational angle alpha (q = e^{2 pi i
 alpha}), never by a floating-point q.  The finite sums are summed by one
 complex loop at the working precision, whatever the denominator.
 
-The two coefficient tables:
+The two coefficient tables, exact, built on Python integers:
 
-- trefoil: sum a_n n!/(2n+1)! p^{2n+1} = sin(2p) / (2 cos(3p)), with the
-  closed form a_n = 24^n 6 (-6)^n / (n+1)! * (B_{2n+2}(1/12) - B_{2n+2}(5/12))
-  as an independent second route.  The a_n are rational, not integral
-  (a_2 = 1681/2).
+- trefoil: sum a_n n!/(2n+1)! p^{2n+1} = sin(2p) / (2 cos(3p)).  The a_n are
+  rational, not integral (a_2 = 1681/2).
 - poincare: sum a_n/(2n)! p^{2n} = cos(5p) cos(9p) / cos(15p); a_0 = 1,
   a_1 = 119.
+
+Both generating functions are quotients N/D of even-or-odd trigonometric
+series, taken by one exponential-generating-function recurrence: with
+N = sum n_i p^i/i!, D = sum d_i p^i/i! (d_0 = 1, D even) and
+N/D = sum q_i p^i/i!,
+
+    q_i = n_i - sum_{j >= 2 even} C(i, j) d_j q_{i-j},
+
+all integers.  For poincare n_i = (-1)^{i/2} (4^i + 14^i)/2 at even i (since
+cos 5p cos 9p = (cos 4p + cos 14p)/2), d_i = (-1)^{i/2} 15^i and a_n = q_{2n}.
+For the trefoil n_i = (-1)^{(i-1)/2} 2^{i-1} at odd i, d_i = (-1)^{i/2} 3^i
+and a_n = q_{2n+1}/n!.
+
+The trefoil has an independent second route, the closed form
+
+    a_n = 24^n 6 (-6)^n / (n+1)! * (B_{2n+2}(1/12) - B_{2n+2}(5/12)),
+
+whose Bernoulli difference characters.bernoulli_delta sums as one integer
+dot product over Bernoulli numbers; it shares no code with the recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from mpmath import mp
 
 from .characters import bernoulli_delta
-from .series import (
-    FormalSeries,
-    cos_series,
-    series_product,
-    series_quotient_even,
-    sin_series,
-)
+from .series import FormalSeries
 
 __all__ = [
     "RationalAngle",
@@ -126,6 +137,18 @@ class CoefficientTable:
         return FormalSeries(tuple(self.scaled(n) for n in range(len(self.a))), "inverse-x")
 
 
+def _egf_quotient(num: list[int], den: list[int], r: int) -> list[int]:
+    """q_{2n+r} for n < len(num): the EGF coefficients of N/D, given
+    num[n] = n_{2n+r} (r = 0 or 1 for an even or odd N) and den[k] = d_{2k}
+    of an even D with d_0 = 1, by
+    q_i = n_i - sum_{k>=1} C(i, 2k) d_{2k} q_{i-2k}."""
+    q: list[int] = []
+    for n, n_i in enumerate(num):
+        i = 2 * n + r
+        q.append(n_i - sum(comb(i, 2 * k) * den[k] * q[n - k] for k in range(1, n + 1)))
+    return q
+
+
 def trefoil_coeffs(order: int, route: str = "generating-function") -> CoefficientTable:
     """a_0..a_order for the trefoil model via the requested route."""
     if order < 1:
@@ -138,14 +161,10 @@ def trefoil_coeffs(order: int, route: str = "generating-function") -> Coefficien
         return CoefficientTable("trefoil", a, route)
     if route != "generating-function":
         raise ValueError(f"route must be one of {_ROUTES}")
-    n_coeffs = 2 * order + 2
-    num = sin_series(2, n_coeffs)
-    cos3 = cos_series(3, n_coeffs)
-    den = FormalSeries(tuple(2 * c for c in cos3.coeffs), "p")
-    q = series_quotient_even(num, den)
-    a = tuple(
-        q[2 * n + 1] * Fraction(factorial(2 * n + 1), factorial(n)) for n in range(order + 1)
-    )
+    # sin 2p / 2 = sum (-1)^n 2^{2n} p^{2n+1}/(2n+1)!, cos 3p = sum (-1)^k 9^k p^{2k}/(2k)!
+    num = [(-4) ** n for n in range(order + 1)]
+    den = [(-9) ** k for k in range(order + 1)]
+    a = tuple(Fraction(q, factorial(n)) for n, q in enumerate(_egf_quotient(num, den, 1)))
     return CoefficientTable("trefoil", a, route)
 
 
@@ -153,9 +172,8 @@ def poincare_coeffs(order: int) -> CoefficientTable:
     """a_0..a_order for the Poincare model from the even trigonometric quotient."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    n_coeffs = 2 * order + 1
-    num = series_product(cos_series(5, n_coeffs), cos_series(9, n_coeffs))
-    den = cos_series(15, n_coeffs)
-    q = series_quotient_even(num, den)
-    a = tuple(q[2 * n] * factorial(2 * n) for n in range(order + 1))
+    # cos 5p cos 9p = (cos 4p + cos 14p)/2; d_{2k} of cos 15p is (-225)^k
+    num = [(-1) ** n * ((16**n + 196**n) // 2) for n in range(order + 1)]
+    den = [(-225) ** k for k in range(order + 1)]
+    a = tuple(Fraction(q) for q in _egf_quotient(num, den, 0))
     return CoefficientTable("poincare", a, "generating-function")

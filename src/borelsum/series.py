@@ -23,11 +23,7 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "borel_transform",
-    "hadamard_product",
-    "series_product",
     "series_quotient_even",
-    "cos_series",
-    "sin_series",
 ]
 
 _KINDS = ("inverse-x", "p")
@@ -110,35 +106,12 @@ def borel_transform(series: FormalSeries) -> FormalSeries:
     return FormalSeries(tuple(out), "p")
 
 
-def hadamard_product(f: FormalSeries, g: FormalSeries) -> FormalSeries:
-    """Coefficientwise product; identity element is the all-ones series."""
-    if f.variable_kind != g.variable_kind:
-        raise ValueError("hadamard_product needs matching variable kinds")
-    n = min(f.order, g.order)
-    return FormalSeries(tuple(f.coeffs[i] * g.coeffs[i] for i in range(n)), f.variable_kind)
-
-
-def series_product(f: FormalSeries, g: FormalSeries) -> FormalSeries:
-    """Cauchy product truncated to min(f.order, g.order)."""
-    if f.variable_kind != g.variable_kind:
-        raise ValueError("series_product needs matching variable kinds")
-    n = min(f.order, g.order)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        fi = f.coeffs[i]
-        if not fi:
-            continue
-        for j in range(n - i):
-            out[i + j] += fi * g.coeffs[j]
-    return FormalSeries(tuple(out), f.variable_kind)
-
-
 def series_quotient_even(num: FormalSeries, den: FormalSeries) -> FormalSeries:
-    """Long division num/den of truncated series in p.
+    """Long division num/den of truncated series in p, of any parity.
 
-    Intended for the even/odd trigonometric quotients that produce the
-    coefficient tables; works for any parity.  Rejects denominators with zero
-    constant term, for which no power-series quotient exists.
+    Rejects denominators with zero constant term, for which no power-series
+    quotient exists.  (The coefficient tables in invariants divide on
+    integers instead; see its module docstring.)
     """
     if num.variable_kind != "p" or den.variable_kind != "p":
         raise ValueError("series_quotient_even operates on p-series")
@@ -153,27 +126,3 @@ def series_quotient_even(num: FormalSeries, den: FormalSeries) -> FormalSeries:
             acc -= den.coeffs[j] * q[i - j]
         q[i] = acc / d0
     return FormalSeries(tuple(q), "p")
-
-
-def cos_series(m: int, order: int) -> FormalSeries:
-    """Truncation of cos(m p) to the given order (number of coefficients)."""
-    out = [Fraction(0)] * order
-    fact = Fraction(1)
-    for i in range(order):
-        if i > 0:
-            fact *= i
-        if i % 2 == 0:
-            out[i] = Fraction((-1) ** (i // 2) * m**i) / fact
-    return FormalSeries(tuple(out), "p")
-
-
-def sin_series(m: int, order: int) -> FormalSeries:
-    """Truncation of sin(m p) to the given order."""
-    out = [Fraction(0)] * order
-    fact = Fraction(1)
-    for i in range(order):
-        if i > 0:
-            fact *= i
-        if i % 2 == 1:
-            out[i] = Fraction((-1) ** ((i - 1) // 2) * m**i) / fact
-    return FormalSeries(tuple(out), "p")

@@ -8,12 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
-from borelsum import checks
+from borelsum import borel, checks
 from borelsum.borel import (
     TERM_BUDGET,
     SqrtBranched,
     TailLaw,
     periodic_power_sum,
+    periodic_weights,
     poincare_borel,
     poincare_coefficient_trig,
     taylor_coeffs,
@@ -171,6 +172,23 @@ def test_periodic_power_sum_checks_the_structure():
                          TailLaw(3.34, 2, 1.64, 1.645), period=12)
     with pytest.raises(ValueError):
         periodic_power_sum(loose, 2)
+
+
+def test_periodic_power_sum_keys_on_every_weight(monkeypatch):
+    """Weight tables that differ in one entry are two cache entries."""
+    monkeypatch.setattr(borel, "_PERIODIC_SUM_CACHE", {})
+    mdl = trefoil_borel()
+    doubled = SqrtBranched("trefoil", mdl.k, mdl.a0, mdl.eta,
+                           lambda n: 2 * mdl.coeff(n) if n % 12 == 5 else mdl.coeff(n),
+                           mdl.tail, period=12)
+    w, w2 = periodic_weights(mdl), periodic_weights(doubled)
+    assert sum(a != b for a, b in zip(w, w2)) == 1
+    first = periodic_power_sum(mdl, 2)
+    second = periodic_power_sum(doubled, 2)
+    assert len(borel._PERIODIC_SUM_CACHE) == 2
+    assert first != second
+    assert periodic_power_sum(mdl, 2) == first
+    assert len(borel._PERIODIC_SUM_CACHE) == 2
 
 
 def test_appendix_route_conversion_factor():

@@ -1,13 +1,15 @@
 """Coefficient tables and root-of-unity evaluations of the finite sum."""
 
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from borelsum.characters import bernoulli_delta
 from borelsum.checks import TREFOIL_SCALED
 from borelsum.invariants import (
     CoefficientTable,
@@ -17,6 +19,7 @@ from borelsum.invariants import (
     poincare_coeffs,
     trefoil_coeffs,
 )
+from borelsum.series import bernoulli_poly
 
 TREFOIL_A = (
     Fraction(1),
@@ -130,3 +133,140 @@ def test_phi_at_integers_and_halves():
 def test_phi_alpha_two():
     # alpha = 2 reduces to the same finite sum as alpha = 0 with a new prefactor
     assert abs(phi(2) - mp.expjpi(mp.mpf(2) / 12)) < mp.mpf("1e-24")
+
+
+# ---------------------------------------------------------------------------
+# reference copy of the Fraction routines the tables were once built with:
+# truncated cos/sin series, Cauchy product, long division, and the difference
+# of two Bernoulli-polynomial sums; the library now builds the tables on
+# integers (see the invariants module docstring)
+
+REFERENCE_ORDER = 120
+
+
+def _ref_cos(m: int, order: int) -> list[Fraction]:
+    out = [Fraction(0)] * order
+    fact = Fraction(1)
+    for i in range(order):
+        if i > 0:
+            fact *= i
+        if i % 2 == 0:
+            out[i] = Fraction((-1) ** (i // 2) * m**i) / fact
+    return out
+
+
+def _ref_sin(m: int, order: int) -> list[Fraction]:
+    out = [Fraction(0)] * order
+    fact = Fraction(1)
+    for i in range(order):
+        if i > 0:
+            fact *= i
+        if i % 2 == 1:
+            out[i] = Fraction((-1) ** ((i - 1) // 2) * m**i) / fact
+    return out
+
+
+def _ref_product(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    n = min(len(f), len(g))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        if f[i]:
+            for j in range(n - i):
+                out[i + j] += f[i] * g[j]
+    return out
+
+
+def _ref_quotient(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+    n = min(len(num), len(den))
+    q = [Fraction(0)] * n
+    for i in range(n):
+        acc = num[i]
+        for j in range(1, i + 1):
+            acc -= den[j] * q[i - j]
+        q[i] = acc / den[0]
+    return q
+
+
+@cache
+def _ref_delta(m: int) -> Fraction:
+    return bernoulli_poly(m, Fraction(1, 12)) - bernoulli_poly(m, Fraction(5, 12))
+
+
+@cache
+def _ref_table(which: str, route: str) -> tuple[Fraction, ...]:
+    """a_0..a_REFERENCE_ORDER by the old routine; a table of lower order is
+    its prefix, since each a_n depends only on the series up to its own index."""
+    order = REFERENCE_ORDER
+    if which == "poincare":
+        n_coeffs = 2 * order + 1
+        q = _ref_quotient(_ref_product(_ref_cos(5, n_coeffs), _ref_cos(9, n_coeffs)),
+                          _ref_cos(15, n_coeffs))
+        return tuple(q[2 * n] * factorial(2 * n) for n in range(order + 1))
+    if route == "bernoulli-closed-form":
+        return tuple(Fraction(24) ** n * 6 * Fraction((-6) ** n, factorial(n + 1))
+                     * _ref_delta(2 * n + 2) for n in range(order + 1))
+    n_coeffs = 2 * order + 2
+    q = _ref_quotient(_ref_sin(2, n_coeffs), [2 * c for c in _ref_cos(3, n_coeffs)])
+    return tuple(q[2 * n + 1] * Fraction(factorial(2 * n + 1), factorial(n))
+                 for n in range(order + 1))
+
+
+@pytest.mark.parametrize("which,route", [
+    ("trefoil", "generating-function"),
+    ("trefoil", "bernoulli-closed-form"),
+    ("poincare", "generating-function"),
+])
+def test_tables_equal_the_fraction_reference(which, route):
+    reference = _ref_table(which, route)
+    for order in range(1, REFERENCE_ORDER + 1):
+        if which == "poincare":
+            table = poincare_coeffs(order)
+        else:
+            table = trefoil_coeffs(order, route=route)
+        assert table.a == reference[:order + 1], order
+        assert table.route == route
+
+
+def test_bernoulli_delta_equals_the_polynomial_difference():
+    for m in range(0, 2 * REFERENCE_ORDER + 3, 2):
+        assert bernoulli_delta(m) == _ref_delta(m), m
+
+
+def test_bernoulli_delta_rejects_negative_index():
+    with pytest.raises(ValueError):
+        bernoulli_delta(-2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_trig_series_coefficients(m):
+    c = _ref_cos(m, 9)
+    s = _ref_sin(m, 9)
+    for i in range(9):
+        if i % 2 == 0:
+            assert c[i] == Fraction((-1) ** (i // 2) * m**i, factorial(i))
+            assert s[i] == 0
+        else:
+            assert s[i] == Fraction((-1) ** ((i - 1) // 2) * m**i, factorial(i))
+            assert c[i] == 0
+
+
+def test_trig_pythagoras_through_truncation():
+    order = 10
+    c = _ref_cos(5, order)
+    s = _ref_sin(5, order)
+    total = [_ref_product(c, c)[i] + _ref_product(s, s)[i] for i in range(order)]
+    assert total[0] == 1
+    assert all(v == 0 for v in total[1:])
+
+
+small_fractions = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12)
+
+
+@given(
+    a=st.lists(small_fractions, min_size=1, max_size=5),
+    b=st.lists(small_fractions, min_size=1, max_size=5),
+)
+def test_series_product_matches_convolution(a, b):
+    prod = _ref_product(a, b)
+    for i in range(min(len(a), len(b))):
+        assert prod[i] == sum((a[j] * b[i - j] for j in range(i + 1)), Fraction(0))

@@ -12,11 +12,7 @@ from borelsum.series import (
     bernoulli_number,
     bernoulli_poly,
     borel_transform,
-    cos_series,
-    hadamard_product,
-    series_product,
     series_quotient_even,
-    sin_series,
 )
 
 # classic table, checked against the Akiyama-Tanigawa recurrence by hand
@@ -97,69 +93,21 @@ def test_borel_transform_requires_inverse_series():
         borel_transform(FormalSeries((Fraction(1), Fraction(2)), "p"))
 
 
-@given(
-    a=st.lists(small_fractions, min_size=1, max_size=6),
-    b=st.lists(small_fractions, min_size=1, max_size=6),
-)
-def test_hadamard_product_commutes(a, b):
-    f = FormalSeries(tuple(a), "p")
-    g = FormalSeries(tuple(b), "p")
-    left = hadamard_product(f, g)
-    right = hadamard_product(g, f)
-    assert left.coeffs == right.coeffs
-    n = min(len(a), len(b))
-    assert left.coeffs == tuple(a[i] * b[i] for i in range(n))
-
-
-@given(
-    a=st.lists(small_fractions, min_size=1, max_size=5),
-    b=st.lists(small_fractions, min_size=1, max_size=5),
-)
-def test_series_product_matches_convolution(a, b):
-    f = FormalSeries(tuple(a), "p")
-    g = FormalSeries(tuple(b), "p")
-    prod = series_product(f, g)
-    n = min(len(a), len(b))
-    for i in range(n):
-        expect = sum(
-            (a[j] * b[i - j] for j in range(i + 1) if j < len(a) and i - j < len(b)),
-            Fraction(0),
-        )
-        assert prod[i] == expect
+def _trig(m: int, order: int, odd: int) -> FormalSeries:
+    """cos(m p) (odd = 0) or sin(m p) (odd = 1) to the given order."""
+    return FormalSeries(tuple(
+        Fraction((-1) ** (i // 2) * m**i, factorial(i)) if i % 2 == odd else Fraction(0)
+        for i in range(order)), "p")
 
 
 def test_quotient_times_denominator_restores_numerator():
-    num = sin_series(2, 12)
-    den = cos_series(3, 12)
+    num = _trig(2, 12, odd=1)
+    den = _trig(3, 12, odd=0)
     q = series_quotient_even(num, den)
-    back = series_product(q, den)
-    assert back.coeffs == num.coeffs[: back.order]
+    back = tuple(sum(q[j] * den[i - j] for j in range(i + 1)) for i in range(q.order))
+    assert back == num.coeffs[: q.order]
 
 
 def test_quotient_rejects_zero_constant_term():
     with pytest.raises(ValueError):
-        series_quotient_even(cos_series(1, 4), sin_series(1, 4))
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_trig_series_coefficients(m):
-    c = cos_series(m, 9)
-    s = sin_series(m, 9)
-    for i in range(9):
-        if i % 2 == 0:
-            assert c[i] == Fraction((-1) ** (i // 2) * m**i, factorial(i))
-            assert s[i] == 0
-        else:
-            assert s[i] == Fraction((-1) ** ((i - 1) // 2) * m**i, factorial(i))
-            assert c[i] == 0
-
-
-def test_trig_pythagoras_through_truncation():
-    order = 10
-    c = cos_series(5, order)
-    s = sin_series(5, order)
-    total = [
-        series_product(c, c)[i] + series_product(s, s)[i] for i in range(order)
-    ]
-    assert total[0] == 1
-    assert all(v == 0 for v in total[1:])
+        series_quotient_even(_trig(1, 4, odd=0), _trig(1, 4, odd=1))
