@@ -6,16 +6,15 @@ tau}); both routes are exposed so they can be checked against each other.
 For |tau| < 1 the theta route applies eta(-1/tau) = sqrt(tau/i) eta(tau)
 once, which keeps term counts small uniformly along rays approaching 0.
 
-Both theta sums run over n = 12 k + r, r in {1, 5, 7, 11}.  A sum of at most
-35 terms (every eta in the quadrature at 25 digits) makes one expjpi call
-per term.  In a longer sum the terms k = 0, 1 of each residue come from
-expjpi, and past them each residue steps by two products per term from
-q^288 = expjpi(24 tau).  Near the real axis that turns thousands of expjpi
-calls into nine.  The recurrence runs under 2 log10(k_max) guard digits for
-the drift of its products plus log10 of an a-priori bound on sum |term|, the
-digits the sum cancels, and in fixed point: specfun._quadratic_phase_sum
-steps each residue on Python integers scaled by 2^wp, wp = prec + 10 bits
-at the guarded precision.
+Both theta sums come from two expjpi calls, q = e^{pi i tau/12} and Q = q^24:
+every n with chi(n) != 0 is prime to 6, so n^2 = 1 + 24 e_n with e_n whole,
+and the sum is q times the sum of chi(n) Q^{e_n} over the chains n = 6 k + 1
+and n = 6 k + 5, along each of which chi alternates and the terms step by two
+products per term, from Q^2, Q^3 and Q^4 formed once.  The cutoff is sized in
+floats; the chains run under 2 log10(k_max) guard digits for the drift of
+their products plus log10 of an a-priori bound on sum |term|, the digits the
+sum cancels, in fixed point: specfun._fixed_phase_sum steps each chain on
+Python integers scaled by 2^wp, wp = prec + 10 bits at the guarded precision.
 
 eta_tilde is the companion weighted by an extra factor n.  Its radial limits
 at rational points are finite even though the unweighted series has none,
@@ -36,12 +35,16 @@ from math import ceil, e, log10, pi, sqrt
 
 from mpmath import mp
 
-from .characters import chi12
 from .errors import ConvergenceError, DomainError
 from .specfun import (
+    _LN10,
+    _PHASE_GUARD_BITS,
     RayContour,
+    _fixed_mul,
+    _fixed_phase_sum,
+    _from_fixed,
     _log_gaussian_tail,
-    _quadratic_phase_sum,
+    _to_fixed,
     extrapolation_gain,
     fit_poly_coeffs,
     geometric_ladder,
@@ -60,11 +63,12 @@ __all__ = [
 _SERIES_BUDGET = 2_000_000
 
 
-def _gauss_cutoff(beta, s: int, target) -> int:
-    n = max(8, int(ceil(sqrt(float((mp.dps + 5) * mp.log(10) / beta)))))
+def _gauss_cutoff(b: float, s: int, log_target: float) -> int:
+    """The theta cutoff for b = float(beta); a b underflowing to 0 raises ConvergenceError."""
+    n = max(8, ceil(min(sqrt((mp.dps + 5) * _LN10 / b), _SERIES_BUDGET + 1))) if b > 0 else 8
     # the float tail is good to about 1e-15 relative; 1e-9 keeps the cut
     # on the side of the mpf bound gaussian_tail
-    b, log_target = float(beta), float(mp.log(target)) - 1e-9
+    log_target -= 1e-9
     while _log_gaussian_tail(n, b, s) > log_target:
         n = int(n * 1.3) + 1
         if n > _SERIES_BUDGET:
@@ -72,42 +76,23 @@ def _gauss_cutoff(beta, s: int, target) -> int:
     return n
 
 
-# past about 35 terms the recurrence beats one expjpi per term
-_DIRECT_TERMS = 35
-
-
-def _theta_head(tau, weight: int, n_max: int, chi):
-    """The terms n <= n_max, one expjpi each: their sum, and q^{n^2} by n."""
-    acc = mp.mpc(0)
-    head = {}
-    for n in range(1, n_max + 1):
-        if s := chi(n):
-            term = head[n] = mp.expjpi(mp.mpf(n) ** 2 * tau / 12)
-            acc += s * n * term if weight else s * term
-    return acc, head
-
-
 def _theta_sum(tau, weight: int):
-    # past the terms n <= 23, T_k = q^{n^2}, n = 12 k + r, q = e^{pi i tau/12},
-    # steps as T_{k+1} = T_k R_k with R_k = T_{k+1}/T_k, and R_{k+1} = R_k q^288
-    chi = chi12()
-    beta = mp.pi * mp.im(tau) / 12
-    target = mp.exp(-beta) * mp.mpf(10) ** (-(mp.dps + 5))
-    n_terms = _gauss_cutoff(beta, weight, target)
-    if n_terms <= _DIRECT_TERMS:
-        return _theta_head(tau, weight, n_terms, chi)[0]
-    k_max = (n_terms - 1) // 12
+    # chi(n) q^{n^2} = q chi(n) Q^{e_n}, n^2 = 1 + 24 e_n; along n = 6 k + 1 and
+    # 6 k + 5 these step as T <- T R, R <- R Q^3 from (T, R) = (1, -Q^2) and (-Q, -Q^4)
+    b = pi * float(tau.imag) / 12
+    n_terms = _gauss_cutoff(b, weight, -b - (mp.dps + 5) * _LN10)
     # sum |term| is at most the integral of n^weight e^{-beta n^2} over n > 0
     # plus its largest value; the products drift by about k^2 ulps
-    b = float(beta)
     size = 1 / (2 * b) + 1 / sqrt(2 * e * b) if weight else sqrt(pi / b) / 2
-    with mp.extradps(int(2 * log10(k_max) + log10(size)) + 3):
-        acc, head = _theta_head(tau, weight, 23, chi)
-        step = mp.expjpi(24 * tau)
-        for r in (1, 5, 7, 11):  # the residues mod 12 where chi does not vanish
-            ratio = head[r + 12] / head[r] * step
-            acc += chi(r) * _quadratic_phase_sum(head[r + 12] * ratio, ratio * step, step,
-                                                 r + 24, n_terms, 12, weight)
+    with mp.extradps(int(2 * log10(n_terms // 6) + log10(max(1, size))) + 3):
+        wp = mp.prec + _PHASE_GUARD_BITS
+        p1 = _to_fixed(mp.expjpi(2 * tau), wp)  # Q, and below Q^2, Q^3, Q^4
+        p2 = _fixed_mul(p1, p1, wp)
+        p3, p4 = _fixed_mul(p2, p1, wp), _fixed_mul(p2, p2, wp)
+        ones = _fixed_phase_sum((1 << wp, 0), (-p2[0], -p2[1]), p3, 1, n_terms, 6, weight, wp)
+        fives = _fixed_phase_sum((-p1[0], -p1[1]), (-p4[0], -p4[1]), p3, 5, n_terms, 6,
+                                 weight, wp)
+        acc = mp.expjpi(tau / 12) * _from_fixed(ones[0] + fives[0], ones[1] + fives[1], wp)
     return +acc
 
 
@@ -182,9 +167,10 @@ def _g_direct(xr, tol):
     r_min = mp.pi * mp.sin(th) / (12 * digits * ln10)
     r_max = 12 * digits * ln10 / (mp.pi * mp.sin(th))
     contour = RayContour(th, r_min, r_max)
+    power = mp.mpf("-1.5")
 
     def integrand(z):
-        return mp.power(z - xr, mp.mpf("-1.5")) * eta(z)
+        return mp.power(z - xr, power) * eta(z)
 
     value, _ = ray_integrate(integrand, contour, mp.mpf(tol))
     return value

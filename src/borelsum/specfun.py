@@ -43,10 +43,11 @@ the smaller.
 
 The theta sums of modular and the Gaussian sum of the lateral difference
 step the same recurrence, T <- T R and R <- R Q per term, with |T|, |R| and
-|Q| at most 1.  _quadratic_phase_sum runs it in fixed point at
+|Q| at most 1.  _fixed_phase_sum runs it on Python integers scaled by 2^wp,
 wp = prec + 10 bits, after the caller has raised prec by its own guard for
 the drift of the products: four integer products and two shifts per
-complex product, with no normalisation.
+complex product, with no normalisation.  The theta sums seed it on
+integers, the Gaussian sum through its mpc wrapper _quadratic_phase_sum.
 
 Quadrature is composite Gauss-Legendre with cached nodes.  Each panel walks
 the orders 8, 12, 17, 24, 34 and returns the first value that agrees with the
@@ -95,6 +96,11 @@ def _from_fixed(re: int, im: int, wp: int):
     return mp.mpc(mp.mpf((re, -wp)), mp.mpf((im, -wp)))
 
 
+def _fixed_mul(x, y, wp: int):
+    """The product of two (re, im) pairs of integers scaled by 2^wp."""
+    return (x[0] * y[0] - x[1] * y[1]) >> wp, (x[0] * y[1] + x[1] * y[0]) >> wp
+
+
 # fixed point rounds each product down to a multiple of 2^-wp, a bias that
 # drifts like the rounding of the seeds at prec; these bits keep it well
 # below that, so the sum is no less accurate than the same recurrence in mpc
@@ -102,18 +108,17 @@ def _from_fixed(re: int, im: int, wp: int):
 _PHASE_GUARD_BITS = 10
 
 
-def _quadratic_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,
-                         weight: int):
+def _fixed_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,
+                     weight: int, wp: int):
     """sum of n^weight T_n over n = n_first, n_first + stride, ... <= n_last,
     where T_{n_first} = term and, from R = ratio, T <- T R and R <- R step
-    per stride.  Theta and Gaussian sums have this shape with |T|, |R| and
-    |step| at most 1, which bounds the fixed-point drift: the loop runs on
-    Python integers scaled by 2^wp, wp = prec + _PHASE_GUARD_BITS, each
-    complex product four integer products and two shifts."""
-    wp = mp.prec + _PHASE_GUARD_BITS
-    tr, ti = _to_fixed(term, wp)
-    rr, ri = _to_fixed(ratio, wp)
-    qr, qi = _to_fixed(step, wp)
+    per stride; every value an (re, im) pair of Python integers scaled by
+    2^wp.  Theta and Gaussian sums have this shape with |T|, |R| and |step|
+    at most 1, which bounds the drift: each complex product is four integer
+    products and two shifts."""
+    tr, ti = term
+    rr, ri = ratio
+    qr, qi = step
     scale = n_first**weight
     sr, si = scale * tr, scale * ti
     for n in range(n_first + stride, n_last + 1, stride):
@@ -126,7 +131,15 @@ def _quadratic_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: i
         else:
             sr += tr
             si += ti
-    return _from_fixed(sr, si, wp)
+    return sr, si
+
+
+def _quadratic_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,
+                         weight: int):
+    """_fixed_phase_sum on mpc seeds at wp = prec + _PHASE_GUARD_BITS, as an mpc."""
+    wp = mp.prec + _PHASE_GUARD_BITS
+    seeds = (_to_fixed(term, wp), _to_fixed(ratio, wp), _to_fixed(step, wp))
+    return _from_fixed(*_fixed_phase_sum(*seeds, n_first, n_last, stride, weight, wp), wp)
 
 
 def _dawson_maclaurin(z):

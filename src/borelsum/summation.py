@@ -418,13 +418,14 @@ def _eta_integral_value(xz, side, tol):
     contour = RayContour(theta, r_min, r_max)
     phase = mp.expj(-mp.mpf(3) / 2 * theta)
     x_rot = xz * mp.expj(-theta)
+    two_pi_i, power = 2 * mp.pi * mp.j, mp.mpf("-1.5")
 
     def integrand(z):
         # (x - z)^{-3/2} tracked as e^{-3 i theta/2} (x e^{-i theta} - r)^{-3/2};
         # the rotated difference keeps a constant imaginary part along the ray,
         # so the principal power never crosses its cut
         r = abs(z)
-        return eta(2 * mp.pi * mp.j * z) * phase * mp.power(x_rot - r, mp.mpf("-1.5"))
+        return eta(two_pi_i * z) * phase * mp.power(x_rot - r, power)
 
     scale = mp.sqrt(3) * abs(xz) ** mp.mpf("1.5")
     integral, _ = ray_integrate(integrand, contour, tol / scale)

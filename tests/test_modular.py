@@ -94,9 +94,10 @@ def test_eta_tilde_radial_error_estimate_covers_the_error(alpha, dps):
 
 
 def test_theta_sum_transcendental_call_budget(monkeypatch):
-    """Near the real axis the theta recurrence replaces thousands of expjpi
-    calls by a few; sums of at most 23 terms, as in the eta integrand,
-    make one call per term as before."""
+    """Every theta sum makes two expjpi calls, q = e^{pi i tau/12} and
+    Q = q^24, and steps the rest on integers: near the real axis, where
+    the sum runs to thousands of terms, and for the short sums of the eta
+    integrand alike."""
     calls = [0]
     inner = mp.expjpi
 
@@ -105,14 +106,21 @@ def test_theta_sum_transcendental_call_budget(monkeypatch):
         return inner(x)
 
     monkeypatch.setattr(mp, "expjpi", counted)
-    for run, budget in [
-        (lambda: eta_tilde(mp.mpf(2) / 3 + mp.j * mp.mpf("0.002") / 2304), 16),
-        (lambda: eta(mp.j), 6),
-        (lambda: eta(mp.mpc("0.3", "0.9")), 6),
+    for run in [
+        lambda: eta_tilde(mp.mpf(2) / 3 + mp.j * mp.mpf("0.002") / 2304),
+        lambda: eta(mp.j),
+        lambda: eta(mp.mpc("0.3", "0.9")),
     ]:
         calls[0] = 0
         run()
-        assert calls[0] <= budget
+        assert calls[0] <= 2
+
+
+def test_theta_sum_below_the_float_range_raises():
+    """Im tau = 1e-400 underflows beta = pi Im tau/12 to 0 in floats: the
+    cutoff loop runs out of its term budget rather than overflow."""
+    with pytest.raises(ConvergenceError):
+        eta_tilde(mp.mpc("0.3", "1e-400"))
 
 
 def _mpf_gauss_cutoff(beta, s, target):
@@ -135,8 +143,9 @@ def test_gauss_cutoff_equals_the_mpf_loop(dps):
         for j in range(33):
             beta = mp.pi * mp.mpf(10) ** (-5 + mp.mpf(j) / 4) / 12
             target = mp.exp(-beta) * mp.mpf(10) ** (-(dps + 5))
+            b, log_target = float(beta), float(mp.log(target))
             for s in (0, 1):
-                assert _gauss_cutoff(beta, s, target) == _mpf_gauss_cutoff(beta, s, target), (
+                assert _gauss_cutoff(b, s, log_target) == _mpf_gauss_cutoff(beta, s, target), (
                     beta, s)
 
 
@@ -164,6 +173,10 @@ def _plain_theta_sums(tau, dps):
     pytest.param(Fraction(1, 3), "1e-6", id="1/3+1e-6i"),
     pytest.param(Fraction(3, 10), "0.9", id="0.3+0.9i"),
     pytest.param(Fraction(5), "2", id="5+2i"),
+    pytest.param(Fraction(1, 2), "0.87", id="0.5+0.87i"),
+    pytest.param(Fraction(-1, 5), "1.5", id="-0.2+1.5i"),
+    pytest.param(Fraction(1, 10), "4", id="0.1+4i"),
+    pytest.param(Fraction(2), "30", id="2+30i"),
 ])
 def test_theta_recurrence_matches_plain_sum(re_part, im_part, dps):
     with mp.workdps(dps):

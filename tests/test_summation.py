@@ -356,6 +356,23 @@ def test_eta_integral_on_the_bisector_matches_the_closed_route(arg, side):
     assert abs(got - sum_erfi("trefoil", x, side, tol="1e-16").value) < mp.mpf("1e-12")
 
 
+@pytest.mark.parametrize("dps,x,side", [
+    *[(dps, x, side) for dps in (15, 25) for x in ("2+1.5j", "0.7") for side in ("mul", "mur")],
+    (50, "0.7", "mul"),
+])
+def test_eta_integral_error_estimate_covers_the_error(dps, x, side):
+    """sum_eta_integral claims tol = 10^(5-dps) as its error (err_estimate);
+    against the closed route at dps + 30 and tol 10^(-5-dps) the claim
+    holds at 15 and 25 digits on both sides, and at 50 digits for mul at
+    0.7 (the full grid at 50 digits takes four times as long)."""
+    with mp.workdps(dps):
+        tol = mp.mpf(10) ** (5 - dps)
+        res = sum_eta_integral(mp.mpmathify(x), side=side, tol=tol)
+    with mp.workdps(dps + 30):
+        reference = sum_erfi("trefoil", res.x, side, tol=tol * mp.mpf(10) ** -10).value
+        assert abs(res.value - reference) <= res.err_estimate, (dps, x, side)
+
+
 def test_eta_integral_ray_too_close_to_x_raises():
     """A mur sector 1e-6 rad wide leaves the ray 1e-6 from x, below sqrt(tol);
     left of the imaginary axis the mul sector would cross Re z = 0."""
