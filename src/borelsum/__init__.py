@@ -11,7 +11,6 @@ from .borel import (
     SqrtBranched,
     TailLaw,
     poincare_borel,
-    taylor_coeffs,
     trefoil_borel,
 )
 from .characters import DirichletCharacter, chi12, chi60, l_series_partial, l_value_exact
@@ -100,7 +99,6 @@ __all__ = [
     "sum_erfi",
     "sum_eta_integral",
     "sum_median",
-    "taylor_coeffs",
     "trefoil_borel",
     "trefoil_coeffs",
     "zagier_g",

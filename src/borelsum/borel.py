@@ -37,7 +37,7 @@ from math import ceil, sqrt
 from mpmath import mp
 
 from .characters import bernoulli_delta, chi12, chi60
-from .errors import ConvergenceError, OnCutError
+from .errors import ConvergenceError, OnCutError, require_tol
 
 __all__ = [
     "TERM_BUDGET",
@@ -48,7 +48,6 @@ __all__ = [
     "poincare_coefficient_trig",
     "trefoil_bn_exact",
     "trefoil_taylor_exact",
-    "taylor_coeffs",
     "poincare_appendix_direct",
 ]
 
@@ -96,42 +95,45 @@ class SqrtBranched:
             raise ValueError("singularities are indexed from 1")
         return self._coeff_fn(n)
 
-    def _terms_for(self, decay: int, scale, tol) -> int:
-        # smallest N with scale * N^{-decay} / decay <= tol
-        n = int(ceil((scale / (decay * mp.mpf(tol))) ** (mp.mpf(1) / decay)))
-        n = max(n, 8)
+    def _terms_for(self, decay: int, scale, tol, p_abs: float = 0.0) -> int:
+        """The one term count of a Borel-plane sum: the smallest N >= 8 with
+        scale N^{-decay}/decay <= tol and eta_{N+1} >= 2 p_abs, where the
+        tail bound starts to hold; past TERM_BUDGET, ConvergenceError."""
+        n = int(ceil((scale / (decay * tol)) ** (mp.mpf(1) / decay)))
+        reach = sqrt(2 * p_abs / self.tail.eta_lower)  # inf past the float range
+        n = max(n, 8, ceil(min(reach, TERM_BUDGET)) + 1)
         if n > TERM_BUDGET:
             raise ConvergenceError(
-                f"{self.label}: tolerance {mp.nstr(mp.mpf(tol))} needs {n} terms "
-                f"(budget {TERM_BUDGET}); power-law tails cap the reachable accuracy"
+                f"{self.label}: tolerance {mp.nstr(tol, 3)} at |p| = {p_abs:.3g} "
+                f"needs {n} terms (budget {TERM_BUDGET}); power-law tails cap the "
+                f"reachable accuracy"
             )
         return n
 
+    def _transform_terms(self, p_abs: float, tol) -> int:
+        """_terms_for the sum of c_n (eta_n - p)^{-k/2} at |p| = p_abs: with
+        |eta_n - p| >= eta_n/2, the tail law of the module docstring."""
+        law = self.tail
+        scale = mp.mpf(law.coeff_bound) * (2 / mp.mpf(law.eta_lower)) ** (mp.mpf(self.k) / 2)
+        return self._terms_for(self.k - law.power - 1, scale, tol, p_abs)
+
     def eval(self, point, tol="1e-8", sheet: int = 0):
-        """Value at p on the requested sheet, within absolute tolerance tol."""
+        """Value at p on the requested sheet, within absolute tolerance tol,
+        summed over the _transform_terms count at |p|."""
+        tol = require_tol(tol)
         if sheet not in (0, 1):
             raise ValueError("sheet must be 0 or 1")
         p = mp.mpc(point)
         if mp.im(p) == 0 and mp.re(p) >= self.eta(1):
             raise OnCutError("real p >= eta_1 lies on the branch cut")
-
-        law = self.tail
-        nu_l = mp.mpf(law.eta_lower)
-        decay = self.k - law.power - 1
-        scale = mp.mpf(law.coeff_bound) * (2 / nu_l) ** (mp.mpf(self.k) / 2)
-        n_min = int(ceil(sqrt(2 * float(abs(p)) / law.eta_lower))) + 1
-        n_terms = max(self._terms_for(decay, scale, tol), n_min)
-        if n_terms > TERM_BUDGET:
-            raise ConvergenceError(f"{self.label}: |p| too large for the term budget")
-
-        expo = -mp.mpf(self.k) / 2
-        acc = mp.mpc(0)
-        for n in range(1, n_terms + 1):
-            c = self._coeff_fn(n)
-            if c == 0:
-                continue
-            acc += c * mp.power(self._eta_fn(n) - p, expo)
+        acc = self._branch_sum(p, self.k, self._transform_terms(float(abs(p)), tol))
         return -acc if sheet == 1 else acc
+
+    def _branch_sum(self, p, m: int, n_terms: int):
+        """sum_{n <= n_terms} c_n (eta_n - p)^{-m/2}, principal powers."""
+        expo = -mp.mpf(m) / 2
+        return mp.fsum(c * mp.power(self._eta_fn(n) - p, expo)
+                       for n in range(1, n_terms + 1) if (c := self._coeff_fn(n)))
 
     def taylor_coeffs(self, count: int, tol="1e-8") -> list:
         """b_0..b_{count-1} with G(p) = sum b_j p^j near p = 0.
@@ -140,6 +142,7 @@ class SqrtBranched:
         coefficients the inner sum is exact (Hurwitz zeta), otherwise it is
         truncated under the same envelope law as eval.
         """
+        tol = require_tol(tol)
         law = self.tail
         nu_l = mp.mpf(law.eta_lower)
         out = []
@@ -150,16 +153,8 @@ class SqrtBranched:
             if self.period:
                 acc = periodic_power_sum(self, mp.mpf(m) / 2, weights)
             else:
-                decay = m - law.power - 1
                 scale = mp.mpf(law.coeff_bound) * nu_l ** (-mp.mpf(m) / 2)
-                n_terms = self._terms_for(decay, scale, tol)
-                expo = -mp.mpf(m) / 2
-                acc = mp.mpf(0)
-                for n in range(1, n_terms + 1):
-                    c = self._coeff_fn(n)
-                    if c == 0:
-                        continue
-                    acc += c * mp.power(self._eta_fn(n), expo)
+                acc = self._branch_sum(0, m, self._terms_for(m - law.power - 1, scale, tol))
             out.append(mp.rf(k_half, j) / mp.factorial(j) * acc)
         return out
 
@@ -221,17 +216,6 @@ def trefoil_bn_exact(n: int) -> Fraction:
 def trefoil_taylor_exact(order: int) -> list[Fraction]:
     """b_0..b_order of the trefoil transform, exact."""
     return [trefoil_bn_exact(n) for n in range(order + 1)]
-
-
-def taylor_coeffs(g: SqrtBranched, count: int, tol="1e-8") -> list:
-    """Taylor coefficients of g at p = 0.
-
-    Exact rationals for the trefoil instance; numerically summed values
-    with the envelope-law truncation otherwise.
-    """
-    if g.label == "trefoil":
-        return trefoil_taylor_exact(count - 1)
-    return g.taylor_coeffs(count, tol=tol)
 
 
 def trefoil_borel() -> SqrtBranched:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .checks import SUITES, run_suite
-from .errors import ConvergenceError, DomainError, QuadratureError, ToleranceError
+from .errors import ConvergenceError, DomainError, QuadratureError, ToleranceError, require_tol
 from .invariants import phi, poincare_coeffs, trefoil_coeffs
 from .summation import AverageKind, radial_limit, route_gap, sum_erfi, sum_median
 
@@ -38,9 +38,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.precision_digits < 15:
             raise ValueError("precision_digits must be at least 15")
-        tol = mp.mpf(self.tol)
-        if not (tol > 0 and mp.isfinite(tol)):
-            raise ValueError("tol must be positive and finite")
+        require_tol(self.tol)
         if self.object not in ("trefoil", "poincare"):
             raise ValueError("object must be 'trefoil' or 'poincare'")
         if self.output not in ("json", "csv", "plain"):

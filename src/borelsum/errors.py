@@ -1,6 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the one tolerance check of the public surface."""
 
 from __future__ import annotations
+
+from mpmath import mp
 
 __all__ = [
     "DomainError",
@@ -9,6 +11,7 @@ __all__ = [
     "ToleranceError",
     "QuadratureError",
     "ConvergenceError",
+    "require_tol",
 ]
 
 
@@ -34,3 +37,12 @@ class QuadratureError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An extrapolation ladder did not settle."""
+
+
+def require_tol(tol):
+    """tol as an mpf; DomainError unless it is finite and greater than 0,
+    raised by every public entry point before it does any work."""
+    tol = mp.mpf(tol)
+    if not (mp.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and greater than 0, not {tol}")
+    return tol

@@ -35,7 +35,7 @@ from math import ceil, e, log10, pi, sqrt
 
 from mpmath import mp
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_tol
 from .specfun import (
     _LN10,
     _PHASE_GUARD_BITS,
@@ -172,7 +172,7 @@ def _g_direct(xr, tol):
     def integrand(z):
         return mp.power(z - xr, power) * eta(z)
 
-    value, _ = ray_integrate(integrand, contour, mp.mpf(tol))
+    value, _ = ray_integrate(integrand, contour, tol)
     return value
 
 
@@ -183,8 +183,9 @@ def zagier_g(x, tol="1e-16", route: str = "laplace"):
     side mul for x > 0 and mur for x < 0.  route="direct" integrates the
     kernel (z - x)^{-3/2} against eta(z) along a rotated ray instead; the
     two routes differ by a fixed x-independent constant."""
-    from .summation import sum_eta_integral
+    from .summation import AverageKind, sum_eta_integral
 
+    tol = require_tol(tol)
     a, _ = rational_parts(x)
     if a == 0:
         raise DomainError("x must be nonzero")
@@ -193,15 +194,16 @@ def zagier_g(x, tol="1e-16", route: str = "laplace"):
     if route != "laplace":
         raise ValueError("route must be 'laplace' or 'direct'")
     point = mp.j / (2 * mp.pi * a)
-    side = "mul" if a > 0 else "mur"
+    side = AverageKind.MUL if a > 0 else AverageKind.MUR
     return sum_eta_integral(point, side=side, tol=tol).value
 
 
-def zagier_g_taylor(count: int = 4, h="1e-3", tol="1e-20"):
+def zagier_g_taylor(count: int = 4):
     """First `count` Taylor coefficients of g at 0.
 
-    Degree-7 polynomial fit through g(+-j s), j = 1..4, with the negative
-    half supplied by conjugation, at the three scales s = h, h/2, h/4.
+    Degree-7 polynomial fit through g(+-j s), j = 1..4, each g to 1e-20,
+    with the negative half supplied by conjugation, at the three scales
+    s = h, h/2, h/4, h = 1e-3.
     The fit error for c_n starts at order 8-n (even n) or 9-n (odd n), in
     even steps, so each coefficient gets two Richardson eliminations at
     its true orders.  Noise amplification grows like s^{-n}; the high end
@@ -209,12 +211,12 @@ def zagier_g_taylor(count: int = 4, h="1e-3", tol="1e-20"):
     if not 1 <= count <= 8:
         raise ValueError("count must be in 1..8")
     with mp.workdps(max(mp.dps, 25) + 10):
-        step = mp.mpf(h)
+        step = mp.mpf("1e-3")
         cache: dict = {}
 
         def g_at(u):
             if u not in cache:
-                cache[u] = zagier_g(u, tol=tol)
+                cache[u] = zagier_g(u, tol="1e-20")
             return cache[u]
 
         def coeffs_at(scale):

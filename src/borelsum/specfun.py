@@ -9,30 +9,32 @@ the difference outside would cost.  The kernel is two parts,
     R_k0(z) = A_k0(z) + i sgn(Im z) sqrt(pi) z e^{-z^2},
 
 the algebraic part _algebraic(z, k0) and the Stokes term _stokes(z), which
-vanishes on the real axis.  The closed route sums the algebraic parts
-alone: its Stokes terms add up to a multiple of summation.dirichlet_delta.
+vanishes on the real axis; _remainder is _algebraic + _stokes, so every
+branch of the kernel lives in _algebraic.  The closed route sums the
+algebraic parts alone: its Stokes terms add up to a multiple of
+summation.dirichlet_delta.
 
-Below the crossover radius |z|^2 = (dps+12) ln 10 the kernel sums the
+Below the crossover radius |z|^2 = (dps+12) ln 10 _algebraic sums the
 Maclaurin series once, at a precision raised by 0.4343 |z|^2 (its own
 cancellation) plus 2 k0 log10(1+|z|) digits, and then subtracts the leading
-terms, by Horner's rule in 1/(2 z^2); A_k0 also subtracts the Stokes term
-there, under the same boost.  The Maclaurin loop runs in fixed point, on
-Python integers scaled by 2^wp: fixed point rounds to 2^-wp absolute where
-mpf rounds relative to each value, so wp is the raised precision plus the
-bits of 1/|z| below |z| = 1 and 8 more.  Past the peak of its terms the cut
-|term| <= eps |sum| is decided on the integer parts of term and sum, so it
-needs no mp abs.  Above the crossover the divergent
-large-z series is A_k0, summed from k = k0 in fixed point too: the first
-term (2k0-1)!! w^k0, w = 1/(2 z^2), times the sum of t_k = term_k/first,
-t <- (2k+1) w t on integers at wp = prec + 10 bits + the bits of |z|^2,
-since the factor 2k+1 < 2|z|^2 multiplies the rounding of w.  The loop
-stops at the smallest term, found once in floats, or once |t| <= 2^-16 eps
-times the sum on the integer norms, which leaves the dropped tail far below
-an ulp; one mpc product at wp gives A_k0.  R_k0 adds the Stokes term.  The
-sizing around the kernels is in floats: _maclaurin_boost takes |z|^2 from
-the float parts of z, _remainder_factor uses lgamma rounded up, and the
-Gaussian cutoffs of summation and modular compare _log_gaussian_tail, the
-log of the mpf bound gaussian_tail, with the log of their target.
+terms, by Horner's rule in 1/(2 z^2), and the Stokes term, under the same
+boost.  The Maclaurin loop runs in fixed point, on Python integers scaled
+by 2^wp: fixed point rounds to 2^-wp absolute where mpf rounds relative to
+each value, so wp is the raised precision plus the bits of 1/|z| below
+|z| = 1 and 8 more.  Past the peak of its terms the cut |term| <= eps |sum|
+is decided on the integer parts of term and sum, so it needs no mp abs.
+Above the crossover the divergent large-z series is A_k0, summed from
+k = k0 in fixed point too: the first term (2k0-1)!! w^k0, w = 1/(2 z^2),
+times the sum of t_k = term_k/first, t <- (2k+1) w t on integers at
+wp = prec + 10 bits + the bits of |z|^2, since the factor 2k+1 < 2|z|^2
+multiplies the rounding of w.  The loop stops at the smallest term, found
+once in floats, or once |t| <= 2^-16 eps times the sum on the integer
+norms, which leaves the dropped tail far below an ulp; one mpc product at
+wp gives A_k0.  The sizing around the kernels is in floats:
+_maclaurin_boost takes |z|^2 from the float parts of z, _remainder_factor
+uses lgamma rounded up, and the Gaussian cutoffs of summation and modular
+compare _log_gaussian_tail, the log of the mpf bound gaussian_tail, with
+the log of their target.
 
 For |arg z| < pi/4, A_K(z) is the erfc remainder at w = -+ i z.  DLMF
 7.12(i) bounds it by csc(2|arg z|) times the first neglected term
@@ -196,18 +198,6 @@ def _maclaurin_boost(zz, k0: int):
     return int(0.4343 * r2 + 2 * k0 * math.log10(1 + math.sqrt(r2))) + 12
 
 
-def _maclaurin_remainder(z, k0: int):
-    """R_k0 from the Maclaurin sum, at the working precision."""
-    # the leading terms (2k-1)!! w^k, w = 1/(2 z^2), by Horner:
-    # 1 + w (1 + 3 w (1 + 5 w (...)))
-    lead = mp.mpf(min(k0, 1))
-    if k0 > 1:
-        w = 1 / (2 * z * z)
-        for k in range(k0 - 1, 0, -1):
-            lead = 1 + (2 * k - 1) * w * lead
-    return 2 * z * _dawson_maclaurin(z) - lead
-
-
 def _large_z_sum(z, k0: int):
     # sum_{k>=k0} of the divergent series as first * S, first = (2k0-1)!! w^k0
     # with w = 1/(2 z^2), S the sum of t_k = term_k/first: t_k0 = 1 and
@@ -241,31 +231,34 @@ def _large_z_sum(z, k0: int):
     return +acc
 
 
-def _remainder(z, k0: int):
-    """R_k0(z) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k, even in z and
-    O(z^{-2 k0}) at infinity away from the diagonals arg z = +-pi/4.  It is
-    _algebraic(z, k0) plus _stokes(z); below the crossover the Maclaurin sum
-    gives it whole."""
-    zz = mp.mpc(z)
-    boost = _maclaurin_boost(zz, k0)
-    if boost is None:
-        return _large_z_sum(zz, k0) + _stokes(zz)
-    with mp.extradps(boost):
-        acc = _maclaurin_remainder(zz, k0)
-    return +acc
-
-
 def _algebraic(z, k0: int):
     """A_k0(z) = R_k0(z) - _stokes(z): the remainder of the algebraic series
     alone, bounded on |arg z| < pi/4 by _remainder_factor times its first
-    neglected term (2k0-1)!!/|2 z^2|^k0."""
+    neglected term (2k0-1)!!/|2 z^2|^k0.  Below the crossover it is the
+    Maclaurin sum less the leading terms and the Stokes term, under the
+    boost of _maclaurin_boost; above it, _large_z_sum."""
     zz = mp.mpc(z)
     boost = _maclaurin_boost(zz, k0)
     if boost is None:
         return _large_z_sum(zz, k0)
     with mp.extradps(boost):
-        acc = _maclaurin_remainder(zz, k0) - _stokes(zz)
+        # the leading terms (2k-1)!! w^k, w = 1/(2 z^2), by Horner:
+        # 1 + w (1 + 3 w (1 + 5 w (...))); no w at k0 <= 1, so R_1(0) = -1
+        lead = mp.mpf(min(k0, 1))
+        if k0 > 1:
+            w = 1 / (2 * zz * zz)
+            for k in range(k0 - 1, 0, -1):
+                lead = 1 + (2 * k - 1) * w * lead
+        acc = 2 * zz * _dawson_maclaurin(zz) - lead - _stokes(zz)
     return +acc
+
+
+def _remainder(z, k0: int):
+    """R_k0(z) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k = _algebraic(z, k0)
+    + _stokes(z), even in z and O(z^{-2 k0}) at infinity away from the
+    diagonals arg z = +-pi/4."""
+    zz = mp.mpc(z)
+    return _algebraic(zz, k0) + _stokes(zz)
 
 
 def _remainder_factor(k0: int, phase) -> float:

@@ -61,6 +61,7 @@ from .errors import (
     DomainError,
     RayGeometryError,
     ToleranceError,
+    require_tol,
 )
 from .modular import eta, rational_parts
 from .specfun import (
@@ -149,14 +150,6 @@ def _require_right_half(x):
     return xz
 
 
-def _require_finite_tol(tol):
-    """tol as an mpf; a nan or inf tolerance certifies nothing."""
-    tol = mp.mpf(tol)
-    if not mp.isfinite(tol):
-        raise DomainError(f"tolerance must be finite, not {tol}")
-    return tol
-
-
 def median_laplace_unit_closed(k: int, y):
     """Median Laplace transform of (1 - p)^{-k/2} against e^{-y p}, k in {3, 5}."""
     z = mp.sqrt(mp.mpc(y))
@@ -167,18 +160,19 @@ def median_laplace_unit_closed(k: int, y):
     raise ValueError("k must be 3 or 5")
 
 
-def median_laplace_unit(k: int, y, tol="1e-10", rungs: int = 9):
+def median_laplace_unit(k: int, y, tol="1e-10"):
     """Same transform by finite-part quadrature: integrate up to 1 - s,
     subtract the divergent endpoint terms, extrapolate in sqrt(s).
 
-    The rungs s_j = 4^{-j}/16 share their integrals: [0, 15/16] is
-    integrated once and each rung adds only [1 - s_{j-1}, 1 - s_j], every
-    piece to tol/(50 rungs), so each rung's integral stays within tol/50."""
+    The nine rungs s_j = 4^{-j}/16, j < 9, share their integrals: [0, 15/16]
+    is integrated once and each rung adds only [1 - s_{j-1}, 1 - s_j], every
+    piece to tol/(50 * 9), so each rung's integral stays within tol/50."""
     if k not in (3, 5):
         raise ValueError("k must be 3 or 5")
     yz = mp.mpc(y)
     tol = mp.mpf(tol)
     k_half = mp.mpf(k) / 2
+    rungs = 9
     piece_tol = tol / (50 * rungs)
 
     def integrand(p):
@@ -277,7 +271,7 @@ def dirichlet_delta(model, x, tol="1e-16", weights: tuple | None = None):
     precision; the closed route passes the table it has built."""
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
-    tol = _require_finite_tol(tol)
+    tol = require_tol(tol)
     if weights is None:
         weights = periodic_weights(mdl)
     k = mdl.k
@@ -361,7 +355,6 @@ def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
     that precision serves L and delta."""
     if not mdl.period:
         raise ValueError(f"{mdl.label}: the closed route needs periodic coefficients")
-    tol = _require_finite_tol(tol)
     if tol < _roundoff_floor():
         raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the roundoff "
                              f"floor {mp.nstr(_roundoff_floor(), 3)} of {mp.dps} digits")
@@ -381,22 +374,20 @@ def sum_erfi(model, x, kind="median", tol="1e-12") -> SummationResult:
     Per singularity, the constant term bookkeeping makes the value tend
     to 1 as Re x grows; the lateral kinds add or subtract the
     exponentially small series on top of the median."""
+    tol = require_tol(tol)
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
-    tol = mp.mpf(tol)
     knd = _kind(kind)
     value = _closed_value(mdl, xz, knd, tol)
     return SummationResult(mdl.label, xz, knd, "erfi-series", value, tol)
 
 
-def _eta_integral_value(xz, side, tol):
-    if side == "median":
-        lo = _eta_integral_value(xz, "mul", tol)
-        hi = _eta_integral_value(xz, "mur", tol)
+def _eta_integral_value(xz, kind: AverageKind, tol):
+    if kind is AverageKind.MEDIAN:
+        lo = _eta_integral_value(xz, AverageKind.MUL, tol)
+        hi = _eta_integral_value(xz, AverageKind.MUR, tol)
         return (lo + hi) / 2
-    if side not in ("mul", "mur"):
-        raise ValueError("side must be 'mul', 'mur', or 'median'")
-    orient = -1 if side == "mul" else 1
+    orient = -1 if kind is AverageKind.MUL else 1
     arg_x = mp.arg(xz)
     # room: angle from x to the imaginary axis on this side.  eta(2 pi i z)
     # (x - z)^{-3/2} is analytic on Re z > 0 away from z = x, so every ray
@@ -407,7 +398,7 @@ def _eta_integral_value(xz, side, tol):
     dist = abs(xz) * mp.sin(half)
     if mp.re(xz) < 0 or room <= 0 or dist < mp.sqrt(tol):
         raise RayGeometryError(
-            f"no admissible ray for side '{side}' at arg x = {mp.nstr(arg_x)}"
+            f"no admissible ray for side '{kind.value}' at arg x = {mp.nstr(arg_x)}"
         )
     theta = arg_x + orient * half
     cos_t = mp.cos(theta)
@@ -441,12 +432,12 @@ def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
     That sector has room = pi/2 -+ arg x; RayGeometryError is raised when
     Re x < 0, where the sector would cross Re z = 0, when it is empty, or
     when the ray-to-x distance |x| sin(room/2) is below sqrt(tol)."""
+    tol = require_tol(tol)
+    kind = _kind(side)
     xz = mp.mpc(x)
     if xz == 0:
         raise DomainError("x must be nonzero")
-    tol = mp.mpf(tol)
-    value = _eta_integral_value(xz, side, tol)
-    kind = AverageKind.MEDIAN if side == "median" else AverageKind(side)
+    value = _eta_integral_value(xz, kind, tol)
     return SummationResult("trefoil", xz, kind, "eta-integral", value, tol)
 
 
@@ -457,15 +448,15 @@ def cross_routes(model, x, tol="1e-10"):
     laterals, and eta-integral mul plus the explicit lateral difference.
     Poincare: the closed route and a variant with the first transforms
     swapped for finite-part quadrature values."""
+    tol = require_tol(tol)
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
-    tol = mp.mpf(tol)
     closed = _closed_value(mdl, xz, AverageKind.MEDIAN, tol)
     routes = {"erfi-series": closed}
     if mdl.k == 5:
         part = tol / 4
-        mul = _eta_integral_value(xz, "mul", part)
-        mur = _eta_integral_value(xz, "mur", part)
+        mul = _eta_integral_value(xz, AverageKind.MUL, part)
+        mur = _eta_integral_value(xz, AverageKind.MUR, part)
         routes["eta-integral-average"] = (mul + mur) / 2
         routes["eta-integral-mul-plus-delta"] = mul + dirichlet_delta(mdl, xz, part)
     else:
@@ -495,13 +486,12 @@ def sum_median(model, x, tol="1e-12", cross_check: bool = False,
     .routes; their route_gap is folded into err_estimate, and if cross_tol
     is given, exceeding it raises ToleranceError.  The value itself is the
     closed route at tol."""
+    tol = require_tol(tol)
+    check_tol = max(tol * 100, mp.mpf("1e-10")) if cross_tol is None else require_tol(cross_tol)
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
-    tol = mp.mpf(tol)
     routes, err = None, tol
     if cross_check:
-        check_tol = mp.mpf(cross_tol) if cross_tol is not None else max(
-            tol * 100, mp.mpf("1e-10"))
         routes = cross_routes(mdl, xz, tol=check_tol / 4)
         gap = route_gap(routes)
         if cross_tol is not None and gap > check_tol:
@@ -521,18 +511,16 @@ def averaged_value(model, avg, p, tol="1e-10"):
     (real for real coefficients); mur/mul add the purely imaginary
     contribution of the crossed terms, as the limits of eval from the
     upper/lower half plane respectively.  The arithmetic mean of mur and
-    mul equals the median exactly for odd weight."""
+    mul equals the median exactly for odd weight.  It sums as many terms
+    as eval at |p| (SqrtBranched._transform_terms), so a p or tol past the
+    term budget raises the same ConvergenceError, naming the model."""
+    tol = require_tol(tol)
     mdl = _resolve_model(model)
     knd = _kind(avg)
     pr = mp.mpf(p)
     if pr < 0:
         raise DomainError("p must be nonnegative")
-    law = mdl.tail
-    nu_l = mp.mpf(law.eta_lower)
-    decay = mdl.k - law.power - 1
-    scale = mp.mpf(law.coeff_bound) * (2 / nu_l) ** (mp.mpf(mdl.k) / 2)
-    n_min = math.ceil(math.sqrt(2 * float(pr) / law.eta_lower)) + 1
-    n_terms = max(mdl._terms_for(decay, scale, mp.mpf(tol)), n_min)
+    n_terms = mdl._transform_terms(float(pr), tol)
     expo = -mp.mpf(mdl.k) / 2
     ahead = mp.mpf(0)
     crossed = mp.mpf(0)
@@ -564,6 +552,7 @@ def radial_limit(alpha, rungs: int = 9, ratio: int = 2, eps0=None,
     eps0 <= 0, ratio <= 1 or fewer than two rungs raise ValueError.
     err_estimate adds the rung tolerance, amplified by the extrapolation
     weights, to the last Richardson correction."""
+    tol = require_tol(tol)
     a, den = rational_parts(alpha)
     if a == 0:
         raise DomainError("alpha must be nonzero")
@@ -571,7 +560,7 @@ def radial_limit(alpha, rungs: int = 9, ratio: int = 2, eps0=None,
     hs = geometric_ladder(abs(y) / (50 * den**2) if eps0 is None else eps0,
                           rungs, ratio)
     mdl = trefoil_borel()
-    inner = max(min(mp.mpf(tol) / 10, mp.mpf("1e-14")), _roundoff_floor())
+    inner = max(min(tol / 10, mp.mpf("1e-14")), _roundoff_floor())
     vals = [_closed_value(mdl, e + mp.j * y, AverageKind.MEDIAN, inner) for e in hs]
     limit, err = richardson_limit(hs, vals)
     return SummationResult("trefoil", mp.mpc(0, y), AverageKind.MEDIAN,

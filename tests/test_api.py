@@ -1,6 +1,7 @@
 """Package surface: exports and the exception taxonomy."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -54,3 +55,38 @@ def test_domain_errors_are_value_errors():
 def test_budget_errors_are_runtime_errors():
     for exc in (ToleranceError, QuadratureError, ConvergenceError):
         assert issubclass(exc, RuntimeError)
+
+
+# every public entry point that takes a tolerance; test_summation, test_borel
+# and test_modular check that each refuses a nan, infinite, zero or negative
+# one with DomainError before any work
+TOL_GATED = {
+    "averaged_value",
+    "cross_routes",
+    "dirichlet_delta",
+    "radial_limit",
+    "sum_erfi",
+    "sum_eta_integral",
+    "sum_median",
+    "zagier_g",
+    "SqrtBranched.eval",
+    "SqrtBranched.taylor_coeffs",
+}
+
+
+def _takes_tol(fn) -> bool:
+    return any(p == "tol" or p.endswith("_tol") for p in inspect.signature(fn).parameters)
+
+
+def test_every_tolerance_entry_point_is_gated():
+    """A new public function or method with a tolerance must join TOL_GATED
+    and its gate test."""
+    found = set()
+    for name in borelsum.__all__:
+        obj = getattr(borelsum, name)
+        if inspect.isfunction(obj) and _takes_tol(obj):
+            found.add(name)
+        elif inspect.isclass(obj):
+            found |= {f"{name}.{attr}" for attr, fn in inspect.getmembers(obj, inspect.isfunction)
+                      if not attr.startswith("_") and _takes_tol(fn)}
+    assert found == TOL_GATED

@@ -1,6 +1,7 @@
 """Branch-point sums in the Borel plane and their Taylor data."""
 
-from fractions import Fraction
+import math
+import time
 from math import factorial
 
 import pytest
@@ -17,13 +18,12 @@ from borelsum.borel import (
     periodic_weights,
     poincare_borel,
     poincare_coefficient_trig,
-    taylor_coeffs,
     trefoil_bn_exact,
     trefoil_borel,
     trefoil_taylor_exact,
 )
 from borelsum.checks import TREFOIL_TAYLOR
-from borelsum.errors import ConvergenceError, OnCutError
+from borelsum.errors import ConvergenceError, DomainError, OnCutError
 from borelsum.invariants import trefoil_coeffs
 
 
@@ -41,12 +41,6 @@ def test_taylor_matches_rescaled_asymptotic_coefficients(n):
     """Dual route: b_n from the closed form vs a_{n+1}/(n! 24^{n+1})."""
     a = trefoil_coeffs(n + 2).a
     assert trefoil_bn_exact(n) == a[n + 1] / (factorial(n) * 24 ** (n + 1))
-
-
-def test_module_level_wrapper_is_exact_for_trefoil():
-    vals = taylor_coeffs(trefoil_borel(), 4)
-    assert vals == list(TREFOIL_TAYLOR)
-    assert all(isinstance(v, Fraction) for v in vals)
 
 
 def test_numeric_taylor_agrees_with_exact():
@@ -118,6 +112,24 @@ def test_power_law_tail_caps_accuracy():
 def test_budget_message_names_the_model():
     with pytest.raises(ConvergenceError, match="trefoil"):
         trefoil_borel().eval(mp.mpf("0.1"), tol="1e-30")
+
+
+def test_eval_past_the_float_range_runs_out_of_budget():
+    """|p| = 1e400 overflows a float; the count reads that as past the budget."""
+    with pytest.raises(ConvergenceError, match="trefoil"):
+        trefoil_borel().eval(mp.mpc(0, "1e400"))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0, -1], ids=str)
+@pytest.mark.parametrize("method", ["eval", "taylor_coeffs"])
+def test_methods_refuse_a_tolerance_that_certifies_nothing(method, tol):
+    call = {"eval": lambda g: g.eval(mp.mpf("0.37"), tol=tol),
+            "taylor_coeffs": lambda g: g.taylor_coeffs(2, tol=tol)}[method]
+    for mdl in (trefoil_borel(), poincare_borel()):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="tolerance"):
+            call(mdl)
+        assert time.perf_counter() - start < 0.1
 
 
 @given(n=st.integers(min_value=1, max_value=400))

@@ -1,5 +1,7 @@
 """Theta-built eta functions, their boundary limits, and the g function."""
 
+import math
+import time
 from fractions import Fraction
 from math import ceil, sqrt
 
@@ -222,3 +224,12 @@ def test_g_taylor_count_validation():
         zagier_g_taylor(0)
     with pytest.raises(ValueError):
         zagier_g_taylor(9)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0, -1], ids=str)
+@pytest.mark.parametrize("route", ["laplace", "direct"])
+def test_zagier_g_refuses_a_tolerance_that_certifies_nothing(route, tol):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="tolerance"):
+        zagier_g(1, tol=tol, route=route)
+    assert time.perf_counter() - start < 0.1

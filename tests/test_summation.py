@@ -1,6 +1,7 @@
 """Lateral and median resummations: closed route, integrals, cross-checks."""
 
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -487,6 +488,35 @@ def test_averaged_value_domain_errors():
     mdl = summation.trefoil_borel()
     with pytest.raises(DomainError):
         averaged_value(mdl, "median", mdl.eta(1))
+
+
+def test_averaged_value_budget_names_the_model():
+    """At |p| = 2e10 the tail bound needs far more than TERM_BUDGET terms,
+    as eval finds; averaged_value shares its count and its check."""
+    with pytest.raises(ConvergenceError, match="trefoil"):
+        averaged_value("trefoil", "median", 2e10)
+
+
+TOL_GATES = {
+    "sum_erfi": lambda tol: sum_erfi("trefoil", 2, tol=tol),
+    "sum_median": lambda tol: sum_median("trefoil", 2, tol=tol),
+    "sum_median.cross_tol": lambda tol: sum_median("trefoil", 2, cross_check=True,
+                                                   cross_tol=tol),
+    "sum_eta_integral": lambda tol: sum_eta_integral(mp.mpc(2, 1.5), tol=tol),
+    "cross_routes": lambda tol: cross_routes("trefoil", 2, tol=tol),
+    "dirichlet_delta": lambda tol: dirichlet_delta("trefoil", mp.mpc(2, 1), tol=tol),
+    "averaged_value": lambda tol: averaged_value("trefoil", "median", 1, tol=tol),
+    "radial_limit": lambda tol: radial_limit(1, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0, -1], ids=str)
+@pytest.mark.parametrize("entry", sorted(TOL_GATES))
+def test_entry_points_refuse_a_tolerance_that_certifies_nothing(entry, tol):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="tolerance"):
+        TOL_GATES[entry](tol)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_laplace_unit_quadrature_matches_closed_form():
