@@ -5,6 +5,21 @@ equal to the familiar infinite product e^{pi i tau/12} prod (1 - e^{2 pi i n
 tau}); both routes are exposed so they can be checked against each other.
 For |tau| < 1 the theta route applies eta(-1/tau) = sqrt(tau/i) eta(tau)
 once, which keeps term counts small uniformly along rays approaching 0.
+Near a cusp one inversion still leaves Im(-1/tau) below 1, where the theta
+sum cancels to noise far above a tiny value; only there eta goes on to the
+fundamental domain: it translates -1/tau by n = round(Re(-1/tau)), with
+eta(tau) = e^{pi i n/12} eta(tau - n), and inverts again.
+
+The ray integrals of sum_eta_integral and zagier_g(route="direct") do not
+invert at all.  Each ray is symmetric about the fixed point r* of tau ->
+-1/tau on it, r_min r_max = r*^2, and for |tau| >= 1 the mirror node
+tau' = tau/|tau|^2 has -1/tau' = -conj(tau), so that
+
+    eta(tau') = conj(eta(tau))/sqrt(tau'/i) = sqrt|tau| conj(u eta(tau)),
+
+u = sqrt(tau/i)/|sqrt(tau/i)|, one phase per ray.  _eta_pair returns both
+values from one theta sum, and the integrals fold [r_min, r*] onto
+[r*, r_max]: f(r) + f(r*^2/r) (r*/r)^2 on the outer half alone.
 
 Both theta sums come from two expjpi calls, q = e^{pi i tau/12} and Q = q^24:
 every n with chi(n) != 0 is prime to 6, so n^2 = 1 + 24 e_n with e_n whole,
@@ -104,15 +119,27 @@ def rational_parts(alpha):
     return mp.mpf(alpha), 1
 
 
+def _eta_pair(tau, unit):
+    """(eta(tau), eta(tau')) for |tau| >= 1 from one theta sum, tau' =
+    tau/|tau|^2, given the phase unit = sqrt(tau/i)/|sqrt(tau/i)|, which is
+    the same for every tau on one ray."""
+    value = _theta_sum(tau, 0)
+    return value, mp.sqrt(abs(tau)) * mp.conj(unit * value)
+
+
 def eta(tau, route: str = "theta"):
     """Value on the upper half plane by the requested route."""
     tz = mp.mpc(tau)
     if mp.im(tz) <= 0:
         raise DomainError("tau must have positive imaginary part")
     if route == "theta":
-        if abs(tz) < 1:
-            return eta(-1 / tz, route) / mp.sqrt(tz / mp.j)
-        return _theta_sum(tz, 0)
+        if abs(tz) >= 1:
+            return _theta_sum(tz, 0)
+        inv = -1 / tz
+        root = mp.sqrt(tz / mp.j)
+        if float(inv.imag) < 1 and (shift := int(mp.nint(inv.real))):
+            return mp.expjpi(mp.mpf(shift) / 12) * eta(inv - shift) / root
+        return _theta_sum(inv, 0) / root
     if route != "product":
         raise ValueError("route must be 'theta' or 'product'")
     decay = 2 * mp.pi * mp.im(tz)
@@ -160,17 +187,21 @@ def eta_tilde_radial(alpha):
 def _g_direct(xr, tol):
     # branch point z = x sits on the closed original contour for x > 0;
     # the ray at angle 3 pi/8 into the upper half plane keeps Im(z - x) > 0
-    # throughout, so the principal power never meets its cut
+    # throughout, so the principal power never meets its cut.  The ray runs
+    # over r_min <= r <= r_max with r_min = 1/r_max = pi sin(th)/(12 digits
+    # ln 10), folded at r* = 1: the node z and its mirror z/r^2 share one
+    # theta sum, the mirror weighted by 1/r^2
     th = 3 * mp.pi / 8
     digits = mp.dps + 8
-    ln10 = mp.log(10)
-    r_min = mp.pi * mp.sin(th) / (12 * digits * ln10)
-    r_max = 12 * digits * ln10 / (mp.pi * mp.sin(th))
-    contour = RayContour(th, r_min, r_max)
+    r_max = 12 * digits * mp.log(10) / (mp.pi * mp.sin(th))
+    contour = RayContour(th, 1, r_max)
+    unit = mp.expj(th / 2 - mp.pi / 4)  # the phase of sqrt(z/i)
     power = mp.mpf("-1.5")
 
     def integrand(z):
-        return mp.power(z - xr, power) * eta(z)
+        r2 = mp.re(z) ** 2 + mp.im(z) ** 2
+        near, far = _eta_pair(z, unit)
+        return mp.power(z - xr, power) * near + mp.power(z / r2 - xr, power) * far / r2
 
     value, _ = ray_integrate(integrand, contour, tol)
     return value

@@ -231,16 +231,14 @@ def _large_z_sum(z, k0: int):
     return +acc
 
 
-def _algebraic(z, k0: int):
-    """A_k0(z) = R_k0(z) - _stokes(z): the remainder of the algebraic series
-    alone, bounded on |arg z| < pi/4 by _remainder_factor times its first
-    neglected term (2k0-1)!!/|2 z^2|^k0.  Below the crossover it is the
-    Maclaurin sum less the leading terms and the Stokes term, under the
-    boost of _maclaurin_boost; above it, _large_z_sum."""
-    zz = mp.mpc(z)
+def _algebraic_parts(zz, k0: int):
+    """(A_k0(z), the Stokes term it was formed with): below the crossover
+    A_k0 is the Maclaurin sum less the leading terms and the Stokes term,
+    both under the boost of _maclaurin_boost; above it A_k0 is _large_z_sum,
+    which needs no Stokes term, and the second part is None."""
     boost = _maclaurin_boost(zz, k0)
     if boost is None:
-        return _large_z_sum(zz, k0)
+        return _large_z_sum(zz, k0), None
     with mp.extradps(boost):
         # the leading terms (2k-1)!! w^k, w = 1/(2 z^2), by Horner:
         # 1 + w (1 + 3 w (1 + 5 w (...))); no w at k0 <= 1, so R_1(0) = -1
@@ -249,16 +247,26 @@ def _algebraic(z, k0: int):
             w = 1 / (2 * zz * zz)
             for k in range(k0 - 1, 0, -1):
                 lead = 1 + (2 * k - 1) * w * lead
-        acc = 2 * zz * _dawson_maclaurin(zz) - lead - _stokes(zz)
-    return +acc
+        stokes = _stokes(zz)
+        acc = 2 * zz * _dawson_maclaurin(zz) - lead - stokes
+    return +acc, stokes
+
+
+def _algebraic(z, k0: int):
+    """A_k0(z) = R_k0(z) - _stokes(z): the remainder of the algebraic series
+    alone, bounded on |arg z| < pi/4 by _remainder_factor times its first
+    neglected term (2k0-1)!!/|2 z^2|^k0."""
+    return _algebraic_parts(mp.mpc(z), k0)[0]
 
 
 def _remainder(z, k0: int):
     """R_k0(z) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k = _algebraic(z, k0)
     + _stokes(z), even in z and O(z^{-2 k0}) at infinity away from the
-    diagonals arg z = +-pi/4."""
+    diagonals arg z = +-pi/4.  Below the crossover the Stokes term added
+    back is the one the Maclaurin branch subtracted."""
     zz = mp.mpc(z)
-    return _algebraic(zz, k0) + _stokes(zz)
+    algebraic, stokes = _algebraic_parts(zz, k0)
+    return algebraic + (_stokes(zz) if stokes is None else stokes)
 
 
 def _remainder_factor(k0: int, phase) -> float:

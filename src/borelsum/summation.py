@@ -30,7 +30,9 @@ integral route (5/2-power model only): the weight-3/2 theta integral
     sqrt(3) x^{3/2} int_ray eta(2 pi i z) (x - z)^{-3/2} dz
 
 along the ray halfway between arg x and the imaginary axis, below the point
-x for mul and above it for mur.
+x for mul and above it for mur.  The ray is folded at r* = 1/(2 pi), where
+|2 pi i z| = 1: each node z on the outer half and its mirror z (r*/r)^2
+share one theta sum (modular._eta_pair), so no node inverts.
 It converges for boundary x on the imaginary axis, where the closed route
 diverges, and includes the constant term automatically.
 
@@ -63,7 +65,7 @@ from .errors import (
     ToleranceError,
     require_tol,
 )
-from .modular import eta, rational_parts
+from .modular import _eta_pair, rational_parts
 from .specfun import (
     RayContour,
     _adaptive_segment,
@@ -403,11 +405,15 @@ def _eta_integral_value(xz, kind: AverageKind, tol):
     theta = arg_x + orient * half
     cos_t = mp.cos(theta)
     digits = mp.dps + 8 + max(0, int(-1.5 * mp.log10(dist))) + int(1.5 * mp.log10(1 + abs(xz)))
-    ln10 = mp.log(10)
-    r_min = cos_t / (24 * digits * ln10)
-    r_max = 6 * digits * ln10 / (mp.pi**2 * cos_t)
-    contour = RayContour(theta, r_min, r_max)
+    # the ray runs over r_min <= r <= r_max, r_min = cos_t/(24 digits ln 10)
+    # = r*^2/r_max, folded at r* = 1/(2 pi), where |2 pi i z| = 1: the node z
+    # and its mirror z (r*/r)^2 share one theta sum, the mirror weighted by
+    # (r*/r)^2 (modular._eta_pair)
+    r_star = 1 / (2 * mp.pi)
+    r_max = 6 * digits * mp.log(10) / (mp.pi**2 * cos_t)
+    contour = RayContour(theta, r_star, r_max)
     phase = mp.expj(-mp.mpf(3) / 2 * theta)
+    unit = mp.expj(theta / 2)  # the phase of sqrt(tau/i), tau = 2 pi i z
     x_rot = xz * mp.expj(-theta)
     two_pi_i, power = 2 * mp.pi * mp.j, mp.mpf("-1.5")
 
@@ -416,7 +422,10 @@ def _eta_integral_value(xz, kind: AverageKind, tol):
         # the rotated difference keeps a constant imaginary part along the ray,
         # so the principal power never crosses its cut
         r = abs(z)
-        return eta(two_pi_i * z) * phase * mp.power(x_rot - r, power)
+        weight = (r_star / r) ** 2
+        near, far = _eta_pair(two_pi_i * z, unit)
+        return phase * (near * mp.power(x_rot - r, power)
+                        + far * weight * mp.power(x_rot - weight * r, power))
 
     scale = mp.sqrt(3) * abs(xz) ** mp.mpf("1.5")
     integral, _ = ray_integrate(integrand, contour, tol / scale)
@@ -429,6 +438,8 @@ def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
     Quadrature of the weight-1/2 theta series against (x - z)^{-3/2} along
     the ray that bisects the sector between arg x and the imaginary axis,
     below x for mul and above it for mur; 'median' averages the two sides.
+    The ray is folded at the fixed point r* = 1/(2 pi) of tau -> -1/tau, so
+    that one theta sum at |tau| >= 1 serves each node and its mirror.
     That sector has room = pi/2 -+ arg x; RayGeometryError is raised when
     Re x < 0, where the sector would cross Re z = 0, when it is empty, or
     when the ray-to-x distance |x| sin(room/2) is below sqrt(tol)."""

@@ -1,6 +1,7 @@
 """Theta-built eta functions, their boundary limits, and the g function."""
 
 import math
+import random
 import time
 from fractions import Fraction
 from math import ceil, sqrt
@@ -13,6 +14,7 @@ from borelsum.characters import chi12
 from borelsum.errors import ConvergenceError, DomainError
 from borelsum.invariants import phi
 from borelsum.modular import (
+    _eta_pair,
     _gauss_cutoff,
     eta,
     eta_tilde,
@@ -43,6 +45,46 @@ def test_eta_inversion_step():
     assert abs(left - right) < mp.mpf("1e-22")
     # the theta route takes this step internally for |tau| < 1
     assert abs(eta(mp.j / 2) - right) < mp.mpf("1e-22")
+
+
+def _mirror_points():
+    """Seeded tau with |tau| >= 1: four on |tau| = 1, where the mirror is
+    tau itself, and eight with |Re tau| up to 3 and Im tau down to 0.05."""
+    rng = random.Random(1601)
+    points = [mp.expjpi(mp.mpf(rng.uniform(0.05, 0.95))) for _ in range(4)]
+    while len(points) < 12:
+        tau = mp.mpc(rng.uniform(-3, 3), rng.uniform(0.05, 3))
+        if abs(tau) >= 1:
+            points.append(tau)
+    return points
+
+
+@pytest.mark.parametrize("tau", _mirror_points(), ids=lambda t: mp.nstr(t, 3))
+def test_eta_pair_is_eta_at_tau_and_its_mirror(tau):
+    """_eta_pair gives eta(tau) and eta(tau/|tau|^2) from one theta sum."""
+    root = mp.sqrt(tau / mp.j)
+    near, far = _eta_pair(tau, root / abs(root))
+    assert abs(near - eta(tau, route="product")) < mp.mpf("1e-20")
+    assert abs(far - eta(tau / abs(tau) ** 2, route="product")) < mp.mpf("1e-20")
+
+
+def test_eta_near_a_cusp_reduces_to_the_fundamental_domain():
+    """0.6667 lies 3.3e-5 from the cusp 2/3.  One inversion leaves
+    Im(-1/tau) = 2.2e-5, where the theta sum cancels to noise near 5e-28
+    on a value near 5e-103, so eta goes on reducing.  A rounding of
+    relative eps anywhere in the reduction moves log eta by at most about
+    kappa eps, kappa = pi |tau|/(12 |3 tau - 2|^2): the derivative of the
+    reduced point's exponent pi i tau_f/12, tau_f = (a tau + b)/(3 tau - 2),
+    times |tau|.  Three inversions and two translations round, so
+    10 kappa eps bounds the error."""
+    with mp.workdps(15):
+        tau = mp.mpc("0.6667", "1e-5")
+        got = eta(tau)
+        bound = 10 * mp.pi * abs(tau) / (12 * abs(3 * tau - 2) ** 2) * mp.eps
+    with mp.workdps(55):
+        want = eta(tau)
+    assert abs(want) < mp.mpf("1e-100")
+    assert abs(got - want) <= bound * abs(want)
 
 
 def test_eta_domain_and_route_validation():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from borelsum import checks, specfun, summation
+from borelsum import checks, modular, specfun, summation
 from borelsum.borel import SqrtBranched, poincare_borel, trefoil_borel
 from borelsum.errors import ConvergenceError, DomainError, RayGeometryError, ToleranceError
 from borelsum.modular import zagier_g
@@ -385,12 +385,12 @@ def test_eta_integral_ray_too_close_to_x_raises():
 
 
 @pytest.mark.parametrize("run,budget", [
-    pytest.param(lambda: sum_eta_integral(mp.mpc(2, "1.5"), "mul", tol="1e-16"), 609,
+    pytest.param(lambda: sum_eta_integral(mp.mpc(2, "1.5"), "mul", tol="1e-16"), 348,
                  id="eta-integral-mul"),
-    pytest.param(lambda: zagier_g(1, tol="1e-16"), 1392, id="zagier-g-1"),
+    pytest.param(lambda: zagier_g(1, tol="1e-16"), 330, id="zagier-g-1"),
     pytest.param(lambda: cross_routes("poincare", mp.mpc(2, "1.5"), "2.5e-10"), 3291,
                  id="poincare-cross-routes"),
-    pytest.param(lambda: cross_routes("trefoil", mp.mpc(2, "1.5"), "2.5e-10"), 1073,
+    pytest.param(lambda: cross_routes("trefoil", mp.mpc(2, "1.5"), "2.5e-10"), 594,
                  id="trefoil-cross-routes"),
 ])
 def test_quadrature_evaluation_budgets(monkeypatch, run, budget):
@@ -407,6 +407,32 @@ def test_quadrature_evaluation_budgets(monkeypatch, run, budget):
     monkeypatch.setattr(specfun, "integrate_segment", counted)
     run()
     assert total[0] <= budget
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: sum_eta_integral(mp.mpc(2, "1.5"), "mul", tol="1e-16"),
+                 id="sum-eta-integral"),
+    pytest.param(lambda: zagier_g(1, tol="1e-12", route="direct"), id="g-direct"),
+])
+def test_folded_rays_take_one_theta_sum_per_node(monkeypatch, run):
+    """Each integrand evaluation of a folded eta ray serves a node and its
+    mirror with one theta sum, taken at |tau| >= 1, so eta never inverts."""
+    taus, evals = [], [0]
+    theta_sum, segment = modular._theta_sum, specfun.integrate_segment
+
+    def counted_theta(tau, weight):
+        taus.append(tau)
+        return theta_sum(tau, weight)
+
+    def counted_segment(f, a, b, order=24):
+        evals[0] += order
+        return segment(f, a, b, order)
+
+    monkeypatch.setattr(modular, "_theta_sum", counted_theta)
+    monkeypatch.setattr(specfun, "integrate_segment", counted_segment)
+    run()
+    assert len(taus) == evals[0] > 0
+    assert min(abs(tau) for tau in taus) >= 1
 
 
 def test_cross_routes_trefoil_keys_and_gaps():
