@@ -37,7 +37,7 @@ from math import ceil, sqrt
 from mpmath import mp
 
 from .characters import bernoulli_delta, chi12, chi60
-from .errors import ConvergenceError, OnCutError, require_tol
+from .errors import ConvergenceError, OnCutError, require_finite, require_tol
 
 __all__ = [
     "TERM_BUDGET",
@@ -123,7 +123,7 @@ class SqrtBranched:
         tol = require_tol(tol)
         if sheet not in (0, 1):
             raise ValueError("sheet must be 0 or 1")
-        p = mp.mpc(point)
+        p = mp.mpc(require_finite(point, "point"))
         if mp.im(p) == 0 and mp.re(p) >= self.eta(1):
             raise OnCutError("real p >= eta_1 lies on the branch cut")
         acc = self._branch_sum(p, self.k, self._transform_terms(float(abs(p)), tol))

@@ -1,4 +1,4 @@
-"""Shared exception types, and the one tolerance check of the public surface."""
+"""Shared exception types, and the argument checks of the public surface."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ __all__ = [
     "ToleranceError",
     "QuadratureError",
     "ConvergenceError",
+    "require_finite",
     "require_tol",
 ]
 
@@ -46,3 +47,12 @@ def require_tol(tol):
     if not (mp.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and greater than 0, not {tol}")
     return tol
+
+
+def require_finite(value, name: str):
+    """value as an mpf or mpc; DomainError naming the argument unless every
+    part of it is finite, raised before any work."""
+    value = mp.mpmathify(value)
+    if not mp.isfinite(value):
+        raise DomainError(f"{name} must be finite, not {value}")
+    return value

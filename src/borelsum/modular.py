@@ -11,15 +11,19 @@ fundamental domain: it translates -1/tau by n = round(Re(-1/tau)), with
 eta(tau) = e^{pi i n/12} eta(tau - n), and inverts again.
 
 The ray integrals of sum_eta_integral and zagier_g(route="direct") do not
-invert at all.  Each ray is symmetric about the fixed point r* of tau ->
--1/tau on it, r_min r_max = r*^2, and for |tau| >= 1 the mirror node
-tau' = tau/|tau|^2 has -1/tau' = -conj(tau), so that
+invert at all.  Both are one _eta_ray: the integral of eta(t u) (t - w)^{-3/2}
+over the real parameter 1/rho <= t <= rho, u a unit direction into the
+upper half plane, each caller adding only its ray geometry (u, w) and one
+constant prefactor.  The interval is symmetric about t = 1, the fixed point
+of tau -> -1/tau, and for |tau| >= 1 the mirror node tau' = tau/|tau|^2 has
+-1/tau' = -conj(tau), so that
 
-    eta(tau') = conj(eta(tau))/sqrt(tau'/i) = sqrt|tau| conj(u eta(tau)),
+    eta(tau') = conj(eta(tau))/sqrt(tau'/i) = sqrt|tau| conj(v eta(tau)),
 
-u = sqrt(tau/i)/|sqrt(tau/i)|, one phase per ray.  _eta_pair returns both
-values from one theta sum, and the integrals fold [r_min, r*] onto
-[r*, r_max]: f(r) + f(r*^2/r) (r*/r)^2 on the outer half alone.
+v = sqrt(tau/i)/|sqrt(tau/i)| = sqrt(u/i), one phase per ray.  _eta_pair
+returns both values from one theta sum, and _eta_ray folds [1/rho, 1] onto
+[1, rho]: f(t) + f(1/t)/t^2 on the outer half alone, with |tau| = t known
+at every node.
 
 Both theta sums come from two expjpi calls, q = e^{pi i tau/12} and Q = q^24:
 every n with chi(n) != 0 is prime to 6, so n^2 = 1 + 24 e_n with e_n whole,
@@ -50,11 +54,10 @@ from math import ceil, e, log10, pi, sqrt
 
 from mpmath import mp
 
-from .errors import ConvergenceError, DomainError, require_tol
+from .errors import ConvergenceError, DomainError, require_finite, require_tol
 from .specfun import (
     _LN10,
     _PHASE_GUARD_BITS,
-    RayContour,
     _fixed_mul,
     _fixed_phase_sum,
     _from_fixed,
@@ -111,25 +114,46 @@ def _theta_sum(tau, weight: int):
     return +acc
 
 
-def rational_parts(alpha):
+def rational_parts(alpha, name: str = "alpha"):
     """(value, denominator) of a rational or real alpha; reals count as
-    denominator 1."""
+    denominator 1, and one that is not finite raises DomainError, naming
+    the argument."""
     if hasattr(alpha, "numerator"):
         return mp.mpf(alpha.numerator) / alpha.denominator, abs(alpha.denominator)
-    return mp.mpf(alpha), 1
+    return require_finite(mp.mpf(alpha), name), 1
 
 
-def _eta_pair(tau, unit):
-    """(eta(tau), eta(tau')) for |tau| >= 1 from one theta sum, tau' =
-    tau/|tau|^2, given the phase unit = sqrt(tau/i)/|sqrt(tau/i)|, which is
-    the same for every tau on one ray."""
+def _eta_pair(tau, modulus, unit):
+    """(eta(tau), eta(tau')) for |tau| = modulus >= 1 from one theta sum,
+    tau' = tau/|tau|^2, given the phase unit = sqrt(tau/i)/|sqrt(tau/i)|,
+    which is the same for every tau on one ray."""
     value = _theta_sum(tau, 0)
-    return value, mp.sqrt(abs(tau)) * mp.conj(unit * value)
+    return value, mp.sqrt(modulus) * mp.conj(unit * value)
+
+
+def _eta_ray(w, direction, digits: int, tol):
+    """int eta(t u) (t - w)^{-3/2} dt over 1/rho <= t <= rho, u = direction
+    a unit complex number with Im u > 0, principal power, to tol.  Past
+    rho = 12 digits ln 10/(pi Im u) the theta sum is below 10^-digits of its
+    leading term.  The interval is folded at t = 1, the fixed point of
+    tau -> -1/tau: t -> 1/t maps [1/rho, 1] onto [1, rho] with dt -> dt/t^2,
+    and the node t u and its mirror u/t share one theta sum (_eta_pair), so
+    the integrand on [1, rho] is f(t) + f(1/t)/t^2."""
+    rho = 12 * digits * mp.log(10) / (mp.pi * mp.im(direction))
+    unit = mp.sqrt(direction / mp.j)
+    power = mp.mpf("-1.5")
+
+    def integrand(t):
+        near, far = _eta_pair(t * direction, t, unit)
+        return mp.power(t - w, power) * near + mp.power(1 / t - w, power) * far / (t * t)
+
+    value, _ = ray_integrate(integrand, 1, rho, tol)
+    return value
 
 
 def eta(tau, route: str = "theta"):
     """Value on the upper half plane by the requested route."""
-    tz = mp.mpc(tau)
+    tz = mp.mpc(require_finite(tau, "tau"))
     if mp.im(tz) <= 0:
         raise DomainError("tau must have positive imaginary part")
     if route == "theta":
@@ -157,7 +181,7 @@ def eta(tau, route: str = "theta"):
 
 def eta_tilde(tau):
     """Theta sum with an extra weight n; direct series, no inversion step."""
-    tz = mp.mpc(tau)
+    tz = mp.mpc(require_finite(tau, "tau"))
     if mp.im(tz) <= 0:
         raise DomainError("tau must have positive imaginary part")
     return _theta_sum(tz, 1)
@@ -185,26 +209,13 @@ def eta_tilde_radial(alpha):
 
 
 def _g_direct(xr, tol):
-    # branch point z = x sits on the closed original contour for x > 0;
-    # the ray at angle 3 pi/8 into the upper half plane keeps Im(z - x) > 0
-    # throughout, so the principal power never meets its cut.  The ray runs
-    # over r_min <= r <= r_max with r_min = 1/r_max = pi sin(th)/(12 digits
-    # ln 10), folded at r* = 1: the node z and its mirror z/r^2 share one
-    # theta sum, the mirror weighted by 1/r^2
-    th = 3 * mp.pi / 8
-    digits = mp.dps + 8
-    r_max = 12 * digits * mp.log(10) / (mp.pi * mp.sin(th))
-    contour = RayContour(th, 1, r_max)
-    unit = mp.expj(th / 2 - mp.pi / 4)  # the phase of sqrt(z/i)
-    power = mp.mpf("-1.5")
-
-    def integrand(z):
-        r2 = mp.re(z) ** 2 + mp.im(z) ** 2
-        near, far = _eta_pair(z, unit)
-        return mp.power(z - xr, power) * near + mp.power(z / r2 - xr, power) * far / r2
-
-    value, _ = ray_integrate(integrand, contour, tol)
-    return value
+    # branch point z = x sits on the closed original contour for x > 0; the
+    # ray z = t u, u = e^{3 pi i/8}, keeps Im(z - x) > 0 throughout, so with
+    # w = x/u, z - x = u (t - w) and the principal powers agree:
+    # (z - x)^{-3/2} dz = u^{-1/2} (t - w)^{-3/2} dt
+    direction = mp.expj(3 * mp.pi / 8)
+    ray = _eta_ray(xr / direction, direction, mp.dps + 8, tol)
+    return mp.expj(-3 * mp.pi / 16) * ray
 
 
 def zagier_g(x, tol="1e-16", route: str = "laplace"):
@@ -217,7 +228,7 @@ def zagier_g(x, tol="1e-16", route: str = "laplace"):
     from .summation import AverageKind, sum_eta_integral
 
     tol = require_tol(tol)
-    a, _ = rational_parts(x)
+    a, _ = rational_parts(x, "x")
     if a == 0:
         raise DomainError("x must be nonzero")
     if route == "direct":

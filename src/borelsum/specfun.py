@@ -51,17 +51,16 @@ the drift of the products: four integer products and two shifts per
 complex product, with no normalisation.  The theta sums seed it on
 integers, the Gaussian sum through its mpc wrapper _quadratic_phase_sum.
 
-Quadrature is composite Gauss-Legendre with cached nodes.  Each panel walks
-the orders 8, 12, 17, 24, 34 and returns the first value that agrees with the
-one of the order below it to the panel tolerance; a panel that no pair settles
-is bisected.  It raises QuadratureError instead of returning a low-quality
-value.
+Quadrature is composite Gauss-Legendre on real intervals, with cached
+nodes.  Each panel walks the orders 8, 12, 17, 24, 34 and returns the first
+value that agrees with the one of the order below it to the panel tolerance;
+a panel that no pair settles is bisected.  It raises QuadratureError instead
+of returning a low-quality value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from mpmath import mp
 from mpmath.libmp import to_fixed
@@ -74,7 +73,6 @@ __all__ = [
     "e_mod",
     "e_mod_deficit",
     "dawson_deficit",
-    "RayContour",
     "integrate_segment",
     "ray_integrate",
     "gaussian_tail",
@@ -331,45 +329,50 @@ def _emodd_tail2(z):
 _GL_CACHE: dict[tuple[int, int], tuple[list, list]] = {}
 
 
+def _legendre(n: int, x):
+    """(P_{n-1}(x), P_n(x)) by the three-term recurrence."""
+    p0, p1 = mp.mpf(1), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p0, p1
+
+
 def _gl_nodes(n: int):
+    """Nodes and weights of the n-point rule on [-1, 1]: Newton on P_n for
+    the roots x_i > 0, i <= n/2, each weight 2/((1 - x^2) P_n'(x)^2) from
+    the last Newton step's own derivative, mirrored by index; an odd n adds
+    the centre at exactly 0, with weight 2/(n P_{n-1}(0))^2."""
     key = (n, mp.prec)
     cached = _GL_CACHE.get(key)
     if cached is not None:
         return cached
-    nodes = []
-    weights = []
+    nodes, weights, centre, centre_weight = [], [], [], []
     with mp.extradps(12):
-        for i in range(1, n // 2 + 2):
-            if 2 * i - 1 > n:
-                break
+        for i in range(1, n // 2 + 1):
             x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
             for _ in range(60):
-                p0, p1 = mp.mpf(1), x
-                for k in range(2, n + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                p0, p1 = _legendre(n, x)
                 dp = n * (x * p1 - p0) / (x * x - 1)
                 dx = p1 / dp
                 x -= dx
                 if abs(dx) < mp.eps * 10:
                     break
-            p0, p1 = mp.mpf(1), x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
             nodes.append(+x)
-            weights.append(+w)
-    full_nodes = [-t for t in nodes if t != 0][::-1] + [t for t in nodes]
-    full_weights = [w for t, w in zip(nodes, weights) if t != 0][::-1] + weights
+            weights.append(+(2 / ((1 - x * x) * dp * dp)))
+        if n % 2:  # P_n'(0) = n P_{n-1}(0)
+            centre, centre_weight = [mp.mpf(0)], [+(2 / (n * _legendre(n, mp.mpf(0))[0]) ** 2)]
+    full_nodes = [-t for t in reversed(nodes)] + centre + nodes
+    full_weights = weights[::-1] + centre_weight + weights
     _GL_CACHE[key] = (full_nodes, full_weights)
     return full_nodes, full_weights
 
 
 def integrate_segment(f, a, b, order: int = 24):
-    """Gauss-Legendre of f along the straight segment from a to b."""
+    """Gauss-Legendre of f over the real interval from a to b."""
     nodes, weights = _gl_nodes(order)
-    mid = (mp.mpc(a) + mp.mpc(b)) / 2
-    half = (mp.mpc(b) - mp.mpc(a)) / 2
+    a, b = mp.mpf(a), mp.mpf(b)
+    mid = (a + b) / 2
+    half = (b - a) / 2
     acc = mp.mpc(0)
     for t, w in zip(nodes, weights):
         acc += w * f(mid + half * t)
@@ -393,51 +396,32 @@ def _adaptive_segment(f, a, b, tol, depth: int):
         raise QuadratureError(
             f"segment [{a}, {b}] did not converge (residual {mp.nstr(err)}, tol {mp.nstr(tol)})"
         )
-    m = (mp.mpc(a) + mp.mpc(b)) / 2
+    m = (mp.mpf(a) + mp.mpf(b)) / 2
     half_tol = tol / 2
     return _adaptive_segment(f, a, m, half_tol, depth - 1) + _adaptive_segment(
         f, m, b, half_tol, depth - 1
     )
 
 
-@dataclass(frozen=True)
-class RayContour:
-    """Truncated ray r e^{i theta}, r_min <= r <= r_max, oriented outward."""
-
-    theta: object
-    r_min: object
-    r_max: object
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", mp.mpf(self.theta))
-        object.__setattr__(self, "r_min", mp.mpf(self.r_min))
-        object.__setattr__(self, "r_max", mp.mpf(self.r_max))
-        if not 0 <= self.r_min < self.r_max:
-            raise ValueError("need 0 <= r_min < r_max")
-
-    def point(self, r):
-        return mp.mpf(r) * mp.expj(self.theta)
-
-
-def ray_integrate(f, contour: RayContour, tol):
-    """Integrate f along the contour with geometrically growing panels,
-    each bisected at most 24 levels deep.
+def ray_integrate(f, t_min, t_max, tol):
+    """Integrate f over the real interval t_min <= t <= t_max, 0 < t_min <
+    t_max, on panels [t_min, 2 t_min], [2 t_min, 4 t_min], ... up to t_max,
+    each bisected at most 24 levels deep; a ray is the caller's
+    parametrisation of its points by t.
 
     Returns (value, error_estimate); the estimate is the sum of the panel
     tolerances actually enforced, so it is conservative whenever the
     bisection criterion is."""
-    tol = mp.mpf(tol)
-    edges = [contour.r_min]
-    if edges[-1] == 0:
-        # doubling cannot leave zero; seed with a panel the bisection refines
-        edges.append(contour.r_max / 1024)
-    while edges[-1] < contour.r_max:
-        edges.append(min(2 * edges[-1], contour.r_max))
-    direction = mp.expj(contour.theta)
+    t_min, t_max, tol = mp.mpf(t_min), mp.mpf(t_max), mp.mpf(tol)
+    if not 0 < t_min < t_max:
+        raise ValueError("need 0 < t_min < t_max")
+    edges = [t_min]
+    while edges[-1] < t_max:
+        edges.append(min(2 * edges[-1], t_max))
     per_panel = tol / len(edges)
     acc = mp.mpc(0)
     for lo, hi in zip(edges, edges[1:]):
-        acc += _adaptive_segment(f, lo * direction, hi * direction, per_panel, 24)
+        acc += _adaptive_segment(f, lo, hi, per_panel, 24)
     return acc, per_panel * (len(edges) - 1)
 
 

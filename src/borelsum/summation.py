@@ -30,9 +30,10 @@ integral route (5/2-power model only): the weight-3/2 theta integral
     sqrt(3) x^{3/2} int_ray eta(2 pi i z) (x - z)^{-3/2} dz
 
 along the ray halfway between arg x and the imaginary axis, below the point
-x for mul and above it for mur.  The ray is folded at r* = 1/(2 pi), where
-|2 pi i z| = 1: each node z on the outer half and its mirror z (r*/r)^2
-share one theta sum (modular._eta_pair), so no node inverts.
+x for mul and above it for mur.  On the real parameter t = 2 pi |z| it is
+one modular._eta_ray, the same folded eta integral as the direct route of
+zagier_g: t = 1 is the fixed point of tau -> -1/tau, so each node and its
+mirror 1/t share one theta sum and no node inverts.
 It converges for boundary x on the imaginary axis, where the closed route
 diverges, and includes the constant term automatically.
 
@@ -63,11 +64,11 @@ from .errors import (
     DomainError,
     RayGeometryError,
     ToleranceError,
+    require_finite,
     require_tol,
 )
-from .modular import _eta_pair, rational_parts
+from .modular import _eta_ray, rational_parts
 from .specfun import (
-    RayContour,
     _adaptive_segment,
     _algebraic,
     _log_gaussian_tail,
@@ -78,7 +79,6 @@ from .specfun import (
     extrapolation_gain,
     gaussian_tail,
     geometric_ladder,
-    ray_integrate,
     richardson_limit,
 )
 
@@ -141,9 +141,7 @@ def _resolve_model(model) -> SqrtBranched:
 
 
 def _require_right_half(x):
-    xz = mp.mpc(x)
-    if not mp.isfinite(xz):
-        raise DomainError(f"x must be finite, not {xz}")
+    xz = mp.mpc(require_finite(x, "x"))
     if mp.re(xz) <= 0:
         raise DomainError(
             "closed-route sums converge only for Re x > 0; "
@@ -403,33 +401,17 @@ def _eta_integral_value(xz, kind: AverageKind, tol):
             f"no admissible ray for side '{kind.value}' at arg x = {mp.nstr(arg_x)}"
         )
     theta = arg_x + orient * half
-    cos_t = mp.cos(theta)
     digits = mp.dps + 8 + max(0, int(-1.5 * mp.log10(dist))) + int(1.5 * mp.log10(1 + abs(xz)))
-    # the ray runs over r_min <= r <= r_max, r_min = cos_t/(24 digits ln 10)
-    # = r*^2/r_max, folded at r* = 1/(2 pi), where |2 pi i z| = 1: the node z
-    # and its mirror z (r*/r)^2 share one theta sum, the mirror weighted by
-    # (r*/r)^2 (modular._eta_pair)
-    r_star = 1 / (2 * mp.pi)
-    r_max = 6 * digits * mp.log(10) / (mp.pi**2 * cos_t)
-    contour = RayContour(theta, r_star, r_max)
-    phase = mp.expj(-mp.mpf(3) / 2 * theta)
-    unit = mp.expj(theta / 2)  # the phase of sqrt(tau/i), tau = 2 pi i z
-    x_rot = xz * mp.expj(-theta)
-    two_pi_i, power = 2 * mp.pi * mp.j, mp.mpf("-1.5")
-
-    def integrand(z):
-        # (x - z)^{-3/2} tracked as e^{-3 i theta/2} (x e^{-i theta} - r)^{-3/2};
-        # the rotated difference keeps a constant imaginary part along the ray,
-        # so the principal power never crosses its cut
-        r = abs(z)
-        weight = (r_star / r) ** 2
-        near, far = _eta_pair(two_pi_i * z, unit)
-        return phase * (near * mp.power(x_rot - r, power)
-                        + far * weight * mp.power(x_rot - weight * r, power))
-
-    scale = mp.sqrt(3) * abs(xz) ** mp.mpf("1.5")
-    integral, _ = ray_integrate(integrand, contour, tol / scale)
-    return mp.sqrt(3) * mp.power(xz, mp.mpf("1.5")) * integral
+    # tau = 2 pi i z along z = r e^{i theta} is t u with t = 2 pi r and
+    # u = i e^{i theta}, exactly imaginary on theta = 0.  With W = 2 pi x
+    # e^{-i theta}, (x - z)^{-3/2} dz = e^{-i theta/2} sqrt(2 pi)
+    # (W - t)^{-3/2} dt, and Im W = -orient 2 pi dist keeps one sign along
+    # the ray, so (W - t)^{-3/2} = -orient i (t - W)^{-3/2}
+    direction = mp.j * mp.expj(theta)
+    w = 2 * mp.pi * xz * mp.expj(-theta)
+    scale = mp.sqrt(6 * mp.pi) * mp.power(xz, mp.mpf("1.5"))  # sqrt(3) x^{3/2} sqrt(2 pi)
+    ray = _eta_ray(w, direction, digits, tol / abs(scale))
+    return -orient * mp.j * mp.expj(-theta / 2) * scale * ray
 
 
 def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
@@ -438,14 +420,14 @@ def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
     Quadrature of the weight-1/2 theta series against (x - z)^{-3/2} along
     the ray that bisects the sector between arg x and the imaginary axis,
     below x for mul and above it for mur; 'median' averages the two sides.
-    The ray is folded at the fixed point r* = 1/(2 pi) of tau -> -1/tau, so
-    that one theta sum at |tau| >= 1 serves each node and its mirror.
+    The ray is folded at the fixed point |z| = 1/(2 pi) of tau -> -1/tau,
+    so that one theta sum at |tau| >= 1 serves each node and its mirror.
     That sector has room = pi/2 -+ arg x; RayGeometryError is raised when
     Re x < 0, where the sector would cross Re z = 0, when it is empty, or
     when the ray-to-x distance |x| sin(room/2) is below sqrt(tol)."""
     tol = require_tol(tol)
     kind = _kind(side)
-    xz = mp.mpc(x)
+    xz = mp.mpc(require_finite(x, "x"))
     if xz == 0:
         raise DomainError("x must be nonzero")
     value = _eta_integral_value(xz, kind, tol)
@@ -528,7 +510,7 @@ def averaged_value(model, avg, p, tol="1e-10"):
     tol = require_tol(tol)
     mdl = _resolve_model(model)
     knd = _kind(avg)
-    pr = mp.mpf(p)
+    pr = require_finite(mp.mpf(p), "p")
     if pr < 0:
         raise DomainError("p must be nonnegative")
     n_terms = mdl._transform_terms(float(pr), tol)

@@ -9,7 +9,7 @@ from math import ceil, sqrt
 import pytest
 from mpmath import mp
 
-from borelsum import checks
+from borelsum import checks, modular
 from borelsum.characters import chi12
 from borelsum.errors import ConvergenceError, DomainError
 from borelsum.invariants import phi
@@ -63,7 +63,7 @@ def _mirror_points():
 def test_eta_pair_is_eta_at_tau_and_its_mirror(tau):
     """_eta_pair gives eta(tau) and eta(tau/|tau|^2) from one theta sum."""
     root = mp.sqrt(tau / mp.j)
-    near, far = _eta_pair(tau, root / abs(root))
+    near, far = _eta_pair(tau, abs(tau), root / abs(root))
     assert abs(near - eta(tau, route="product")) < mp.mpf("1e-20")
     assert abs(far - eta(tau / abs(tau) ** 2, route="product")) < mp.mpf("1e-20")
 
@@ -274,4 +274,39 @@ def test_zagier_g_refuses_a_tolerance_that_certifies_nothing(route, tol):
     start = time.perf_counter()
     with pytest.raises(DomainError, match="tolerance"):
         zagier_g(1, tol=tol, route=route)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("x", [1, -0.5])
+def test_laplace_route_g_keeps_tau_on_the_imaginary_axis(monkeypatch, x):
+    """zagier_g's Laplace route integrates along the imaginary axis of tau,
+    theta = 0, where q = e^{pi i tau/12} is real; every theta sum must see
+    Re tau == 0 exactly, not a rounding residue of a rotation."""
+    taus = []
+    theta_sum = modular._theta_sum
+
+    def recorded(tau, weight):
+        taus.append(tau)
+        return theta_sum(tau, weight)
+
+    monkeypatch.setattr(modular, "_theta_sum", recorded)
+    zagier_g(x, tol="1e-12")
+    assert taus and all(mp.re(tau) == 0 for tau in taus)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eta(mp.mpc("nan", 1)),
+    lambda: eta(mp.mpc(1, "nan")),
+    lambda: eta(mp.mpc("nan", 1), "product"),
+    lambda: eta_tilde(mp.mpc("nan", 1)),
+    lambda: eta_tilde_radial(mp.inf),
+    lambda: zagier_g(mp.nan),
+    lambda: zagier_g(mp.nan, route="direct"),
+    lambda: zagier_g(mp.inf),
+], ids=["eta-re", "eta-im", "eta-product", "eta_tilde", "eta_tilde_radial",
+        "g-nan", "g-direct-nan", "g-inf"])
+def test_non_finite_input_raises_domain_error(call):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
     assert time.perf_counter() - start < 0.1

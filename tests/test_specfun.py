@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from borelsum.specfun import (
-    RayContour,
+    _ORDERS,
     _algebraic,
     _dawson_maclaurin,
     _emodd_tail2,
+    _gl_nodes,
     _large_z_sum,
     _log_gaussian_tail,
     _maclaurin_boost,
@@ -335,26 +336,35 @@ def test_integrate_segment_polynomial():
     assert abs(val - mp.mpf(1) / 4) < mp.mpf("1e-24")
 
 
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_gauss_legendre_rules_have_order_nodes_and_full_degree(dps):
+    """Each rule of the order ladder has exactly `order` nodes and
+    integrates x^j, j < 2 order, over [-1, 1] to a few eps; an odd order
+    has one centre node, at 0."""
+    with mp.workdps(dps):
+        for order in _ORDERS:
+            nodes, weights = _gl_nodes(order)
+            assert len(nodes) == len(weights) == order
+            for j in range(2 * order):
+                exact = mp.mpf(2) / (j + 1) if j % 2 == 0 else 0
+                value = mp.fsum(w * x**j for x, w in zip(nodes, weights))
+                assert abs(value - exact) <= 4 * mp.eps, (order, j)
+
+
 def test_ray_integrate_exponential():
-    """Closed form for int e^{-z} dz along a tilted segment."""
-    contour = RayContour(mp.mpf("0.2"), "0.01", "30")
-    a, b = contour.point(contour.r_min), contour.point(contour.r_max)
-    val, err = ray_integrate(lambda z: mp.exp(-z), contour, "1e-20")
+    """int e^{-z} dz along the tilted segment z = t e^{i theta},
+    0.01 <= t <= 30, is e^{i theta} times a real-parameter integral."""
+    unit = mp.expj(mp.mpf("0.2"))
+    a, b = mp.mpf("0.01") * unit, 30 * unit
+    val, err = ray_integrate(lambda t: mp.exp(-t * unit), "0.01", "30", "1e-20")
     assert err < mp.mpf("1e-19")
-    assert abs(val - (mp.exp(-a) - mp.exp(-b))) < mp.mpf("1e-18")
+    assert abs(unit * val - (mp.exp(-a) - mp.exp(-b))) < mp.mpf("1e-18")
 
 
-def test_ray_integrate_from_zero_terminates():
-    contour = RayContour(0, 0, 2)
-    val, _ = ray_integrate(lambda z: z, contour, "1e-16")
-    assert abs(val - 2) < mp.mpf("1e-14")
-
-
-def test_ray_contour_validation():
+@pytest.mark.parametrize("t_min,t_max", [(0, 2), (-1, 1), (2, 1), (1, 1)])
+def test_ray_integrate_needs_a_positive_increasing_interval(t_min, t_max):
     with pytest.raises(ValueError):
-        RayContour(0, 2, 1)
-    with pytest.raises(ValueError):
-        RayContour(0, -1, 1)
+        ray_integrate(lambda t: t, t_min, t_max, "1e-16")
 
 
 @given(

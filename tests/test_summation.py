@@ -289,7 +289,15 @@ def test_closed_route_rejects_left_half_plane():
     lambda: sum_erfi("poincare", mp.mpc("inf", 1), kind="mul"),
     lambda: dirichlet_delta("trefoil", 2, tol="nan"),
     lambda: dirichlet_delta("trefoil", mp.mpc(2, "inf")),
-], ids=["sum_erfi-x", "sum_median-x", "sum_erfi-inf-x", "delta-tol", "delta-x"])
+    lambda: sum_eta_integral(mp.inf),
+    lambda: sum_eta_integral(mp.nan),
+    lambda: sum_eta_integral(mp.mpc(2, "inf")),
+    lambda: radial_limit(mp.inf),
+    lambda: averaged_value("trefoil", "median", mp.nan),
+    lambda: trefoil_borel().eval(mp.nan),
+], ids=["sum_erfi-x", "sum_median-x", "sum_erfi-inf-x", "delta-tol", "delta-x",
+        "eta-integral-inf", "eta-integral-nan", "eta-integral-inf-im", "radial-alpha",
+        "averaged-p", "eval-p"])
 def test_non_finite_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()

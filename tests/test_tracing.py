@@ -41,3 +41,43 @@ def test_tracer_installs_and_restores_every_function(monkeypatch):
     after = _functions()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_counts_the_quadrature_and_theta_layers(monkeypatch):
+    """The per-layer counts of a traced eta ray equal those taken by
+    wrapping the quadrature and theta functions directly, so a changed call
+    shape cannot zero a benchmark metric unnoticed."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    from mpmath import mp
+
+    from borelsum import modular, specfun
+
+    def call():
+        return borelsum.sum_eta_integral(mp.mpc(2, 1.5), "mul", tol="2.5e-10")
+
+    metrics = tracing.traced(borelsum, call).metrics(1)
+
+    counts = {"evals": 0, "panels": 0, "theta": 0}
+    segment, adaptive, theta_sum = (specfun.integrate_segment, specfun._adaptive_segment,
+                                    modular._theta_sum)
+
+    def counted_segment(f, a, b, order=24):
+        counts["evals"] += order
+        return segment(f, a, b, order)
+
+    def counted_adaptive(*args):
+        counts["panels"] += 1
+        return adaptive(*args)
+
+    def counted_theta(tau, weight):
+        counts["theta"] += 1
+        return theta_sum(tau, weight)
+
+    monkeypatch.setattr(specfun, "integrate_segment", counted_segment)
+    monkeypatch.setattr(specfun, "_adaptive_segment", counted_adaptive)
+    monkeypatch.setattr(modular, "_theta_sum", counted_theta)
+    call()
+    assert metrics["specfun.integrand_evals"] == counts["evals"] > 0
+    assert metrics["specfun.panels"] == counts["panels"] > 0
+    assert metrics["modular.theta_sum.calls"] == counts["theta"] > 0
