@@ -9,7 +9,6 @@ supplies the eta-function identities the summed values are tested against.
 
 from .borel import (
     SqrtBranched,
-    TailLaw,
     poincare_borel,
     trefoil_borel,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "RayGeometryError",
     "SqrtBranched",
     "SummationResult",
-    "TailLaw",
     "ToleranceError",
     "TransseriesTable",
     "averaged_value",

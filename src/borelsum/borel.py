@@ -2,25 +2,27 @@
 
 Both models have the form
 
-    G(p) = sum_{n >= 1} c_n (eta_n - p)^{-k/2},   eta_n = nu n^2,
+    G(p) = sum_{n >= 1} c_n (eta_n - p)^{-k/2},   eta_n = nu n^2,   c_n = n^s w_n,
 
-with k odd, coefficients c_n drawn from a sign table with period 12 or 60,
-and branch points accumulating along [eta_1, oo).  Principal powers are used
-throughout, so the first sheet is the cut plane C \\ [eta_1, oo).  The second
-determination negates every (eta_n - p)^{1/2} at once; with k odd that is a
-global sign flip of the whole sum.
+with k odd, weights w_n of period P, and branch points accumulating along
+[eta_1, oo).  SqrtBranched holds that shape as data: nu, the power s and the
+weight table w_1..w_P, computed once per working precision and kept on the
+model together with its Hurwitz-zeta sums (periodic_power_sum).  Principal
+powers are used throughout, so the first sheet is the cut plane
+C \\ [eta_1, oo).  The second determination negates every (eta_n - p)^{1/2}
+at once; with k odd that is a global sign flip of the whole sum.
 
 Truncation of the tail sum_{n > N} uses |eta_n - p| >= eta_n/2 once
 eta_{N+1} >= 2|p|, which gives the explicit bound
 
-    tail <= A (2/nu)^{k/2} N^{s-k+1} / (k - s - 1),   |c_n| <= A n^s.
+    tail <= A (2/nu)^{k/2} N^{s-k+1} / (k - s - 1),   A = max_a |w_a|.
 
 The tail decays only like a power of N, so the reachable tolerance is limited
 by the term budget; eval raises ConvergenceError rather than exceeding it.
 
-trefoil:  k = 5, nu = pi^2/6,  c_n = (3 pi / (2 sqrt 2)) chi(n) n with the
-          period-12 sign table.
-poincare: k = 3, nu = pi^2/30, c_n = -sqrt(30) (c1 chi1(n) + c2 chi2(n)),
+trefoil:  k = 5, nu = pi^2/6,  s = 1, w_a = (3 pi / (2 sqrt 2)) chi(a) with
+          the period-12 sign table.
+poincare: k = 3, nu = pi^2/30, s = 0, w_a = -sqrt(30) (c1 chi1(a) + c2 chi2(a)),
           c1 = sqrt(6 (5 + sqrt 5))/120, c2 = sqrt(6 (5 - sqrt 5))/120, with
           the two period-60 sign tables.  Equivalently, for odd n,
           c_n = (2 sqrt(30)/30) (-1)^{(n-1)/2} cos(n pi/6) cos(3 n pi/10).
@@ -29,9 +31,8 @@ poincare: k = 3, nu = pi^2/30, c_n = -sqrt(30) (c1 chi1(n) + c2 chi2(n)),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import ceil, sqrt
 
 from mpmath import mp
@@ -41,7 +42,6 @@ from .errors import ConvergenceError, OnCutError, require_finite, require_tol
 
 __all__ = [
     "TERM_BUDGET",
-    "TailLaw",
     "SqrtBranched",
     "trefoil_borel",
     "poincare_borel",
@@ -54,53 +54,64 @@ __all__ = [
 TERM_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class TailLaw:
-    """Loose envelope |c_n| <= coeff_bound * n^power and
-    eta_lower * n^2 <= eta_n <= eta_upper * n^2.  For a model with a period,
-    power is also exact: c_n / n^power has that period (periodic_power_sum
-    checks it)."""
-
-    coeff_bound: float
-    power: int
-    eta_lower: float
-    eta_upper: float
-
-
 class SqrtBranched:
-    """One of the branch-term sums above, evaluated lazily at the current
-    working precision (eta/coeff recompute their constants on every call).
+    """One of the branch-term sums above, as data: nu() and weights() give
+    nu and w_1..w_period at the working precision, and table() computes them
+    once per precision."""
 
-    period, when given, is that of c_n / n^{tail.power}."""
-
-    def __init__(self, label: str, k: int, a0, eta_fn, coeff_fn, tail: TailLaw,
-                 period: int | None = None):
+    def __init__(self, label: str, k: int, a0, nu, power: int, weights, period: int):
         if k % 2 == 0 or k < 3:
             raise ValueError("k must be odd and >= 3")
+        if period < 1:
+            raise ValueError("period must be positive")
         self.label = label
         self.k = k
         self.a0 = a0
-        self.tail = tail
+        self.nu = nu
+        self.power = power
+        self.weights = weights
         self.period = period
-        self._eta_fn = eta_fn
-        self._coeff_fn = coeff_fn
+        self._tables: dict = {}
+
+    def table(self) -> tuple:
+        """(nu, (w_1, ..., w_period), Hurwitz sums by s) at the working
+        precision, built on the first call at that precision."""
+        table = self._tables.get(mp.prec)
+        if table is None:
+            weights = tuple(mp.mpf(w) for w in self.weights())
+            if len(weights) != self.period:
+                raise ValueError(f"{self.label}: {len(weights)} weights for period {self.period}")
+            table = self._tables[mp.prec] = (+self.nu(), weights, {})
+        return table
+
+    @cached_property
+    def nu_lower(self) -> float:
+        """nu rounded down to a float: eta_n >= nu_lower n^2."""
+        with mp.workprec(64):
+            return math.nextafter(float(self.table()[0]), 0)
+
+    @cached_property
+    def coeff_bound(self) -> float:
+        """max |w_a| rounded up to a float: |c_n| <= coeff_bound n^power."""
+        with mp.workprec(64):
+            return math.nextafter(float(max(abs(w) for w in self.table()[1])), math.inf)
 
     def eta(self, n: int):
         if n < 1:
             raise ValueError("singularities are indexed from 1")
-        return self._eta_fn(n)
+        return self.table()[0] * n * n
 
     def coeff(self, n: int):
         if n < 1:
             raise ValueError("singularities are indexed from 1")
-        return self._coeff_fn(n)
+        return self.table()[1][(n - 1) % self.period] * n**self.power
 
     def _terms_for(self, decay: int, scale, tol, p_abs: float = 0.0) -> int:
         """The one term count of a Borel-plane sum: the smallest N >= 8 with
         scale N^{-decay}/decay <= tol and eta_{N+1} >= 2 p_abs, where the
         tail bound starts to hold; past TERM_BUDGET, ConvergenceError."""
         n = int(ceil((scale / (decay * tol)) ** (mp.mpf(1) / decay)))
-        reach = sqrt(2 * p_abs / self.tail.eta_lower)  # inf past the float range
+        reach = sqrt(2 * p_abs / self.nu_lower)  # inf past the float range
         n = max(n, 8, ceil(min(reach, TERM_BUDGET)) + 1)
         if n > TERM_BUDGET:
             raise ConvergenceError(
@@ -112,91 +123,50 @@ class SqrtBranched:
 
     def _transform_terms(self, p_abs: float, tol) -> int:
         """_terms_for the sum of c_n (eta_n - p)^{-k/2} at |p| = p_abs: with
-        |eta_n - p| >= eta_n/2, the tail law of the module docstring."""
-        law = self.tail
-        scale = mp.mpf(law.coeff_bound) * (2 / mp.mpf(law.eta_lower)) ** (mp.mpf(self.k) / 2)
-        return self._terms_for(self.k - law.power - 1, scale, tol, p_abs)
+        |eta_n - p| >= eta_n/2, the tail bound of the module docstring."""
+        scale = mp.mpf(self.coeff_bound) * (2 / mp.mpf(self.nu_lower)) ** (mp.mpf(self.k) / 2)
+        return self._terms_for(self.k - self.power - 1, scale, tol, p_abs)
 
     def eval(self, point, tol="1e-8", sheet: int = 0):
         """Value at p on the requested sheet, within absolute tolerance tol,
-        summed over the _transform_terms count at |p|."""
+        summed over the _transform_terms count at |p|, principal powers."""
         tol = require_tol(tol)
         if sheet not in (0, 1):
             raise ValueError("sheet must be 0 or 1")
         p = mp.mpc(require_finite(point, "point"))
-        if mp.im(p) == 0 and mp.re(p) >= self.eta(1):
+        nu, weights, _ = self.table()
+        if mp.im(p) == 0 and mp.re(p) >= nu:
             raise OnCutError("real p >= eta_1 lies on the branch cut")
-        acc = self._branch_sum(p, self.k, self._transform_terms(float(abs(p)), tol))
+        expo = -mp.mpf(self.k) / 2
+        period, power = self.period, self.power
+        acc = mp.fsum(w * n**power * mp.power(nu * n * n - p, expo)
+                      for n in range(1, self._transform_terms(float(abs(p)), tol) + 1)
+                      if (w := weights[(n - 1) % period]))
         return -acc if sheet == 1 else acc
 
-    def _branch_sum(self, p, m: int, n_terms: int):
-        """sum_{n <= n_terms} c_n (eta_n - p)^{-m/2}, principal powers."""
-        expo = -mp.mpf(m) / 2
-        return mp.fsum(c * mp.power(self._eta_fn(n) - p, expo)
-                       for n in range(1, n_terms + 1) if (c := self._coeff_fn(n)))
-
-    def taylor_coeffs(self, count: int, tol="1e-8") -> list:
-        """b_0..b_{count-1} with G(p) = sum b_j p^j near p = 0.
-
-        b_j = (k/2)_j / j! * sum_n c_n eta_n^{-k/2-j}; for periodic
-        coefficients the inner sum is exact (Hurwitz zeta), otherwise it is
-        truncated under the same envelope law as eval.
-        """
-        tol = require_tol(tol)
-        law = self.tail
-        nu_l = mp.mpf(law.eta_lower)
-        out = []
+    def taylor_coeffs(self, count: int) -> list:
+        """b_0..b_{count-1} with G(p) = sum b_j p^j near p = 0:
+        b_j = (k/2)_j / j! * sum_n c_n eta_n^{-k/2-j}, each inner sum exact
+        at the working precision (periodic_power_sum)."""
         k_half = mp.mpf(self.k) / 2
-        weights = periodic_weights(self) if self.period else None
-        for j in range(count):
-            m = self.k + 2 * j
-            if self.period:
-                acc = periodic_power_sum(self, mp.mpf(m) / 2, weights)
-            else:
-                scale = mp.mpf(law.coeff_bound) * nu_l ** (-mp.mpf(m) / 2)
-                acc = self._branch_sum(0, m, self._terms_for(m - law.power - 1, scale, tol))
-            out.append(mp.rf(k_half, j) / mp.factorial(j) * acc)
-        return out
+        return [mp.rf(k_half, j) / mp.factorial(j) * periodic_power_sum(self, k_half + j)
+                for j in range(count)]
 
 
-_PERIODIC_SUM_CACHE: dict = {}
+def periodic_power_sum(g: SqrtBranched, s):
+    """sum_n c_n eta_n^{-s} = nu^{-s} sum_n w_n n^{p-2s}, p = g.power.
 
-
-def periodic_weights(g: SqrtBranched) -> tuple:
-    """w_a = c_a / a^p, a = 1..g.period, p = g.tail.power, at the working
-    precision: the coefficient data periodic_power_sum depends on.  A caller
-    that sums several orders of one model builds them once and passes them
-    to each call."""
-    if not g.period:
-        raise ValueError("model has no periodic coefficient structure")
-    p = g.tail.power
-    return tuple(g.coeff(a) / mp.mpf(a) ** p for a in range(1, g.period + 1))
-
-
-def periodic_power_sum(g: SqrtBranched, s, weights: tuple | None = None):
-    """sum_n c_n eta_n^{-s} when c_n = n^p w_n, p = g.tail.power, with w_n of
-    period g.period, and eta_n = nu n^2.
-
-    Reduces to Hurwitz zeta values zeta(2s - p, a/period) at the residues a,
-    exact at working precision.  Cached per w_1..w_period, eta_1, p, s and
-    precision, the data the sum depends on (w and eta_1 by their raw mpf
-    tuples, which hash and compare faster than mpf objects); weights, when
-    given, must be periodic_weights(g) at the working precision.  A new
-    entry first checks w over a second period and raises ValueError where
-    c_n / n^p is not periodic."""
-    w = periodic_weights(g) if weights is None else weights
-    p, period = g.tail.power, g.period
-    key = (tuple(w_a._mpf_ for w_a in w), mp.mpf(g.eta(1))._mpf_, p, str(s), mp.prec)
-    if key in _PERIODIC_SUM_CACHE:
-        return _PERIODIC_SUM_CACHE[key]
-    for a, w_a in enumerate(w, 1):
-        if abs(g.coeff(a + period) / mp.mpf(a + period) ** p - w_a) > 16 * mp.eps * abs(w_a):
-            raise ValueError(f"{g.label}: c_n / n^{p} does not have period {period}")
-    expo = 2 * mp.mpf(s) - p
-    total = mp.fsum(w_a * mp.zeta(expo, mp.mpf(a) / period)
-                    for a, w_a in enumerate(w, 1) if w_a)
-    value = g.eta(1) ** (-mp.mpf(s)) * mp.power(period, -expo) * total
-    _PERIODIC_SUM_CACHE[key] = value
+    With w of period P this is nu^{-s} P^{p-2s} sum_a w_a zeta(2s - p, a/P),
+    Hurwitz zeta values, exact at the working precision.  Kept in g.table()
+    by s, so each order is summed once per model and precision."""
+    nu, weights, sums = g.table()
+    s = mp.mpf(s)
+    value = sums.get(s)
+    if value is None:
+        expo = 2 * s - g.power
+        total = mp.fsum(w_a * mp.zeta(expo, mp.mpf(a) / g.period)
+                        for a, w_a in enumerate(weights, 1) if w_a)
+        value = sums[s] = nu ** (-s) * mp.power(g.period, -expo) * total
     return value
 
 
@@ -218,21 +188,15 @@ def trefoil_taylor_exact(order: int) -> list[Fraction]:
     return [trefoil_bn_exact(n) for n in range(order + 1)]
 
 
+@cache
 def trefoil_borel() -> SqrtBranched:
     chi = chi12()
 
-    def eta(n: int):
-        return mp.pi**2 * n**2 / 6
+    def weights():
+        kappa = 3 * mp.pi / (2 * mp.sqrt(2))
+        return [chi(a) * kappa for a in range(1, 13)]
 
-    def coeff(n: int):
-        s = chi(n)
-        if s == 0:
-            return mp.mpf(0)
-        return s * n * 3 * mp.pi / (2 * mp.sqrt(2))
-
-    # |c_n| <= 3.34 n; 1.64 n^2 <= eta_n <= 1.645 n^2
-    return SqrtBranched("trefoil", 5, 1, eta, coeff, TailLaw(3.34, 1, 1.64, 1.645),
-                        period=12)
+    return SqrtBranched("trefoil", 5, 1, lambda: mp.pi**2 / 6, 1, weights, 12)
 
 
 def poincare_coefficient_trig(n: int):
@@ -255,23 +219,16 @@ def _poincare_constants(prec: int):
     return mp.sqrt(30), mp.sqrt(6 * (5 + root5)) / 120, mp.sqrt(6 * (5 - root5)) / 120
 
 
+@cache
 def poincare_borel() -> SqrtBranched:
     chi1 = chi60(1)
     chi2 = chi60(2)
 
-    def eta(n: int):
-        return mp.pi**2 * n**2 / 30
-
-    def coeff(n: int):
-        s1, s2 = chi1(n), chi2(n)
-        if s1 == 0 and s2 == 0:
-            return mp.mpf(0)
+    def weights():
         root30, c1, c2 = _poincare_constants(mp.prec)
-        return -root30 * (c1 * s1 + c2 * s2)
+        return [-root30 * (c1 * chi1(a) + c2 * chi2(a)) for a in range(1, 61)]
 
-    # |c_n| <= sqrt(30)(c1 + c2) < 0.44; 0.32 n^2 <= eta_n <= 0.33 n^2
-    return SqrtBranched("poincare", 3, 1, eta, coeff,
-                        TailLaw(0.44, 0, 0.32, 0.33), period=60)
+    return SqrtBranched("poincare", 3, 1, lambda: mp.pi**2 / 30, 0, weights, 60)
 
 
 def poincare_appendix_direct(p, terms: int = 3000):

@@ -422,8 +422,12 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"usage error: cannot write report file: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0 if ok else 4

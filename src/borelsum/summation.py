@@ -12,8 +12,8 @@ formula is the analytic continuation of the median everywhere it converges.
 The lateral values differ from it by the explicit exponentially small series
 dirichlet_delta: mur = median + delta, mul = median - delta.
 
-The slowly convergent algebraic part is accelerated for any model whose
-coefficients are n^power times a periodic table: each term keeps only R_K,
+The slowly convergent algebraic part is accelerated through the periodic
+weight table of the model (c_n = n^power w_n): each term keeps only R_K,
 and the orders m..K-1 it drops are restored in full through Hurwitz-zeta
 sums (periodic_power_sum).  K is chosen per call from the precision, |x| and
 tol.  R_K is its algebraic part A_K plus the Stokes term
@@ -55,7 +55,6 @@ from .borel import (
     TERM_BUDGET,
     SqrtBranched,
     periodic_power_sum,
-    periodic_weights,
     poincare_borel,
     trefoil_borel,
 )
@@ -216,26 +215,25 @@ def _roundoff_floor():
 
 def _gaussian_terms(mdl: SqrtBranched, x, scale, tol):
     """(N, guard digits) for a sum of terms up to scale n^s e^{-nu n^2 Re x},
-    s and nu from the tail law of mdl: N is the smallest grid count whose
-    tail is at most tol/2, and the guard holds the roundoff on the largest
-    total the terms can reach under tol."""
-    law = mdl.tail
-    beta = mp.mpf(law.eta_lower) * mp.re(x)
+    s = mdl.power and nu down to mdl.nu_lower: N is the smallest grid count
+    whose tail is at most tol/2, and the guard holds the roundoff on the
+    largest total the terms can reach under tol."""
+    beta = mp.mpf(mdl.nu_lower) * mp.re(x)
     # the float tail is good to about 1e-15 relative; 1e-9 keeps the cut
     # on the side of the mpf bound
     b, log_target = float(beta), float(mp.log(tol / 2)) - float(mp.log(scale)) - 1e-9
     n = 8
-    while _log_gaussian_tail(n, b, law.power) > log_target:
+    while _log_gaussian_tail(n, b, mdl.power) > log_target:
         n = _grid(n + 1)
         if n > TERM_BUDGET:
             raise ConvergenceError("lateral difference: Re x too small for the budget")
-    size = scale * (mp.exp(-beta) + gaussian_tail(1, beta, law.power))
+    size = scale * (mp.exp(-beta) + gaussian_tail(1, beta, mdl.power))
     return n, max(0, int(mp.ceil(mp.log10(size * _roundoff_floor() / tol))))
 
 
-def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int, weights):
-    """sum_{n <= n_terms} c_n e^{-eta_n x}, c_n = n^p w_n with the weights
-    of periodic_weights, eta_n = nu n^2, at the working precision.
+def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int):
+    """sum_{n <= n_terms} c_n e^{-eta_n x}, c_n = n^p w_n with the weight
+    table of mdl, eta_n = nu n^2, at the working precision.
 
     Per residue a mod the period P, with n = a + P j, the terms step as
     T_{j+1} = T_j R_j and R_{j+1} = R_j Q, Q = e^{-2 nu P^2 x}, from T_0 and
@@ -243,14 +241,15 @@ def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int, weights):
     the products, in fixed point (specfun._quadratic_phase_sum, Python
     integers scaled by 2^wp, wp = the guarded prec + 10 bits).  A sum of
     fewer than three terms per residue is direct."""
-    period, p = mdl.period, mdl.tail.power
+    period, p = mdl.period, mdl.power
     j_max = (n_terms - 1) // period
     if j_max < 2:
-        nu = mdl.eta(1)
+        nu, weights, _ = mdl.table()
         return mp.fsum(w * n**p * mp.exp(-nu * n * n * x) for n in range(1, n_terms + 1)
                        if (w := weights[(n - 1) % period]))
     with mp.extradps(int(2 * math.log10(j_max)) + 3):
-        nu_x = mdl.eta(1) * x
+        nu, weights, _ = mdl.table()
+        nu_x = nu * x
         step = mp.exp(-2 * period**2 * nu_x)
         acc = mp.mpc(0)
         for a, w in enumerate(weights, 1):
@@ -261,24 +260,19 @@ def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int, weights):
     return +acc
 
 
-def dirichlet_delta(model, x, tol="1e-16", weights: tuple | None = None):
+def dirichlet_delta(model, x, tol="1e-16"):
     """Exponentially small lateral difference: median - mul = mur - median.
 
     Equals i^k Gamma(1 - k/2) x^{k/2-1} sum_n c_n e^{-eta_n x}; the sum is a
-    weighted theta series, so the cutoff is Gaussian in n.  Like the closed
-    route, it needs a model with periodic coefficients.  weights, when given,
-    must be periodic_weights of the model at no less than the working
-    precision; the closed route passes the table it has built."""
+    weighted theta series, so the cutoff is Gaussian in n."""
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
     tol = require_tol(tol)
-    if weights is None:
-        weights = periodic_weights(mdl)
     k = mdl.k
     pref = mp.j**k * mp.gamma(1 - mp.mpf(k) / 2) * mp.power(xz, mp.mpf(k) / 2 - 1)
-    n_terms, guard = _gaussian_terms(mdl, xz, abs(pref) * mdl.tail.coeff_bound, tol)
+    n_terms, guard = _gaussian_terms(mdl, xz, abs(pref) * mdl.coeff_bound, tol)
     with mp.extradps(guard):
-        acc = _gaussian_sum(mdl, xz, n_terms, weights)
+        acc = _gaussian_sum(mdl, xz, n_terms)
     return pref * acc
 
 
@@ -288,17 +282,16 @@ def _peel_order(mdl: SqrtBranched, x, tol):
     N_alg the bound on A_K, summed as N^{s-2K}/(2K-s), is held to tol;
     K = m + M rises from M = 2 while one more order, which costs a
     periodic_power_sum fill, saves 8 terms.  N_alg is on the _grid."""
-    law = mdl.tail
     m = (mdl.k - 1) // 2
-    s = law.power
-    scale = 2**m / math.prod(range(1, 2 * m, 2)) * law.coeff_bound  # a_k A
+    s = mdl.power
+    scale = 2**m / math.prod(range(1, 2 * m, 2)) * mdl.coeff_bound  # a_k A
     log_ax = float(mp.log(abs(x)))  # float(abs(x)) overflows past 1e308
 
     def log_order(j: int) -> float:
         # log a_k A (2j-1)!!/2^j |x|^{m-1-j} nu^{-j-1/2}: order j over n, up to a zeta
         return (math.log(scale) + math.lgamma(2 * j + 1) - math.lgamma(j + 1)
                 - 2 * j * math.log(2) + (m - 1 - j) * log_ax
-                - (j + 0.5) * math.log(law.eta_lower))
+                - (j + 0.5) * math.log(mdl.nu_lower))
 
     log_tol = float(mp.log(tol))
     phase = abs(float(mp.arg(x)))
@@ -320,11 +313,11 @@ def _peel_order(mdl: SqrtBranched, x, tol):
     return big_k, n_alg, max(0, int(biggest / math.log(10)))
 
 
-def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int, weights):
+def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int):
     """Lateral value L on the side of Im x by the erfi series, for any
-    periodic model of odd k: mul above the real axis, mur below it, the
-    median on it.  At the working precision, with the order K = big_k and
-    the count N_alg = n_alg of _peel_order and the periodic_weights table.
+    model of odd k: mul above the real axis, mur below it, the median on
+    it.  At the working precision, with the order K = big_k and the count
+    N_alg = n_alg of _peel_order and the weight table of mdl.
 
     With k = 2m + 1 and a_k = 2^m/(2m-1)!!, the transform of c (eta - p)^{-k/2}
     is c a_k eta^{1/2-m} y^{m-1} R_m(sqrt y) = c a_k x^{m-1} R_m(sqrt y)/sqrt(eta),
@@ -334,13 +327,14 @@ def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int, weights):
     A_K(n z_1) c_n/n, z_1^2 = nu x, are summed, over the n <= N_alg; the
     Stokes terms it leaves out sum to sgn(Im x) delta."""
     m = (mdl.k - 1) // 2
-    p = mdl.tail.power
+    p = mdl.power
+    nu, weights, _ = mdl.table()
     restored = mp.fsum(
         mp.fac2(2 * j - 1) / mp.mpf(2) ** j * x ** (m - 1 - j)
-        * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2, weights)
+        * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2)
         for j in range(m, big_k))
     # eta_n = nu n^2, so sqrt(y_n) = n sqrt(nu x) and sqrt(eta_n) = n sqrt(nu)
-    root_nu = mp.sqrt(mdl.eta(1))
+    root_nu = mp.sqrt(nu)
     z_one = root_nu * mp.sqrt(x)
     acc = mp.fsum(w * n**p * _algebraic(n * z_one, big_k) / n
                   for n in range(1, n_alg + 1) if (w := weights[(n - 1) % mdl.period]))
@@ -351,21 +345,17 @@ def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int, weights):
 def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
     """L + f delta, f = sgn(Im x) + the kind's delta factor, L to tol when
     f = 0, else L to tol/2 and f delta to tol/2.  L is summed under the
-    guard digits of _peel_order, and one periodic_weights table built at
-    that precision serves L and delta."""
-    if not mdl.period:
-        raise ValueError(f"{mdl.label}: the closed route needs periodic coefficients")
+    guard digits of _peel_order."""
     if tol < _roundoff_floor():
         raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the roundoff "
                              f"floor {mp.nstr(_roundoff_floor(), 3)} of {mp.dps} digits")
     factor = int(mp.sign(mp.im(xz))) + _DELTA_FACTOR[kind]
     big_k, n_alg, boost = _peel_order(mdl, xz, tol / 2 if factor else tol)
     with mp.extradps(boost):
-        weights = periodic_weights(mdl)
-        base = _closed_base(mdl, xz, big_k, n_alg, weights)
+        base = _closed_base(mdl, xz, big_k, n_alg)
     if not factor:
         return +base
-    return base + factor * dirichlet_delta(mdl, xz, tol / (2 * abs(factor)), weights)
+    return base + factor * dirichlet_delta(mdl, xz, tol / (2 * abs(factor)))
 
 
 def sum_erfi(model, x, kind="median", tol="1e-12") -> SummationResult:

@@ -151,7 +151,7 @@ def test_criterion_08_lateral_difference_identities():
 def test_criterion_09_poincare_suite():
     start = time.perf_counter()
     first_ok = checks.poincare_first_coefficients_match()
-    gaps = checks.poincare_taylor_gaps(7, "1e-14")
+    gaps = checks.poincare_taylor_gaps(7)
     taylor = max(gaps)
     # b_0 = a_1 / 120, so the resummed oracle for a_1 is off by 120 times gaps[0]
     oracle_gap = 120 * gaps[0]

@@ -70,7 +70,6 @@ TOL_GATED = {
     "sum_median",
     "zagier_g",
     "SqrtBranched.eval",
-    "SqrtBranched.taylor_coeffs",
 }
 
 

@@ -9,13 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
-from borelsum import borel, checks
+from borelsum import checks
 from borelsum.borel import (
     TERM_BUDGET,
     SqrtBranched,
-    TailLaw,
     periodic_power_sum,
-    periodic_weights,
     poincare_borel,
     poincare_coefficient_trig,
     trefoil_bn_exact,
@@ -44,14 +42,14 @@ def test_taylor_matches_rescaled_asymptotic_coefficients(n):
 
 
 def test_numeric_taylor_agrees_with_exact():
-    got = trefoil_borel().taylor_coeffs(4, tol="1e-10")
+    got = trefoil_borel().taylor_coeffs(4)
     for v, b in zip(got, TREFOIL_TAYLOR):
         assert abs(v - mp.mpf(b.numerator) / b.denominator) < mp.mpf("1e-10")
 
 
 def test_poincare_taylor_periodic_route():
     """The 60-periodic coefficients let the Taylor sums close exactly."""
-    assert max(checks.poincare_taylor_gaps(3, "1e-20")) < mp.mpf("1e-20")
+    assert max(checks.poincare_taylor_gaps(3)) < mp.mpf("1e-20")
 
 
 def test_trefoil_singularity_layout():
@@ -71,11 +69,24 @@ def test_eta_and_coeff_reject_index_zero():
         mdl.coeff(0)
 
 
+def _reweighted(mdl, residue, factor):
+    """mdl under its own label with w_residue multiplied by factor."""
+    def weights():
+        w = list(mdl.weights())
+        w[residue - 1] *= factor
+        return w
+
+    return SqrtBranched(mdl.label, mdl.k, mdl.a0, mdl.nu, mdl.power, weights, mdl.period)
+
+
 def test_eval_at_origin_is_b0():
-    mdl = trefoil_borel()
+    """eval's direct sum against the exact trefoil b_0, and against the
+    Hurwitz sum of taylor_coeffs on a model that is not built in."""
     b0 = TREFOIL_TAYLOR[0]
-    got = mdl.eval(0, tol="1e-10")
+    got = trefoil_borel().eval(0, tol="1e-10")
     assert abs(got - mp.mpf(b0.numerator) / b0.denominator) < mp.mpf("1e-10")
+    mdl = _reweighted(trefoil_borel(), 7, 3)
+    assert abs(mdl.eval(0, tol="1e-10") - mdl.taylor_coeffs(1)[0]) < mp.mpf("1e-10")
 
 
 def test_eval_second_sheet_flips_sign():
@@ -121,23 +132,21 @@ def test_eval_past_the_float_range_runs_out_of_budget():
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0, -1], ids=str)
-@pytest.mark.parametrize("method", ["eval", "taylor_coeffs"])
+@pytest.mark.parametrize("method", ["eval"])
 def test_methods_refuse_a_tolerance_that_certifies_nothing(method, tol):
-    call = {"eval": lambda g: g.eval(mp.mpf("0.37"), tol=tol),
-            "taylor_coeffs": lambda g: g.taylor_coeffs(2, tol=tol)}[method]
     for mdl in (trefoil_borel(), poincare_borel()):
         start = time.perf_counter()
         with pytest.raises(DomainError, match="tolerance"):
-            call(mdl)
+            getattr(mdl, method)(mp.mpf("0.37"), tol=tol)
         assert time.perf_counter() - start < 0.1
 
 
 @given(n=st.integers(min_value=1, max_value=400))
 def test_tail_law_envelopes_hold(n):
+    """The float bounds of the term counts hold at every index."""
     for mdl in (trefoil_borel(), poincare_borel()):
-        law = mdl.tail
-        assert abs(mdl.coeff(n)) <= law.coeff_bound * n**law.power + mp.mpf("1e-20")
-        assert law.eta_lower * n**2 <= mdl.eta(n) <= law.eta_upper * n**2
+        assert abs(mdl.coeff(n)) <= mdl.coeff_bound * n**mdl.power
+        assert mdl.nu_lower * n**2 <= mdl.eta(n)
 
 
 @pytest.mark.parametrize("n", range(1, 61))
@@ -164,43 +173,27 @@ def test_periodic_power_sum_matches_partial_sums():
         mdl.coeff(n) * mdl.eta(n) ** (-s) for n in range(1, n_cut + 1)
     )
     # tail of sum c_n (nu n^2)^{-2} is below bound * integral n^{-4}
-    tail = mp.mpf(mdl.tail.coeff_bound) * mp.mpf(mdl.tail.eta_lower) ** (-s) * (
+    tail = mp.mpf(mdl.coeff_bound) * mp.mpf(mdl.nu_lower) ** (-s) * (
         n_cut ** (-3) / 3
     )
     assert abs(closed - partial) <= tail
 
 
-def test_periodic_power_sum_requires_period():
-    mdl = SqrtBranched("aperiodic", 3, 1, lambda n: mp.mpf(n) ** 2, lambda n: mp.mpf(1),
-                       TailLaw(1, 0, 1, 1))
-    with pytest.raises(ValueError):
-        periodic_power_sum(mdl, 2)
-
-
-def test_periodic_power_sum_checks_the_structure():
-    """A tail power that is only an envelope leaves c_n / n^power aperiodic."""
+def test_periodic_power_sum_keys_on_every_weight():
+    """Two models under one label, differing in one weight, keep their own
+    sums: each sum is the Hurwitz form of that model's weights."""
     mdl = trefoil_borel()
-    loose = SqrtBranched("trefoil", mdl.k, mdl.a0, mdl.eta, mdl.coeff,
-                         TailLaw(3.34, 2, 1.64, 1.645), period=12)
-    with pytest.raises(ValueError):
-        periodic_power_sum(loose, 2)
-
-
-def test_periodic_power_sum_keys_on_every_weight(monkeypatch):
-    """Weight tables that differ in one entry are two cache entries."""
-    monkeypatch.setattr(borel, "_PERIODIC_SUM_CACHE", {})
-    mdl = trefoil_borel()
-    doubled = SqrtBranched("trefoil", mdl.k, mdl.a0, mdl.eta,
-                           lambda n: 2 * mdl.coeff(n) if n % 12 == 5 else mdl.coeff(n),
-                           mdl.tail, period=12)
-    w, w2 = periodic_weights(mdl), periodic_weights(doubled)
+    doubled = _reweighted(mdl, 5, 2)
+    w, w2 = mdl.table()[1], doubled.table()[1]
     assert sum(a != b for a, b in zip(w, w2)) == 1
     first = periodic_power_sum(mdl, 2)
     second = periodic_power_sum(doubled, 2)
-    assert len(borel._PERIODIC_SUM_CACHE) == 2
     assert first != second
-    assert periodic_power_sum(mdl, 2) == first
-    assert len(borel._PERIODIC_SUM_CACHE) == 2
+    for g, value in ((mdl, first), (doubled, second), (mdl, first)):
+        assert periodic_power_sum(g, 2) == value
+    # only residue 5 differs: the gap is w_5 nu^{-2} zeta(3, 5/12) / 12^3
+    gap = w[4] * mdl.nu() ** -2 * mp.zeta(3, mp.mpf(5) / 12) / 12**3
+    assert abs(second - first - gap) < mp.mpf("1e-22")
 
 
 def test_appendix_route_conversion_factor():
@@ -213,8 +206,3 @@ def test_appendix_route_conversion_factor():
 def test_term_budget_is_generous():
     assert TERM_BUDGET >= 10_000
 
-
-def test_tail_law_is_frozen():
-    law = TailLaw(1.0, 0, 0.5, 0.6)
-    with pytest.raises(AttributeError):
-        law.coeff_bound = 2.0

@@ -142,6 +142,7 @@ def test_usage_errors_exit_two():
     ("sum", "--x", "2", "--tol", "nan"),
     ("sum", "--x", "2", "--tol", "inf"),
     ("radial", "--alpha", "1/2", "--eps0", "inf"),
+    ("coeffs", "--n", "2", "--out", "/nonexistent/dir/report.txt"),
 ])
 def test_bad_ladder_and_tolerance_values_exit_two(args):
     proc = run_cli(*args)

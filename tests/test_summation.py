@@ -2,7 +2,6 @@
 
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,12 +63,10 @@ def test_lateral_conjugation_symmetry(re, im):
 
 
 def _scaled(mdl, factor):
-    """The model with every coefficient multiplied by factor, under the same
-    label, so that no cache keyed by label can hand back the original's sums."""
-    return SqrtBranched(mdl.label, mdl.k, mdl.a0, mdl.eta,
-                        lambda n: factor * mdl.coeff(n),
-                        replace(mdl.tail, coeff_bound=factor * mdl.tail.coeff_bound),
-                        period=mdl.period)
+    """The model with every weight multiplied by factor, under the same
+    label, so that no sum keyed by label can hand back the original's."""
+    return SqrtBranched(mdl.label, mdl.k, mdl.a0, mdl.nu, mdl.power,
+                        lambda: [factor * w for w in mdl.weights()], mdl.period)
 
 
 @pytest.mark.parametrize("model", [trefoil_borel, poincare_borel])
@@ -80,13 +77,6 @@ def test_closed_route_is_linear_in_the_coefficients(model):
         once = sum_erfi(mdl, x, tol="1e-16").value - 1
         twice = sum_erfi(_scaled(mdl, 2), x, tol="1e-16").value - 1
         assert abs(twice - 2 * once) < mp.mpf("1e-15")
-
-
-def test_closed_route_needs_periodic_coefficients():
-    mdl = trefoil_borel()
-    aperiodic = SqrtBranched("aperiodic", mdl.k, mdl.a0, mdl.eta, mdl.coeff, mdl.tail)
-    with pytest.raises(ValueError):
-        sum_erfi(aperiodic, 2)
 
 
 def test_tolerance_below_roundoff_raises():
@@ -215,14 +205,13 @@ def test_closed_route_sums_delta_at_most_once(monkeypatch, model):
 def _mpf_gaussian_terms(mdl, x, scale, tol):
     """_gaussian_terms with its cutoff loop on the mpf bound gaussian_tail,
     kept as the reference for the float log-domain loop."""
-    law = mdl.tail
-    beta = mp.mpf(law.eta_lower) * mp.re(x)
+    beta = mp.mpf(mdl.nu_lower) * mp.re(x)
     n = 8
-    while scale * specfun.gaussian_tail(n, beta, law.power) > tol / 2:
+    while scale * specfun.gaussian_tail(n, beta, mdl.power) > tol / 2:
         n = summation._grid(n + 1)
         if n > summation.TERM_BUDGET:
             raise ConvergenceError("lateral difference: Re x too small for the budget")
-    size = scale * (mp.exp(-beta) + specfun.gaussian_tail(1, beta, law.power))
+    size = scale * (mp.exp(-beta) + specfun.gaussian_tail(1, beta, mdl.power))
     return n, max(0, int(mp.ceil(mp.log10(size * summation._roundoff_floor() / tol))))
 
 
@@ -235,11 +224,11 @@ def test_gaussian_terms_equal_the_mpf_loop(model, dps):
     underflows a float, and at the bottom both exceed the term budget."""
     mdl = model()
     with mp.workdps(dps):
-        assert math.exp(-2 * mdl.tail.eta_lower * 1e3 * 8) == 0
+        assert math.exp(-2 * mdl.nu_lower * 1e3 * 8) == 0
         for j in range(33):
             x = mp.mpc(mp.mpf(10) ** (-5 + mp.mpf(j) / 4), "0.7")
             pref = mp.gamma(1 - mp.mpf(mdl.k) / 2) * mp.power(x, mp.mpf(mdl.k) / 2 - 1)
-            scale = abs(pref) * mdl.tail.coeff_bound
+            scale = abs(pref) * mdl.coeff_bound
             for tol in (summation._roundoff_floor(), mp.mpf(10) ** (5 - dps), mp.mpf("1e-10")):
                 try:
                     want = _mpf_gaussian_terms(mdl, x, scale, tol)
@@ -304,18 +293,23 @@ def test_non_finite_input_raises_domain_error(call):
 
 
 @pytest.mark.parametrize("kind", ["mul", "mur", "median"])
-def test_closed_value_builds_the_weights_once(monkeypatch, kind):
-    """The closed base and the lateral difference share one weight table."""
-    calls = [0]
-    inner = summation.periodic_weights
+def test_closed_value_builds_the_weights_once(kind):
+    """A model's weights() runs once per working precision, however many
+    closed-route calls use it."""
+    mdl = poincare_borel()
+    precs = []
 
-    def counted(mdl):
-        calls[0] += 1
-        return inner(mdl)
+    def counted():
+        precs.append(mp.prec)
+        return mdl.weights()
 
-    monkeypatch.setattr(summation, "periodic_weights", counted)
-    sum_erfi("poincare", mp.mpc(2, "1.5"), kind, tol="1e-16")
-    assert calls[0] == 1
+    model = SqrtBranched(mdl.label, mdl.k, mdl.a0, mdl.nu, mdl.power, counted, mdl.period)
+    first = sum_erfi(model, mp.mpc(2, "1.5"), kind, tol="1e-16").value
+    built = len(precs)
+    for _ in range(3):
+        assert sum_erfi(model, mp.mpc(2, "1.5"), kind, tol="1e-16").value == first
+    assert len(precs) == built
+    assert len(set(precs)) == len(precs)
 
 
 def test_model_names_are_validated():
