@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Fit the transseries block table and report reconstruction quality.
+"""Print the transseries block table and its reconstruction quality.
 
-Extracts the c[k, l] window from exact coefficients by the requested
-route, then prints per-index relative reconstruction errors, the power law
-of the residual at each truncation level, and the two transseries window
-checks of ``borelsum verify``, which give the verdict.
+Builds the c[k, l] window from the exact Stirling ladder, then prints it,
+the relative reconstruction error against the exact b_n per index, the
+power law of the residual at each truncation level, and the two
+transseries window checks of ``borelsum verify``, which give the verdict.
 
-    python scripts/gamma_ladder.py --k-max 7 --l-max 6 --route fit
+    python scripts/gamma_ladder.py --k-max 7 --l-max 6
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--k-max", type=int, default=7)
     parser.add_argument("--l-max", type=int, default=6)
-    parser.add_argument("--route", choices=("fit", "exact"), default="fit")
     parser.add_argument("--n-start", type=int, default=30)
     parser.add_argument("--n-stop", type=int, default=60)
     parser.add_argument("--n-step", type=int, default=5)
@@ -39,17 +38,12 @@ def main() -> int:
         return 2
     mp.dps = args.precision
 
-    table = extract_ckl(args.k_max, args.l_max, route=args.route)
-    exact = extract_ckl(args.k_max, args.l_max, route="exact")
-    print(f"# route={args.route} window k<={args.k_max} l<={args.l_max}")
-    print(f"{'k':>3} {'l':>3}  {'c[k,l]':>24}  {'predicted':>24}")
+    table = extract_ckl(args.k_max, args.l_max)
+    print(f"# window k<={args.k_max} l<={args.l_max}")
+    print(f"{'k':>3} {'l':>3}  {'c[k,l]':>24}")
     for (k, l), value in sorted(table.c.items()):
-        if not value:
-            continue
-        print(f"{k:>3} {l:>3}  {mp.nstr(value, 15):>24}  "
-              f"{mp.nstr(exact.value(k, l), 15):>24}")
-    if table.gamma_gap:
-        print(f"# fit cross-range gap {mp.nstr(table.gamma_gap, 3)}")
+        if value:
+            print(f"{k:>3} {l:>3}  {mp.nstr(value, 15):>24}")
 
     ns = range(args.n_start, args.n_stop + 1, args.n_step)
     print(f"\n{'n':>4}  {'rel error':>12}  {'omitted ratio':>14}")

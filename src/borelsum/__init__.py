@@ -43,11 +43,9 @@ from .summation import (
     sum_median,
 )
 from .transseries import (
-    GammaFit,
     TransseriesTable,
     exact_bn,
     extract_ckl,
-    stirling_gamma_fit,
     stirling_gammas,
 )
 
@@ -60,7 +58,6 @@ __all__ = [
     "DirichletCharacter",
     "DomainError",
     "FormalSeries",
-    "GammaFit",
     "OnCutError",
     "QuadratureError",
     "RayGeometryError",
@@ -92,7 +89,6 @@ __all__ = [
     "poincare_borel",
     "poincare_coeffs",
     "radial_limit",
-    "stirling_gamma_fit",
     "stirling_gammas",
     "sum_erfi",
     "sum_eta_integral",

@@ -246,10 +246,10 @@ def reconstruction_error(table, ns):
 
 def omitted_term_ratios(table, ns):
     """Per n in ns, the reconstruction error over the first omitted k=1
-    monomial c[1, l_max+1] b^n n^{p-l_max-1}, with c[1, l_max+1] from the
-    exact route; order 1 when the window is honest."""
+    monomial c[1, l_max+1] b^n n^{p-l_max-1}; order 1 when the window is
+    honest."""
     top = table.l_max + 1
-    c_next = abs(extract_ckl(1, top, route="exact").value(1, top))
+    c_next = abs(extract_ckl(1, top).value(1, top))
     return [abs(table.reconstruct(n) - _mpf(exact_bn(n)))
             / (mp.power(table.base, n) * mp.power(n, table.power - top) * c_next)
             for n in ns]

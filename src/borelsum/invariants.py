@@ -1,8 +1,8 @@
 """Finite q-factorial sums at roots of unity and the two coefficient tables.
 
 Roots of unity are always addressed by a rational angle alpha (q = e^{2 pi i
-alpha}), never by a floating-point q.  The finite sums are summed by one
-complex loop at the working precision, whatever the denominator.
+alpha}), never by a floating-point q or alpha.  The finite sums are summed by
+one complex loop at the working precision, whatever the denominator.
 
 The two coefficient tables, exact, built on Python integers:
 
@@ -36,10 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from numbers import Rational
 
 from mpmath import mp
 
 from .characters import bernoulli_delta
+from .errors import DomainError
 from .series import FormalSeries
 
 __all__ = [
@@ -56,11 +58,18 @@ _ROUTES = ("generating-function", "bernoulli-closed-form")
 
 @dataclass(frozen=True)
 class RationalAngle:
-    """Rational multiple of a full turn; q = e^{2 pi i alpha}."""
+    """Rational multiple of a full turn; q = e^{2 pi i alpha}.
+
+    alpha is an int, a Fraction or an "a/b" string.  A float or mpf raises
+    DomainError: its binary fraction has a denominator near 2^54, which
+    would size the boundary sums at about 10^16 terms."""
 
     alpha: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.alpha, (Rational, str)):
+            raise DomainError(f"alpha must be an int, a Fraction or an 'a/b' string, "
+                              f"not {type(self.alpha).__name__} {self.alpha}")
         object.__setattr__(self, "alpha", Fraction(self.alpha))
 
     def reduced(self) -> tuple[int, int]:
@@ -72,9 +81,7 @@ class RationalAngle:
 
 
 def _angle(alpha) -> RationalAngle:
-    if isinstance(alpha, RationalAngle):
-        return alpha
-    return RationalAngle(Fraction(alpha))
+    return alpha if isinstance(alpha, RationalAngle) else RationalAngle(alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -141,14 +141,15 @@ def _eta_ray(w, direction, digits: int, tol):
     the integrand on [1, rho] is f(t) + f(1/t)/t^2."""
     rho = 12 * digits * mp.log(10) / (mp.pi * mp.im(direction))
     unit = mp.sqrt(direction / mp.j)
-    power = mp.mpf("-1.5")
 
     def integrand(t):
         near, far = _eta_pair(t * direction, t, unit)
-        return mp.power(t - w, power) * near + mp.power(1 / t - w, power) * far / (t * t)
+        # d^{-3/2} as 1/(d sqrt(d)): the same principal branch, one sqrt
+        # in place of a log and an exp
+        d, e = t - w, 1 / t - w
+        return near / (d * mp.sqrt(d)) + far / (e * mp.sqrt(e) * t * t)
 
-    value, _ = ray_integrate(integrand, 1, rho, tol)
-    return value
+    return ray_integrate(integrand, 1, rho, tol)
 
 
 def eta(tau, route: str = "theta"):

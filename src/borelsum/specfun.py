@@ -409,9 +409,9 @@ def ray_integrate(f, t_min, t_max, tol):
     each bisected at most 24 levels deep; a ray is the caller's
     parametrisation of its points by t.
 
-    Returns (value, error_estimate); the estimate is the sum of the panel
-    tolerances actually enforced, so it is conservative whenever the
-    bisection criterion is."""
+    Each panel meets tol / (number of panel edges) by the bisection
+    criterion, so the whole interval meets tol whenever that criterion is
+    conservative."""
     t_min, t_max, tol = mp.mpf(t_min), mp.mpf(t_max), mp.mpf(tol)
     if not 0 < t_min < t_max:
         raise ValueError("need 0 < t_min < t_max")
@@ -422,7 +422,7 @@ def ray_integrate(f, t_min, t_max, tol):
     acc = mp.mpc(0)
     for lo, hi in zip(edges, edges[1:]):
         acc += _adaptive_segment(f, lo, hi, per_panel, 24)
-    return acc, per_panel * (len(edges) - 1)
+    return acc
 
 
 # ---------------------------------------------------------------------------

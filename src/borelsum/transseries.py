@@ -7,13 +7,9 @@ suppressed blocks at k = 5, 7, 11, ...  This module extracts the block
 coefficients c[k, l] and reconstructs b_n from a finite (k, l) window;
 ``borelsum.checks`` measures how well the window and the residuals behave.
 
-Two independent routes produce the gamma ladder:
-
-* ``stirling_gamma_fit`` fits exact factorial ratios at large n with a
-  Richardson peel (the primary route; self-validated on two disjoint
-  n ranges).
-* ``stirling_gammas`` manipulates the Stirling series in exact rational
-  arithmetic and returns g_l with gamma_l = g_l / sqrt(pi).
+The gamma ladder comes from ``stirling_gammas``, which manipulates the
+Stirling series in exact rational arithmetic and returns g_l with
+gamma_l = g_l / sqrt(pi); the reconstruction against the exact b_n checks it.
 """
 
 from __future__ import annotations
@@ -27,9 +23,7 @@ from mpmath import mp
 
 from .borel import trefoil_bn_exact
 from .characters import chi12, l_value_exact
-from .errors import ToleranceError
 from .series import bernoulli_number
-from .specfun import richardson_limit
 
 __all__ = [
     "exact_bn",
@@ -37,8 +31,6 @@ __all__ = [
     "block_term",
     "normalized_residual",
     "stirling_gammas",
-    "GammaFit",
-    "stirling_gamma_fit",
     "TransseriesTable",
     "extract_ckl",
 ]
@@ -145,76 +137,6 @@ def stirling_gammas(count: int) -> list[Fraction]:
     return out
 
 
-def _factorial_ratio_scaled(n: int) -> object:
-    """(2n+3)!/((n+1)! n! 4^n n^{3/2}); tends to gamma_0 = 8/sqrt(pi)."""
-    q = _central_ratio(n) / 4 ** n
-    val = mp.mpf(q.numerator) / mp.mpf(q.denominator)
-    return val / mp.power(n, mp.mpf(3) / 2)
-
-
-def _peel_gammas(ns: Sequence[int], l_max: int) -> list[object]:
-    hs = [mp.mpf(1) / n for n in ns]
-    work = [_factorial_ratio_scaled(n) for n in ns]
-    out = []
-    for _ in range(l_max + 1):
-        limit, _ = richardson_limit(hs, work)
-        out.append(limit)
-        work = [(w - limit) / h for w, h in zip(work, hs)]
-    return out
-
-
-def _geometric_ns(start: int, ratio: float, points: int) -> list[int]:
-    ns: list[int] = []
-    x = float(start)
-    for _ in range(points):
-        n = int(round(x))
-        if ns and n <= ns[-1]:
-            n = ns[-1] + 1
-        ns.append(n)
-        x *= ratio
-    return ns
-
-
-@dataclass(frozen=True)
-class GammaFit:
-    """Gamma ladder fitted from exact factorial ratios.
-
-    ``cross_gap`` is the largest disagreement between the two disjoint
-    n ranges used for self-validation.
-    """
-
-    values: tuple
-    cross_gap: object
-
-
-# (start, ratio, points) of the two disjoint n ranges, and the largest
-# cross-range disagreement stirling_gamma_fit accepts
-_FIT_RANGES = ((400, 1.3, 16), (700, 1.3, 16))
-_FIT_AGREEMENT = "1e-9"
-
-
-def stirling_gamma_fit(l_max: int) -> GammaFit:
-    """Fit gamma_0..gamma_{l_max} by Richardson peeling at large n.
-
-    Runs the peel on each of the ``_FIT_RANGES`` independently and raises
-    ToleranceError if any coefficient differs across ranges by more
-    than ``_FIT_AGREEMENT``.
-    """
-    tol = mp.mpf(_FIT_AGREEMENT)
-    with mp.workdps(mp.dps + 40):
-        fits = [_peel_gammas(_geometric_ns(*r), l_max) for r in _FIT_RANGES]
-        gap = mp.mpf(0)
-        for row in fits[1:]:
-            for a, b in zip(fits[0], row):
-                gap = max(gap, abs(a - b))
-        if gap > tol:
-            raise ToleranceError(
-                f"gamma fit ranges disagree by {mp.nstr(gap, 5)} "
-                f"(allowed {mp.nstr(tol, 5)})")
-        values = tuple(+g for g in fits[0])
-    return GammaFit(values=values, cross_gap=+gap)
-
-
 # reconstruct scales block k by k^{-2n}; the residual decay check measures this
 NORMALIZATION = "k^-2n"
 
@@ -228,7 +150,6 @@ class TransseriesTable:
     power: object
     k_max: int
     l_max: int
-    gamma_gap: object = None
 
     def value(self, k: int, l: int) -> object:
         return self.c.get((k, l), mp.mpf(0))
@@ -251,26 +172,17 @@ class TransseriesTable:
         return mp.power(self.base, n) * mp.power(nn, self.power) * total
 
 
-def extract_ckl(k_max: int, l_max: int, route: str = "fit") -> TransseriesTable:
+def extract_ckl(k_max: int, l_max: int) -> TransseriesTable:
     """Assemble the c[k, l] window for k <= k_max, l <= l_max.
 
     The k dependence is exact (character value over k^4, with the
-    squared-index exponential); the 1/n ladder comes from the gamma
-    fit, or from the exact Stirling route when ``route='exact'``.
+    squared-index exponential); the 1/n ladder is the exact Stirling one.
     """
     if k_max < 1 or l_max < 0:
         raise ValueError("window must satisfy k_max >= 1, l_max >= 0")
-    if route == "fit":
-        fit = stirling_gamma_fit(l_max)
-        gammas = list(fit.values)
-        gap = fit.cross_gap
-    elif route == "exact":
-        sqrt_pi = mp.sqrt(mp.pi)
-        gammas = [(mp.mpf(g.numerator) / mp.mpf(g.denominator)) / sqrt_pi
-                  for g in stirling_gammas(l_max + 1)]
-        gap = mp.mpf(0)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    sqrt_pi = mp.sqrt(mp.pi)
+    gammas = [(mp.mpf(g.numerator) / mp.mpf(g.denominator)) / sqrt_pi
+              for g in stirling_gammas(l_max + 1)]
     chi = chi12()
     pref = _prefactor()
     table: dict[tuple[int, int], object] = {}
@@ -279,5 +191,4 @@ def extract_ckl(k_max: int, l_max: int, route: str = "fit") -> TransseriesTable:
         for l in range(l_max + 1):
             table[(k, l)] = weight * gammas[l] if chi(k) else mp.mpf(0)
     return TransseriesTable(c=table, base=6 / mp.pi ** 2,
-                            power=mp.mpf(3) / 2, k_max=k_max, l_max=l_max,
-                            gamma_gap=gap)
+                            power=mp.mpf(3) / 2, k_max=k_max, l_max=l_max)

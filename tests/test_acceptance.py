@@ -173,7 +173,7 @@ def test_criterion_09_poincare_suite():
 
 def test_criterion_10_transseries_window():
     start = time.perf_counter()
-    table = extract_ckl(7, 6, route="fit")
+    table = extract_ckl(7, 6)
     active = sorted({k for (k, _), v in table.c.items() if v})
     window_ok = active == [1, 5, 7]
     rel = checks.reconstruction_error(table, [50])

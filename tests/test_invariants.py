@@ -11,6 +11,7 @@ from mpmath import mp
 
 from borelsum.characters import bernoulli_delta
 from borelsum.checks import TREFOIL_SCALED
+from borelsum.errors import DomainError
 from borelsum.invariants import (
     CoefficientTable,
     RationalAngle,
@@ -133,6 +134,16 @@ def test_phi_at_integers_and_halves():
 def test_phi_alpha_two():
     # alpha = 2 reduces to the same finite sum as alpha = 0 with a new prefactor
     assert abs(phi(2) - mp.expjpi(mp.mpf(2) / 12)) < mp.mpf("1e-24")
+
+
+def test_angles_must_be_rational():
+    """A float or mpf angle is refused before any work: 0.1 as a binary
+    fraction has denominator 2^55, so its sum would run 10^16 terms."""
+    with pytest.raises(DomainError, match="alpha"):
+        phi(0.1)
+    with pytest.raises(DomainError, match="alpha"):
+        f_at_root_of_unity(mp.mpf(1) / 3)
+    assert phi("1/3") == phi(Fraction(1, 3)) == phi(RationalAngle(Fraction(1, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -356,8 +356,7 @@ def test_ray_integrate_exponential():
     0.01 <= t <= 30, is e^{i theta} times a real-parameter integral."""
     unit = mp.expj(mp.mpf("0.2"))
     a, b = mp.mpf("0.01") * unit, 30 * unit
-    val, err = ray_integrate(lambda t: mp.exp(-t * unit), "0.01", "30", "1e-20")
-    assert err < mp.mpf("1e-19")
+    val = ray_integrate(lambda t: mp.exp(-t * unit), "0.01", "30", "1e-20")
     assert abs(unit * val - (mp.exp(-a) - mp.exp(-b))) < mp.mpf("1e-18")
 
 

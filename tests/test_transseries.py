@@ -1,13 +1,13 @@
-"""Factorial-growth blocks of the Taylor coefficients and their fits."""
+"""Factorial-growth blocks of the Taylor coefficients and their ladder."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from borelsum import checks, transseries
+from borelsum import checks
 from borelsum.checks import TREFOIL_TAYLOR
-from borelsum.errors import ToleranceError
 from borelsum.transseries import (
     TransseriesTable,
     block_term,
@@ -15,7 +15,6 @@ from borelsum.transseries import (
     exact_bn,
     extract_ckl,
     normalized_residual,
-    stirling_gamma_fit,
     stirling_gammas,
 )
 
@@ -80,47 +79,34 @@ def test_stirling_gammas_validation():
         stirling_gammas(0)
 
 
-def test_gamma_fit_matches_exact_ladder():
-    fit = stirling_gamma_fit(2)
-    sqrt_pi = mp.sqrt(mp.pi)
-    for got, g in zip(fit.values, stirling_gammas(3)):
-        assert abs(got - _mpf(g) / sqrt_pi) < mp.mpf("1e-15")
-    assert fit.cross_gap < mp.mpf("1e-20")
-
-
-def test_gamma_fit_range_disagreement_raises(monkeypatch):
-    monkeypatch.setattr(transseries, "_FIT_RANGES", ((12, 1.2, 5), (700, 1.3, 16)))
-    monkeypatch.setattr(transseries, "_FIT_AGREEMENT", "1e-30")
-    with pytest.raises(ToleranceError):
-        stirling_gamma_fit(2)
+@pytest.mark.parametrize("n", [10**3, 10**4])
+def test_stirling_gammas_match_the_factorial_ratio(n):
+    """sqrt(pi) (2n+3)!/((n+1)! n! 4^n n^{3/2}) against sum_{l<7} g_l n^-l,
+    off by about g_7 n^-7."""
+    with mp.workdps(60):
+        ratio = Fraction(math.factorial(2 * n + 3),
+                         math.factorial(n + 1) * math.factorial(n) * 4**n)
+        exact = mp.sqrt(mp.pi) * _mpf(ratio) / mp.power(n, mp.mpf(3) / 2)
+        ladder = mp.fsum(_mpf(g) / mp.mpf(n) ** l for l, g in enumerate(stirling_gammas(7)))
+        assert abs(exact - ladder) <= mp.mpf(n) ** -7
 
 
 def test_predicted_c10_closed_form():
-    predicted = extract_ckl(5, 0, route="exact")
+    predicted = extract_ckl(5, 0)
     target = 72 * mp.sqrt(3) / (mp.sqrt(mp.pi) * mp.pi**4)
     assert abs(predicted.value(1, 0) - target) < mp.mpf("1e-22")
     assert predicted.value(2, 0) == 0
     assert abs(predicted.value(5, 0) + predicted.value(1, 0) / 625) < mp.mpf("1e-22")
 
 
-def test_exact_and_fitted_tables_agree():
-    fit = extract_ckl(7, 2, route="fit")
-    exact = extract_ckl(7, 2, route="exact")
-    for key, val in exact.c.items():
-        assert abs(fit.c[key] - val) < mp.mpf("1e-15") * (1 + abs(val))
-    assert exact.gamma_gap == 0
-
-
 def test_extract_ckl_validation():
     with pytest.raises(ValueError):
         extract_ckl(0, 2)
-    with pytest.raises(ValueError):
-        extract_ckl(3, 2, route="divination")
 
 
 def test_reconstruct_normalization_guard():
     """Block k is suppressed by k^{-2n}; at small n the k >= 5 blocks show."""
-    table = extract_ckl(7, 2, route="exact")
+    table = extract_ckl(7, 2)
     n = 5
     blocks = mp.fsum(table.value(k, l) / mp.mpf(n) ** l / mp.mpf(k) ** (2 * n)
                      for k in range(1, 8) for l in range(3))
@@ -131,7 +117,7 @@ def test_reconstruct_normalization_guard():
 
 
 def test_verify_report_full_window():
-    table = extract_ckl(7, 6, route="exact")
+    table = extract_ckl(7, 6)
     ns = range(30, 61, 5)
     window = list(checks.transseries_window(table, ns))
     assert [c.name for c in window] == ["transseries-reconstruction",
