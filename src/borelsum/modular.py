@@ -20,20 +20,30 @@ of tau -> -1/tau, and for |tau| >= 1 the mirror node tau' = tau/|tau|^2 has
 
     eta(tau') = conj(eta(tau))/sqrt(tau'/i) = sqrt|tau| conj(v eta(tau)),
 
-v = sqrt(tau/i)/|sqrt(tau/i)| = sqrt(u/i), one phase per ray.  _eta_pair
-returns both values from one theta sum, and _eta_ray folds [1/rho, 1] onto
-[1, rho]: f(t) + f(1/t)/t^2 on the outer half alone, with |tau| = t known
-at every node.
+v = sqrt(tau/i)/|sqrt(tau/i)| = sqrt(u/i), one phase per ray.  _eta_ray
+folds [1/rho, 1] onto [1, rho]: f(t) + f(1/t)/t^2 on the outer half alone,
+with |tau| = t known at every node, and one theta sum per node.  Its
+integrand is one fixed-point kernel on Python integers scaled by 2^wp:
+q = e^{pi i t u/12} from mpmath's exp_fixed and cos_sin_fixed, Q = q^24 by
+five products, the theta sum, the mirror value, and both kernels
+(t - w)^{-3/2} and (1/t - w)^{-3/2}/t^2 from specfun's integer complex
+square root, with one mpc formed per node.  wp is prec plus the theta guard
+of the longest sum on the ray (at t = 1), 10 bits, and the bits of
+|Im w|^{-5/2}, the most a kernel's derivative can multiply the roundings
+of its argument by, as |t - w| >= |Im w| for real t.
 
-Both theta sums come from two expjpi calls, q = e^{pi i tau/12} and Q = q^24:
-every n with chi(n) != 0 is prime to 6, so n^2 = 1 + 24 e_n with e_n whole,
-and the sum is q times the sum of chi(n) Q^{e_n} over the chains n = 6 k + 1
-and n = 6 k + 5, along each of which chi alternates and the terms step by two
-products per term, from Q^2, Q^3 and Q^4 formed once.  The cutoff is sized in
-floats; the chains run under 2 log10(k_max) guard digits for the drift of
-their products plus log10 of an a-priori bound on sum |term|, the digits the
-sum cancels, in fixed point: specfun._fixed_phase_sum steps each chain on
-Python integers scaled by 2^wp, wp = prec + 10 bits at the guarded precision.
+Every theta sum is the same integer kernel _theta_sum, on q = e^{pi i
+tau/12} and Q = q^24: every n with chi(n) != 0 is prime to 6, so
+n^2 = 1 + 24 e_n with e_n whole, and the sum is q times the sum of
+chi(n) Q^{e_n} over the chains n = 6 k + 1 and n = 6 k + 5, along each of
+which chi alternates and the terms step by two products per term, from
+Q^2, Q^3 and Q^4 formed once.  The cutoff is sized in floats; the chains
+run under 2 log10(k_max) guard digits for the drift of their products plus
+log10 of an a-priori bound on sum |term|, the digits the sum cancels:
+specfun._fixed_phase_sum steps each chain on Python integers scaled by
+2^wp, wp = prec + 10 bits at the guarded precision.  For eta and eta_tilde
+the seeds q and Q come from two expjpi calls and the sum returns as an
+mpc (_theta_value).
 
 eta_tilde is the companion weighted by an extra factor n.  Its radial limits
 at rational points are finite even though the unweighted series has none,
@@ -50,14 +60,19 @@ suite rather than folded in here.
 
 from __future__ import annotations
 
-from math import ceil, e, log10, pi, sqrt
+from math import ceil, e, isqrt, log2, log10, pi, sqrt
+from numbers import Rational
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
 from .errors import ConvergenceError, DomainError, require_finite, require_tol
+from .invariants import _angle
 from .specfun import (
     _LN10,
     _PHASE_GUARD_BITS,
+    _fixed_inverse_three_halves,
     _fixed_mul,
     _fixed_phase_sum,
     _from_fixed,
@@ -94,60 +109,126 @@ def _gauss_cutoff(b: float, s: int, log_target: float) -> int:
     return n
 
 
-def _theta_sum(tau, weight: int):
-    # chi(n) q^{n^2} = q chi(n) Q^{e_n}, n^2 = 1 + 24 e_n; along n = 6 k + 1 and
-    # 6 k + 5 these step as T <- T R, R <- R Q^3 from (T, R) = (1, -Q^2) and (-Q, -Q^4)
+def _theta_guard(n_terms: int, b: float, weight: int) -> int:
+    """Guard digits of a theta sum of n_terms terms at beta = b: 2 log10(k_max)
+    for the drift of the products along a chain of k_max = n_terms/6 steps,
+    plus log10 of an a-priori bound on sum |term|, the digits the sum
+    cancels: the integral of n^weight e^{-beta n^2} over n > 0 plus its
+    largest value."""
+    size = 1 / (2 * b) + 1 / sqrt(2 * e * b) if weight else sqrt(pi / b) / 2
+    return int(2 * log10(n_terms // 6) + log10(max(1, size))) + 3
+
+
+def _theta_sum(q, big_q, n_terms: int, weight: int, wp: int):
+    """q sum chi(n) n^weight Q^{e_n} over n <= n_terms, n^2 = 1 + 24 e_n,
+    given q = e^{pi i tau/12} and Q = q^24, on (re, im) pairs of integers
+    scaled by 2^wp; the product keeps the scale of q, if q is given at
+    another."""
+    # along n = 6 k + 1 and 6 k + 5 the terms step as T <- T R, R <- R Q^3
+    # from (T, R) = (1, -Q^2) and (-Q, -Q^4)
+    q2 = _fixed_mul(big_q, big_q, wp)
+    q3, q4 = _fixed_mul(q2, big_q, wp), _fixed_mul(q2, q2, wp)
+    ones = _fixed_phase_sum((1 << wp, 0), (-q2[0], -q2[1]), q3, 1, n_terms, 6, weight, wp)
+    fives = _fixed_phase_sum((-big_q[0], -big_q[1]), (-q4[0], -q4[1]), q3, 5, n_terms, 6,
+                             weight, wp)
+    return _fixed_mul(q, (ones[0] + fives[0], ones[1] + fives[1]), wp)
+
+
+def _theta_value(tau, weight: int):
+    """The theta sum at tau as an mpc, seeded by two expjpi calls under the
+    guard digits of _theta_guard."""
     b = pi * float(tau.imag) / 12
     n_terms = _gauss_cutoff(b, weight, -b - (mp.dps + 5) * _LN10)
-    # sum |term| is at most the integral of n^weight e^{-beta n^2} over n > 0
-    # plus its largest value; the products drift by about k^2 ulps
-    size = 1 / (2 * b) + 1 / sqrt(2 * e * b) if weight else sqrt(pi / b) / 2
-    with mp.extradps(int(2 * log10(n_terms // 6) + log10(max(1, size))) + 3):
+    with mp.extradps(_theta_guard(n_terms, b, weight)):
         wp = mp.prec + _PHASE_GUARD_BITS
-        p1 = _to_fixed(mp.expjpi(2 * tau), wp)  # Q, and below Q^2, Q^3, Q^4
-        p2 = _fixed_mul(p1, p1, wp)
-        p3, p4 = _fixed_mul(p2, p1, wp), _fixed_mul(p2, p2, wp)
-        ones = _fixed_phase_sum((1 << wp, 0), (-p2[0], -p2[1]), p3, 1, n_terms, 6, weight, wp)
-        fives = _fixed_phase_sum((-p1[0], -p1[1]), (-p4[0], -p4[1]), p3, 5, n_terms, 6,
-                                 weight, wp)
-        acc = mp.expjpi(tau / 12) * _from_fixed(ones[0] + fives[0], ones[1] + fives[1], wp)
+        q = mp.expjpi(tau / 12)
+        # q is carried at 2^(wp + k), k the bits of 1/|q|, so that the
+        # product q S keeps prec bits relative to a tiny q: eta reduced
+        # near a cusp can be 1e-103
+        k = max(0, -mp.mag(q))
+        acc = _theta_sum(_to_fixed(q, wp + k), _to_fixed(mp.expjpi(2 * tau), wp), n_terms,
+                         weight, wp)
+        acc = _from_fixed(*acc, wp + k)
     return +acc
 
 
-def rational_parts(alpha, name: str = "alpha"):
-    """(value, denominator) of a rational or real alpha; reals count as
-    denominator 1, and one that is not finite raises DomainError, naming
-    the argument."""
-    if hasattr(alpha, "numerator"):
-        return mp.mpf(alpha.numerator) / alpha.denominator, abs(alpha.denominator)
-    return require_finite(mp.mpf(alpha), name), 1
+def rational_parts(alpha):
+    """(value, denominator) of a rational angle alpha, taken by the rule of
+    invariants.RationalAngle: an int, a Fraction or an "a/b" string.  A
+    float or mpf raises DomainError naming alpha before any work, since its
+    binary fraction would size the ladder for a denominator near 2^54, and
+    one that is not finite says so."""
+    try:
+        frac = _angle(alpha).alpha
+    except DomainError:
+        require_finite(alpha, "alpha")
+        raise
+    return mp.mpf(frac.numerator) / frac.denominator, frac.denominator
 
 
-def _eta_pair(tau, modulus, unit):
-    """(eta(tau), eta(tau')) for |tau| = modulus >= 1 from one theta sum,
-    tau' = tau/|tau|^2, given the phase unit = sqrt(tau/i)/|sqrt(tau/i)|,
-    which is the same for every tau on one ray."""
-    value = _theta_sum(tau, 0)
-    return value, mp.sqrt(modulus) * mp.conj(unit * value)
+def _eta_nodes(direction, wp: int):
+    """The node kernel of _eta_ray on the unit direction u, Im u > 0: a
+    function of t >= 1, an integer scaled by 2^wp, and the theta cutoff at
+    t u, that returns (eta(t u), eta(u/t)) as (re, im) pairs of integers
+    scaled by 2^wp, from one theta sum and no inversion.  q = e^{-A t}
+    cis(C t), -A + i C = pi i u/12, comes from exp_fixed and cos_sin_fixed,
+    Q = q^24 from five products, and eta(u/t) = sqrt(t) conj(v eta(t u)),
+    v = sqrt(u/i)."""
+    with mp.workprec(wp):
+        turn, decay = _to_fixed(mp.pi * direction / 12, wp)  # C + i A
+        unit = _to_fixed(mp.sqrt(direction / mp.j), wp)
+    ln2, half_pi = ln2_fixed(wp), pi_fixed(wp - 1)
+
+    def node(tf: int, n_terms: int):
+        at, ct = (decay * tf) >> wp, (turn * tf) >> wp
+        size, (cos, sin) = exp_fixed(-at, wp, ln2), cos_sin_fixed(ct, wp, half_pi)
+        q = (size * cos) >> wp, (size * sin) >> wp
+        q2 = _fixed_mul(q, q, wp)
+        q4 = _fixed_mul(q2, q2, wp)
+        q8 = _fixed_mul(q4, q4, wp)
+        near = _theta_sum(q, _fixed_mul(_fixed_mul(q8, q8, wp), q8, wp), n_terms, 0, wp)
+        root = isqrt(tf << wp)
+        vr, vi = _fixed_mul(unit, near, wp)
+        return near, ((root * vr) >> wp, -(root * vi) >> wp)
+
+    return node
 
 
 def _eta_ray(w, direction, digits: int, tol):
     """int eta(t u) (t - w)^{-3/2} dt over 1/rho <= t <= rho, u = direction
-    a unit complex number with Im u > 0, principal power, to tol.  Past
-    rho = 12 digits ln 10/(pi Im u) the theta sum is below 10^-digits of its
-    leading term.  The interval is folded at t = 1, the fixed point of
-    tau -> -1/tau: t -> 1/t maps [1/rho, 1] onto [1, rho] with dt -> dt/t^2,
-    and the node t u and its mirror u/t share one theta sum (_eta_pair), so
-    the integrand on [1, rho] is f(t) + f(1/t)/t^2."""
+    a unit complex number with Im u > 0, Im w != 0, principal power, to tol.
+    Past rho = 12 digits ln 10/(pi Im u) the theta sum is below 10^-digits
+    of its leading term.  The interval is folded at t = 1, the fixed point
+    of tau -> -1/tau: t -> 1/t maps [1/rho, 1] onto [1, rho] with
+    dt -> dt/t^2, and the node t u and its mirror u/t share one theta sum,
+    so the integrand on [1, rho] is f(t) + f(1/t)/t^2.
+
+    The integrand is formed on integers scaled by 2^wp, one mpc per node:
+    the pair (eta(t u), eta(u/t)) from _eta_nodes, each kernel by
+    _fixed_inverse_three_halves.  wp covers the theta guard of the longest
+    sum on the ray, at t = 1, and the bits of |Im w|^{-5/2}: a kernel's
+    derivative at |t - w| >= |Im w|, which multiplies the roundings of w,
+    1/t and the kernel's argument."""
     rho = 12 * digits * mp.log(10) / (mp.pi * mp.im(direction))
-    unit = mp.sqrt(direction / mp.j)
+    b_unit = pi * float(mp.im(direction)) / 12
+    log_target = (mp.dps + 5) * _LN10
+    n_longest = _gauss_cutoff(b_unit, 0, -b_unit - log_target)
+    wp = (mp.prec + ceil(_theta_guard(n_longest, b_unit, 0) * log2(10)) + _PHASE_GUARD_BITS
+          + max(0, ceil(-2.5 * log2(abs(float(mp.im(w)))))))
+    node = _eta_nodes(direction, wp)
+    w_re, w_im = _to_fixed(w, wp)
+    one_squared = 1 << 2 * wp
 
     def integrand(t):
-        near, far = _eta_pair(t * direction, t, unit)
-        # d^{-3/2} as 1/(d sqrt(d)): the same principal branch, one sqrt
-        # in place of a log and an exp
-        d, e = t - w, 1 / t - w
-        return near / (d * mp.sqrt(d)) + far / (e * mp.sqrt(e) * t * t)
+        b = b_unit * float(t)
+        tf = to_fixed(t._mpf_, wp)
+        near, far = node(tf, _gauss_cutoff(b, 0, -b - log_target))
+        inv_t = one_squared // tf
+        inv_t2 = (inv_t * inv_t) >> wp
+        kr, ki = _fixed_inverse_three_halves((inv_t - w_re, -w_im), wp)
+        nr, ni = _fixed_mul(near, _fixed_inverse_three_halves((tf - w_re, -w_im), wp), wp)
+        fr, fi = _fixed_mul(far, ((kr * inv_t2) >> wp, (ki * inv_t2) >> wp), wp)
+        return _from_fixed(nr + fr, ni + fi, wp)
 
     return ray_integrate(integrand, 1, rho, tol)
 
@@ -159,12 +240,12 @@ def eta(tau, route: str = "theta"):
         raise DomainError("tau must have positive imaginary part")
     if route == "theta":
         if abs(tz) >= 1:
-            return _theta_sum(tz, 0)
+            return _theta_value(tz, 0)
         inv = -1 / tz
         root = mp.sqrt(tz / mp.j)
         if float(inv.imag) < 1 and (shift := int(mp.nint(inv.real))):
             return mp.expjpi(mp.mpf(shift) / 12) * eta(inv - shift) / root
-        return _theta_sum(inv, 0) / root
+        return _theta_value(inv, 0) / root
     if route != "product":
         raise ValueError("route must be 'theta' or 'product'")
     decay = 2 * mp.pi * mp.im(tz)
@@ -185,11 +266,12 @@ def eta_tilde(tau):
     tz = mp.mpc(require_finite(tau, "tau"))
     if mp.im(tz) <= 0:
         raise DomainError("tau must have positive imaginary part")
-    return _theta_sum(tz, 1)
+    return _theta_value(tz, 1)
 
 
 def eta_tilde_radial(alpha):
-    """Radial limit of eta_tilde at the real point alpha.
+    """Radial limit of eta_tilde at the rational point alpha: an int, a
+    Fraction or an "a/b" string (rational_parts).
 
     Values on the vertical ladder alpha + i eps_j, eps_j = 0.002 2^-j / den^2
     for j < 9, are Richardson-extrapolated to eps = 0.  The error series blows
@@ -229,7 +311,10 @@ def zagier_g(x, tol="1e-16", route: str = "laplace"):
     from .summation import AverageKind, sum_eta_integral
 
     tol = require_tol(tol)
-    a, _ = rational_parts(x, "x")
+    if isinstance(x, Rational):
+        a = mp.mpf(x.numerator) / x.denominator
+    else:
+        a = require_finite(mp.mpf(x), "x")
     if a == 0:
         raise DomainError("x must be nonzero")
     if route == "direct":

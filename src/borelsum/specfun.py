@@ -50,6 +50,12 @@ wp = prec + 10 bits, after the caller has raised prec by its own guard for
 the drift of the products: four integer products and two shifts per
 complex product, with no normalisation.  The theta sums seed it on
 integers, the Gaussian sum through its mpc wrapper _quadratic_phase_sum.
+The kernels (t - w)^{-3/2} of modular's eta ray integrand stay on the same
+integers: _fixed_inverse_three_halves forms z^{-3/2} as (1/z) sqrt(1/z),
+1/z from the exact integer norm, and _fixed_sqrt takes the principal root
+with math.isqrt, the larger part sqrt((|z| +- Re z)/2) and the other
+Im z/(2 larger part), so that neither cancels: the root is good to a few
+2^-wp (1 + |z|^{-1/2}), z^{-3/2} to a few 2^-wp (1 + 1/|z|).
 
 Quadrature is composite Gauss-Legendre on real intervals, with cached
 nodes.  Each panel walks the orders 8, 12, 17, 24, 34 and returns the first
@@ -132,6 +138,31 @@ def _fixed_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,
             sr += tr
             si += ti
     return sr, si
+
+
+def _fixed_sqrt(z, wp: int):
+    """The principal square root of z = (re, im), integers scaled by 2^wp,
+    z not on the negative real axis.  The larger part is sqrt((|z| +- re)/2)
+    from math.isqrt, the other im/(2 larger part), so neither cancels."""
+    re, im = z
+    modulus = math.isqrt(re * re + im * im)
+    if re >= 0:
+        root_re = math.isqrt((modulus + re) << (wp - 1))
+        return root_re, (im << wp) // (2 * root_re)
+    root_im = math.isqrt((modulus - re) << (wp - 1))
+    if im < 0:
+        root_im = -root_im
+    return (im << wp) // (2 * root_im), root_im
+
+
+def _fixed_inverse_three_halves(z, wp: int):
+    """z^(-3/2) = (1/z) sqrt(1/z), principal branch, for z = (re, im), integers
+    scaled by 2^wp, z not on the negative real axis; 1/z = conj(z)/|z|^2
+    from the exact integer norm."""
+    re, im = z
+    norm = re * re + im * im
+    inverse = (re << 2 * wp) // norm, (-im << 2 * wp) // norm
+    return _fixed_mul(inverse, _fixed_sqrt(inverse, wp), wp)
 
 
 def _quadratic_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,

@@ -528,10 +528,12 @@ def radial_limit(alpha, rungs: int = 9, ratio: int = 2, eps0=None,
                  tol="1e-10") -> SummationResult:
     """Boundary value at the point i/(2 pi alpha) by a radial median ladder.
 
-    Median values at x_j = eps0 / ratio^j + i y, j < rungs, are
-    Richardson-extrapolated in eps; the limit is the unit-circle boundary
-    value at angle alpha.  The error series in eps grows with the
-    denominator of alpha, so the default eps0 shrinks as y / denominator^2.
+    alpha is an int, a Fraction or an "a/b" string; a float or mpf raises
+    DomainError (modular.rational_parts).  Median values at
+    x_j = eps0 / ratio^j + i y, j < rungs, are Richardson-extrapolated in
+    eps; the limit is the unit-circle boundary value at angle alpha.  The
+    error series in eps grows with the denominator of alpha, so the default
+    eps0 shrinks as y / denominator^2.
     eps0 <= 0, ratio <= 1 or fewer than two rungs raise ValueError.
     err_estimate adds the rung tolerance, amplified by the extrapolation
     weights, to the last Richardson correction."""

@@ -8,13 +8,14 @@ from math import ceil, sqrt
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from borelsum import checks, modular
 from borelsum.characters import chi12
 from borelsum.errors import ConvergenceError, DomainError
 from borelsum.invariants import phi
 from borelsum.modular import (
-    _eta_pair,
+    _eta_nodes,
     _gauss_cutoff,
     eta,
     eta_tilde,
@@ -22,7 +23,7 @@ from borelsum.modular import (
     zagier_g,
     zagier_g_taylor,
 )
-from borelsum.specfun import gaussian_tail
+from borelsum.specfun import _LN10, _from_fixed, gaussian_tail
 
 G_AT_ONE = mp.mpc("0.0999004225046296", "-0.241180954897479")
 
@@ -61,11 +62,16 @@ def _mirror_points():
 
 @pytest.mark.parametrize("tau", _mirror_points(), ids=lambda t: mp.nstr(t, 3))
 def test_eta_pair_is_eta_at_tau_and_its_mirror(tau):
-    """_eta_pair gives eta(tau) and eta(tau/|tau|^2) from one theta sum."""
-    root = mp.sqrt(tau / mp.j)
-    near, far = _eta_pair(tau, abs(tau), root / abs(root))
-    assert abs(near - eta(tau, route="product")) < mp.mpf("1e-20")
-    assert abs(far - eta(tau / abs(tau) ** 2, route="product")) < mp.mpf("1e-20")
+    """The integer node kernel of the folded ray, _eta_nodes, gives eta(tau)
+    and eta(tau/|tau|^2) from one theta sum, on tau = t u, t = |tau|.  At
+    Im tau >= 0.05 the theta guard is at most 6 digits, 20 bits; 40 guard
+    bits cover it and the 10 bits of the products."""
+    wp = mp.prec + 40
+    b = math.pi * float(tau.imag) / 12
+    n_terms = _gauss_cutoff(b, 0, -b - (mp.dps + 5) * _LN10)
+    near, far = _eta_nodes(tau / abs(tau), wp)(to_fixed(abs(tau)._mpf_, wp), n_terms)
+    assert abs(_from_fixed(*near, wp) - eta(tau, route="product")) < mp.mpf("1e-20")
+    assert abs(_from_fixed(*far, wp) - eta(tau / abs(tau) ** 2, route="product")) < mp.mpf("1e-20")
 
 
 def test_eta_near_a_cusp_reduces_to_the_fundamental_domain():
@@ -280,18 +286,19 @@ def test_zagier_g_refuses_a_tolerance_that_certifies_nothing(route, tol):
 @pytest.mark.parametrize("x", [1, -0.5])
 def test_laplace_route_g_keeps_tau_on_the_imaginary_axis(monkeypatch, x):
     """zagier_g's Laplace route integrates along the imaginary axis of tau,
-    theta = 0, where q = e^{pi i tau/12} is real; every theta sum must see
-    Re tau == 0 exactly, not a rounding residue of a rotation."""
-    taus = []
+    theta = 0, where q = e^{pi i tau/12} and Q = q^24 are real; every theta
+    sum must see seeds whose imaginary integers are exactly 0, not a
+    rounding residue of a rotation."""
+    seeds = []
     theta_sum = modular._theta_sum
 
-    def recorded(tau, weight):
-        taus.append(tau)
-        return theta_sum(tau, weight)
+    def recorded(q, big_q, *rest):
+        seeds.append((q, big_q))
+        return theta_sum(q, big_q, *rest)
 
     monkeypatch.setattr(modular, "_theta_sum", recorded)
     zagier_g(x, tol="1e-12")
-    assert taus and all(mp.re(tau) == 0 for tau in taus)
+    assert seeds and all(q[1] == 0 and big_q[1] == 0 for q, big_q in seeds)
 
 
 @pytest.mark.parametrize("call", [

@@ -13,6 +13,8 @@ from borelsum.specfun import (
     _algebraic,
     _dawson_maclaurin,
     _emodd_tail2,
+    _fixed_inverse_three_halves,
+    _fixed_sqrt,
     _gl_nodes,
     _large_z_sum,
     _log_gaussian_tail,
@@ -20,6 +22,7 @@ from borelsum.specfun import (
     _quadratic_phase_sum,
     _remainder,
     _remainder_factor,
+    _to_fixed,
     dawson,
     dawson_deficit,
     e_mod,
@@ -199,6 +202,42 @@ def test_quadratic_phase_sum_against_plain_loop(dps, weight):
         size = abs(_plain_phase_sum(*map(abs, seeds), n_first, n_last, stride, weight))
         assert abs(got - want) <= mp.mpf(10) ** -dps * size, (dps, weight)
         assert abs(got - want) <= abs(mpc_loop - want), (dps, weight)
+
+
+def _fixed_grid(wp):
+    """(re, im) integers scaled by 2^wp on |z| = 10^-3 .. 10^3, with both
+    signs of Im z and Re z < 0 on the outer angles."""
+    points = []
+    for j in range(-3, 4):
+        for angle in ("0.3", "1.5", "2.8", "-0.3", "-1.5", "-2.8"):
+            z = mp.mpf(10) ** j * mp.expj(mp.mpf(angle))
+            points.append(_to_fixed(z, wp))
+    return points
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_fixed_sqrt_and_inverse_three_halves_against_mpmath(dps):
+    """The integer complex square root and z^(-3/2) against mp.sqrt and
+    mp.power at dps + 20, with bounds from the roundings, d = 2^-wp each.
+    sqrt(w), |w| = s: the modulus and the larger part sqrt((s +- Re w)/2)
+    are floors, within d(1 + s^(-1/2)/2) as that part is at least
+    sqrt(s/2); the other part, Im w over twice the larger, adds at most
+    sqrt 2 times that plus d: 4 d (1 + s^(-1/2)) in all.  z^(-3/2), |z| = r:
+    1/z is two floors, within 2 d, which move sqrt(1/z) by r^(1/2) d more
+    than the root's own error; the product errs by that sum times |1/z|,
+    plus 2 d times |sqrt(1/z)|, plus its own floors: below 8 d (1 + 1/r)."""
+    with mp.workdps(dps):
+        wp = mp.prec + 10
+    unit = mp.mpf(2) ** -wp
+    for re, im in _fixed_grid(wp):
+        with mp.workdps(dps + 20):
+            z = mp.mpc(re, im) * unit
+            root_re, root_im = _fixed_sqrt((re, im), wp)
+            err = abs(mp.mpc(root_re, root_im) * unit - mp.sqrt(z))
+            assert err <= 4 * unit * (1 + abs(z) ** -0.5), (dps, z)
+            k_re, k_im = _fixed_inverse_three_halves((re, im), wp)
+            err = abs(mp.mpc(k_re, k_im) * unit - mp.power(z, mp.mpf("-1.5")))
+            assert err <= 8 * unit * (1 + 1 / abs(z)), (dps, z)
 
 
 @pytest.mark.parametrize("dps", [330, 400])

@@ -359,15 +359,14 @@ def test_eta_integral_on_the_bisector_matches_the_closed_route(arg, side):
     assert abs(got - sum_erfi("trefoil", x, side, tol="1e-16").value) < mp.mpf("1e-12")
 
 
-@pytest.mark.parametrize("dps,x,side", [
-    *[(dps, x, side) for dps in (15, 25) for x in ("2+1.5j", "0.7") for side in ("mul", "mur")],
-    (50, "0.7", "mul"),
-])
+@pytest.mark.parametrize("side", ["mul", "mur", "median"])
+@pytest.mark.parametrize("x", ["2+1.5j", "0.7"])
+@pytest.mark.parametrize("dps", [15, 25, 50])
 def test_eta_integral_error_estimate_covers_the_error(dps, x, side):
     """sum_eta_integral claims tol = 10^(5-dps) as its error (err_estimate);
     against the closed route at dps + 30 and tol 10^(-5-dps) the claim
-    holds at 15 and 25 digits on both sides, and at 50 digits for mul at
-    0.7 (the full grid at 50 digits takes four times as long)."""
+    holds at 15, 25 and 50 digits on both lateral sides and for the median,
+    their average."""
     with mp.workdps(dps):
         tol = mp.mpf(10) ** (5 - dps)
         res = sum_eta_integral(mp.mpmathify(x), side=side, tol=tol)
@@ -418,23 +417,23 @@ def test_quadrature_evaluation_budgets(monkeypatch, run, budget):
 ])
 def test_folded_rays_take_one_theta_sum_per_node(monkeypatch, run):
     """Each integrand evaluation of a folded eta ray serves a node and its
-    mirror with one theta sum, taken at |tau| >= 1, so eta never inverts."""
-    taus, evals = [], [0]
+    mirror with one theta sum, taken at |tau| = t >= 1, so eta never
+    inverts."""
+    sums, nodes = [0], []
     theta_sum, segment = modular._theta_sum, specfun.integrate_segment
 
-    def counted_theta(tau, weight):
-        taus.append(tau)
-        return theta_sum(tau, weight)
+    def counted_theta(*args):
+        sums[0] += 1
+        return theta_sum(*args)
 
-    def counted_segment(f, a, b, order=24):
-        evals[0] += order
-        return segment(f, a, b, order)
+    def recorded_segment(f, a, b, order=24):
+        return segment(lambda t: nodes.append(t) or f(t), a, b, order)
 
     monkeypatch.setattr(modular, "_theta_sum", counted_theta)
-    monkeypatch.setattr(specfun, "integrate_segment", counted_segment)
+    monkeypatch.setattr(specfun, "integrate_segment", recorded_segment)
     run()
-    assert len(taus) == evals[0] > 0
-    assert min(abs(tau) for tau in taus) >= 1
+    assert sums[0] == len(nodes) > 0
+    assert min(nodes) >= 1
 
 
 def test_cross_routes_trefoil_keys_and_gaps():
@@ -663,3 +662,23 @@ def test_radial_limit_validation():
         radial_limit(1, ratio=1)
     with pytest.raises(ValueError):
         radial_limit(1, rungs=1)
+
+
+def test_radial_limits_take_rational_angles_only(monkeypatch):
+    """A float or mpf angle raises DomainError naming alpha before any work,
+    by the rule of invariants.RationalAngle: its binary fraction would size
+    the ladder for denominator 1, and radial_limit(0.3) returned a value
+    8e-3 off the one at Fraction(3, 10).  A Fraction and an "a/b" string
+    agree."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the angle was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(summation, "_closed_value", no_work)
+        patch.setattr(modular, "eta_tilde", no_work)
+        with pytest.raises(DomainError, match="alpha"):
+            radial_limit(0.3)
+        with pytest.raises(DomainError, match="alpha"):
+            modular.eta_tilde_radial(mp.mpf(1) / 3)
+    assert radial_limit(Fraction(3, 10)).value == radial_limit("3/10").value
+    assert modular.eta_tilde_radial(Fraction(1, 3)) == modular.eta_tilde_radial("1/3")

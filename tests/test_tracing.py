@@ -70,9 +70,9 @@ def test_tracer_counts_the_quadrature_and_theta_layers(monkeypatch):
         counts["panels"] += 1
         return adaptive(*args)
 
-    def counted_theta(tau, weight):
+    def counted_theta(*args):
         counts["theta"] += 1
-        return theta_sum(tau, weight)
+        return theta_sum(*args)
 
     monkeypatch.setattr(specfun, "integrate_segment", counted_segment)
     monkeypatch.setattr(specfun, "_adaptive_segment", counted_adaptive)
