@@ -160,44 +160,34 @@ def median_laplace_unit_closed(k: int, y):
 
 
 def median_laplace_unit(k: int, y, tol="1e-10"):
-    """Same transform by finite-part quadrature: integrate up to 1 - s,
-    subtract the divergent endpoint terms, extrapolate in sqrt(s).
+    """Same transform by finite-part quadrature, subtracting the singularity.
 
-    The nine rungs s_j = 4^{-j}/16, j < 9, share their integrals: [0, 15/16]
-    is integrated once and each rung adds only [1 - s_{j-1}, 1 - s_j], every
-    piece to tol/(50 * 9), so each rung's integral stays within tol/50."""
+    In u = 1 - p = v^2 the finite part of int_0^1 u^{-k/2} e^{-y(1-u)} du is
+
+        k = 3:  -2 e^{-y} + 2 e^{-y} int_0^1 (e^{y v^2} - 1) / v^2 dv,
+        k = 5:  -(2/3 + 2y) e^{-y} + 2 e^{-y} int_0^1 (e^{y v^2} - 1 - y v^2) / v^4 dv,
+
+    both integrands entire, so one adaptive Gauss-Legendre pass on [0, 1]
+    gives it to tol.  It uses only exp, expm1 and the quadrature, so it
+    shares no code with the Dawson kernel of the closed form."""
     if k not in (3, 5):
         raise ValueError("k must be 3 or 5")
     yz = mp.mpc(y)
-    tol = mp.mpf(tol)
-    k_half = mp.mpf(k) / 2
-    rungs = 9
-    piece_tol = tol / (50 * rungs)
-
-    def integrand(p):
-        return mp.exp(-yz * p) * mp.power(1 - p, -k_half)
-
-    hs = []
-    vals = []
-    s = mp.mpf(1) / 16
-    t_prev = mp.mpf(0)
-    integral = mp.mpc(0)
-    for _ in range(rungs):
-        t = 1 - s
-        integral += _adaptive_segment(integrand, t_prev, t, piece_tol, 40)
-        endpoint = mp.exp(-yz * t)
-        if k == 3:
-            f = integral - 2 * endpoint / mp.sqrt(s)
-        else:
-            f = integral - endpoint * (
-                mp.mpf(2) / 3 * s ** mp.mpf("-1.5") + mp.mpf(4) / 3 * yz / mp.sqrt(s)
-            )
-        hs.append(mp.sqrt(s))
-        vals.append(f)
-        t_prev = t
-        s /= 4
-    limit, _ = richardson_limit(hs, vals)
-    return limit
+    tol = require_tol(tol)
+    scale = 2 * mp.exp(-yz)
+    if k == 3:
+        def integrand(v):
+            return mp.expm1(yz * v * v) / (v * v)
+        constant = -scale
+    else:
+        def integrand(v):
+            w = yz * v * v
+            # e^w - 1 - w ~ w^2/2 loses 1 - log2|w| bits against e^w - 1 ~ w
+            # at the nodes near v = 0; 2 - mag(w) covers them (capped at w = 0)
+            with mp.extraprec(min(mp.prec, max(0, 2 - mp.mag(w)))):
+                return (mp.expm1(w) - w) / (v * v) ** 2
+        constant = -(mp.mpf(1) / 3 + yz) * scale
+    return constant + scale * _adaptive_segment(integrand, 0, 1, tol / abs(scale), 40)
 
 
 def _grid(n_min) -> int:
@@ -429,8 +419,9 @@ def cross_routes(model, x, tol="1e-10"):
 
     Trefoil: the closed route, the average of the two eta-integral
     laterals, and eta-integral mul plus the explicit lateral difference.
-    Poincare: the closed route and a variant with the first transforms
-    swapped for finite-part quadrature values."""
+    Poincare: the closed route and a variant with its first three nonzero
+    transforms swapped for median_laplace_unit values, each one
+    finite-part quadrature pass at tol/8."""
     tol = require_tol(tol)
     mdl = _resolve_model(model)
     xz = _require_right_half(x)

@@ -17,8 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ("radial_scan.py", ["--max-den", "2", "--rungs", "5"], "# worst gap "),
         ("route_grid.py", ["--steps", "1", "--re", "2", "2", "--im", "0", "0",
                            "--tol", "1e-6"], "# worst gap "),
+        ("route_grid.py", ["--model", "poincare", "--steps", "1", "--re", "2", "2",
+                           "--im", "0", "0", "--tol", "1e-6"], "# worst gap "),
     ],
-    ids=["gamma_ladder", "radial_scan", "route_grid"],
+    ids=["gamma_ladder", "radial_scan", "route_grid", "route_grid_poincare"],
 )
 def test_script_runs(script, args, last):
     env = dict(os.environ)

@@ -389,15 +389,15 @@ def test_eta_integral_ray_too_close_to_x_raises():
     pytest.param(lambda: sum_eta_integral(mp.mpc(2, "1.5"), "mul", tol="1e-16"), 348,
                  id="eta-integral-mul"),
     pytest.param(lambda: zagier_g(1, tol="1e-16"), 330, id="zagier-g-1"),
-    pytest.param(lambda: cross_routes("poincare", mp.mpc(2, "1.5"), "2.5e-10"), 3291,
+    pytest.param(lambda: cross_routes("poincare", mp.mpc(2, "1.5"), "2.5e-10"), 440,
                  id="poincare-cross-routes"),
     pytest.param(lambda: cross_routes("trefoil", mp.mpc(2, "1.5"), "2.5e-10"), 594,
                  id="trefoil-cross-routes"),
 ])
 def test_quadrature_evaluation_budgets(monkeypatch, run, budget):
     """Integrand evaluations, summed over every quadrature panel at 25
-    digits, stay within budget: the bisector ray, the shared finite-part
-    rungs and the order ladder each take a share of the cut."""
+    digits, stay within budget: the bisector ray, the single finite-part
+    pass on [0, 1] and the order ladder each take a share of the cut."""
     total = [0]
     inner = specfun.integrate_segment
 
@@ -534,6 +534,7 @@ TOL_GATES = {
     "dirichlet_delta": lambda tol: dirichlet_delta("trefoil", mp.mpc(2, 1), tol=tol),
     "averaged_value": lambda tol: averaged_value("trefoil", "median", 1, tol=tol),
     "radial_limit": lambda tol: radial_limit(1, tol=tol),
+    "median_laplace_unit": lambda tol: median_laplace_unit(3, mp.mpc(2, 1.5), tol=tol),
 }
 
 
@@ -547,14 +548,28 @@ def test_entry_points_refuse_a_tolerance_that_certifies_nothing(entry, tol):
 
 
 def test_laplace_unit_quadrature_matches_closed_form():
-    # the k = 5 endpoint subtraction amplifies roundoff, so it gets a
-    # looser target than k = 3 at the working precision
     for y in (mp.mpf("4.2"), 4.2 * mp.expj(0.9), 4.2 * mp.expj(-0.9),
               mp.mpf("0.3"), mp.mpf(30)):
         for k, tol, bound in ((3, "1e-11", "1e-10"), (5, "1e-9", "1e-8")):
             quad = median_laplace_unit(k, y, tol=tol)
             closed = median_laplace_unit_closed(k, y)
             assert abs(quad - closed) < mp.mpf(bound), (y, k)
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_laplace_unit_quadrature_is_calibrated_near_roundoff(dps):
+    """Both weights meet tol = 10^(5 - dps) at every working precision,
+    from y near 0 to |y| = 500, against the closed form at dps + 30."""
+    with mp.workdps(dps):
+        tol = mp.mpf(10) ** (5 - dps)
+        for re_y, im_y in (("0.3", "0.2"), (2, "1.5"), (16, -10), (60, 40), ("0.01", 3),
+                           (130, -5), ("1e-3", "1e-3"), (400, 300)):
+            y = mp.mpc(re_y, im_y)
+            for k in (3, 5):
+                quad = median_laplace_unit(k, y, tol=tol)
+                with mp.extradps(30):
+                    closed = median_laplace_unit_closed(k, y)
+                assert abs(quad - closed) <= tol, (y, k)
 
 
 def test_laplace_unit_rejects_other_weights():
