@@ -23,14 +23,16 @@ of tau -> -1/tau, and for |tau| >= 1 the mirror node tau' = tau/|tau|^2 has
 v = sqrt(tau/i)/|sqrt(tau/i)| = sqrt(u/i), one phase per ray.  _eta_ray
 folds [1/rho, 1] onto [1, rho]: f(t) + f(1/t)/t^2 on the outer half alone,
 with |tau| = t known at every node, and one theta sum per node.  Its
-integrand is one fixed-point kernel on Python integers scaled by 2^wp:
+integrand is one specfun.FixedKernel on Python integers scaled by 2^wp,
+taking the node as an integer and returning its value as integers:
 q = e^{pi i t u/12} from mpmath's exp_fixed and cos_sin_fixed, Q = q^24 by
 five products, the theta sum, the mirror value, and both kernels
 (t - w)^{-3/2} and (1/t - w)^{-3/2}/t^2 from specfun's integer complex
-square root, with one mpc formed per node.  wp is prec plus the theta guard
-of the longest sum on the ray (at t = 1), 10 bits, and the bits of
-|Im w|^{-5/2}, the most a kernel's derivative can multiply the roundings
-of its argument by, as |t - w| >= |Im w| for real t.
+square root.  The quadrature stays on the same integers and forms one mpc
+per ray.  wp (_eta_ray_wp) is prec plus the theta guard of the longest sum
+on the ray (at t = 1), 10 bits, and the bits of |Im w|^{-5/2}, the most a
+kernel's derivative can multiply the roundings of its argument by, as
+|t - w| >= |Im w| for real t.
 
 Every theta sum is the same integer kernel _theta_sum, on q = e^{pi i
 tau/12} and Q = q^24: every n with chi(n) != 0 is prime to 6, so
@@ -64,7 +66,6 @@ from math import ceil, e, isqrt, log2, log10, pi, sqrt
 from numbers import Rational
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
 from .errors import ConvergenceError, DomainError, require_finite, require_tol
@@ -72,6 +73,7 @@ from .invariants import _angle
 from .specfun import (
     _LN10,
     _PHASE_GUARD_BITS,
+    FixedKernel,
     _fixed_inverse_three_halves,
     _fixed_mul,
     _fixed_phase_sum,
@@ -194,6 +196,17 @@ def _eta_nodes(direction, wp: int):
     return node
 
 
+def _eta_ray_wp(w, direction) -> int:
+    """Working bits of _eta_ray's integer kernel: prec, the theta guard of
+    the longest sum on the ray (at t = 1), 10 bits for the products, and the
+    bits of |Im w|^{-5/2}, the most a kernel's derivative can multiply the
+    roundings of its argument by, as |t - w| >= |Im w| for real t."""
+    b_unit = pi * float(mp.im(direction)) / 12
+    n_longest = _gauss_cutoff(b_unit, 0, -b_unit - (mp.dps + 5) * _LN10)
+    return (mp.prec + ceil(_theta_guard(n_longest, b_unit, 0) * log2(10)) + _PHASE_GUARD_BITS
+            + max(0, ceil(-2.5 * log2(abs(float(mp.im(w)))))))
+
+
 def _eta_ray(w, direction, digits: int, tol):
     """int eta(t u) (t - w)^{-3/2} dt over 1/rho <= t <= rho, u = direction
     a unit complex number with Im u > 0, Im w != 0, principal power, to tol.
@@ -203,34 +216,29 @@ def _eta_ray(w, direction, digits: int, tol):
     dt -> dt/t^2, and the node t u and its mirror u/t share one theta sum,
     so the integrand on [1, rho] is f(t) + f(1/t)/t^2.
 
-    The integrand is formed on integers scaled by 2^wp, one mpc per node:
-    the pair (eta(t u), eta(u/t)) from _eta_nodes, each kernel by
-    _fixed_inverse_three_halves.  wp covers the theta guard of the longest
-    sum on the ray, at t = 1, and the bits of |Im w|^{-5/2}: a kernel's
-    derivative at |t - w| >= |Im w|, which multiplies the roundings of w,
-    1/t and the kernel's argument."""
+    The integrand is a FixedKernel at wp = _eta_ray_wp(w, u): the node t
+    arrives as an integer scaled by 2^wp, the pair (eta(t u), eta(u/t))
+    comes from _eta_nodes, each kernel from _fixed_inverse_three_halves, and
+    the value leaves on integers; the quadrature forms one mpc per ray."""
     rho = 12 * digits * mp.log(10) / (mp.pi * mp.im(direction))
     b_unit = pi * float(mp.im(direction)) / 12
     log_target = (mp.dps + 5) * _LN10
-    n_longest = _gauss_cutoff(b_unit, 0, -b_unit - log_target)
-    wp = (mp.prec + ceil(_theta_guard(n_longest, b_unit, 0) * log2(10)) + _PHASE_GUARD_BITS
-          + max(0, ceil(-2.5 * log2(abs(float(mp.im(w)))))))
+    wp = _eta_ray_wp(w, direction)
     node = _eta_nodes(direction, wp)
     w_re, w_im = _to_fixed(w, wp)
-    one_squared = 1 << 2 * wp
+    one, one_squared = 1 << wp, 1 << 2 * wp
 
-    def integrand(t):
-        b = b_unit * float(t)
-        tf = to_fixed(t._mpf_, wp)
+    def integrand(tf: int):
+        b = b_unit * (tf / one)
         near, far = node(tf, _gauss_cutoff(b, 0, -b - log_target))
         inv_t = one_squared // tf
         inv_t2 = (inv_t * inv_t) >> wp
         kr, ki = _fixed_inverse_three_halves((inv_t - w_re, -w_im), wp)
         nr, ni = _fixed_mul(near, _fixed_inverse_three_halves((tf - w_re, -w_im), wp), wp)
         fr, fi = _fixed_mul(far, ((kr * inv_t2) >> wp, (ki * inv_t2) >> wp), wp)
-        return _from_fixed(nr + fr, ni + fi, wp)
+        return nr + fr, ni + fi
 
-    return ray_integrate(integrand, 1, rho, tol)
+    return ray_integrate(FixedKernel(integrand, wp), 1, rho, tol)
 
 
 def eta(tau, route: str = "theta"):

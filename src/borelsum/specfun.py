@@ -57,16 +57,24 @@ with math.isqrt, the larger part sqrt((|z| +- Re z)/2) and the other
 Im z/(2 larger part), so that neither cancels: the root is good to a few
 2^-wp (1 + |z|^{-1/2}), z^{-3/2} to a few 2^-wp (1 + 1/|z|).
 
-Quadrature is composite Gauss-Legendre on real intervals, with cached
-nodes.  Each panel walks the orders 8, 12, 17, 24, 34 and returns the first
-value that agrees with the one of the order below it to the panel tolerance;
-a panel that no pair settles is bisected.  It raises QuadratureError instead
-of returning a low-quality value.
+Quadrature is composite Gauss-Legendre on real intervals, on Python
+integers scaled by 2^wp end to end.  Its integrand is a FixedKernel, a
+function from the node t to the (re, im) pair of its value, both at the
+kernel's own wp; endpoints, nodes, weights, panel sums and the test
+|hi - lo|^2 <= tol^2 are integers too, and ray_integrate forms one mpc per
+ray.  The integer rules are cached per (order, wp), each truncated from the
+mpf rule of _gl_nodes at the 64-bit bucket above wp, so that a wp that
+varies per call reuses one Newton solve.  Each panel walks the orders 8,
+12, 17, 24, 34 and returns the first value that agrees with the one of the
+order below it to the panel tolerance; a panel that no pair settles is
+bisected.  It raises QuadratureError instead of returning a low-quality
+value.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import to_fixed
@@ -79,6 +87,7 @@ __all__ = [
     "e_mod",
     "e_mod_deficit",
     "dawson_deficit",
+    "FixedKernel",
     "integrate_segment",
     "ray_integrate",
     "gaussian_tail",
@@ -358,6 +367,15 @@ def _emodd_tail2(z):
 # Gauss-Legendre panels
 
 _GL_CACHE: dict[tuple[int, int], tuple[list, list]] = {}
+_GL_FIXED: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
+class FixedKernel(NamedTuple):
+    """An integrand on a real interval, on Python integers scaled by 2^wp:
+    f maps t to the (re, im) pair of f(t), t and both parts at that scale."""
+
+    f: Callable[[int], tuple[int, int]]
+    wp: int
 
 
 def _legendre(n: int, x):
@@ -398,16 +416,34 @@ def _gl_nodes(n: int):
     return full_nodes, full_weights
 
 
-def integrate_segment(f, a, b, order: int = 24):
-    """Gauss-Legendre of f over the real interval from a to b."""
-    nodes, weights = _gl_nodes(order)
-    a, b = mp.mpf(a), mp.mpf(b)
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    acc = mp.mpc(0)
-    for t, w in zip(nodes, weights):
-        acc += w * f(mid + half * t)
-    return half * acc
+def _gl_fixed(n: int, wp: int):
+    """The n-point rule as integers scaled by 2^wp, each within 2^-wp: the
+    mpf rule of the 64-bit bucket above wp, truncated, so that callers whose
+    wp varies per call share one Newton solve per bucket."""
+    key = (n, wp)
+    rule = _GL_FIXED.get(key)
+    if rule is None:
+        with mp.workprec(-(-wp // 64) * 64):
+            nodes, weights = _gl_nodes(n)
+        rule = _GL_FIXED[key] = (tuple(to_fixed(x._mpf_, wp) for x in nodes),
+                                 tuple(to_fixed(w._mpf_, wp) for w in weights))
+    return rule
+
+
+def integrate_segment(kernel: FixedKernel, a: int, b: int, order: int = 24):
+    """Gauss-Legendre of the kernel over the interval from a to b, integers
+    scaled by 2^wp, wp = kernel.wp; the (re, im) pair of the integral at the
+    same scale."""
+    f, wp = kernel
+    nodes, weights = _gl_fixed(order, wp)
+    centre, width, shift = (a + b) << wp, b - a, wp + 1
+    acc_re = acc_im = 0
+    for x, w in zip(nodes, weights):
+        re, im = f((centre + width * x) >> shift)
+        acc_re += w * re
+        acc_im += w * im
+    shift = 2 * wp + 1
+    return (acc_re * width) >> shift, (acc_im * width) >> shift
 
 
 # each order about 1.4 times the one before it, so that a panel the 8-point
@@ -415,45 +451,59 @@ def integrate_segment(f, a, b, order: int = 24):
 _ORDERS = (8, 12, 17, 24, 34)
 
 
-def _adaptive_segment(f, a, b, tol, depth: int):
-    lo = integrate_segment(f, a, b, _ORDERS[0])
+def _adaptive_segment(kernel: FixedKernel, a: int, b: int, tol, depth: int):
+    """The kernel integrated over [a, b] to tol (an mpf), on integers as in
+    integrate_segment: the first order of the ladder whose value is within
+    tol of the one below it, |hi - lo|^2 <= tol^2 on integers scaled by
+    2^(2 wp); a panel that no pair settles is bisected, at most depth
+    levels deep."""
+    wp = kernel.wp
+    tol2 = to_fixed((tol * tol)._mpf_, 2 * wp)
+    lo = integrate_segment(kernel, a, b, _ORDERS[0])
     for order in _ORDERS[1:]:
-        hi = integrate_segment(f, a, b, order)
-        err = abs(hi - lo)
-        if err <= tol:
+        hi = integrate_segment(kernel, a, b, order)
+        dr, di = hi[0] - lo[0], hi[1] - lo[1]
+        err2 = dr * dr + di * di
+        if err2 <= tol2:
             return hi
         lo = hi
     if depth <= 0:
         raise QuadratureError(
-            f"segment [{a}, {b}] did not converge (residual {mp.nstr(err)}, tol {mp.nstr(tol)})"
+            f"segment [{mp.nstr(mp.mpf((a, -wp)))}, {mp.nstr(mp.mpf((b, -wp)))}] did not "
+            f"converge (residual {mp.nstr(mp.sqrt(mp.mpf((err2, -2 * wp))))}, "
+            f"tol {mp.nstr(tol)})"
         )
-    m = (mp.mpf(a) + mp.mpf(b)) / 2
+    m = (a + b) >> 1
     half_tol = tol / 2
-    return _adaptive_segment(f, a, m, half_tol, depth - 1) + _adaptive_segment(
-        f, m, b, half_tol, depth - 1
-    )
+    left = _adaptive_segment(kernel, a, m, half_tol, depth - 1)
+    right = _adaptive_segment(kernel, m, b, half_tol, depth - 1)
+    return left[0] + right[0], left[1] + right[1]
 
 
-def ray_integrate(f, t_min, t_max, tol):
-    """Integrate f over the real interval t_min <= t <= t_max, 0 < t_min <
-    t_max, on panels [t_min, 2 t_min], [2 t_min, 4 t_min], ... up to t_max,
-    each bisected at most 24 levels deep; a ray is the caller's
-    parametrisation of its points by t.
+def ray_integrate(kernel: FixedKernel, t_min, t_max, tol):
+    """Integrate the kernel over the real interval t_min <= t <= t_max,
+    0 < t_min < t_max at the kernel's scale 2^-wp, on panels [t_min,
+    2 t_min], [2 t_min, 4 t_min], ... up to t_max, each bisected at most 24
+    levels deep; a ray is the caller's parametrisation of its points by t.
+    The panel sums stay on integers, and the result is one mpc.
 
     Each panel meets tol / (number of panel edges) by the bisection
     criterion, so the whole interval meets tol whenever that criterion is
     conservative."""
-    t_min, t_max, tol = mp.mpf(t_min), mp.mpf(t_max), mp.mpf(tol)
-    if not 0 < t_min < t_max:
+    wp = kernel.wp
+    low, top = (to_fixed(mp.mpf(t)._mpf_, wp) for t in (t_min, t_max))
+    if not 0 < low < top:
         raise ValueError("need 0 < t_min < t_max")
-    edges = [t_min]
-    while edges[-1] < t_max:
-        edges.append(min(2 * edges[-1], t_max))
-    per_panel = tol / len(edges)
-    acc = mp.mpc(0)
+    edges = [low]
+    while edges[-1] < top:
+        edges.append(min(2 * edges[-1], top))
+    per_panel = mp.mpf(tol) / len(edges)
+    acc_re = acc_im = 0
     for lo, hi in zip(edges, edges[1:]):
-        acc += _adaptive_segment(f, lo, hi, per_panel, 24)
-    return acc
+        re, im = _adaptive_segment(kernel, lo, hi, per_panel, 24)
+        acc_re += re
+        acc_im += im
+    return _from_fixed(acc_re, acc_im, wp)
 
 
 # ---------------------------------------------------------------------------

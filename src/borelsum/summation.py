@@ -35,7 +35,14 @@ one modular._eta_ray, the same folded eta integral as the direct route of
 zagier_g: t = 1 is the fixed point of tau -> -1/tau, so each node and its
 mirror 1/t share one theta sum and no node inverts.
 It converges for boundary x on the imaginary axis, where the closed route
-diverges, and includes the constant term automatically.
+diverges, and includes the constant term automatically.  Where one side's
+sector is narrower than pi/8, sum_eta_integral integrates the other side
+and adds the Stokes jump mur - mul = 2 delta.
+
+finite-part quadrature (the Poincare cross-check): median_laplace_unit
+integrates the transform with its singularity subtracted, one fixed-point
+kernel per node (exp_fixed and cos_sin_fixed) on specfun's integer
+Gauss-Legendre quadrature, one mpc per transform.
 
 radial route: median values on a ladder x_j = eps_j + i y extrapolated to
 the boundary point i y; at y = 1/(2 pi alpha) the limit is the unit-circle
@@ -50,6 +57,7 @@ from enum import Enum
 from itertools import count, islice
 
 from mpmath import mp
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .borel import (
     TERM_BUDGET,
@@ -68,11 +76,15 @@ from .errors import (
 )
 from .modular import _eta_ray, rational_parts
 from .specfun import (
+    FixedKernel,
     _adaptive_segment,
     _algebraic,
+    _fixed_mul,
+    _from_fixed,
     _log_gaussian_tail,
     _quadratic_phase_sum,
     _remainder_factor,
+    _to_fixed,
     dawson_deficit,
     e_mod_deficit,
     extrapolation_gain,
@@ -159,35 +171,81 @@ def median_laplace_unit_closed(k: int, y):
     raise ValueError("k must be 3 or 5")
 
 
+def _finite_part_kernel(k: int, yz, wp: int) -> FixedKernel:
+    """The integrand (e^{-y(1-v^2)} - e^{-y} [1 + y v^2 for k = 5]) / v^(k-1)
+    of median_laplace_unit as a FixedKernel at wp, for Re y >= 0, where
+    |e^{-y(1-v^2)}| <= 1.  Each node works at wp + g bits, g the guard of
+    that node: (k - 1) log2(1/v) bits for the cancellation of the numerator
+    near v = 0, whose error the division by v^(k-1) multiplies, the bits of
+    |Im y| for the reduction of the phase Im y (1 - v^2) mod pi/2 in
+    cos_sin_fixed, and 4 more.  The exponent's reduction mod ln 2 needs
+    none: its error is n 2^-(wp+g) on a value of size 2^-n.  y and e^{-y}
+    are formed once, at the guard of the smallest node wp can hold, and
+    shifted down per node: one exp_fixed and one cos_sin_fixed a node."""
+    phase_bits = math.ceil(abs(float(yz.imag))).bit_length() + 4
+    top = wp + (k - 1) * (wp + 1) + phase_bits
+    with mp.workprec(top):
+        y_re, y_im = _to_fixed(yz, top)
+        e_re, e_im = _to_fixed(mp.exp(-yz), top)
+    one = 1 << 2 * wp
+
+    def integrand(v: int):
+        prec = wp + (k - 1) * (wp + 1 - v.bit_length()) + phase_bits
+        drop = top - prec
+        yr, yi = y_re >> drop, y_im >> drop
+        v2 = v * v
+        s = one - v2  # 1 - v^2, scaled by 2^(2 wp)
+        size = exp_fixed(-(yr * s >> 2 * wp), prec)
+        cos, sin = cos_sin_fixed(-(yi * s >> 2 * wp), prec)
+        lead = e_re >> drop, e_im >> drop
+        nr, ni = ((size * cos) >> prec) - lead[0], ((size * sin) >> prec) - lead[1]
+        if k == 5:  # less e^{-y} y v^2
+            cr, ci = _fixed_mul(lead, (yr * v2 >> 2 * wp, yi * v2 >> 2 * wp), prec)
+            nr, ni = nr - cr, ni - ci
+            v2 *= v2
+        # / v^(k-1), v^(k-1) scaled by 2^((k-1) wp), then down to 2^wp
+        lift = (k - 1) * wp
+        return ((nr << lift) // v2) >> (prec - wp), ((ni << lift) // v2) >> (prec - wp)
+
+    return FixedKernel(integrand, wp)
+
+
 def median_laplace_unit(k: int, y, tol="1e-10"):
     """Same transform by finite-part quadrature, subtracting the singularity.
 
     In u = 1 - p = v^2 the finite part of int_0^1 u^{-k/2} e^{-y(1-u)} du is
 
-        k = 3:  -2 e^{-y} + 2 e^{-y} int_0^1 (e^{y v^2} - 1) / v^2 dv,
-        k = 5:  -(2/3 + 2y) e^{-y} + 2 e^{-y} int_0^1 (e^{y v^2} - 1 - y v^2) / v^4 dv,
+        k = 3:  -2 e^{-y} + 2 int_0^1 (e^{-y(1-v^2)} - e^{-y}) / v^2 dv,
+        k = 5:  -(2/3 + 2y) e^{-y} + 2 int_0^1 (e^{-y(1-v^2)} - e^{-y}(1 + y v^2)) / v^4 dv,
 
-    both integrands entire, so one adaptive Gauss-Legendre pass on [0, 1]
-    gives it to tol.  It uses only exp, expm1 and the quadrature, so it
-    shares no code with the Dawson kernel of the closed form."""
+    both integrands entire, so one adaptive Gauss-Legendre pass on [0, 1],
+    to tol/2, gives it to tol.  The integrand is a fixed-point kernel
+    (_finite_part_kernel) at prec + 20 bits.  It uses only exp, cos, sin
+    and the quadrature, so it shares no code with the Dawson kernel of the
+    closed form.  A tol below 10^(2 - dps) raises ToleranceError before any
+    work: the quadrature cannot certify it.  So does a tol below twice eps
+    (|constant| + |value|), after the work: the quadrature meets tol/2 on
+    integers, but the constant and the value are rounded relative to their
+    size, which at |y| in the hundreds or Re y < 0 can pass 10^(2 - dps)."""
     if k not in (3, 5):
         raise ValueError("k must be 3 or 5")
     yz = mp.mpc(y)
     tol = require_tol(tol)
-    scale = 2 * mp.exp(-yz)
-    if k == 3:
-        def integrand(v):
-            return mp.expm1(yz * v * v) / (v * v)
-        constant = -scale
-    else:
-        def integrand(v):
-            w = yz * v * v
-            # e^w - 1 - w ~ w^2/2 loses 1 - log2|w| bits against e^w - 1 ~ w
-            # at the nodes near v = 0; 2 - mag(w) covers them (capped at w = 0)
-            with mp.extraprec(min(mp.prec, max(0, 2 - mp.mag(w)))):
-                return (mp.expm1(w) - w) / (v * v) ** 2
-        constant = -(mp.mpf(1) / 3 + yz) * scale
-    return constant + scale * _adaptive_segment(integrand, 0, 1, tol / abs(scale), 40)
+    floor = mp.mpf(10) ** (2 - mp.dps)
+    if tol < floor:
+        raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the finite-part floor "
+                             f"{mp.nstr(floor, 3)} of {mp.dps} digits")
+    wp = mp.prec + 20
+    kernel = _finite_part_kernel(k, yz, wp)
+    integral = _from_fixed(*_adaptive_segment(kernel, 0, 1 << wp, tol / 2, 40), wp)
+    constant = -2 * mp.exp(-yz) * (1 if k == 3 else mp.mpf(1) / 3 + yz)
+    value = constant + 2 * integral
+    rounding = 2 * mp.eps * (abs(constant) + abs(value))
+    if tol < rounding:
+        raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the rounding "
+                             f"{mp.nstr(rounding, 3)} of a value of size "
+                             f"{mp.nstr(abs(value), 3)} at {mp.dps} digits")
+    return value
 
 
 def _grid(n_min) -> int:
@@ -362,17 +420,17 @@ def sum_erfi(model, x, kind="median", tol="1e-12") -> SummationResult:
     return SummationResult(mdl.label, xz, knd, "erfi-series", value, tol)
 
 
-def _eta_integral_value(xz, kind: AverageKind, tol):
-    if kind is AverageKind.MEDIAN:
-        lo = _eta_integral_value(xz, AverageKind.MUL, tol)
-        hi = _eta_integral_value(xz, AverageKind.MUR, tol)
-        return (lo + hi) / 2
-    orient = -1 if kind is AverageKind.MUL else 1
+def _bisector(xz, kind: AverageKind, tol):
+    """(theta, dist) of the lateral ray on side kind: with room the angle
+    from x to the imaginary axis on that side, theta = arg x -+ room/2 is
+    the bisector and dist = |x| sin(room/2) its distance from x.
+    eta(2 pi i z) (x - z)^{-3/2} is analytic on Re z > 0 away from z = x,
+    so every ray inside that sector gives the same lateral value; the
+    bisector stays farthest from both the branch point x and the natural
+    boundary Re z = 0.  RayGeometryError when Re x < 0, when the sector is
+    empty, or when the ray passes within sqrt(tol) of x."""
+    orient = _DELTA_FACTOR[kind]
     arg_x = mp.arg(xz)
-    # room: angle from x to the imaginary axis on this side.  eta(2 pi i z)
-    # (x - z)^{-3/2} is analytic on Re z > 0 away from z = x, so every ray
-    # inside that sector gives the same lateral value; the bisector stays
-    # farthest from both the branch point x and the natural boundary Re z = 0
     room = mp.pi / 2 - orient * arg_x
     half = room / 2
     dist = abs(xz) * mp.sin(half)
@@ -380,7 +438,16 @@ def _eta_integral_value(xz, kind: AverageKind, tol):
         raise RayGeometryError(
             f"no admissible ray for side '{kind.value}' at arg x = {mp.nstr(arg_x)}"
         )
-    theta = arg_x + orient * half
+    return arg_x + orient * half, dist
+
+
+def _eta_integral_value(xz, kind: AverageKind, tol):
+    if kind is AverageKind.MEDIAN:
+        lo = _eta_integral_value(xz, AverageKind.MUL, tol)
+        hi = _eta_integral_value(xz, AverageKind.MUR, tol)
+        return (lo + hi) / 2
+    orient = _DELTA_FACTOR[kind]
+    theta, dist = _bisector(xz, kind, tol)
     digits = mp.dps + 8 + max(0, int(-1.5 * mp.log10(dist))) + int(1.5 * mp.log10(1 + abs(xz)))
     # tau = 2 pi i z along z = r e^{i theta} is t u with t = 2 pi r and
     # u = i e^{i theta}, exactly imaginary on theta = 0.  With W = 2 pi x
@@ -394,6 +461,11 @@ def _eta_integral_value(xz, kind: AverageKind, tol):
     return -orient * mp.j * mp.expj(-theta / 2) * scale * ray
 
 
+# below this room the bisector passes so close to x that its panels bisect
+# deep; sum_eta_integral takes the wide side and the Stokes jump instead
+_JUMP_ROOM = math.pi / 8
+
+
 def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
     """Integral-route value for the 5/2-power model, constant term included.
 
@@ -404,13 +476,30 @@ def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
     so that one theta sum at |tau| >= 1 serves each node and its mirror.
     That sector has room = pi/2 -+ arg x; RayGeometryError is raised when
     Re x < 0, where the sector would cross Re z = 0, when it is empty, or
-    when the ray-to-x distance |x| sin(room/2) is below sqrt(tol)."""
+    when the ray-to-x distance |x| sin(room/2) is below sqrt(tol).
+
+    Near the imaginary axis one side's room falls below pi/8 while the
+    other's is wide.  A value that needs the narrow side (it, or the
+    median) is then the wide side's ray at tol/2 plus the Stokes jump,
+    mur - mul = 2 delta (dirichlet_delta), at tol/2: mul = mur - 2 delta,
+    mur = mul + 2 delta, median = mur - delta = mul + delta.  The narrow
+    side's geometry rules above still apply, so the domain is the one the
+    direct rays of cross_routes have."""
     tol = require_tol(tol)
     kind = _kind(side)
     xz = mp.mpc(require_finite(x, "x"))
     if xz == 0:
         raise DomainError("x must be nonzero")
-    value = _eta_integral_value(xz, kind, tol)
+    arg_x = mp.arg(xz)
+    narrow, wide = ((AverageKind.MUL, AverageKind.MUR) if arg_x < 0
+                    else (AverageKind.MUR, AverageKind.MUL))
+    if kind is not wide and mp.pi / 2 - abs(arg_x) < _JUMP_ROOM:
+        _bisector(xz, narrow, tol)
+        factor = _DELTA_FACTOR[kind] - _DELTA_FACTOR[wide]
+        value = (_eta_integral_value(xz, wide, tol / 2)
+                 + factor * dirichlet_delta(trefoil_borel(), xz, tol / (2 * abs(factor))))
+    else:
+        value = _eta_integral_value(xz, kind, tol)
     return SummationResult("trefoil", xz, kind, "eta-integral", value, tol)
 
 

@@ -74,6 +74,29 @@ def test_eta_pair_is_eta_at_tau_and_its_mirror(tau):
     assert abs(_from_fixed(*far, wp) - eta(tau / abs(tau) ** 2, route="product")) < mp.mpf("1e-20")
 
 
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_eta_ray_kernel_pair_matches_eta(dps):
+    """At the working bits _eta_ray gives its kernel, the node pair
+    (eta(t u), eta(u/t)) of _eta_nodes is within 0.11 10^-dps of eta at
+    dps + 30 on four rays, u = e^{i phi}, at nodes from t = 1 out to where
+    the theta sum is a few terms long; w with |Im w| = 2 adds no bits."""
+    with mp.workdps(dps):
+        bound = mp.mpf("0.11") * mp.mpf(10) ** -dps
+        for phi in ("0.3", "1.1780972450961724", "1.5707963267948966", "2.6"):
+            direction = mp.expj(mp.mpf(phi))
+            wp = modular._eta_ray_wp(mp.mpc(3, -2), direction)
+            node = _eta_nodes(direction, wp)
+            for t in ("1", "1.37", "2.9", "7.25", "31"):
+                tf = to_fixed(mp.mpf(t)._mpf_, wp)
+                b = math.pi * float(t) * float(direction.imag) / 12
+                near, far = node(tf, _gauss_cutoff(b, 0, -b - (mp.dps + 5) * _LN10))
+                with mp.extradps(30):
+                    tau = mp.mpf((tf, -wp)) * direction
+                    assert abs(_from_fixed(*near, wp) - eta(tau)) <= bound, (phi, t)
+                    far_err = abs(_from_fixed(*far, wp) - eta(tau / abs(tau) ** 2))
+                    assert far_err <= bound, (phi, t)
+
+
 def test_eta_near_a_cusp_reduces_to_the_fundamental_domain():
     """0.6667 lies 3.3e-5 from the cusp 2/3.  One inversion leaves
     Im(-1/tau) = 2.2e-5, where the theta sum cancels to noise near 5e-28

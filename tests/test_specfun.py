@@ -10,11 +10,14 @@ from mpmath import mp
 
 from borelsum.specfun import (
     _ORDERS,
+    FixedKernel,
     _algebraic,
     _dawson_maclaurin,
     _emodd_tail2,
     _fixed_inverse_three_halves,
     _fixed_sqrt,
+    _from_fixed,
+    _gl_fixed,
     _gl_nodes,
     _large_z_sum,
     _log_gaussian_tail,
@@ -371,7 +374,9 @@ def test_algebraic_part_obeys_the_first_neglected_term_bound(k0):
 
 
 def test_integrate_segment_polynomial():
-    val = integrate_segment(lambda z: z**3, 0, 1)
+    wp = mp.prec + 10
+    cube = FixedKernel(lambda t: ((t * t * t) >> 2 * wp, 0), wp)
+    val = _from_fixed(*integrate_segment(cube, 0, 1 << wp), wp)
     assert abs(val - mp.mpf(1) / 4) < mp.mpf("1e-24")
 
 
@@ -390,19 +395,42 @@ def test_gauss_legendre_rules_have_order_nodes_and_full_degree(dps):
                 assert abs(value - exact) <= 4 * mp.eps, (order, j)
 
 
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_integer_gauss_legendre_rules_keep_full_degree(dps):
+    """The integer rules integrate_segment runs, at a wp inside its 64-bit
+    bucket, keep the full degree: with every node and weight within 2^-wp,
+    sum w x^j over the rule is within (2j + order + 4) 2^-wp of the
+    integral of x^j over [-1, 1], j < 2 order; summed exactly on
+    integers."""
+    with mp.workdps(dps):
+        wp = mp.prec + 13
+    assert wp % 64
+    for order in _ORDERS:
+        nodes, weights = _gl_fixed(order, wp)
+        assert len(nodes) == len(weights) == order
+        for j in range(2 * order):
+            # sum w x^j and the exact 2/(j + 1), both scaled by 2^(wp (j + 1)) (j + 1)
+            value = sum(w * x**j for x, w in zip(nodes, weights)) * (j + 1)
+            exact = 2 << wp * (j + 1) if j % 2 == 0 else 0
+            bound = (2 * j + order + 4) * (j + 1) << wp * j
+            assert abs(value - exact) <= bound, (order, j)
+
+
 def test_ray_integrate_exponential():
     """int e^{-z} dz along the tilted segment z = t e^{i theta},
     0.01 <= t <= 30, is e^{i theta} times a real-parameter integral."""
     unit = mp.expj(mp.mpf("0.2"))
     a, b = mp.mpf("0.01") * unit, 30 * unit
-    val = ray_integrate(lambda t: mp.exp(-t * unit), "0.01", "30", "1e-20")
+    wp = mp.prec + 10
+    kernel = FixedKernel(lambda t: _to_fixed(mp.exp(-mp.mpf((t, -wp)) * unit), wp), wp)
+    val = ray_integrate(kernel, "0.01", "30", "1e-20")
     assert abs(unit * val - (mp.exp(-a) - mp.exp(-b))) < mp.mpf("1e-18")
 
 
 @pytest.mark.parametrize("t_min,t_max", [(0, 2), (-1, 1), (2, 1), (1, 1)])
 def test_ray_integrate_needs_a_positive_increasing_interval(t_min, t_max):
     with pytest.raises(ValueError):
-        ray_integrate(lambda t: t, t_min, t_max, "1e-16")
+        ray_integrate(FixedKernel(lambda t: (t, 0), mp.prec), t_min, t_max, "1e-16")
 
 
 @given(

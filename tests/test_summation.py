@@ -338,10 +338,33 @@ def test_eta_integral_rejects_zero():
 
 def test_eta_integral_near_the_imaginary_axis():
     """At 0.4+2i the mur sector is only 0.197 rad wide; its bisector keeps
-    the ray 0.2 from x and cos(theta) at 0.099."""
+    the ray 0.2 from x and cos(theta) at 0.099.  sum_eta_integral takes the
+    wide mul side and the Stokes jump there; the direct mur ray, which
+    cross_routes takes, agrees too."""
     x = mp.mpc("0.4", 2)
+    want = sum_erfi("trefoil", x, "mur", tol="1e-12").value
     mur = sum_eta_integral(x, side="mur", tol="1e-10")
-    assert abs(mur.value - sum_erfi("trefoil", x, "mur", tol="1e-12").value) < mp.mpf("1e-8")
+    assert abs(mur.value - want) < mp.mpf("1e-8")
+    direct = summation._eta_integral_value(x, AverageKind.MUR, mp.mpf("1e-10"))
+    assert abs(direct - want) < mp.mpf("1e-8")
+
+
+@pytest.mark.parametrize("side", ["mul", "median"])
+def test_eta_integral_by_the_stokes_jump_near_the_axis(side):
+    """At x = 2 e^{i(-pi/2 + 2e-3)} the mul sector is 2e-3 rad wide and its
+    bisector passes about 2e-3 from x, where the direct ray took minutes.
+    sum_eta_integral takes the mur ray and the jump mul = mur - 2 delta
+    (median = mur - delta) instead: within tol of the closed route at
+    dps + 30, within 3 s, at 15 digits."""
+    with mp.workdps(15):
+        x = 2 * mp.expj(-mp.pi / 2 + mp.mpf("2e-3"))
+        start = time.perf_counter()
+        res = sum_eta_integral(x, side, tol="1e-9")
+        elapsed = time.perf_counter() - start
+    with mp.workdps(45):
+        want = sum_erfi("trefoil", res.x, side, tol="1e-20").value
+    assert abs(res.value - want) <= res.err_estimate
+    assert elapsed < 3
 
 
 def test_eta_integral_without_room_raises():
@@ -398,6 +421,11 @@ def test_quadrature_evaluation_budgets(monkeypatch, run, budget):
     """Integrand evaluations, summed over every quadrature panel at 25
     digits, stay within budget: the bisector ray, the single finite-part
     pass on [0, 1] and the order ladder each take a share of the cut."""
+    assert _evaluations(monkeypatch, run) <= budget
+
+
+def _evaluations(monkeypatch, run) -> int:
+    """Integrand evaluations of run(), summed over every quadrature panel."""
     total = [0]
     inner = specfun.integrate_segment
 
@@ -407,7 +435,20 @@ def test_quadrature_evaluation_budgets(monkeypatch, run, budget):
 
     monkeypatch.setattr(specfun, "integrate_segment", counted)
     run()
-    assert total[0] <= budget
+    return total[0]
+
+
+@pytest.mark.parametrize("run,evaluations", [
+    pytest.param(lambda: sum_eta_integral(mp.mpc(2, "1.5"), "mul", tol="2.5e-10"), 180,
+                 id="eta-integral-mul"),
+    pytest.param(lambda: zagier_g(1, tol="1e-16"), 299, id="zagier-g-1"),
+    pytest.param(lambda: cross_routes("poincare", mp.mpc(2, "1.5"), "2.5e-10"), 440,
+                 id="poincare-cross-routes"),
+])
+def test_quadrature_evaluation_counts_are_pinned(monkeypatch, run, evaluations):
+    """The exact integrand evaluations of three reference calls at 25
+    digits, so that any change in the panels or the order ladder shows."""
+    assert _evaluations(monkeypatch, run) == evaluations
 
 
 @pytest.mark.parametrize("run", [
@@ -427,13 +468,14 @@ def test_folded_rays_take_one_theta_sum_per_node(monkeypatch, run):
         return theta_sum(*args)
 
     def recorded_segment(f, a, b, order=24):
-        return segment(lambda t: nodes.append(t) or f(t), a, b, order)
+        return segment(specfun.FixedKernel(lambda t: nodes.append((t, f.wp)) or f.f(t), f.wp),
+                       a, b, order)
 
     monkeypatch.setattr(modular, "_theta_sum", counted_theta)
     monkeypatch.setattr(specfun, "integrate_segment", recorded_segment)
     run()
     assert sums[0] == len(nodes) > 0
-    assert min(nodes) >= 1
+    assert all(t >= 1 << wp for t, wp in nodes)
 
 
 def test_cross_routes_trefoil_keys_and_gaps():
@@ -556,20 +598,58 @@ def test_laplace_unit_quadrature_matches_closed_form():
             assert abs(quad - closed) < mp.mpf(bound), (y, k)
 
 
+_LAPLACE_GRID = (("0.3", "0.2"), (2, "1.5"), (16, -10), (60, 40), ("0.01", 3), (130, -5),
+                 ("1e-3", "1e-3"), (400, 300))
+
+
+def _laplace_grid_meets(tol):
+    """Both weights meet tol over the calibration grid, from y near 0 to
+    |y| = 500, against the closed form at dps + 30."""
+    for re_y, im_y in _LAPLACE_GRID:
+        y = mp.mpc(re_y, im_y)
+        for k in (3, 5):
+            quad = median_laplace_unit(k, y, tol=tol)
+            with mp.extradps(30):
+                closed = median_laplace_unit_closed(k, y)
+            assert abs(quad - closed) <= tol, (y, k)
+
+
 @pytest.mark.parametrize("dps", [15, 25, 50])
 def test_laplace_unit_quadrature_is_calibrated_near_roundoff(dps):
     """Both weights meet tol = 10^(5 - dps) at every working precision,
     from y near 0 to |y| = 500, against the closed form at dps + 30."""
     with mp.workdps(dps):
-        tol = mp.mpf(10) ** (5 - dps)
-        for re_y, im_y in (("0.3", "0.2"), (2, "1.5"), (16, -10), (60, 40), ("0.01", 3),
-                           (130, -5), ("1e-3", "1e-3"), (400, 300)):
-            y = mp.mpc(re_y, im_y)
-            for k in (3, 5):
-                quad = median_laplace_unit(k, y, tol=tol)
-                with mp.extradps(30):
-                    closed = median_laplace_unit_closed(k, y)
-                assert abs(quad - closed) <= tol, (y, k)
+        _laplace_grid_meets(mp.mpf(10) ** (5 - dps))
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_laplace_unit_quadrature_meets_its_floor(dps):
+    """The same grid at the smallest tolerance the route accepts, 10^(2 - dps)."""
+    with mp.workdps(dps):
+        _laplace_grid_meets(mp.mpf(10) ** (2 - dps))
+
+
+@pytest.mark.parametrize("k,y", [(3, mp.mpc(2, "1.5")), (5, mp.mpc(60, 40))])
+def test_laplace_unit_refuses_a_tolerance_below_its_floor(k, y):
+    """At 25 digits tol = 1e-40 is far below 10^(2 - dps): ToleranceError,
+    naming the tolerance, before any quadrature."""
+    start = time.perf_counter()
+    with pytest.raises(ToleranceError, match="tolerance 1.0e-40"):
+        median_laplace_unit(k, y, tol="1e-40")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_laplace_unit_refuses_a_tolerance_below_the_rounding_of_its_value():
+    """At y = 1e-3 + 400i the k = 5 transform is 1.9e4 in size, so at 25
+    digits its rounding, about 5e-22, is above the floor 1e-23; at
+    y = -10 - 3i (size 2.5e5) so is the k = 3 one.  Both raise
+    ToleranceError at the floor, and meet a tol above their rounding."""
+    for k, y in ((5, mp.mpc("1e-3", 400)), (3, mp.mpc(-10, -3))):
+        with pytest.raises(ToleranceError, match="rounding"):
+            median_laplace_unit(k, y, tol="1e-23")
+        with mp.extradps(30):
+            closed = median_laplace_unit_closed(k, y)
+        assert abs(median_laplace_unit(k, y, tol="1e-19") - closed) <= mp.mpf("1e-19")
 
 
 def test_laplace_unit_rejects_other_weights():
