@@ -4,10 +4,10 @@
 For each a/d in the requested denominator range the extrapolated interior
 value is printed next to the exact finite-sum target, together with the
 ladder's internal error estimate and the wall seconds the ladder took.
-Useful for choosing ladder parameters: the error series steepens quickly
+The ladder is fixed by the library; the error series steepens quickly
 with d.
 
-    python scripts/radial_scan.py --max-den 3 --rungs 9
+    python scripts/radial_scan.py --max-den 3
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-den", type=int, default=3,
                         help="largest denominator to scan")
-    parser.add_argument("--rungs", type=int, default=9,
-                        help="ladder length per angle")
-    parser.add_argument("--ratio", type=int, default=2,
-                        help="geometric step between rungs")
-    parser.add_argument("--eps0", default=None,
-                        help="starting offset override")
     parser.add_argument("--precision", type=int, default=25)
     return parser.parse_args()
 
@@ -53,8 +47,7 @@ def main() -> int:
                 continue
             alpha = Fraction(num, den)
             start = perf_counter()
-            res = radial_limit(alpha, rungs=args.rungs, ratio=args.ratio,
-                               eps0=args.eps0)
+            res = radial_limit(alpha)
             wall = perf_counter() - start
             gap = phi_gap(alpha, res.value)
             worst = max(worst, gap)

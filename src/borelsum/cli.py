@@ -211,16 +211,11 @@ def _cmd_radial(cfg: RunConfig, args) -> tuple[dict, bool]:
     alpha = _parse_fraction(args.alpha)
     if alpha == 0:
         raise _UsageError("--alpha must be nonzero")
-    if args.rungs < 2 or args.ratio < 2:
-        raise _UsageError("need --rungs at least 2 and --ratio greater than 1")
-    eps0 = None if args.eps0 is None else _parse_positive(args.eps0, "--eps0")
-    result = radial_limit(alpha, rungs=args.rungs, ratio=args.ratio, eps0=eps0,
-                          tol=cfg.tol)
+    result = radial_limit(alpha, tol=cfg.tol)
     target = phi(alpha)
     payload = {
         "command": "radial",
         "alpha": _frac_str(alpha),
-        "rungs": args.rungs,
         "limit": _complex_pair(result.value),
         "err_estimate": _real_str(result.err_estimate),
         "target": _complex_pair(target),
@@ -324,7 +319,7 @@ def _render_plain(payload: dict) -> str:
         if "max_discrepancy" in payload:
             lines.append(f"max_discrepancy = {payload['max_discrepancy']}")
     elif kind == "radial":
-        lines.append(f"alpha = {payload['alpha']}  rungs = {payload['rungs']}")
+        lines.append(f"alpha = {payload['alpha']}")
         lines.append(f"limit = {payload['limit']['re']} + {payload['limit']['im']} i")
         lines.append(f"target = {payload['target']['re']} + {payload['target']['im']} i")
         lines.append(f"abs_diff = {payload['abs_diff']}  err_estimate = {payload['err_estimate']}")
@@ -383,9 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_radial = sub.add_parser("radial", parents=[common], help="radial boundary limit")
     p_radial.add_argument("--alpha", required=True, help="rational angle, num/den form")
-    p_radial.add_argument("--rungs", type=int, default=9)
-    p_radial.add_argument("--ratio", type=int, default=2)
-    p_radial.add_argument("--eps0", default=None, help="starting ladder offset")
 
     p_verify = sub.add_parser("verify", parents=[common], help="identity and acceptance checks")
     p_verify.add_argument("--suite", choices=tuple(SUITES), default="all")

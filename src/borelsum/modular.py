@@ -72,6 +72,7 @@ from .errors import ConvergenceError, DomainError, require_finite, require_tol
 from .invariants import _angle
 from .specfun import (
     _LN10,
+    _LADDER_GAIN,
     _PHASE_GUARD_BITS,
     FixedKernel,
     _fixed_inverse_three_halves,
@@ -79,12 +80,10 @@ from .specfun import (
     _fixed_phase_sum,
     _from_fixed,
     _log_gaussian_tail,
+    _radial_ladder,
     _to_fixed,
-    extrapolation_gain,
     fit_poly_coeffs,
-    geometric_ladder,
     ray_integrate,
-    richardson_limit,
 )
 
 __all__ = [
@@ -281,22 +280,20 @@ def eta_tilde_radial(alpha):
     """Radial limit of eta_tilde at the rational point alpha: an int, a
     Fraction or an "a/b" string (rational_parts).
 
-    Values on the vertical ladder alpha + i eps_j, eps_j = 0.002 2^-j / den^2
-    for j < 9, are Richardson-extrapolated to eps = 0.  The error series blows
-    up with the denominator of alpha, hence the 1/den^2 start.
-    The ladder runs under 5 guard digits, so that alpha, the samples and the
-    tableau are resolved past the working precision.  Returns (limit,
-    err_estimate): the last Richardson correction plus the extrapolation
-    gain times eps max |sample| at the working eps, which covers the
-    rounding and recurrence drift of each sample and the rounding of the
-    limit."""
+    specfun._radial_ladder extrapolates the values at alpha + i eps to
+    eps = 0 from eps_0 = 0.002 / den^2: the error series blows up with the
+    denominator of alpha.  The ladder runs under 5 guard digits, so that
+    alpha, the samples and the tableau are resolved past the working
+    precision.  Returns (limit, err_estimate): the last Richardson
+    correction plus the ladder's gain times eps max |sample| at the working
+    eps, which covers the rounding and recurrence drift of each sample and
+    the rounding of the limit."""
     with mp.extradps(5):
         a, den = rational_parts(alpha)
-        hs = geometric_ladder(mp.mpf("0.002") / den**2, 9, 2)
-        samples = [eta_tilde(a + mp.j * eps) for eps in hs]
-        limit, correction = richardson_limit(hs, samples)
+        limit, correction, samples = _radial_ladder(
+            lambda eps: eta_tilde(a + mp.j * eps), mp.mpf("0.002") / den**2)
     sample_err = mp.eps * max(abs(v) for v in samples)
-    return +limit, correction + extrapolation_gain(hs) * sample_err
+    return +limit, correction + sample_err * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
 
 
 def _g_direct(xr, tol):
@@ -366,9 +363,9 @@ def zagier_g_taylor(count: int = 4):
         out = []
         for n in range(count):
             m1 = 8 - n if (8 - n) % 2 == 0 else 9 - n
-            rungs = [
+            once = [
                 fits[i + 1][n] + (fits[i + 1][n] - fits[i][n]) / (2**m1 - 1)
                 for i in (0, 1)
             ]
-            out.append(rungs[1] + (rungs[1] - rungs[0]) / (2 ** (m1 + 2) - 1))
+            out.append(once[1] + (once[1] - once[0]) / (2 ** (m1 + 2) - 1))
     return [+c for c in out]

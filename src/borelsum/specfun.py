@@ -69,11 +69,18 @@ varies per call reuses one Newton solve.  Each panel walks the orders 8,
 order below it to the panel tolerance; a panel that no pair settles is
 bisected.  It raises QuadratureError instead of returning a low-quality
 value.
+
+The radial limits of summation and modular share one extrapolation ladder,
+_radial_ladder: nine samples at start/2^j, Richardson-extrapolated to 0.
+Its Lagrange weights at 0 do not depend on start, so the most that an error
+in every sample can move the limit by is one exact multiple of that error,
+_LADDER_GAIN.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from mpmath import mp
@@ -92,8 +99,6 @@ __all__ = [
     "ray_integrate",
     "gaussian_tail",
     "richardson_limit",
-    "geometric_ladder",
-    "extrapolation_gain",
     "fit_poly_coeffs",
 ]
 
@@ -565,26 +570,22 @@ def richardson_limit(hs, vals):
     return tab[0], abs(tab[0] - diag_prev)
 
 
-def geometric_ladder(start, rungs: int, ratio):
-    """The offsets start / ratio^j, j < rungs, of an extrapolation ladder."""
-    if rungs < 2:
-        raise ValueError("need at least two rungs")
-    start = mp.mpf(start)
-    if start <= 0 or ratio <= 1:
-        raise ValueError("need start > 0 and ratio > 1")
-    return [start / ratio**j for j in range(rungs)]
+# sum over j < 9 of |prod_{k != j} h_k / (h_k - h_j)|, h_j = 2^-j: the
+# absolute Lagrange weights at h = 0 of the ladder, whatever its start
+_LADDER_GAIN = Fraction(1580293, 192913)
 
 
-def extrapolation_gain(hs):
-    """Sum over j of |prod_{k != j} h_k / (h_k - h_j)|.
+def _radial_ladder(sample, start):
+    """Richardson limit at h = 0 of sample(h) on the ladder h_j = start/2^j,
+    j < 9, the one ladder of the radial limits.
 
-    The extrapolated value at h = 0 is sum_j w_j vals[j] with these w_j, so
-    an error e in every sample moves it by at most e times this sum."""
-    hs = [mp.mpf(h) for h in hs]
-    return mp.fsum(
-        abs(mp.fprod(hk / (hk - hj) for k, hk in enumerate(hs) if k != j))
-        for j, hj in enumerate(hs)
-    )
+    Returns (limit, correction, samples), the correction the last one of
+    richardson_limit; an error e in every sample moves the limit by at most
+    e _LADDER_GAIN."""
+    hs = [start / 2**j for j in range(9)]
+    samples = [sample(h) for h in hs]
+    limit, correction = richardson_limit(hs, samples)
+    return limit, correction, samples
 
 
 def fit_poly_coeffs(xs, ys):

@@ -44,9 +44,10 @@ integrates the transform with its singularity subtracted, one fixed-point
 kernel per node (exp_fixed and cos_sin_fixed) on specfun's integer
 Gauss-Legendre quadrature, one mpc per transform.
 
-radial route: median values on a ladder x_j = eps_j + i y extrapolated to
-the boundary point i y; at y = 1/(2 pi alpha) the limit is the unit-circle
-boundary value at angle alpha.
+radial route: median values at x = eps + i y extrapolated to the boundary
+point i y on specfun._radial_ladder, the one ladder that eta_tilde_radial
+shares; at y = 1/(2 pi alpha) the limit is the unit-circle boundary value at
+angle alpha.
 """
 
 from __future__ import annotations
@@ -77,20 +78,19 @@ from .errors import (
 from .modular import _eta_ray, rational_parts
 from .specfun import (
     FixedKernel,
+    _LADDER_GAIN,
     _adaptive_segment,
     _algebraic,
     _fixed_mul,
     _from_fixed,
     _log_gaussian_tail,
     _quadratic_phase_sum,
+    _radial_ladder,
     _remainder_factor,
     _to_fixed,
     dawson_deficit,
     e_mod_deficit,
-    extrapolation_gain,
     gaussian_tail,
-    geometric_ladder,
-    richardson_limit,
 )
 
 __all__ = [
@@ -378,7 +378,7 @@ def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int):
     p = mdl.power
     nu, weights, _ = mdl.table()
     restored = mp.fsum(
-        mp.fac2(2 * j - 1) / mp.mpf(2) ** j * x ** (m - 1 - j)
+        math.prod(range(1, 2 * j, 2)) / mp.mpf(2) ** j * x ** (m - 1 - j)
         * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2)
         for j in range(m, big_k))
     # eta_n = nu n^2, so sqrt(y_n) = n sqrt(nu x) and sqrt(eta_n) = n sqrt(nu)
@@ -386,7 +386,7 @@ def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int):
     z_one = root_nu * mp.sqrt(x)
     acc = mp.fsum(w * n**p * _algebraic(n * z_one, big_k) / n
                   for n in range(1, n_alg + 1) if (w := weights[(n - 1) % mdl.period]))
-    return mdl.a0 + mp.mpf(2) ** m / mp.fac2(2 * m - 1) * (
+    return mdl.a0 + mp.mpf(2) ** m / math.prod(range(1, 2 * m, 2)) * (
         restored + x ** (m - 1) * acc / root_nu)
 
 
@@ -604,29 +604,25 @@ def averaged_value(model, avg, p, tol="1e-10"):
     return ahead + phase * crossed
 
 
-def radial_limit(alpha, rungs: int = 9, ratio: int = 2, eps0=None,
-                 tol="1e-10") -> SummationResult:
+def radial_limit(alpha, tol="1e-10") -> SummationResult:
     """Boundary value at the point i/(2 pi alpha) by a radial median ladder.
 
     alpha is an int, a Fraction or an "a/b" string; a float or mpf raises
-    DomainError (modular.rational_parts).  Median values at
-    x_j = eps0 / ratio^j + i y, j < rungs, are Richardson-extrapolated in
-    eps; the limit is the unit-circle boundary value at angle alpha.  The
-    error series in eps grows with the denominator of alpha, so the default
-    eps0 shrinks as y / denominator^2.
-    eps0 <= 0, ratio <= 1 or fewer than two rungs raise ValueError.
-    err_estimate adds the rung tolerance, amplified by the extrapolation
-    weights, to the last Richardson correction."""
+    DomainError (modular.rational_parts).  specfun._radial_ladder
+    extrapolates the median values at x = eps + i y to eps = 0; the limit
+    is the unit-circle boundary value at angle alpha.  The error series in
+    eps grows with the denominator of alpha, so the ladder starts at
+    eps_0 = |y| / (50 den^2).  err_estimate adds the rung tolerance times
+    the ladder's gain to the last Richardson correction."""
     tol = require_tol(tol)
     a, den = rational_parts(alpha)
     if a == 0:
         raise DomainError("alpha must be nonzero")
     y = 1 / (2 * mp.pi * a)
-    hs = geometric_ladder(abs(y) / (50 * den**2) if eps0 is None else eps0,
-                          rungs, ratio)
     mdl = trefoil_borel()
     inner = max(min(tol / 10, mp.mpf("1e-14")), _roundoff_floor())
-    vals = [_closed_value(mdl, e + mp.j * y, AverageKind.MEDIAN, inner) for e in hs]
-    limit, err = richardson_limit(hs, vals)
-    return SummationResult("trefoil", mp.mpc(0, y), AverageKind.MEDIAN,
-                           "radial", limit, err + inner * extrapolation_gain(hs))
+    limit, err, _ = _radial_ladder(
+        lambda e: _closed_value(mdl, e + mp.j * y, AverageKind.MEDIAN, inner),
+        abs(y) / (50 * den**2))
+    return SummationResult("trefoil", mp.mpc(0, y), AverageKind.MEDIAN, "radial", limit,
+                           err + inner * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator)

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "script,args,last",
     [
         ("gamma_ladder.py", [], "# window verdict: ok"),
-        ("radial_scan.py", ["--max-den", "2", "--rungs", "5"], "# worst gap "),
+        ("radial_scan.py", ["--max-den", "2"], "# worst gap "),
         ("route_grid.py", ["--steps", "1", "--re", "2", "2", "--im", "0", "0",
                            "--tol", "1e-6"], "# worst gap "),
         ("route_grid.py", ["--model", "poincare", "--steps", "1", "--re", "2", "2",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from borelsum.specfun import (
+    _LADDER_GAIN,
     _ORDERS,
     FixedKernel,
     _algebraic,
@@ -23,6 +24,7 @@ from borelsum.specfun import (
     _log_gaussian_tail,
     _maclaurin_boost,
     _quadratic_phase_sum,
+    _radial_ladder,
     _remainder,
     _remainder_factor,
     _to_fixed,
@@ -491,6 +493,31 @@ def test_richardson_input_validation():
         richardson_limit([1, 2], [0, 0])
     with pytest.raises(ValueError):
         richardson_limit([1, 0], [0, 0])
+
+
+def test_ladder_gain_is_the_sum_of_the_lagrange_weights():
+    """The Lagrange weights at h = 0 of the nodes 2^-j, j < 9, in exact
+    arithmetic: they sum to 1, and their absolute values to _LADDER_GAIN."""
+    hs = [Fraction(1, 2**j) for j in range(9)]
+    weights = [math.prod(hk / (hk - hj) for k, hk in enumerate(hs) if k != j)
+               for j, hj in enumerate(hs)]
+    assert sum(weights) == 1
+    assert sum(abs(w) for w in weights) == _LADDER_GAIN
+
+
+def test_radial_ladder_samples_the_halving_ladder():
+    """Nine samples at start / 2^j, extrapolated by richardson_limit."""
+    seen = []
+
+    def sample(h):
+        seen.append(h)
+        return 7 + 3 * h - h**4
+
+    limit, correction, samples = _radial_ladder(sample, mp.mpf("0.01"))
+    assert seen == [mp.mpf("0.01") / 2**j for j in range(9)]
+    assert samples == [7 + 3 * h - h**4 for h in seen]
+    assert abs(limit - 7) < mp.mpf("1e-20")
+    assert correction < mp.mpf("1e-20")
 
 
 def test_fit_poly_coeffs_recovers_polynomial():
