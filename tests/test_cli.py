@@ -128,6 +128,14 @@ def test_usage_errors_exit_two():
 
 
 @pytest.mark.parametrize("args", [
+    ("radial", "--alpha", "abc"),
+    ("radial", "--alpha", "1/0"),
+    ("radial", "--alpha", "1/2", "--tol", "nan"),
+    ("radial", "--alpha", "1/2", "--tol", "-1"),
+    ("radial", "--alpha", "1/2", "--tol", "abc"),
+    ("radial", "--alpha", "1/2", "--tol", "0"),
+    ("radial", "--alpha", "1/2", "--tol", "inf"),
+    ("radial", "--alpha", "1/2", "--precision", "5"),
     ("sum", "--x", "2", "--cross-check", "--cross-tol", "abc"),
     ("sum", "--x", "2", "--cross-check", "--cross-tol", "-1"),
     ("sum", "--x", "nan"),
@@ -135,6 +143,7 @@ def test_usage_errors_exit_two():
     ("sum", "--x", "2+infi"),
     ("sum", "--x", "2", "--tol", "nan"),
     ("sum", "--x", "2", "--tol", "inf"),
+    ("radial", "--alpha", "1/2", "--config", "/nonexistent/dir/borelsum.cfg"),
     ("coeffs", "--n", "2", "--out", "/nonexistent/dir/report.txt"),
 ])
 def test_bad_ladder_and_tolerance_values_exit_two(args):
