@@ -106,10 +106,14 @@ class SqrtBranched:
             raise ValueError("singularities are indexed from 1")
         return self.table()[1][(n - 1) % self.period] * n**self.power
 
-    def _terms_for(self, decay: int, scale, tol, p_abs: float = 0.0) -> int:
-        """The one term count of a Borel-plane sum: the smallest N >= 8 with
-        scale N^{-decay}/decay <= tol and eta_{N+1} >= 2 p_abs, where the
-        tail bound starts to hold; past TERM_BUDGET, ConvergenceError."""
+    def _transform_terms(self, p_abs: float, tol) -> int:
+        """The one term count of the sum of c_n (eta_n - p)^{-k/2} at
+        |p| = p_abs: the smallest N >= 8 with scale N^{-decay}/decay <= tol
+        and eta_{N+1} >= 2 p_abs, where |eta_n - p| >= eta_n/2 and the tail
+        bound of the module docstring holds (decay = k - power - 1,
+        scale = A (2/nu)^{k/2}); past TERM_BUDGET, ConvergenceError."""
+        decay = self.k - self.power - 1
+        scale = mp.mpf(self.coeff_bound) * (2 / mp.mpf(self.nu_lower)) ** (mp.mpf(self.k) / 2)
         n = int(ceil((scale / (decay * tol)) ** (mp.mpf(1) / decay)))
         reach = sqrt(2 * p_abs / self.nu_lower)  # inf past the float range
         n = max(n, 8, ceil(min(reach, TERM_BUDGET)) + 1)
@@ -120,12 +124,6 @@ class SqrtBranched:
                 f"reachable accuracy"
             )
         return n
-
-    def _transform_terms(self, p_abs: float, tol) -> int:
-        """_terms_for the sum of c_n (eta_n - p)^{-k/2} at |p| = p_abs: with
-        |eta_n - p| >= eta_n/2, the tail bound of the module docstring."""
-        scale = mp.mpf(self.coeff_bound) * (2 / mp.mpf(self.nu_lower)) ** (mp.mpf(self.k) / 2)
-        return self._terms_for(self.k - self.power - 1, scale, tol, p_abs)
 
     def eval(self, point, tol="1e-8", sheet: int = 0):
         """Value at p on the requested sheet, within absolute tolerance tol,

@@ -81,16 +81,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise _UsageError(f"cannot parse '{text}' as a rational") from exc
 
 
-def _parse_positive(text: str, flag: str):
-    try:
-        value = mp.mpf(text)
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse '{text}' as a number for {flag}") from exc
-    if not (value > 0 and mp.isfinite(value)):
-        raise _UsageError(f"{flag} must be positive and finite")
-    return value
-
-
 def _read_config(path: str) -> dict:
     values = {}
     try:
@@ -185,8 +175,11 @@ def _cmd_sum(cfg: RunConfig, args) -> tuple[dict, bool]:
     if args.cross_check and method != "median":
         raise _UsageError("--cross-check applies to the median method")
     if args.cross_check:
-        result = sum_median(cfg.object, x, tol=cfg.tol, cross_check=True,
-                            cross_tol=_parse_positive(args.cross_tol, "--cross-tol"))
+        try:
+            cross_tol = require_tol(args.cross_tol)
+        except ValueError as exc:
+            raise _UsageError(f"--cross-tol: {exc}") from exc
+        result = sum_median(cfg.object, x, tol=cfg.tol, cross_check=True, cross_tol=cross_tol)
         extra = {
             "routes": {name: _complex_pair(v) for name, v in result.routes.items()},
             "max_discrepancy": _real_str(route_gap(result.routes)),

@@ -35,9 +35,10 @@ one modular._eta_ray, the same folded eta integral as the direct route of
 zagier_g: t = 1 is the fixed point of tau -> -1/tau, so each node and its
 mirror 1/t share one theta sum and no node inverts.
 It converges for boundary x on the imaginary axis, where the closed route
-diverges, and includes the constant term automatically.  Where one side's
-sector is narrower than pi/8, sum_eta_integral integrates the other side
-and adds the Stokes jump mur - mul = 2 delta.
+diverges, and includes the constant term automatically.  sum_eta_integral
+integrates one ray, on the wide side of x (mul when Im x >= 0, else mur);
+every other kind is that ray plus the Stokes jump mur - mul = 2 delta.
+cross_routes integrates both sides directly, as independent routes.
 
 finite-part quadrature (the Poincare cross-check): median_laplace_unit
 integrates the transform with its singularity subtracted, one fixed-point
@@ -442,10 +443,7 @@ def _bisector(xz, kind: AverageKind, tol):
 
 
 def _eta_integral_value(xz, kind: AverageKind, tol):
-    if kind is AverageKind.MEDIAN:
-        lo = _eta_integral_value(xz, AverageKind.MUL, tol)
-        hi = _eta_integral_value(xz, AverageKind.MUR, tol)
-        return (lo + hi) / 2
+    """The lateral value on side kind (mul or mur) by its bisector ray, to tol."""
     orient = _DELTA_FACTOR[kind]
     theta, dist = _bisector(xz, kind, tol)
     digits = mp.dps + 8 + max(0, int(-1.5 * mp.log10(dist))) + int(1.5 * mp.log10(1 + abs(xz)))
@@ -461,45 +459,39 @@ def _eta_integral_value(xz, kind: AverageKind, tol):
     return -orient * mp.j * mp.expj(-theta / 2) * scale * ray
 
 
-# below this room the bisector passes so close to x that its panels bisect
-# deep; sum_eta_integral takes the wide side and the Stokes jump instead
-_JUMP_ROOM = math.pi / 8
-
-
 def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
     """Integral-route value for the 5/2-power model, constant term included.
 
     Quadrature of the weight-1/2 theta series against (x - z)^{-3/2} along
-    the ray that bisects the sector between arg x and the imaginary axis,
-    below x for mul and above it for mur; 'median' averages the two sides.
-    The ray is folded at the fixed point |z| = 1/(2 pi) of tau -> -1/tau,
-    so that one theta sum at |tau| >= 1 serves each node and its mirror.
-    That sector has room = pi/2 -+ arg x; RayGeometryError is raised when
-    Re x < 0, where the sector would cross Re z = 0, when it is empty, or
-    when the ray-to-x distance |x| sin(room/2) is below sqrt(tol).
+    the ray that bisects the sector between arg x and the imaginary axis on
+    the wide side of x: below x (mul) when Im x >= 0, above it (mur) when
+    Im x < 0.  The ray is folded at the fixed point |z| = 1/(2 pi) of
+    tau -> -1/tau, so that one theta sum at |tau| >= 1 serves each node and
+    its mirror.  The wide side's kind is that ray at tol.  Every other kind
+    (the narrow side, or the median) is the ray at tol/2 plus the Stokes
+    jump at tol/2, mur - mul = 2 delta (dirichlet_delta): mul = mur - 2 delta,
+    mur = mul + 2 delta, median = mur - delta = mul + delta.
 
-    Near the imaginary axis one side's room falls below pi/8 while the
-    other's is wide.  A value that needs the narrow side (it, or the
-    median) is then the wide side's ray at tol/2 plus the Stokes jump,
-    mur - mul = 2 delta (dirichlet_delta), at tol/2: mul = mur - 2 delta,
-    mur = mul + 2 delta, median = mur - delta = mul + delta.  The narrow
-    side's geometry rules above still apply, so the domain is the one the
-    direct rays of cross_routes have."""
+    Each side's sector has room = pi/2 -+ arg x.  RayGeometryError is raised
+    when Re x < 0, where a sector would cross Re z = 0, when a sector the
+    kind needs is empty, or when its bisector passes within sqrt(tol) of x,
+    |x| sin(room/2) < sqrt(tol): the narrow side's sector counts for every
+    kind but the wide one, so the domain is the one the direct rays of
+    cross_routes have."""
     tol = require_tol(tol)
     kind = _kind(side)
     xz = mp.mpc(require_finite(x, "x"))
     if xz == 0:
         raise DomainError("x must be nonzero")
-    arg_x = mp.arg(xz)
-    narrow, wide = ((AverageKind.MUL, AverageKind.MUR) if arg_x < 0
+    narrow, wide = ((AverageKind.MUL, AverageKind.MUR) if mp.im(xz) < 0
                     else (AverageKind.MUR, AverageKind.MUL))
-    if kind is not wide and mp.pi / 2 - abs(arg_x) < _JUMP_ROOM:
+    if kind is wide:
+        value = _eta_integral_value(xz, wide, tol)
+    else:
         _bisector(xz, narrow, tol)
         factor = _DELTA_FACTOR[kind] - _DELTA_FACTOR[wide]
         value = (_eta_integral_value(xz, wide, tol / 2)
                  + factor * dirichlet_delta(trefoil_borel(), xz, tol / (2 * abs(factor))))
-    else:
-        value = _eta_integral_value(xz, kind, tol)
     return SummationResult("trefoil", xz, kind, "eta-integral", value, tol)
 
 
@@ -544,17 +536,17 @@ def sum_median(model, x, tol="1e-12", cross_check: bool = False,
                cross_tol=None) -> SummationResult:
     """Median value at x by the closed route.
 
-    With cross_check the independent routes are also evaluated, at a
-    quarter of cross_tol (default max(100 tol, 1e-10)), and returned as
-    .routes; their route_gap is folded into err_estimate, and if cross_tol
-    is given, exceeding it raises ToleranceError.  The value itself is the
-    closed route at tol."""
+    With cross_check, or with a cross_tol given, the independent routes are
+    also evaluated, at a quarter of cross_tol (default max(100 tol, 1e-10)),
+    and returned as .routes; their route_gap is folded into err_estimate,
+    and if cross_tol is given, exceeding it raises ToleranceError.  The
+    value itself is the closed route at tol."""
     tol = require_tol(tol)
     check_tol = max(tol * 100, mp.mpf("1e-10")) if cross_tol is None else require_tol(cross_tol)
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
     routes, err = None, tol
-    if cross_check:
+    if cross_check or cross_tol is not None:
         routes = cross_routes(mdl, xz, tol=check_tol / 4)
         gap = route_gap(routes)
         if cross_tol is not None and gap > check_tol:
@@ -580,7 +572,10 @@ def averaged_value(model, avg, p, tol="1e-10"):
     tol = require_tol(tol)
     mdl = _resolve_model(model)
     knd = _kind(avg)
-    pr = require_finite(mp.mpf(p), "p")
+    pr = require_finite(p, "p")
+    if mp.im(pr) != 0:
+        raise DomainError(f"p must be real, not {pr}")
+    pr = mp.re(pr)
     if pr < 0:
         raise DomainError("p must be nonnegative")
     n_terms = mdl._transform_terms(float(pr), tol)

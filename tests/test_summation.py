@@ -376,10 +376,15 @@ def test_eta_integral_without_room_raises():
 @pytest.mark.parametrize("arg", ["-1.3", "-0.9", "0", "0.9", "1.3"])
 def test_eta_integral_on_the_bisector_matches_the_closed_route(arg, side):
     """Every ray in the sector gives the same lateral value, so the bisector
-    must agree with the erfi series across the whole half plane."""
+    ray of either side, which cross_routes integrates, must agree with the
+    erfi series across the whole half plane; so must sum_eta_integral, the
+    wide side's ray plus the Stokes jump where side is the narrow one."""
     x = 2 * mp.expj(mp.mpf(arg))
+    want = sum_erfi("trefoil", x, side, tol="1e-16").value
+    direct = summation._eta_integral_value(x, AverageKind(side), mp.mpf("1e-14"))
+    assert abs(direct - want) < mp.mpf("1e-12")
     got = sum_eta_integral(x, side=side, tol="1e-14").value
-    assert abs(got - sum_erfi("trefoil", x, side, tol="1e-16").value) < mp.mpf("1e-12")
+    assert abs(got - want) < mp.mpf("1e-12")
 
 
 @pytest.mark.parametrize("side", ["mul", "mur", "median"])
@@ -389,7 +394,7 @@ def test_eta_integral_error_estimate_covers_the_error(dps, x, side):
     """sum_eta_integral claims tol = 10^(5-dps) as its error (err_estimate);
     against the closed route at dps + 30 and tol 10^(-5-dps) the claim
     holds at 15, 25 and 50 digits on both lateral sides and for the median,
-    their average."""
+    each the wide side's ray plus its share of the Stokes jump."""
     with mp.workdps(dps):
         tol = mp.mpf(10) ** (5 - dps)
         res = sum_eta_integral(mp.mpmathify(x), side=side, tol=tol)
@@ -441,12 +446,16 @@ def _evaluations(monkeypatch, run) -> int:
 @pytest.mark.parametrize("run,evaluations", [
     pytest.param(lambda: sum_eta_integral(mp.mpc(2, "1.5"), "mul", tol="2.5e-10"), 180,
                  id="eta-integral-mul"),
+    pytest.param(lambda: sum_eta_integral(mp.mpc(2, "1.5"), "mur", tol="2.5e-10"), 180,
+                 id="eta-integral-mur"),
+    pytest.param(lambda: sum_eta_integral(mp.mpc(2, "1.5"), "median", tol="2.5e-10"), 180,
+                 id="eta-integral-median"),
     pytest.param(lambda: zagier_g(1, tol="1e-16"), 299, id="zagier-g-1"),
     pytest.param(lambda: cross_routes("poincare", mp.mpc(2, "1.5"), "2.5e-10"), 440,
                  id="poincare-cross-routes"),
 ])
 def test_quadrature_evaluation_counts_are_pinned(monkeypatch, run, evaluations):
-    """The exact integrand evaluations of three reference calls at 25
+    """The exact integrand evaluations of the reference calls at 25
     digits, so that any change in the panels or the order ladder shows."""
     assert _evaluations(monkeypatch, run) == evaluations
 
@@ -515,13 +524,19 @@ def test_sum_median_cross_check_value_is_the_closed_route_at_tol():
     assert sum_median("trefoil", x).routes is None
 
 
-def test_sum_median_raises_when_routes_disagree(monkeypatch):
+@pytest.mark.parametrize("cross_check", [
+    pytest.param(True, id="cross-check"),
+    pytest.param(False, id="cross-tol-alone"),
+])
+def test_sum_median_raises_when_routes_disagree(monkeypatch, cross_check):
+    """A given cross_tol runs the cross-check and holds the routes to it,
+    with or without cross_check."""
     monkeypatch.setattr(
         summation, "cross_routes",
         lambda model, x, tol="1e-10": {"erfi-series": mp.mpf(0), "other": mp.mpf(1)},
     )
     with pytest.raises(ToleranceError):
-        sum_median("trefoil", 2, cross_check=True, cross_tol="1e-6")
+        sum_median("trefoil", 2, cross_check=cross_check, cross_tol="1e-6")
 
 
 @pytest.mark.parametrize("model,b0,tol,bound", [
@@ -557,6 +572,8 @@ def test_averaged_value_domain_errors():
     mdl = summation.trefoil_borel()
     with pytest.raises(DomainError):
         averaged_value(mdl, "median", mdl.eta(1))
+    with pytest.raises(DomainError, match="p must be real"):
+        averaged_value("trefoil", "median", 1 + 1j)
 
 
 def test_averaged_value_budget_names_the_model():
