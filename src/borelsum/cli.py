@@ -172,11 +172,13 @@ def _cmd_coeffs(cfg: RunConfig, args) -> tuple[dict, bool]:
 def _cmd_sum(cfg: RunConfig, args) -> tuple[dict, bool]:
     x = _parse_complex(args.x)
     method = {"med": "median"}.get(args.method, args.method)
-    if args.cross_check and method != "median":
-        raise _UsageError("--cross-check applies to the median method")
-    if args.cross_check:
+    # a given --cross-tol runs and enforces the cross-check, as in sum_median
+    cross_check = args.cross_check or args.cross_tol is not None
+    if cross_check and method != "median":
+        raise _UsageError("--cross-check and --cross-tol apply to the median method")
+    if cross_check:
         try:
-            cross_tol = require_tol(args.cross_tol)
+            cross_tol = require_tol("1e-8" if args.cross_tol is None else args.cross_tol)
         except ValueError as exc:
             raise _UsageError(f"--cross-tol: {exc}") from exc
         result = sum_median(cfg.object, x, tol=cfg.tol, cross_check=True, cross_tol=cross_tol)
@@ -366,8 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--method", choices=("med", "median", "mul", "mur"), default="med")
     p_sum.add_argument("--cross-check", action="store_true", dest="cross_check",
                        help="evaluate all routes and report the discrepancy")
-    p_sum.add_argument("--cross-tol", default="1e-8", dest="cross_tol",
-                       help="allowed cross-route discrepancy")
+    p_sum.add_argument("--cross-tol", default=None, dest="cross_tol",
+                       help="allowed cross-route discrepancy; implies --cross-check "
+                            "(default 1e-8)")
 
     p_radial = sub.add_parser("radial", parents=[common], help="radial boundary limit")
     p_radial.add_argument("--alpha", required=True, help="rational angle, num/den form")

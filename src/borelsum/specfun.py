@@ -14,25 +14,38 @@ branch of the kernel lives in _algebraic.  The closed route sums the
 algebraic parts alone: its Stokes terms add up to a multiple of
 summation.dirichlet_delta.
 
-Below the crossover radius |z|^2 = (dps+12) ln 10 _algebraic sums the
-Maclaurin series once, at a precision raised by 0.4343 |z|^2 (its own
-cancellation) plus 2 k0 log10(1+|z|) digits, and then subtracts the leading
-terms, by Horner's rule in 1/(2 z^2), and the Stokes term, under the same
-boost.  The Maclaurin loop runs in fixed point, on Python integers scaled
-by 2^wp: fixed point rounds to 2^-wp absolute where mpf rounds relative to
-each value, so wp is the raised precision plus the bits of 1/|z| below
-|z| = 1 and 8 more.  Past the peak of its terms the cut |term| <= eps |sum|
-is decided on the integer parts of term and sum, so it needs no mp abs.
-Above the crossover the divergent large-z series is A_k0, summed from
-k = k0 in fixed point too: the first term (2k0-1)!! w^k0, w = 1/(2 z^2),
-times the sum of t_k = term_k/first, t <- (2k+1) w t on integers at
-wp = prec + 10 bits + the bits of |z|^2, since the factor 2k+1 < 2|z|^2
-multiplies the rounding of w.  The loop stops at the smallest term, found
-once in floats, or once |t| <= 2^-16 eps times the sum on the integer
-norms, which leaves the dropped tail far below an ulp; one mpc product at
-wp gives A_k0.  The sizing around the kernels is in floats:
-_maclaurin_boost takes |z|^2 from the float parts of z, _remainder_factor
-uses lgamma rounded up, and the Gaussian cutoffs of summation and modular
+_algebraic(z, k0, digits) holds A_k0(z) to the absolute target
+10^-digits, plus its rounding to the working precision.  The closed route
+passes each term its share of the route's tolerance; dawson, the deficits
+and _remainder pass nothing, and the default _relative_digits is
+10^-(dps+12) relative to the size of A_k0.  One rule, _maclaurin_boost,
+sizes both branches from the target.  The large-z series summed to its
+smallest term errs by at most _remainder_factor times its first neglected
+term (below), and the large-z branch is taken once twice that bound meets
+the target, which leaves the other half to the roundings, and in any case
+past |z|^2 = (dps+12) ln 10.  For the relative default the crossover is
+that radius; for the closed route it is far below it.  Below the crossover _algebraic sums
+the Maclaurin series once, at 0.4343 |z|^2 digits (its own cancellation)
+plus log10 of the leading terms where they exceed 1, plus the target's
+digits and a guard, and then subtracts the leading terms, by Horner's rule
+in 1/(2 z^2), and the Stokes term, at the same precision.  The Maclaurin
+loop runs in fixed point, on Python integers scaled by 2^wp: fixed point
+rounds to 2^-wp absolute where mpf rounds relative to each value, so wp is
+that precision plus the bits of 1/|z| below |z| = 1 and 8 more.  Past the
+peak of its terms the cut |term| <= eps |sum| is decided on the integer
+parts of term and sum, so it needs no mp abs.  Above the crossover the
+divergent large-z series is A_k0, summed from k = k0 in fixed point too:
+the first term (2k0-1)!! w^k0, w = 1/(2 z^2), times the sum of
+t_k = term_k/first, t <- (2k+1) w t on integers at wp = prec + 10 bits +
+the bits of |z|^2, since the factor 2k+1 < 2|z|^2 multiplies the rounding
+of w.  prec there is the target's digits plus log10 of the first term and
+a guard (_large_z_digits), at most the working precision.  The loop stops
+at the smallest term, found once in floats, or once |t| <= 2^-16 eps times
+the sum on the integer norms, which leaves the dropped tail far below an
+ulp; one mpc product at wp gives A_k0.  The sizing around the kernels is
+in floats: _maclaurin_boost takes |z|^2 and arg z from the float parts of
+z and the terms (2k-1)!!/|2 z^2|^k from lgamma, _remainder_factor uses
+lgamma rounded up, and the Gaussian cutoffs of summation and modular
 compare _log_gaussian_tail, the log of the mpf bound gaussian_tail, with
 the log of their target.
 
@@ -231,14 +244,58 @@ def _abs2(zz) -> float:
     return re * re + im * im
 
 
-def _maclaurin_boost(zz, k0: int):
-    """Guard digits of the Maclaurin branch, or None past the crossover
-    |z|^2 = (dps+12) ln 10: the Maclaurin sum cancels about 0.4343 |z|^2
-    digits, and removing the k0 leading terms about 2 k0 log10|z| more."""
+def _log10_term(k: int, r2: float) -> float:
+    """log10 (2k-1)!!/(2 r2)^k, the size of the k-th term of the large-z
+    series at |z|^2 = r2 > 0."""
+    return (math.lgamma(2 * k + 1) - math.lgamma(k + 1) - k * math.log(4 * r2)) / _LN10
+
+
+def _relative_digits(r2: float, k0: int) -> float:
+    """The absolute target, as digits, that holds A_k0 to 10^-(dps+12)
+    relative: about the k0-th term of the large-z series where the terms
+    fall (|z|^2 > k0 - 1/2), about the (k0-1)-th, the largest of the leading
+    terms, where they rise."""
+    if not k0:
+        return mp.dps + 12
+    return mp.dps + 12 - min(_log10_term(k0 - 1, r2), _log10_term(k0, r2))
+
+
+# digits the Maclaurin branch adds to its target and to the sizes it
+# cancels, for the roundings of about e |z|^2 fixed-point steps and of the
+# products around them; with 4 its error stayed below 0.017 of the target
+# (targets 1e-8 to 1e-60, k0 <= 12, |z| from 0.3 to 30, 0 <= arg z <= pi/2)
+_MACLAURIN_GUARD = 4
+
+
+def _maclaurin_boost(zz, k0: int, digits=None):
+    """Digits above mp.dps at which the Maclaurin branch holds A_k0(z) to
+    10^-digits absolute (negative when that target is coarser than the
+    working precision), or None where the large-z branch meets it.
+
+    The large-z sum stops at its smallest term, index k_s = max(k0,
+    ceil(|z|^2 - 1/2)), so it errs by at most _remainder_factor times the
+    first neglected term (2j-1)!!/|2 z^2|^j, j = k_s + 1; the one crossover
+    rule takes it once twice that meets the target, and in any case past
+    |z|^2 = (dps+12) ln 10, where that term is about 10^-(dps+12), below
+    what the working precision resolves of the values it is added to.
+    Below it the Maclaurin sum cancels about 0.4343 |z|^2
+    digits, and removing the k0 leading terms, the largest about
+    (2k0-3)!!/|2 z^2|^(k0-1) where they rise, cancels that size too.  digits
+    defaults to _relative_digits, the relative accuracy of dawson and the
+    deficits, whose crossover is then (dps+12) ln 10."""
     r2 = _abs2(zz)
     if r2 > (mp.dps + 12) * _LN10:
         return None
-    return int(0.4343 * r2 + 2 * k0 * math.log10(1 + math.sqrt(r2))) + 12
+    r2 = max(r2, 1e-300)
+    if digits is None:
+        digits = _relative_digits(r2, k0)
+    j = max(k0, math.ceil(r2 - 0.5)) + 1
+    angle = abs(math.atan2(float(zz.imag), float(zz.real)))
+    phase = 2 * min(angle, math.pi - angle)  # A_k0 is even
+    if _log10_term(j, r2) + math.log10(2 * _remainder_factor(j, phase)) <= -digits:
+        return None
+    lead = max(0.0, _log10_term(k0 - 1, r2)) + math.log10(k0) if k0 > 1 else 0.0
+    return math.ceil(digits + 0.4343 * r2 + lead) + _MACLAURIN_GUARD - mp.dps
 
 
 def _large_z_sum(z, k0: int):
@@ -274,14 +331,34 @@ def _large_z_sum(z, k0: int):
     return +acc
 
 
-def _algebraic_parts(zz, k0: int):
+# digits the large-z sum adds to its target over its first term, for the
+# roundings of z, of w^k0 (k0 of them) and of about |z|^2 integer steps
+_LARGE_Z_GUARD = 4
+
+
+def _large_z_digits(zz, k0: int, digits=None) -> int:
+    """Working digits of the large-z branch for A_k0(z) to 10^-digits
+    absolute: the sum is its first term (2k0-1)!!/(2 z^2)^k0 times a sum S
+    of size about 1, so S needs digits + log10 of that term and a guard,
+    and never more than mp.dps.  For the relative default,
+    _relative_digits, that is never below mp.dps."""
+    if digits is None:
+        return mp.dps
+    r2 = min(_abs2(zz), 1e18)  # as in _large_z_sum
+    return min(math.ceil(digits + _log10_term(k0, r2)) + _LARGE_Z_GUARD, mp.dps)
+
+
+def _algebraic_parts(zz, k0: int, digits=None):
     """(A_k0(z), the Stokes term it was formed with): below the crossover
     A_k0 is the Maclaurin sum less the leading terms and the Stokes term,
-    both under the boost of _maclaurin_boost; above it A_k0 is _large_z_sum,
-    which needs no Stokes term, and the second part is None."""
-    boost = _maclaurin_boost(zz, k0)
+    both under the boost of _maclaurin_boost for the target 10^-digits;
+    above it A_k0 is _large_z_sum, which needs no Stokes term, and the
+    second part is None."""
+    boost = _maclaurin_boost(zz, k0, digits)
     if boost is None:
-        return _large_z_sum(zz, k0), None
+        with mp.workdps(_large_z_digits(zz, k0, digits)):
+            value = _large_z_sum(zz, k0)
+        return +value, None
     with mp.extradps(boost):
         # the leading terms (2k-1)!! w^k, w = 1/(2 z^2), by Horner:
         # 1 + w (1 + 3 w (1 + 5 w (...))); no w at k0 <= 1, so R_1(0) = -1
@@ -295,11 +372,13 @@ def _algebraic_parts(zz, k0: int):
     return +acc, stokes
 
 
-def _algebraic(z, k0: int):
+def _algebraic(z, k0: int, digits=None):
     """A_k0(z) = R_k0(z) - _stokes(z): the remainder of the algebraic series
     alone, bounded on |arg z| < pi/4 by _remainder_factor times its first
-    neglected term (2k0-1)!!/|2 z^2|^k0."""
-    return _algebraic_parts(mp.mpc(z), k0)[0]
+    neglected term (2k0-1)!!/|2 z^2|^k0.  Within 10^-digits absolute, plus
+    the rounding to the working precision; digits defaults to 10^-(dps+12)
+    relative (_relative_digits)."""
+    return _algebraic_parts(mp.mpc(z), k0, digits)[0]
 
 
 def _remainder(z, k0: int):

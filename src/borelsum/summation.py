@@ -25,6 +25,11 @@ the median on it), and
 
     median = L + sgn(Im x) delta.
 
+Of L's tolerance that bound on the tail takes 15/16 and the A_K kernels
+the rest, shared over the terms by their coefficient bounds: each kernel
+gets an absolute target from tol, not from the working precision, and
+specfun sizes both its branches to it.
+
 integral route (5/2-power model only): the weight-3/2 theta integral
 
     sqrt(3) x^{3/2} int_ray eta(2 pi i z) (x - z)^{-3/2} dz
@@ -362,11 +367,12 @@ def _peel_order(mdl: SqrtBranched, x, tol):
     return big_k, n_alg, max(0, int(biggest / math.log(10)))
 
 
-def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int):
+def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int, budget):
     """Lateral value L on the side of Im x by the erfi series, for any
     model of odd k: mul above the real axis, mur below it, the median on
     it.  At the working precision, with the order K = big_k and the count
-    N_alg = n_alg of _peel_order and the weight table of mdl.
+    N_alg = n_alg of _peel_order and the weight table of mdl, its A_K terms
+    together within the absolute error budget.
 
     With k = 2m + 1 and a_k = 2^m/(2m-1)!!, the transform of c (eta - p)^{-k/2}
     is c a_k eta^{1/2-m} y^{m-1} R_m(sqrt y) = c a_k x^{m-1} R_m(sqrt y)/sqrt(eta),
@@ -374,34 +380,48 @@ def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int):
     back exactly as a_k (2j-1)!!/2^j x^{m-1-j} periodic_power_sum(j + 1/2).
     Of R_K = A_K + i sgn(Im z) sqrt(pi) z e^{-z^2} only the algebraic parts
     A_K(n z_1) c_n/n, z_1^2 = nu x, are summed, over the n <= N_alg; the
-    Stokes terms it leaves out sum to sgn(Im x) delta."""
+    Stokes terms it leaves out sum to sgn(Im x) delta.  The term of n enters
+    L with a factor of at most a_k |x|^{m-1} coeff_bound n^{p-1}/sqrt(nu), so
+    its kernel A_K is held to budget/N_alg over that factor."""
     m = (mdl.k - 1) // 2
     p = mdl.power
+    a_k = mp.mpf(2) ** m / math.prod(range(1, 2 * m, 2))
     nu, weights, _ = mdl.table()
     restored = mp.fsum(
         math.prod(range(1, 2 * j, 2)) / mp.mpf(2) ** j * x ** (m - 1 - j)
         * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2)
         for j in range(m, big_k))
+    # in logs: |x| and the budget may lie past the float range
+    digits = (math.log10(n_alg * float(a_k) * mdl.coeff_bound / math.sqrt(mdl.nu_lower))
+              + (m - 1) * float(mp.log10(abs(x))) - float(mp.log10(budget)))
     # eta_n = nu n^2, so sqrt(y_n) = n sqrt(nu x) and sqrt(eta_n) = n sqrt(nu)
     root_nu = mp.sqrt(nu)
     z_one = root_nu * mp.sqrt(x)
-    acc = mp.fsum(w * n**p * _algebraic(n * z_one, big_k) / n
+    acc = mp.fsum(w * n**p * _algebraic(n * z_one, big_k, digits + (p - 1) * math.log10(n)) / n
                   for n in range(1, n_alg + 1) if (w := weights[(n - 1) % mdl.period]))
-    return mdl.a0 + mp.mpf(2) ** m / math.prod(range(1, 2 * m, 2)) * (
-        restored + x ** (m - 1) * acc / root_nu)
+    return mdl.a0 + a_k * (restored + x ** (m - 1) * acc / root_nu)
+
+
+# the share of L's tolerance that the tail past N_alg takes; the A_K
+# kernels take the rest
+_TAIL_SHARE = mp.mpf(15) / 16
 
 
 def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
     """L + f delta, f = sgn(Im x) + the kind's delta factor, L to tol when
-    f = 0, else L to tol/2 and f delta to tol/2.  L is summed under the
-    guard digits of _peel_order."""
+    f = 0, else L to tol/2 and f delta to tol/2.  Of L's share the tail
+    bound of _peel_order takes _TAIL_SHARE and the kernels the rest, so
+    that the two together stay within it; L is summed under the guard
+    digits of _peel_order."""
     if tol < _roundoff_floor():
         raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the roundoff "
                              f"floor {mp.nstr(_roundoff_floor(), 3)} of {mp.dps} digits")
     factor = int(mp.sign(mp.im(xz))) + _DELTA_FACTOR[kind]
-    big_k, n_alg, boost = _peel_order(mdl, xz, tol / 2 if factor else tol)
+    share = tol / 2 if factor else tol
+    tail = share * _TAIL_SHARE
+    big_k, n_alg, boost = _peel_order(mdl, xz, tail)
     with mp.extradps(boost):
-        base = _closed_base(mdl, xz, big_k, n_alg)
+        base = _closed_base(mdl, xz, big_k, n_alg, share - tail)
     if not factor:
         return +base
     return base + factor * dirichlet_delta(mdl, xz, tol / (2 * abs(factor)))

@@ -79,6 +79,20 @@ def test_sum_unreachable_cross_tolerance():
     assert proc.returncode == 4
 
 
+def test_sum_cross_tolerance_alone_runs_the_cross_check():
+    """A given --cross-tol runs and enforces the cross-check without
+    --cross-check, as sum_median does with cross_tol alone."""
+    proc = run_cli("sum", "--x", "2", "--cross-tol", "1e-30")
+    assert proc.returncode == 4
+    assert "tolerance" in proc.stderr
+
+
+def test_sum_cross_tolerance_on_a_lateral_method_is_a_usage_error():
+    proc = run_cli("sum", "--x", "2", "--method", "mul", "--cross-tol", "1e-8")
+    assert proc.returncode == 2
+    assert "median method" in proc.stderr
+
+
 def test_sum_tolerance_below_roundoff_exits_four():
     proc = run_cli("sum", "--x", "2", "--tol", "1e-30")
     assert proc.returncode == 4
@@ -157,6 +171,16 @@ def test_verify_exact_suite_passes():
     assert proc.returncode == 0
     assert "l2-closed-form" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+def test_verify_all_at_fifteen_digits():
+    """The lowest precision the command line accepts: the closed-route checks
+    ask for a tolerance the route reaches there."""
+    proc = run_cli("verify", "--suite", "all", "--precision", "15", "--output", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["passed"] is True
+    assert len(doc["checks"]) == 30
 
 
 def test_verify_exact_json_lists_its_checks_in_order():

@@ -375,6 +375,53 @@ def test_algebraic_part_obeys_the_first_neglected_term_bound(k0):
                 assert abs(_algebraic(z, k0)) <= bound, (k0, z)
 
 
+def _crossover_modulus(k0, digits, angle):
+    """The modulus on the ray at angle where _maclaurin_boost(z, k0, digits)
+    turns from the Maclaurin branch to None (the large-z branch), by
+    bisection on [0.5, 200]; the rule's bound falls with |z| past |z|^2 = k0."""
+    lo, hi = mp.mpf("0.5"), mp.mpf(200)
+    assert _maclaurin_boost(lo * mp.expj(angle), k0, digits) is not None
+    assert _maclaurin_boost(hi * mp.expj(angle), k0, digits) is None
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        if _maclaurin_boost(mid * mp.expj(angle), k0, digits) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("dps,targets", [(25, (8, 16, 20)), (50, (8, 25, 40))])
+@pytest.mark.parametrize("k0", [2, 5, 12])
+def test_algebraic_part_meets_an_absolute_target(k0, dps, targets):
+    """_algebraic(z, k0, digits), the closed route's kernel, within 10^-digits
+    absolute plus its rounding to the working precision, against 2 z D(z)
+    less the leading and Stokes terms from the library erfi at dps + 30 and
+    the digits that sum cancels.  On the grid of
+    test_algebraic_part_obeys_the_first_neglected_term_bound, every third
+    modulus, and just either side of the crossover that the target sets,
+    where the large-z branch's truncation meets it."""
+    with mp.workdps(dps):
+        for digits in targets:
+            points = []
+            for j in range(0, 12, 3):
+                angle = (mp.pi / 4 - mp.mpf("0.01")) * j / 11
+                points += [mp.mpf("0.5") * mp.mpf(100) ** (mp.mpf(i) / 11) * mp.expj(angle)
+                           for i in range(0, 12, 3)]
+                lo, hi = _crossover_modulus(k0, digits, angle)
+                points += [lo * mp.expj(angle), hi * mp.expj(angle)]
+                assert _maclaurin_boost(points[-1], k0, digits) is None
+                assert _maclaurin_boost(points[-2], k0, digits) is not None
+            for z in points:
+                got = _algebraic(z, k0, digits)
+                with mp.workdps(dps + 30 + int(0.4343 * abs(z) ** 2)):
+                    stokes = mp.j * mp.sqrt(mp.pi) * z * mp.exp(-z * z) if mp.im(z) else 0
+                    want = _two_z_dawson_minus_leading(z, k0) - stokes
+                    err = abs(got - want)
+                    assert err <= mp.mpf(10) ** -digits + mp.mpf(10) ** -dps * abs(want), \
+                        (k0, dps, digits, z)
+
+
 def test_integrate_segment_polynomial():
     wp = mp.prec + 10
     cube = FixedKernel(lambda t: ((t * t * t) >> 2 * wp, 0), wp)
