@@ -37,7 +37,7 @@ from math import ceil, sqrt
 
 from mpmath import mp
 
-from .characters import bernoulli_delta, chi12, chi60
+from .characters import chi12, chi60, l_value_negative
 from .errors import ConvergenceError, OnCutError, require_finite, require_tol
 
 __all__ = [
@@ -172,13 +172,13 @@ def periodic_power_sum(g: SqrtBranched, s):
 def trefoil_bn_exact(n: int) -> Fraction:
     """Exact Taylor coefficient b_n of the trefoil transform at p = 0.
 
-    Closed form in Bernoulli-polynomial differences at 1/12 and 5/12;
+    b_n = a_{n+1} / (n! 24^{n+1}) = (-1)^n L(-2n-3, chi12) / (2 (n+1)! n! 24^{n+1}):
     purely rational despite the transcendental branch-point data.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Fraction(6 * (-6) ** (n + 1),
-                    math.factorial(n + 2) * math.factorial(n)) * bernoulli_delta(2 * n + 4)
+    return l_value_negative(chi12(), 2 * n + 3) / (
+        (-1) ** n * 2 * math.factorial(n + 1) * math.factorial(n) * 24 ** (n + 1))
 
 
 def trefoil_taylor_exact(order: int) -> list[Fraction]:

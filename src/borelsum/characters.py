@@ -1,8 +1,14 @@
-"""Dirichlet-type residue tables and the L-values that price the tails.
+"""Dirichlet-type residue tables and their L-values.
 
 The mod-12 character chi is the real primitive character (+1 at 1,11; -1 at
 5,7).  The two mod-60 tables are sign patterns read off residue classes; they
 are not multiplicative and are kept as plain tables on purpose.
+
+l_value_negative gives L(-k, C) exactly for any of these tables.  By
+Lawrence-Zagier the asymptotic coefficients of sum n^r C(n) e^{-n^2 t} are
+L(-2j-r, C)(-t)^j/j!, so it is the one exact kernel of both coefficient
+tables, of the trefoil b_n and, by the functional equation, of l_value_exact.
+l_series_partial sums L(s, C) for s > 1 with a certified tail.
 """
 
 from __future__ import annotations
@@ -17,10 +23,10 @@ from .series import _BERNOULLI, bernoulli_number
 
 __all__ = [
     "DirichletCharacter",
-    "bernoulli_delta",
     "chi12",
     "chi60",
     "l_value_exact",
+    "l_value_negative",
     "l_series_partial",
 ]
 
@@ -69,45 +75,47 @@ def chi60(which: int) -> DirichletCharacter:
     raise ValueError("which must be 1 or 2")
 
 
-def bernoulli_delta(m: int) -> Fraction:
-    """B_m(1/12) - B_m(5/12), the Bernoulli difference that the mod-12
-    character's even L-values, the trefoil coefficients and the Taylor
-    coefficients of its Borel transform are all rational multiples of.
+# S_0, S_1, ... per sign table, S_i = sum_{a=1}^{M} C(a) a^i; grown on demand
+_POWER_SUMS: dict[DirichletCharacter, list[int]] = {}
 
-    Summed as one integer dot product: with L the common denominator of
-    B_0..B_m,
 
-        12^m L (B_m(1/12) - B_m(5/12)) = sum_k C(m, k) (L B_k) 12^k (1 - 5^{m-k}).
+def l_value_negative(chi: DirichletCharacter, k: int) -> Fraction:
+    """L(-k, C) = -(M^k/(k+1)) sum_{a=1}^{M} C(a) B_{k+1}(a/M), exact, for
+    any sign table C mod M.  Summed as one integer dot product: with
+    m = k + 1, D the common denominator of B_0..B_m and S_i the power sums,
+
+        -m M D L(-k, C) = sum_j C(m, j) (D B_j) M^j S_{m-j}.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    m, modulus = k + 1, chi.modulus
     bernoulli_number(m)  # fills the cached B_0..B_m
     bs = _BERNOULLI[:m + 1]
+    sums = _POWER_SUMS.setdefault(chi, [])
+    sums.extend(sum(chi(a) * a**i for a in range(1, modulus + 1)) for i in range(len(sums), m + 1))
     den = lcm(*(b.denominator for b in bs))
-    total, p12, p5 = 0, 1, 5**m  # p12 = 12^k, p5 = 5^{m-k}
-    for k, b in enumerate(bs):
+    total, power = 0, 1  # power = M^j
+    for j, b in enumerate(bs):
         if b:
-            total += comb(m, k) * b.numerator * (den // b.denominator) * p12 * (1 - p5)
-        p12 *= 12
-        p5 //= 5
-    return Fraction(total, den * 12**m)
+            total += comb(m, j) * b.numerator * (den // b.denominator) * power * sums[m - j]
+        power *= modulus
+    return Fraction(-total, m * modulus * den)
 
 
 def l_value_exact(n: int) -> tuple[Fraction, int]:
     """Exact even L-value of the mod-12 character.
 
-    Returns (r, s) with s = 2n + 2 and L(s, chi) = r * pi^s / sqrt(3).
-    The rational r comes from the Bernoulli-polynomial difference
-    B_s(1/12) - B_s(5/12):
+    Returns (r, s) with s = 2n + 2 and L(s, chi) = r * pi^s / sqrt(3).  By
+    the functional equation the rational r is the value at 1 - s = -2n - 1:
 
-        r = (-4)^n / ((2n+1)! (n+1)) * (B_{2n+2}(1/12) - B_{2n+2}(5/12))
+        r = -(-4)^n L(-2n-1, chi) / ((2n+1)! 12^{2n+1})
 
     so e.g. n=0 gives r = 1/6, i.e. L(2, chi) = pi^2 / (6 sqrt 3).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     s = 2 * n + 2
-    r = Fraction((-4) ** n, factorial(2 * n + 1) * (n + 1)) * bernoulli_delta(s)
+    r = l_value_negative(_CHI12, s - 1) * Fraction(-(-4) ** n, factorial(s - 1) * 12 ** (s - 1))
     return r, s
 
 

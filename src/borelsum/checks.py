@@ -64,7 +64,9 @@ def borel_first_values_match(bn, count: int) -> bool:
 
 
 def coefficient_routes_agree(n: int) -> bool:
-    return trefoil_coeffs(n).a == trefoil_coeffs(n, route="bernoulli-closed-form").a
+    """Both models' tables to order n agree between their two routes."""
+    return all(coeffs(n).a == coeffs(n, route="bernoulli-closed-form").a
+               for coeffs in (trefoil_coeffs, poincare_coeffs))
 
 
 def borel_routes_agree(n_max: int) -> bool:
@@ -300,7 +302,7 @@ def _exact_suite():
     yield _exact("borel-taylor-first-values", borel_first_values_match(exact_bn, 2))
     yield _exact("coefficient-route-agreement", coefficient_routes_agree(40))
     yield _exact("borel-route-agreement", borel_routes_agree(30),
-                 "exact_bn and closed_bn multiply the same bernoulli_delta, "
+                 "exact_bn and closed_bn multiply the same l_value_negative(chi12, 2n+3), "
                  "so this compares only their rational prefactors")
     yield _exact("formal-borel-cross", formal_borel_agrees())
     # the certified tail at s = 52 is ~1e-90, so the partials must be summed

@@ -132,12 +132,6 @@ def _complex_pair(value) -> dict:
     return {"re": _real_str(mp.re(z)), "im": _real_str(mp.im(z))}
 
 
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _number_str(value) -> str:
     # exact checks report the integers 0 and 1
     return str(value) if isinstance(value, int) else _real_str(value)
@@ -149,15 +143,10 @@ def _number_str(value) -> str:
 def _cmd_coeffs(cfg: RunConfig, args) -> tuple[dict, bool]:
     if args.n < 0:
         raise _UsageError("--n must be nonnegative")
-    route = args.route
-    if cfg.object == "poincare":
-        if route not in (None, "generating-function"):
-            raise _UsageError("poincare coefficients have only the generating-function route")
-        table = poincare_coeffs(max(args.n, 1))
-    else:
-        table = trefoil_coeffs(max(args.n, 1), route or "generating-function")
+    coeffs = poincare_coeffs if cfg.object == "poincare" else trefoil_coeffs
+    table = coeffs(max(args.n, 1), args.route)
     rows = [
-        {"n": n, "a_n": _frac_str(table.a[n]), "scaled": _frac_str(table.scaled(n))}
+        {"n": n, "a_n": str(table.a[n]), "scaled": str(table.scaled(n))}
         for n in range(args.n + 1)
     ]
     payload = {
@@ -210,7 +199,7 @@ def _cmd_radial(cfg: RunConfig, args) -> tuple[dict, bool]:
     target = phi(alpha)
     payload = {
         "command": "radial",
-        "alpha": _frac_str(alpha),
+        "alpha": str(alpha),
         "limit": _complex_pair(result.value),
         "err_estimate": _real_str(result.err_estimate),
         "target": _complex_pair(target),
@@ -361,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_coeffs = sub.add_parser("coeffs", parents=[common], help="exact series coefficients")
     p_coeffs.add_argument("--n", type=int, required=True, help="highest index to print")
     p_coeffs.add_argument("--route", choices=("generating-function", "bernoulli-closed-form"),
-                          default=None, help="trefoil coefficient route")
+                          default="generating-function", help="coefficient route of either object")
 
     p_sum = sub.add_parser("sum", parents=[common], help="summed value at a point")
     p_sum.add_argument("--x", required=True, help="evaluation point, a+bi form")

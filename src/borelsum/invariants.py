@@ -4,17 +4,17 @@ Roots of unity are always addressed by a rational angle alpha (q = e^{2 pi i
 alpha}), never by a floating-point q or alpha.  The finite sums are summed by
 one complex loop at the working precision, whatever the denominator.
 
-The two coefficient tables, exact, built on Python integers:
+The two coefficient tables, exact:
 
 - trefoil: sum a_n n!/(2n+1)! p^{2n+1} = sin(2p) / (2 cos(3p)).  The a_n are
   rational, not integral (a_2 = 1681/2).
 - poincare: sum a_n/(2n)! p^{2n} = cos(5p) cos(9p) / cos(15p); a_0 = 1,
   a_1 = 119.
 
-Both generating functions are quotients N/D of even-or-odd trigonometric
-series, taken by one exponential-generating-function recurrence: with
-N = sum n_i p^i/i!, D = sum d_i p^i/i! (d_0 = 1, D even) and
-N/D = sum q_i p^i/i!,
+Each table has two routes that share no code.  The generating-function
+route takes the quotient N/D of even-or-odd trigonometric series by one
+exponential-generating-function recurrence: with N = sum n_i p^i/i!,
+D = sum d_i p^i/i! (d_0 = 1, D even) and N/D = sum q_i p^i/i!,
 
     q_i = n_i - sum_{j >= 2 even} C(i, j) d_j q_{i-j},
 
@@ -23,12 +23,10 @@ cos 5p cos 9p = (cos 4p + cos 14p)/2), d_i = (-1)^{i/2} 15^i and a_n = q_{2n}.
 For the trefoil n_i = (-1)^{(i-1)/2} 2^{i-1} at odd i, d_i = (-1)^{i/2} 3^i
 and a_n = q_{2n+1}/n!.
 
-The trefoil has an independent second route, the closed form
-
-    a_n = 24^n 6 (-6)^n / (n+1)! * (B_{2n+2}(1/12) - B_{2n+2}(5/12)),
-
-whose Bernoulli difference characters.bernoulli_delta sums as one integer
-dot product over Bernoulli numbers; it shares no code with the recurrence.
+The bernoulli-closed-form route reads them off the false theta series
+-1/2 sum n^r C(n) e^{-n^2 t} that the two series expand (Lawrence-Zagier),
+r = 1 and C = chi12 for the trefoil, r = 0 and C = chi60(2) for poincare:
+a_n = (-1)^{n+1} L(-2n-r, C) / (2 n!^r), by characters.l_value_negative.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from numbers import Rational
 
 from mpmath import mp
 
-from .characters import bernoulli_delta
+from .characters import chi12, chi60, l_value_negative
 from .errors import DomainError
 from .series import FormalSeries
 
@@ -62,15 +60,19 @@ class RationalAngle:
 
     alpha is an int, a Fraction or an "a/b" string.  A float or mpf raises
     DomainError: its binary fraction has a denominator near 2^54, which
-    would size the boundary sums at about 10^16 terms."""
+    would size the boundary sums at about 10^16 terms.  So does a string
+    that is no rational number, such as "1/0" or "abc"."""
 
     alpha: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, (Rational, str)):
+        try:
+            if not isinstance(self.alpha, (Rational, str)):
+                raise TypeError
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
+        except (TypeError, ValueError, ZeroDivisionError):
             raise DomainError(f"alpha must be an int, a Fraction or an 'a/b' string, "
-                              f"not {type(self.alpha).__name__} {self.alpha}")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+                              f"not {type(self.alpha).__name__} {self.alpha!r}") from None
 
     def reduced(self) -> tuple[int, int]:
         """(a, d) with alpha = a/d mod 1, 0 <= a < d, gcd(a, d) = 1."""
@@ -124,7 +126,7 @@ class CoefficientTable:
     route: str
 
     def __post_init__(self) -> None:
-        if self.which not in ("trefoil", "poincare"):
+        if self.which not in _MODELS:
             raise ValueError("which must be 'trefoil' or 'poincare'")
         if self.route not in _ROUTES:
             raise ValueError(f"route must be one of {_ROUTES}")
@@ -132,13 +134,10 @@ class CoefficientTable:
             raise ValueError("tables start at a_0 = 1")
 
     def scaled(self, n: int) -> Fraction:
-        """Coefficient of x^{-n} in the factorially divergent series.
-
-        trefoil: a_n / 24^n; poincare: a_n / (n! 120^n).
-        """
-        if self.which == "trefoil":
-            return self.a[n] / Fraction(24) ** n
-        return self.a[n] / (Fraction(factorial(n)) * Fraction(120) ** n)
+        """Coefficient of x^{-n} in the factorially divergent series,
+        a_n n!^{r-1} / (2M)^n: trefoil a_n / 24^n, poincare a_n / (n! 120^n)."""
+        r, chi = _MODELS[self.which][:2]
+        return self.a[n] * Fraction(factorial(n)) ** (r - 1) / (2 * chi.modulus) ** n
 
     def f_series(self) -> FormalSeries:
         return FormalSeries(tuple(self.scaled(n) for n in range(len(self.a))), "inverse-x")
@@ -156,31 +155,34 @@ def _egf_quotient(num: list[int], den: list[int], r: int) -> list[int]:
     return q
 
 
+# per model: r, the sign table C, and n_{2n+r} and d_{2k} of its N/D (module docstring)
+_MODELS = {
+    "trefoil": (1, chi12(), lambda n: (-4) ** n, lambda k: (-9) ** k),
+    "poincare": (0, chi60(2), lambda n: (-1) ** n * ((16**n + 196**n) // 2), lambda k: (-225) ** k),
+}
+
+
+def _coeff_table(which: str, order: int, route: str) -> CoefficientTable:
+    """a_n = q_{2n+r}/n!^r = (-1)^{n+1} L(-2n-r, C) / (2 n!^r) for n <= order."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    r, chi, num, den = _MODELS[which]
+    if route == "generating-function":
+        q = _egf_quotient([num(n) for n in range(order + 1)], [den(k) for k in range(order + 1)], r)
+        a = (Fraction(q_n, factorial(n) ** r) for n, q_n in enumerate(q))
+    elif route == "bernoulli-closed-form":
+        a = (l_value_negative(chi, 2 * n + r) / ((-1) ** (n + 1) * 2 * factorial(n) ** r)
+             for n in range(order + 1))
+    else:
+        raise ValueError(f"route must be one of {_ROUTES}")
+    return CoefficientTable(which, tuple(a), route)
+
+
 def trefoil_coeffs(order: int, route: str = "generating-function") -> CoefficientTable:
     """a_0..a_order for the trefoil model via the requested route."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if route == "bernoulli-closed-form":
-        a = tuple(
-            Fraction(24) ** n * 6 * Fraction((-6) ** n, factorial(n + 1)) * bernoulli_delta(2 * n + 2)
-            for n in range(order + 1)
-        )
-        return CoefficientTable("trefoil", a, route)
-    if route != "generating-function":
-        raise ValueError(f"route must be one of {_ROUTES}")
-    # sin 2p / 2 = sum (-1)^n 2^{2n} p^{2n+1}/(2n+1)!, cos 3p = sum (-1)^k 9^k p^{2k}/(2k)!
-    num = [(-4) ** n for n in range(order + 1)]
-    den = [(-9) ** k for k in range(order + 1)]
-    a = tuple(Fraction(q, factorial(n)) for n, q in enumerate(_egf_quotient(num, den, 1)))
-    return CoefficientTable("trefoil", a, route)
+    return _coeff_table("trefoil", order, route)
 
 
-def poincare_coeffs(order: int) -> CoefficientTable:
-    """a_0..a_order for the Poincare model from the even trigonometric quotient."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    # cos 5p cos 9p = (cos 4p + cos 14p)/2; d_{2k} of cos 15p is (-225)^k
-    num = [(-1) ** n * ((16**n + 196**n) // 2) for n in range(order + 1)]
-    den = [(-225) ** k for k in range(order + 1)]
-    a = tuple(Fraction(q) for q in _egf_quotient(num, den, 0))
-    return CoefficientTable("poincare", a, "generating-function")
+def poincare_coeffs(order: int, route: str = "generating-function") -> CoefficientTable:
+    """a_0..a_order for the Poincare model via the requested route."""
+    return _coeff_table("poincare", order, route)

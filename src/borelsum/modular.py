@@ -162,7 +162,8 @@ def rational_parts(alpha):
     try:
         frac = _angle(alpha).alpha
     except DomainError:
-        require_finite(alpha, "alpha")
+        if not isinstance(alpha, str):
+            require_finite(alpha, "alpha")
         raise
     return mp.mpf(frac.numerator) / frac.denominator, frac.denominator
 

@@ -51,9 +51,9 @@ def closed_bn(n: int) -> Fraction:
     """Exact b_n assembled from the L-value route.
 
     Equals ``exact_bn`` identically.  Not an independent derivation: both
-    multiply the same characters.bernoulli_delta(2n + 4), this one through
-    l_value_exact(n + 1), so comparing the two checks only their rational
-    prefactors.
+    multiply the same characters.l_value_negative(chi12, 2n + 3), this one
+    through l_value_exact(n + 1), so comparing the two checks only their
+    rational prefactors.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -36,10 +36,13 @@ def test_coeffs_poincare_plain():
     assert "353851559/10368000" in proc.stdout
 
 
-def test_coeffs_bernoulli_route_matches():
-    a = run_cli("coeffs", "--n", "6", "--output", "json")
-    b = run_cli("coeffs", "--n", "6", "--route", "bernoulli-closed-form",
+@pytest.mark.parametrize("which", ["trefoil", "poincare"])
+def test_coeffs_bernoulli_route_matches(which):
+    a = run_cli("coeffs", "--n", "6", "--object", which, "--output", "json")
+    b = run_cli("coeffs", "--n", "6", "--object", which, "--route", "bernoulli-closed-form",
                 "--output", "json")
+    assert a.returncode == b.returncode == 0, b.stderr
+    assert json.loads(b.stdout)["route"] == "bernoulli-closed-form"
     assert json.loads(a.stdout)["rows"] == json.loads(b.stdout)["rows"]
 
 
@@ -171,6 +174,13 @@ def test_verify_exact_suite_passes():
     assert proc.returncode == 0
     assert "l2-closed-form" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+def test_python_dash_m_borelsum_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "borelsum", "verify", "--suite", "exact"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "suite exact: pass" in proc.stdout
 
 
 def test_verify_all_at_fifteen_digits():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
-from borelsum.characters import bernoulli_delta
+from borelsum.characters import chi12, chi60, l_value_negative
 from borelsum.checks import TREFOIL_SCALED
 from borelsum.errors import DomainError
 from borelsum.invariants import (
@@ -58,6 +58,11 @@ def test_trefoil_routes_agree_on_prefix(route):
 def test_trefoil_rejects_unknown_route():
     with pytest.raises(ValueError):
         trefoil_coeffs(4, route="guesswork")
+
+
+def test_poincare_rejects_unknown_route():
+    with pytest.raises(ValueError):
+        poincare_coeffs(4, route="guesswork")
 
 
 def test_poincare_leading_coefficients():
@@ -226,26 +231,40 @@ def _ref_table(which: str, route: str) -> tuple[Fraction, ...]:
     ("trefoil", "generating-function"),
     ("trefoil", "bernoulli-closed-form"),
     ("poincare", "generating-function"),
+    ("poincare", "bernoulli-closed-form"),
 ])
 def test_tables_equal_the_fraction_reference(which, route):
     reference = _ref_table(which, route)
+    coeffs = poincare_coeffs if which == "poincare" else trefoil_coeffs
     for order in range(1, REFERENCE_ORDER + 1):
-        if which == "poincare":
-            table = poincare_coeffs(order)
-        else:
-            table = trefoil_coeffs(order, route=route)
+        table = coeffs(order, route=route)
         assert table.a == reference[:order + 1], order
         assert table.route == route
 
 
-def test_bernoulli_delta_equals_the_polynomial_difference():
-    for m in range(0, 2 * REFERENCE_ORDER + 3, 2):
-        assert bernoulli_delta(m) == _ref_delta(m), m
+def _ref_l_value(chi, k: int) -> Fraction:
+    """L(-k, C) = -(M^k/(k+1)) sum_{a=1}^{M} C(a) B_{k+1}(a/M), term by term."""
+    m = chi.modulus
+    return -Fraction(m**k, k + 1) * sum(
+        chi(a) * bernoulli_poly(k + 1, Fraction(a, m)) for a in range(1, m + 1) if chi(a))
 
 
-def test_bernoulli_delta_rejects_negative_index():
+def test_l_value_negative_of_chi12_equals_the_polynomial_sum():
+    # the indices m = k + 1 of the trefoil tables up to REFERENCE_ORDER
+    for m in range(2, 2 * REFERENCE_ORDER + 3, 2):
+        assert l_value_negative(chi12(), m - 1) == _ref_l_value(chi12(), m - 1), m
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_l_value_negative_of_chi60_equals_the_polynomial_sum(which):
+    chi = chi60(which)
+    for k in range(41):  # odd and even k; each table is odd, so L(-k) = 0 at odd k
+        assert l_value_negative(chi, k) == _ref_l_value(chi, k), k
+
+
+def test_l_value_negative_rejects_negative_index():
     with pytest.raises(ValueError):
-        bernoulli_delta(-2)
+        l_value_negative(chi12(), -1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

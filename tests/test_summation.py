@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from borelsum import checks, modular, specfun, summation
+from borelsum import checks, invariants, modular, specfun, summation
 from borelsum.borel import SqrtBranched, poincare_borel, trefoil_borel
 from borelsum.errors import ConvergenceError, DomainError, RayGeometryError, ToleranceError
 from borelsum.modular import zagier_g
@@ -795,3 +795,13 @@ def test_radial_limits_take_rational_angles_only(monkeypatch):
             modular.eta_tilde_radial(mp.mpf(1) / 3)
     assert radial_limit(Fraction(3, 10)).value == radial_limit("3/10").value
     assert modular.eta_tilde_radial(Fraction(1, 3)) == modular.eta_tilde_radial("1/3")
+
+
+@pytest.mark.parametrize("alpha", ["1/0", "abc"])
+@pytest.mark.parametrize("entry", [invariants.phi, invariants.f_at_root_of_unity,
+                                   radial_limit, modular.eta_tilde_radial])
+def test_angle_strings_that_are_no_rational_raise_domain_error(entry, alpha):
+    """A string that is no rational raises DomainError naming alpha, where "1/0"
+    raised ZeroDivisionError and "abc" a bare ValueError."""
+    with pytest.raises(DomainError, match="alpha"):
+        entry(alpha)
