@@ -3,7 +3,7 @@ factorially divergent torus-knot series, with the modular identities that pin
 their boundary values.
 
 The package is organized bottom-up: exact series and characters feed the
-Borel-plane models, which feed the three summation routes; the modular layer
+Borel-plane models, which feed the summation routes; the modular layer
 supplies the eta-function identities the summed values are tested against.
 """
 
@@ -41,6 +41,7 @@ from .summation import (
     sum_erfi,
     sum_eta_integral,
     sum_median,
+    sum_theta,
 )
 from .transseries import (
     TransseriesTable,
@@ -93,6 +94,7 @@ __all__ = [
     "sum_erfi",
     "sum_eta_integral",
     "sum_median",
+    "sum_theta",
     "trefoil_borel",
     "trefoil_coeffs",
     "zagier_g",

@@ -17,7 +17,7 @@ from math import factorial
 from mpmath import mp
 
 from .borel import periodic_power_sum, poincare_appendix_direct, poincare_borel, trefoil_borel
-from .characters import chi12, l_series_partial, l_value_exact
+from .characters import chi12, chi60, l_series_partial, l_value_exact
 from .invariants import phi, poincare_coeffs, trefoil_coeffs
 from .modular import eta_tilde, eta_tilde_radial, rational_parts, zagier_g, zagier_g_taylor
 from .series import borel_transform
@@ -132,6 +132,28 @@ def l2_closed_form_gap():
 def route_gap_at(model, points, tol):
     """Worst route_gap of cross_routes over the points."""
     return max(route_gap(cross_routes(model, x, tol=tol)) for x in points)
+
+
+# per model: the sign table of its theta series (sum_theta), the transform
+# that carries it to the Borel weights, and that transform's constant
+THETA_WEIGHTS = {
+    "trefoil": (chi12(), mp.cos, lambda: 3 * mp.pi / (4 * mp.sqrt(6))),
+    "poincare": (chi60(2), mp.sin, lambda: -1 / mp.sqrt(480)),
+}
+
+
+def theta_weight_gap(model):
+    """Worst |w_m - K sum_a C(a) T(2 pi m a/M)| over m = 1..M, w_m the Borel
+    weights of the model as its appendix prints them, and C mod M, T and K
+    its THETA_WEIGHTS: the weights are the finite Fourier transform of the
+    theta series' sign table."""
+    mdl = trefoil_borel() if model == "trefoil" else poincare_borel()
+    chi, trig, constant = THETA_WEIGHTS[model]
+    weights = mdl.table()[1]
+    scale = constant()
+    return max(abs(w - scale * mp.fsum(chi(a) * trig(2 * mp.pi * m * a / chi.modulus)
+                                       for a in range(1, chi.modulus + 1)))
+               for m, w in enumerate(weights, 1))
 
 
 def delta_theta_gap(x, tol):
@@ -343,6 +365,9 @@ def _summation_suite():
                      ("poincare", "8+2i")):
         point = mp.mpc(complex(x.replace("i", "j")))
         yield Check(f"cross-route-{model}-{x}", route_gap_at(model, [point], "1e-10"), "1e-8")
+    for model in THETA_WEIGHTS:
+        yield Check(f"theta-weights-{model}", theta_weight_gap(model), f"1e{5 - mp.dps}",
+                    "Borel weights against the transform of the theta sign table")
     # 1e-14, or at 15 digits the closed route's floor 10^(3-dps) and a digit
     closed_tol = max(mp.mpf("1e-14"), mp.mpf(10) ** (4 - mp.dps))
     yield Check("median-reality", reality_gap("trefoil", [mp.mpf("3.7")], closed_tol), "1e-10")

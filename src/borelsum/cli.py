@@ -14,13 +14,12 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp
 
 from .checks import SUITES, run_suite
 from .errors import ConvergenceError, DomainError, QuadratureError, ToleranceError, require_tol
-from .invariants import phi, poincare_coeffs, trefoil_coeffs
+from .invariants import RationalAngle, phi, poincare_coeffs, trefoil_coeffs
 from .summation import AverageKind, radial_limit, route_gap, sum_erfi, sum_median
 
 __all__ = ["RunConfig", "main"]
@@ -72,13 +71,6 @@ def _parse_complex(text: str):
     if not mp.isfinite(value):
         raise _UsageError(f"'{text}' is not a finite number")
     return value
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"cannot parse '{text}' as a rational") from exc
 
 
 def _read_config(path: str) -> dict:
@@ -192,14 +184,18 @@ def _cmd_sum(cfg: RunConfig, args) -> tuple[dict, bool]:
 
 
 def _cmd_radial(cfg: RunConfig, args) -> tuple[dict, bool]:
-    alpha = _parse_fraction(args.alpha)
-    if alpha == 0:
+    # one parse, by the library's rule; its rejection is a usage error here
+    try:
+        angle = RationalAngle(args.alpha)
+    except DomainError as exc:
+        raise _UsageError(f"--alpha: {exc}") from exc
+    if angle.alpha == 0:
         raise _UsageError("--alpha must be nonzero")
-    result = radial_limit(alpha, tol=cfg.tol)
-    target = phi(alpha)
+    result = radial_limit(angle, tol=cfg.tol)
+    target = phi(angle)
     payload = {
         "command": "radial",
-        "alpha": str(alpha),
+        "alpha": str(angle.alpha),
         "limit": _complex_pair(result.value),
         "err_estimate": _real_str(result.err_estimate),
         "target": _complex_pair(target),

@@ -39,7 +39,10 @@ tau/12} and Q = q^24: every n with chi(n) != 0 is prime to 6, so
 n^2 = 1 + 24 e_n with e_n whole, and the sum is q times the sum of
 chi(n) Q^{e_n} over the chains n = 6 k + 1 and n = 6 k + 5, along each of
 which chi alternates and the terms step by two products per term, from
-Q^2, Q^3 and Q^4 formed once.  The cutoff is sized in floats; the chains
+Q^2, Q^3 and Q^4 formed once.  The same holds for any sign table C mod
+2P that flips sign every P steps and lives on n^2 = 1 + 4P e_n
+(_theta_chains): chi60(2), whose chains run mod 30, is summed the same way
+by summation's theta route.  The cutoff is sized in floats; the chains
 run under 2 log10(k_max) guard digits for the drift of their products plus
 log10 of an a-priori bound on sum |term|, the digits the sum cancels:
 specfun._fixed_phase_sum steps each chain on Python integers scaled by
@@ -62,12 +65,15 @@ suite rather than folded in here.
 
 from __future__ import annotations
 
+from functools import cache
 from math import ceil, e, isqrt, log2, log10, pi, sqrt
 from numbers import Rational
+from typing import NamedTuple
 
 from mpmath import mp
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
+from .characters import DirichletCharacter, chi12
 from .errors import ConvergenceError, DomainError, require_finite, require_tol
 from .invariants import _angle
 from .specfun import (
@@ -120,19 +126,76 @@ def _theta_guard(n_terms: int, b: float, weight: int) -> int:
     return int(2 * log10(n_terms // 6) + log10(max(1, size))) + 3
 
 
-def _theta_sum(q, big_q, n_terms: int, weight: int, wp: int):
-    """q sum chi(n) n^weight Q^{e_n} over n <= n_terms, n^2 = 1 + 24 e_n,
-    given q = e^{pi i tau/12} and Q = q^24, on (re, im) pairs of integers
+class _Chains(NamedTuple):
+    """The chains of a sign table C mod M = 2P that is nonzero only where
+    n^2 = 1 + 4P e_n, e_n whole, and flips sign every P steps, C(n + P) =
+    -C(n): along n = c + P k, 0 < c < P, C alternates and the exponent steps
+    e_{n+P} - e_n grow by P/2 per term.  The powers of Q that seed them are
+    formed by squaring, Q^2m = Q^m Q^m and Q^(2m+1) = Q^2m Q, each product
+    (i, j) of products appending Q^i Q^j, by position, to the list
+    [Q^0, Q^1, ...]; chains holds (c, C(c) < 0, position of Q^{e_c},
+    position of Q^{e_{c+P} - e_c}) per chain, and step the position of
+    Q^{P/2}."""
+
+    half: int
+    step: int
+    products: tuple
+    chains: tuple
+
+
+@cache
+def _theta_chains(chi: DirichletCharacter) -> _Chains:
+    """The _Chains of chi; ValueError for a sign table without them.
+    chi12 has the chains 1 and 5 mod 6, chi60(2) 1, 11, 19 and 29 mod 30."""
+    half = chi.modulus // 2
+    if (chi.modulus % 4 or any(chi(n + half) != -chi(n) for n in range(half))
+            or any(chi(n) and n * n % (4 * half) != 1 for n in range(chi.modulus))):
+        raise ValueError("the sign table has no theta chains")
+    position, products = {0: 0, 1: 1}, []
+
+    def form(k: int) -> int:
+        if k not in position:
+            root = form(k // 2)
+            even = k - k % 2
+            if even not in position:
+                products.append((root, root))
+                position[even] = len(position)
+            if k % 2:
+                products.append((position[even], 1))
+                position[k] = len(position)
+        return position[k]
+
+    chains = tuple((c, chi(c) < 0, form((c * c - 1) // (4 * half)), form((2 * c + half) // 4))
+                   for c in range(1, half) if chi(c))
+    return _Chains(half, form(half // 2), tuple(products), chains)
+
+
+_CHI12_CHAINS = _theta_chains(chi12())
+
+
+def _theta_sum(q, big_q, n_terms: int, weight: int, wp: int, chains=_CHI12_CHAINS):
+    """q sum C(n) n^weight Q^{e_n} over n <= n_terms, n^2 = 1 + 4P e_n, for
+    the _Chains of a sign table C (default chi12, P = 6), given q and
+    Q = q^{4P} (for eta, q = e^{pi i tau/12}), on (re, im) pairs of integers
     scaled by 2^wp; the product keeps the scale of q, if q is given at
     another."""
-    # along n = 6 k + 1 and 6 k + 5 the terms step as T <- T R, R <- R Q^3
-    # from (T, R) = (1, -Q^2) and (-Q, -Q^4)
-    q2 = _fixed_mul(big_q, big_q, wp)
-    q3, q4 = _fixed_mul(q2, big_q, wp), _fixed_mul(q2, q2, wp)
-    ones = _fixed_phase_sum((1 << wp, 0), (-q2[0], -q2[1]), q3, 1, n_terms, 6, weight, wp)
-    fives = _fixed_phase_sum((-big_q[0], -big_q[1]), (-q4[0], -q4[1]), q3, 5, n_terms, 6,
-                             weight, wp)
-    return _fixed_mul(q, (ones[0] + fives[0], ones[1] + fives[1]), wp)
+    # along n = c + P k the terms step as T <- T R, R <- R Q^{P/2} from
+    # (T, R) = (C(c) Q^{e_c}, -Q^{e_{c+P} - e_c}); for chi12, from (1, -Q^2)
+    # and (-Q, -Q^4) with Q^3
+    half, step, products, table = chains
+    powers = [(1 << wp, 0), big_q]
+    for i, j in products:
+        powers.append(_fixed_mul(powers[i], powers[j], wp))
+    step = powers[step]
+    acc_re = acc_im = 0
+    for c, negative, first, ratio in table:
+        t_re, t_im = powers[first]
+        r_re, r_im = powers[ratio]
+        s_re, s_im = _fixed_phase_sum((-t_re, -t_im) if negative else (t_re, t_im),
+                                      (-r_re, -r_im), step, c, n_terms, half, weight, wp)
+        acc_re += s_re
+        acc_im += s_im
+    return _fixed_mul(q, (acc_re, acc_im), wp)
 
 
 def _theta_value(tau, weight: int):

@@ -1,4 +1,4 @@
-"""Generalized summation of the factorially divergent series, three ways.
+"""Generalized summation of the factorially divergent series, four ways.
 
 closed route: the median Laplace transform of each branch term
 (eta - p)^{-k/2}, k = 2m + 1, reduces to the Dawson remainder R_m,
@@ -50,6 +50,27 @@ integrates the transform with its singularity subtracted, one fixed-point
 kernel per node (exp_fixed and cos_sin_fixed) on specfun's integer
 Gauss-Legendre quadrature, one mpc per transform.
 
+theta route (sum_theta, both models): on Re x > 0 the median is the
+convergent theta series in q = e^{-1/(2 M x)} of the model's sign table C
+mod M,
+
+    trefoil:   -1/2 sum n chi_12(n) q^{n^2},   M = 12,
+    poincare:  -1/2 sum chi_60^(2)(n) q^{n^2}, M = 60.
+
+These identities are measured here, not derived: sum_theta agrees with
+the closed route within its estimate on the calibration grid of the tests,
+at 15, 25 and 50 digits down to tol = 10^(5-dps).  By Poisson summation the
+dual of each series runs over the exponentials e^{-eta_m x} of the lateral
+difference, weighted by the finite Fourier transform of C; verify's
+theta-weights checks tie those transforms to the Borel weights of the
+paper's appendix.  By Lawrence-Zagier the asymptotic series of the theta
+series in 1/x is the model's coefficient table.  The sum runs along the
+chains of C (modular._theta_sum): every n with C(n) != 0 has
+n^2 = 1 + 2M e_n, so q^{n^2} = q Q^{e_n} with Q = q^{2M} = e^{-1/x}.  Its
+cutoff is sized to tol by _log_gaussian_tail at beta = Re 1/(2 M x), and
+sum_median takes it wherever its nonzero terms cost less than the closed
+route's N_alg (_median_value).
+
 radial route: median values at x = eps + i y extrapolated to the boundary
 point i y on specfun._radial_ladder, the one ladder that eta_tilde_radial
 shares; at y = 1/(2 pi alpha) the limit is the unit-circle boundary value at
@@ -73,6 +94,7 @@ from .borel import (
     poincare_borel,
     trefoil_borel,
 )
+from .characters import chi12, chi60
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -81,10 +103,11 @@ from .errors import (
     require_finite,
     require_tol,
 )
-from .modular import _eta_ray, rational_parts
+from .modular import _eta_ray, _theta_chains, _theta_sum, rational_parts
 from .specfun import (
     FixedKernel,
     _LADDER_GAIN,
+    _PHASE_GUARD_BITS,
     _adaptive_segment,
     _algebraic,
     _fixed_mul,
@@ -105,6 +128,7 @@ __all__ = [
     "averaged_value",
     "sum_erfi",
     "sum_eta_integral",
+    "sum_theta",
     "dirichlet_delta",
     "cross_routes",
     "route_gap",
@@ -263,8 +287,31 @@ def _grid(n_min) -> int:
 
 
 def _roundoff_floor():
-    """Smallest tolerance the closed route accepts at the working precision."""
+    """Smallest tolerance the closed and theta routes accept at the working
+    precision."""
     return mp.mpf(10) ** (3 - mp.dps)
+
+
+def _require_reachable(tol):
+    """ToleranceError for a tol below _roundoff_floor, before any work."""
+    if tol < _roundoff_floor():
+        raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the roundoff "
+                             f"floor {mp.nstr(_roundoff_floor(), 3)} of {mp.dps} digits")
+
+
+def _gaussian_cut(b: float, power: int, log_target: float) -> int:
+    """The smallest grid count N whose tail sum_{n > N} n^power e^{-b n^2},
+    bounded in logs by _log_gaussian_tail, is at most e^log_target;
+    ConvergenceError past TERM_BUDGET, as when b underflows a float."""
+    # the float tail is good to about 1e-15 relative; 1e-9 keeps the cut
+    # on the side of the mpf bound
+    log_target -= 1e-9
+    n = 8
+    while _log_gaussian_tail(n, b, power) > log_target:
+        n = _grid(n + 1)
+        if n > TERM_BUDGET:
+            raise ConvergenceError("Gaussian sum: its decay is too slow for the term budget")
+    return n
 
 
 def _gaussian_terms(mdl: SqrtBranched, x, scale, tol):
@@ -273,14 +320,7 @@ def _gaussian_terms(mdl: SqrtBranched, x, scale, tol):
     whose tail is at most tol/2, and the guard holds the roundoff on the
     largest total the terms can reach under tol."""
     beta = mp.mpf(mdl.nu_lower) * mp.re(x)
-    # the float tail is good to about 1e-15 relative; 1e-9 keeps the cut
-    # on the side of the mpf bound
-    b, log_target = float(beta), float(mp.log(tol / 2)) - float(mp.log(scale)) - 1e-9
-    n = 8
-    while _log_gaussian_tail(n, b, mdl.power) > log_target:
-        n = _grid(n + 1)
-        if n > TERM_BUDGET:
-            raise ConvergenceError("lateral difference: Re x too small for the budget")
+    n = _gaussian_cut(float(beta), mdl.power, float(mp.log(tol / 2)) - float(mp.log(scale)))
     size = scale * (mp.exp(-beta) + gaussian_tail(1, beta, mdl.power))
     return n, max(0, int(mp.ceil(mp.log10(size * _roundoff_floor() / tol))))
 
@@ -328,6 +368,79 @@ def dirichlet_delta(model, x, tol="1e-16"):
     with mp.extradps(guard):
         acc = _gaussian_sum(mdl, xz, n_terms)
     return pref * acc
+
+
+def _theta_data(mdl: SqrtBranched):
+    """(C, r) of the median as the theta series -1/2 sum n^r C(n) q^{n^2},
+    q = e^{-1/(2 M x)} for C of modulus M, or None for a model that has
+    none."""
+    if mdl is trefoil_borel():
+        return chi12(), 1
+    if mdl is poincare_borel():
+        return chi60(2), 0
+    return None
+
+
+def _theta_plan(mdl: SqrtBranched, xz, tol):
+    """(N, guard digits, beta) of the theta route at tol, in floats:
+    beta = Re 1/(2 M x), and N the cutoff whose tail, half the bound
+    _log_gaussian_tail at beta, is at most tol/2.  The guard holds the
+    rounding on the largest total the terms can reach, at most half of 1
+    plus the tail past n = 1, to a thousandth of tol; it adds
+    2 log10(k_max) + 3 digits for the drift of the products along a chain
+    of k_max = 2N/M steps, and the digits of |x|/Re x, by which the
+    rounding of 1/x, multiplied by n^2 in each exponent, can grow against
+    the size of the sum.  ConvergenceError past TERM_BUDGET."""
+    chi, power = _theta_data(mdl)
+    beta = float(mp.re(1 / (2 * chi.modulus * xz)))
+    log_tol = float(mp.log(tol))
+    n_terms = _gaussian_cut(beta, power, log_tol)
+    size = (1 + math.exp(_log_gaussian_tail(1, beta, power))) / 2
+    guard = max(0, math.ceil(math.log10(size) + 3 - mp.dps - log_tol / math.log(10)))
+    drift = int(2 * math.log10(max(1, 2 * n_terms // chi.modulus))) + 3
+    phase = math.ceil(mp.mag(abs(xz) / mp.re(xz)) * math.log10(2))  # |x|/Re x < 2^mag
+    return n_terms, guard + drift + phase, beta
+
+
+def _theta_value(mdl: SqrtBranched, xz, tol, plan=None):
+    """(value, err_estimate) of the theta route at tol, summed as planned
+    by _theta_plan (by default, planned here) on modular._theta_sum, seeded
+    by q = e^{-1/(2 M x)} and Q = q^{2M} = e^{-1/x}.  err_estimate is the
+    tail bound past N plus the rounding: the guard holds that of the sum to
+    a thousandth of tol, and the value is rounded once more at the working
+    precision."""
+    chi, power = _theta_data(mdl)
+    n_terms, guard, beta = plan or _theta_plan(mdl, xz, tol)
+    with mp.extradps(guard):
+        wp = mp.prec + _PHASE_GUARD_BITS
+        # on the real axis 1/x is real, and so are its exponentials
+        inv = 1 / (xz.real if xz.imag == 0 else xz)
+        acc = _theta_sum(_to_fixed(mp.exp(-inv / (2 * chi.modulus)), wp),
+                         _to_fixed(mp.exp(-inv), wp), n_terms, power, wp, _theta_chains(chi))
+        value = -_from_fixed(*acc, wp) / 2
+    value = +value
+    tail = mp.exp(_log_gaussian_tail(n_terms, beta, power)) / 2
+    return value, tail + tol / 1000 + mp.eps * abs(value)
+
+
+def sum_theta(model, x, tol="1e-12") -> SummationResult:
+    """Median value at x, Re x > 0, by its theta series in e^{-1/x}:
+
+        trefoil:   -1/2 sum n chi_12(n) e^{-n^2/(24 x)},
+        poincare:  -1/2 sum chi_60^(2)(n) e^{-n^2/(120 x)},
+
+    along the chains of the sign table by modular._theta_sum.
+    It shares no Dawson kernel, Hurwitz sum or quadrature with the other
+    routes.  err_estimate is the tail bound plus the rounding; a tol below
+    the roundoff floor of the closed route raises ToleranceError."""
+    tol = require_tol(tol)
+    mdl = _resolve_model(model)
+    if _theta_data(mdl) is None:
+        raise ValueError("the theta route knows only the trefoil and poincare models")
+    xz = _require_right_half(x)
+    _require_reachable(tol)
+    value, err = _theta_value(mdl, xz, tol)
+    return SummationResult(mdl.label, xz, AverageKind.MEDIAN, "theta-series", value, err)
 
 
 def _peel_order(mdl: SqrtBranched, x, tol):
@@ -413,9 +526,7 @@ def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
     bound of _peel_order takes _TAIL_SHARE and the kernels the rest, so
     that the two together stay within it; L is summed under the guard
     digits of _peel_order."""
-    if tol < _roundoff_floor():
-        raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the roundoff "
-                             f"floor {mp.nstr(_roundoff_floor(), 3)} of {mp.dps} digits")
+    _require_reachable(tol)
     factor = int(mp.sign(mp.im(xz))) + _DELTA_FACTOR[kind]
     share = tol / 2 if factor else tol
     tail = share * _TAIL_SHARE
@@ -518,16 +629,19 @@ def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
 def cross_routes(model, x, tol="1e-10"):
     """All independent median values at x, as a dict keyed by route.
 
-    Trefoil: the closed route, the average of the two eta-integral
-    laterals, and eta-integral mul plus the explicit lateral difference.
-    Poincare: the closed route and a variant with its first three nonzero
-    transforms swapped for median_laplace_unit values, each one
-    finite-part quadrature pass at tol/8."""
+    Both models: the closed route and the theta series (sum_theta).
+    Trefoil: also the average of the two eta-integral laterals, and
+    eta-integral mul plus the explicit lateral difference.  Poincare: also
+    a variant of the closed route with its first three nonzero transforms
+    swapped for median_laplace_unit values, each one finite-part quadrature
+    pass at tol/8."""
     tol = require_tol(tol)
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
     closed = _closed_value(mdl, xz, AverageKind.MEDIAN, tol)
     routes = {"erfi-series": closed}
+    if _theta_data(mdl) is not None:
+        routes["theta-series"] = _theta_value(mdl, xz, tol)[0]
     if mdl.k == 5:
         part = tol / 4
         mul = _eta_integral_value(xz, AverageKind.MUL, part)
@@ -552,20 +666,72 @@ def route_gap(routes):
     return max(abs(a - b) for a in values for b in values)
 
 
+# The route choice of sum_median weighs the theta route's nonzero terms
+# against the closed route's N_alg, both known before any work.  Per call,
+# best of 7 (2 cores, Python 3.11.7, pure-Python mpmath), at tol 1e-12 and
+# 25 digits and at tol 1e-25 and 50 digits: a theta term costs 0.42-0.59 us
+# on the real axis and about 0.9 us off it, on top of about 0.1 ms per call;
+# a unit of N_alg costs 34-42 us, and the closed route at its smallest
+# N_alg = 8 costs 0.28-0.44 ms.  On the real axis of both models the two
+# routes broke even at 47 to 66 theta terms per unit of N_alg, between
+# |x| = 300 and 10^5, where N_alg is 8 or 15.
+_THETA_TERMS_PER_CLOSED_TERM = 50
+
+
+def _closed_terms(mdl: SqrtBranched, xz, tol):
+    """N_alg of the closed median at tol (_peel_order; off the real axis the
+    closed route sums its base to tol/2, at most one grid step more), inf
+    past the budget."""
+    try:
+        return _peel_order(mdl, xz, tol * _TAIL_SHARE)[1]
+    except ConvergenceError:
+        return math.inf
+
+
+def _median_value(mdl: SqrtBranched, xz, tol):
+    """(value, route, err_estimate) of the median at tol by the cheaper
+    route, each with its own estimate (for the closed route, tol): the theta
+    series when its nonzero terms, counted by _theta_plan before any work,
+    number fewer than _THETA_TERMS_PER_CLOSED_TERM times the closed route's
+    N_alg, else the closed route.  N_alg is at least _grid(0) = 8, so a
+    theta count below that bound needs no _peel_order.  A route past its
+    term budget is never the cheaper one; a tol below _roundoff_floor
+    raises for either."""
+    _require_reachable(tol)
+    data = _theta_data(mdl)
+    if data is not None:
+        try:
+            plan = _theta_plan(mdl, xz, tol)
+        except ConvergenceError:
+            plan = None
+        if plan is not None:
+            chi = data[0]
+            # two nonzero residues mod M per chain
+            cost = (plan[0] * 2 * len(_theta_chains(chi).chains) / chi.modulus
+                    / _THETA_TERMS_PER_CLOSED_TERM)
+            if cost < _grid(0) or cost < _closed_terms(mdl, xz, tol):
+                return (*_theta_value(mdl, xz, tol, plan), "theta-series")
+    return _closed_value(mdl, xz, AverageKind.MEDIAN, tol), tol, "erfi-series"
+
+
 def sum_median(model, x, tol="1e-12", cross_check: bool = False,
                cross_tol=None) -> SummationResult:
-    """Median value at x by the closed route.
+    """Median value at x, Re x > 0, within tol, by the cheaper of the theta
+    and closed routes (_median_value); .route names the one taken.
 
     With cross_check, or with a cross_tol given, the independent routes are
     also evaluated, at a quarter of cross_tol (default max(100 tol, 1e-10)),
     and returned as .routes; their route_gap is folded into err_estimate,
     and if cross_tol is given, exceeding it raises ToleranceError.  The
-    value itself is the closed route at tol."""
+    value itself does not depend on the cross-check; err_estimate is at
+    least tol and the estimate of the route taken."""
     tol = require_tol(tol)
     check_tol = max(tol * 100, mp.mpf("1e-10")) if cross_tol is None else require_tol(cross_tol)
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
-    routes, err = None, tol
+    value, err, route = _median_value(mdl, xz, tol)
+    err = max(err, tol)
+    routes = None
     if cross_check or cross_tol is not None:
         routes = cross_routes(mdl, xz, tol=check_tol / 4)
         gap = route_gap(routes)
@@ -573,10 +739,8 @@ def sum_median(model, x, tol="1e-12", cross_check: bool = False,
             raise ToleranceError(
                 f"median routes disagree by {mp.nstr(gap)} (allowed {mp.nstr(check_tol)})"
             )
-        err = max(gap, tol)
-    value = _closed_value(mdl, xz, AverageKind.MEDIAN, tol)
-    return SummationResult(mdl.label, xz, AverageKind.MEDIAN, "erfi-series",
-                           value, err, routes)
+        err = max(gap, err)
+    return SummationResult(mdl.label, xz, AverageKind.MEDIAN, route, value, err, routes)
 
 
 def averaged_value(model, avg, p, tol="1e-10"):

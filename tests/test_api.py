@@ -68,6 +68,7 @@ TOL_GATED = {
     "sum_erfi",
     "sum_eta_integral",
     "sum_median",
+    "sum_theta",
     "zagier_g",
     "SqrtBranched.eval",
 }

@@ -190,7 +190,7 @@ def test_verify_all_at_fifteen_digits():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["passed"] is True
-    assert len(doc["checks"]) == 30
+    assert len(doc["checks"]) == 32
 
 
 def test_verify_exact_json_lists_its_checks_in_order():

@@ -11,7 +11,7 @@ from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from borelsum import checks, modular
-from borelsum.characters import chi12
+from borelsum.characters import chi12, chi60
 from borelsum.errors import ConvergenceError, DomainError
 from borelsum.invariants import phi
 from borelsum.modular import (
@@ -187,6 +187,46 @@ def test_theta_sum_transcendental_call_budget(monkeypatch):
         calls[0] = 0
         run()
         assert calls[0] <= 2
+
+
+def test_theta_chains_of_the_two_sign_tables():
+    """chi12 seeds its chains 1 and 5 mod 6 from Q^0 and Q^1 with ratios
+    -Q^2 and -Q^4; chi60(2) has four chains mod 30, and chi60(1), whose
+    support squares to 49 mod 120, has none."""
+    def exponents(chains):
+        powers = [0, 1]  # the exponent of Q at each position
+        for i, j in chains.products:
+            powers.append(powers[i] + powers[j])
+        return (powers[chains.step],
+                tuple((c, negative, powers[first], powers[ratio])
+                      for c, negative, first, ratio in chains.chains))
+
+    chains = modular._theta_chains(chi12())
+    assert chains.half == 6
+    assert len(chains.products) == 3  # Q^2, Q^3 and Q^4, one product each
+    assert exponents(chains) == (3, ((1, False, 0, 2), (5, True, 1, 4)))
+    step, table = exponents(modular._theta_chains(chi60(2)))
+    assert step == 15
+    assert table == ((1, True, 0, 8), (11, True, 1, 13), (19, True, 3, 17), (29, True, 7, 22))
+    with pytest.raises(ValueError, match="no theta chains"):
+        modular._theta_chains(chi60(1))
+
+
+@pytest.mark.parametrize("weight", [0, 1])
+def test_theta_sum_of_chi60_against_plain_loop(weight):
+    """The chains of chi60(2) against sum C(n) n^weight q^{n^2} term by term."""
+    tau = mp.mpc("0.3", "0.02")
+    wp = mp.prec + 40
+    q, big_q = mp.expjpi(tau / 60), mp.expjpi(2 * tau)  # Q = q^120
+    n_terms = 400
+    got = _from_fixed(*modular._theta_sum(
+        modular._to_fixed(q, wp), modular._to_fixed(big_q, wp), n_terms, weight, wp,
+        modular._theta_chains(chi60(2))), wp)
+    chi = chi60(2)
+    with mp.extradps(10):
+        want = mp.fsum(chi(n) * n**weight * mp.expjpi(tau * n * n / 60)
+                       for n in range(1, n_terms + 1) if chi(n))
+    assert abs(got - want) < mp.mpf(10) ** (4 - mp.dps)
 
 
 def test_theta_sum_below_the_float_range_raises():

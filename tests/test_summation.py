@@ -25,6 +25,7 @@ from borelsum.summation import (
     sum_erfi,
     sum_eta_integral,
     sum_median,
+    sum_theta,
 )
 
 # median at x = 2, agreed on by the closed route, the eta-integral average
@@ -168,6 +169,61 @@ def test_closed_route_family_meets_its_claimed_tolerance(model, dps):
                 x = mp.mpc(re_part, im_part)
                 for kind in ("median", "mul", "mur", "delta"):
                     assert _reference_error(model, x, tol, kind) <= tol, (x, tol, kind)
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_theta_route_is_within_its_estimate_of_the_closed_route(model, dps):
+    """sum_theta against the closed route at dps + 30, on the grid and at
+    the tolerances of the closed-route family: its err_estimate covers the
+    error and stays within tol."""
+    with mp.workdps(dps):
+        for tol in (mp.mpf(10) ** (5 - dps), mp.mpf("1e-8"), mp.mpf(10) ** -(dps // 2)):
+            for re_part, im_part in CALIBRATION_GRID:
+                x = mp.mpc(re_part, im_part)
+                res = sum_theta(model, x, tol=tol)
+                assert res.route == "theta-series"
+                with mp.workdps(dps + 30):
+                    error = abs(res.value - sum_erfi(model, x, tol=tol * mp.mpf(10) ** -10).value)
+                assert error <= res.err_estimate <= tol, (x, tol)
+
+
+def test_theta_route_knows_only_the_two_models():
+    with pytest.raises(ValueError, match="theta route"):
+        sum_theta(_scaled(trefoil_borel(), 2), 2)
+    with pytest.raises(ToleranceError):
+        sum_theta("trefoil", 2, tol="1e-30")
+
+
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_sum_median_takes_the_cheaper_route(model):
+    """The theta series at moderate |x|, the closed route far out, where
+    the theta series needs thousands of terms; a model without a theta
+    series always takes the closed route."""
+    for x in (mp.mpf(2), mp.mpc("3.2", 2)):
+        assert sum_median(model, x).route == "theta-series", x
+    assert sum_median(model, mp.mpf("1e5")).route == "erfi-series"
+    mdl = _scaled(summation._resolve_model(model), 1)
+    assert sum_median(mdl, 2).route == "erfi-series"
+
+
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_sum_median_value_does_not_depend_on_the_cross_check(model):
+    for x in (mp.mpf(2), mp.mpc(2, "1.5"), mp.mpf("1e5")):
+        alone = sum_median(model, x, tol="1e-14")
+        checked = sum_median(model, x, tol="1e-14", cross_check=True)
+        assert checked.value == alone.value and checked.route == alone.route, x
+
+
+@pytest.mark.parametrize("x", ["2", "0.6"])
+def test_sum_median_poincare_tol_1e28_at_50_digits(x):
+    """The two calls at tol 1e-28 of the tight-tolerance benchmark."""
+    tol = mp.mpf("1e-28")
+    with mp.workdps(50):
+        res = sum_median("poincare", mp.mpf(x), tol=tol)
+        with mp.workdps(80):
+            reference = sum_erfi("poincare", mp.mpf(x), tol=tol * mp.mpf(10) ** -10).value
+        assert abs(res.value - reference) <= tol
 
 
 @pytest.mark.parametrize("model", ["trefoil", "poincare"])
@@ -493,6 +549,7 @@ def test_cross_routes_trefoil_keys_and_gaps():
     routes = cross_routes("trefoil", 2, tol="1e-10")
     assert set(routes) == {
         "erfi-series",
+        "theta-series",
         "eta-integral-average",
         "eta-integral-mul-plus-delta",
     }
@@ -503,7 +560,7 @@ def test_cross_routes_trefoil_keys_and_gaps():
 
 def test_cross_routes_poincare_keys_and_gaps():
     routes = cross_routes("poincare", 3, tol="1e-10")
-    assert set(routes) == {"erfi-series", "finite-part-quadrature"}
+    assert set(routes) == {"erfi-series", "theta-series", "finite-part-quadrature"}
     gap = abs(routes["erfi-series"] - routes["finite-part-quadrature"])
     assert gap < mp.mpf("1e-12")
 
@@ -520,7 +577,7 @@ def test_sum_median_cross_check_value_is_the_closed_route_at_tol():
     reference = sum_erfi("trefoil", x, tol="1e-20").value
     assert abs(res.value - reference) < mp.mpf("1e-14")
     assert set(res.routes) == {
-        "erfi-series", "eta-integral-average", "eta-integral-mul-plus-delta",
+        "erfi-series", "theta-series", "eta-integral-average", "eta-integral-mul-plus-delta",
     }
     assert res.err_estimate == max(route_gap(res.routes), mp.mpf("1e-14"))
     assert sum_median("trefoil", x).routes is None
@@ -588,6 +645,7 @@ def test_averaged_value_budget_names_the_model():
 TOL_GATES = {
     "sum_erfi": lambda tol: sum_erfi("trefoil", 2, tol=tol),
     "sum_median": lambda tol: sum_median("trefoil", 2, tol=tol),
+    "sum_theta": lambda tol: sum_theta("poincare", 2, tol=tol),
     "sum_median.cross_tol": lambda tol: sum_median("trefoil", 2, cross_check=True,
                                                    cross_tol=tol),
     "sum_eta_integral": lambda tol: sum_eta_integral(mp.mpc(2, 1.5), tol=tol),
