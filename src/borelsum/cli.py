@@ -157,19 +157,20 @@ def _cmd_sum(cfg: RunConfig, args) -> tuple[dict, bool]:
     cross_check = args.cross_check or args.cross_tol is not None
     if cross_check and method != "median":
         raise _UsageError("--cross-check and --cross-tol apply to the median method")
+    cross_tol = None
     if cross_check:
         try:
             cross_tol = require_tol("1e-8" if args.cross_tol is None else args.cross_tol)
         except ValueError as exc:
             raise _UsageError(f"--cross-tol: {exc}") from exc
-        result = sum_median(cfg.object, x, tol=cfg.tol, cross_check=True, cross_tol=cross_tol)
-        extra = {
-            "routes": {name: _complex_pair(v) for name, v in result.routes.items()},
-            "max_discrepancy": _real_str(route_gap(result.routes)),
-        }
+    if method == "median":
+        result = sum_median(cfg.object, x, tol=cfg.tol, cross_tol=cross_tol)
     else:
         result = sum_erfi(cfg.object, x, kind=AverageKind(method), tol=cfg.tol)
-        extra = {}
+    extra = {} if result.routes is None else {
+        "routes": {name: _complex_pair(v) for name, v in result.routes.items()},
+        "max_discrepancy": _real_str(route_gap(result.routes)),
+    }
     payload = {
         "command": "sum",
         "model": result.model,

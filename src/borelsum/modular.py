@@ -42,13 +42,14 @@ which chi alternates and the terms step by two products per term, from
 Q^2, Q^3 and Q^4 formed once.  The same holds for any sign table C mod
 2P that flips sign every P steps and lives on n^2 = 1 + 4P e_n
 (_theta_chains): chi60(2), whose chains run mod 30, is summed the same way
-by summation's theta route.  The cutoff is sized in floats; the chains
-run under 2 log10(k_max) guard digits for the drift of their products plus
-log10 of an a-priori bound on sum |term|, the digits the sum cancels:
-specfun._fixed_phase_sum steps each chain on Python integers scaled by
-2^wp, wp = prec + 10 bits at the guarded precision.  For eta and eta_tilde
-the seeds q and Q come from two expjpi calls and the sum returns as an
-mpc (_theta_value).
+by summation's theta route.  specfun._fixed_phase_sum steps each chain on
+Python integers scaled by 2^wp, wp = prec + 10 bits at the guarded
+precision.  One planner serves every theta and Gaussian sum: the cutoff
+specfun._gauss_cutoff, held to each caller's budget, and the guard
+_theta_guard.  _theta_value, the one front end from tau to an mpc, seeds
+q = e^{pi i tau/(2P)} and Q = e^{2 pi i tau} by two expjpi calls, or two
+real exponentials when tau is imaginary; eta and eta_tilde take its
+default plan, summation's theta route its own count and guard.
 
 eta_tilde is the companion weighted by an extra factor n.  Its radial limits
 at rational points are finite even though the unweighted series has none,
@@ -85,7 +86,7 @@ from .specfun import (
     _fixed_mul,
     _fixed_phase_sum,
     _from_fixed,
-    _log_gaussian_tail,
+    _gauss_cutoff,
     _radial_ladder,
     _to_fixed,
     fit_poly_coeffs,
@@ -103,27 +104,16 @@ __all__ = [
 _SERIES_BUDGET = 2_000_000
 
 
-def _gauss_cutoff(b: float, s: int, log_target: float) -> int:
-    """The theta cutoff for b = float(beta); a b underflowing to 0 raises ConvergenceError."""
-    n = max(8, ceil(min(sqrt((mp.dps + 5) * _LN10 / b), _SERIES_BUDGET + 1))) if b > 0 else 8
-    # the float tail is good to about 1e-15 relative; 1e-9 keeps the cut
-    # on the side of the mpf bound gaussian_tail
-    log_target -= 1e-9
-    while _log_gaussian_tail(n, b, s) > log_target:
-        n = int(n * 1.3) + 1
-        if n > _SERIES_BUDGET:
-            raise ConvergenceError("theta series cutoff exceeded the term budget")
-    return n
-
-
-def _theta_guard(n_terms: int, b: float, weight: int) -> int:
-    """Guard digits of a theta sum of n_terms terms at beta = b: 2 log10(k_max)
-    for the drift of the products along a chain of k_max = n_terms/6 steps,
-    plus log10 of an a-priori bound on sum |term|, the digits the sum
-    cancels: the integral of n^weight e^{-beta n^2} over n > 0 plus its
-    largest value."""
+def _theta_guard(n_terms: int, stride: int, b: float, weight: int, slack: float = 0) -> int:
+    """Guard digits of a sum of n_terms terms up to n^weight e^{-b n^2} along
+    chains of the given stride: 2 log10(n_terms/stride) + 3 for the drift
+    of the products, plus the digits by which a bound on sum |term|, the
+    integral of n^weight e^{-b n^2} over n > 0 plus its largest value (0
+    for b = inf), exceeds 10^slack, the rounding the caller takes in units
+    of 10^-dps (slack = 0 for eta)."""
     size = 1 / (2 * b) + 1 / sqrt(2 * e * b) if weight else sqrt(pi / b) / 2
-    return int(2 * log10(n_terms // 6) + log10(max(1, size))) + 3
+    excess = ceil(log10(size) - slack) if size else 0
+    return int(2 * log10(max(1, n_terms / stride))) + 3 + max(0, excess)
 
 
 class _Chains(NamedTuple):
@@ -198,20 +188,29 @@ def _theta_sum(q, big_q, n_terms: int, weight: int, wp: int, chains=_CHI12_CHAIN
     return _fixed_mul(q, (acc_re, acc_im), wp)
 
 
-def _theta_value(tau, weight: int):
-    """The theta sum at tau as an mpc, seeded by two expjpi calls under the
-    guard digits of _theta_guard."""
-    b = pi * float(tau.imag) / 12
-    n_terms = _gauss_cutoff(b, weight, -b - (mp.dps + 5) * _LN10)
-    with mp.extradps(_theta_guard(n_terms, b, weight)):
+def _theta_value(tau, weight: int, n_terms=None, guard=None, chains=_CHI12_CHAINS):
+    """sum C(n) n^weight q^{n^2} over n <= n_terms as an mpc, q = e^{pi i
+    tau/(2P)}, along the chains of C (default chi12, P = 6), seeded by q and
+    Q = e^{2 pi i tau} (real exponentials for imaginary tau) under guard
+    digits; by default eta's plan, the tail at 10^-(dps+5) of the first
+    term and _theta_guard at slack 0."""
+    half = chains.half
+    if n_terms is None:
+        b = pi * float(tau.imag) / (2 * half)
+        n_terms = _gauss_cutoff(b, weight, -b - (mp.dps + 5) * _LN10, _SERIES_BUDGET)
+        guard = _theta_guard(n_terms, half, b, weight)
+    with mp.extradps(guard):
         wp = mp.prec + _PHASE_GUARD_BITS
-        q = mp.expjpi(tau / 12)
+        if tau.real:
+            q, big_q = mp.expjpi(tau / (2 * half)), mp.expjpi(2 * tau)
+        else:
+            decay = mp.pi * tau.imag
+            q, big_q = mp.exp(-decay / (2 * half)), mp.exp(-2 * decay)
         # q is carried at 2^(wp + k), k the bits of 1/|q|, so that the
         # product q S keeps prec bits relative to a tiny q: eta reduced
         # near a cusp can be 1e-103
         k = max(0, -mp.mag(q))
-        acc = _theta_sum(_to_fixed(q, wp + k), _to_fixed(mp.expjpi(2 * tau), wp), n_terms,
-                         weight, wp)
+        acc = _theta_sum(_to_fixed(q, wp + k), _to_fixed(big_q, wp), n_terms, weight, wp, chains)
         acc = _from_fixed(*acc, wp + k)
     return +acc
 
@@ -265,8 +264,8 @@ def _eta_ray_wp(w, direction) -> int:
     bits of |Im w|^{-5/2}, the most a kernel's derivative can multiply the
     roundings of its argument by, as |t - w| >= |Im w| for real t."""
     b_unit = pi * float(mp.im(direction)) / 12
-    n_longest = _gauss_cutoff(b_unit, 0, -b_unit - (mp.dps + 5) * _LN10)
-    return (mp.prec + ceil(_theta_guard(n_longest, b_unit, 0) * log2(10)) + _PHASE_GUARD_BITS
+    n_longest = _gauss_cutoff(b_unit, 0, -b_unit - (mp.dps + 5) * _LN10, _SERIES_BUDGET)
+    return (mp.prec + ceil(_theta_guard(n_longest, 6, b_unit, 0) * log2(10)) + _PHASE_GUARD_BITS
             + max(0, ceil(-2.5 * log2(abs(float(mp.im(w)))))))
 
 

@@ -45,9 +45,10 @@ the sum on the integer norms, which leaves the dropped tail far below an
 ulp; one mpc product at wp gives A_k0.  The sizing around the kernels is
 in floats: _maclaurin_boost takes |z|^2 and arg z from the float parts of
 z and the terms (2k-1)!!/|2 z^2|^k from lgamma, _remainder_factor uses
-lgamma rounded up, and the Gaussian cutoffs of summation and modular
-compare _log_gaussian_tail, the log of the mpf bound gaussian_tail, with
-the log of their target.
+lgamma rounded up, and the one cutoff of every theta and Gaussian sum,
+_gauss_cutoff, is the smallest count whose _log_gaussian_tail, the log of
+the mpf bound gaussian_tail, meets the log of the caller's target; each
+caller holds it to its own term budget.
 
 For |arg z| < pi/4, A_K(z) is the erfc remainder at w = -+ i z.  DLMF
 7.12(i) bounds it by csc(2|arg z|) times the first neglected term
@@ -99,7 +100,7 @@ from typing import Callable, NamedTuple
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from .errors import QuadratureError
+from .errors import ConvergenceError, QuadratureError
 
 __all__ = [
     "dawson",
@@ -625,6 +626,34 @@ def _log_gaussian_tail(n_cut: int, b: float, s: int = 0) -> float:
     one_minus_q = -math.expm1(-x)
     out = -b * n_cut * n_cut - x - math.log(one_minus_q)
     return out + math.log(n_cut + 1 / one_minus_q) if s else out
+
+
+def _gauss_cutoff(b: float, s: int, log_target: float, budget=math.inf) -> int:
+    """The smallest N >= 1 whose tail sum_{n > N} n^s e^{-b n^2}, bounded in
+    logs by _log_gaussian_tail, is at most e^log_target: the one cutoff of
+    every theta and Gaussian sum; ConvergenceError past the caller's term
+    budget, or past the float range.  The bound is e^{-b ((n + 1)^2 - 1)}
+    times a factor above 1, so the search starts from the largest n with
+    (n + 1)^2 <= 1 - log_target/b, a miss, doubling its step, and bisects."""
+    # the float tail is good to about 1e-15 relative; 1e-9 keeps the cut
+    # on the side of the mpf bound gaussian_tail
+    log_target -= 1e-9
+    reach = 1 - log_target / b if b > 0 else math.inf
+    if not reach < math.inf:
+        raise ConvergenceError("Gaussian sum: its decay is below the float range")
+    lo, step = math.isqrt(int(max(reach, 1))) - 1, 1
+    while _log_gaussian_tail(lo + step, b, s) > log_target:
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _log_gaussian_tail(mid, b, s) > log_target:
+            lo = mid
+        else:
+            hi = mid
+    if hi > budget:
+        raise ConvergenceError(f"Gaussian sum: {hi} terms exceed the term budget {budget}")
+    return hi
 
 
 def richardson_limit(hs, vals):

@@ -66,10 +66,12 @@ theta-weights checks tie those transforms to the Borel weights of the
 paper's appendix.  By Lawrence-Zagier the asymptotic series of the theta
 series in 1/x is the model's coefficient table.  The sum runs along the
 chains of C (modular._theta_sum): every n with C(n) != 0 has
-n^2 = 1 + 2M e_n, so q^{n^2} = q Q^{e_n} with Q = q^{2M} = e^{-1/x}.  Its
-cutoff is sized to tol by _log_gaussian_tail at beta = Re 1/(2 M x), and
-sum_median takes it wherever its nonzero terms cost less than the closed
-route's N_alg (_median_value).
+n^2 = 1 + 2M e_n, so q^{n^2} = q Q^{e_n} with Q = q^{2M} = e^{-1/x}: it is
+eta's front end modular._theta_value at tau = i/(2 pi x), and it and the
+lateral difference are planned as eta is, by the cutoff
+specfun._gauss_cutoff at tol/2 and the guard modular._theta_guard at
+tol/1000.  sum_median takes it wherever its nonzero terms cost less than
+the closed route's N_alg (_median_value).
 
 radial route: median values at x = eps + i y extrapolated to the boundary
 point i y on specfun._radial_ladder, the one ladder that eta_tilde_radial
@@ -103,15 +105,15 @@ from .errors import (
     require_finite,
     require_tol,
 )
-from .modular import _eta_ray, _theta_chains, _theta_sum, rational_parts
+from .modular import _eta_ray, _theta_chains, _theta_guard, _theta_value, rational_parts
 from .specfun import (
     FixedKernel,
     _LADDER_GAIN,
-    _PHASE_GUARD_BITS,
     _adaptive_segment,
     _algebraic,
     _fixed_mul,
     _from_fixed,
+    _gauss_cutoff,
     _log_gaussian_tail,
     _quadratic_phase_sum,
     _radial_ladder,
@@ -119,7 +121,6 @@ from .specfun import (
     _to_fixed,
     dawson_deficit,
     e_mod_deficit,
-    gaussian_tail,
 )
 
 __all__ = [
@@ -152,9 +153,11 @@ _DELTA_FACTOR = {AverageKind.MUL: -1, AverageKind.MEDIAN: 0, AverageKind.MUR: 1}
 class SummationResult:
     """Value of one summation route at one point, with its context.
 
-    err_estimate is an a-posteriori bound: the requested tolerance, or the
-    measured cross-route discrepancy when one was computed.  routes holds
-    the independent route values of a cross-checked median, else None."""
+    err_estimate is the route's own estimate (tol for the closed and
+    integral routes, the tail bound plus rounding for the theta route, the
+    ladder's for the radial route), or the cross-route gap when a
+    cross-check measured more.  routes holds the independent route values
+    of a cross-checked median, else None."""
 
     model: str
     x: object
@@ -299,30 +302,15 @@ def _require_reachable(tol):
                              f"floor {mp.nstr(_roundoff_floor(), 3)} of {mp.dps} digits")
 
 
-def _gaussian_cut(b: float, power: int, log_target: float) -> int:
-    """The smallest grid count N whose tail sum_{n > N} n^power e^{-b n^2},
-    bounded in logs by _log_gaussian_tail, is at most e^log_target;
-    ConvergenceError past TERM_BUDGET, as when b underflows a float."""
-    # the float tail is good to about 1e-15 relative; 1e-9 keeps the cut
-    # on the side of the mpf bound
-    log_target -= 1e-9
-    n = 8
-    while _log_gaussian_tail(n, b, power) > log_target:
-        n = _grid(n + 1)
-        if n > TERM_BUDGET:
-            raise ConvergenceError("Gaussian sum: its decay is too slow for the term budget")
-    return n
-
-
 def _gaussian_terms(mdl: SqrtBranched, x, scale, tol):
     """(N, guard digits) for a sum of terms up to scale n^s e^{-nu n^2 Re x},
-    s = mdl.power and nu down to mdl.nu_lower: N is the smallest grid count
-    whose tail is at most tol/2, and the guard holds the roundoff on the
-    largest total the terms can reach under tol."""
-    beta = mp.mpf(mdl.nu_lower) * mp.re(x)
-    n = _gaussian_cut(float(beta), mdl.power, float(mp.log(tol / 2)) - float(mp.log(scale)))
-    size = scale * (mp.exp(-beta) + gaussian_tail(1, beta, mdl.power))
-    return n, max(0, int(mp.ceil(mp.log10(size * _roundoff_floor() / tol))))
+    s = mdl.power and nu down to mdl.nu_lower: the cutoff at tol/2, and the
+    guard along the residues mod the period at tol/1000."""
+    beta = float(mp.mpf(mdl.nu_lower) * mp.re(x))
+    n = _gauss_cutoff(beta, mdl.power, float(mp.log(tol / 2)) - float(mp.log(scale)),
+                      TERM_BUDGET)
+    slack = float(mp.log10(tol / scale)) - 3 + mp.dps
+    return n, _theta_guard(n, mdl.period, beta, mdl.power, slack)
 
 
 def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int):
@@ -331,27 +319,24 @@ def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int):
 
     Per residue a mod the period P, with n = a + P j, the terms step as
     T_{j+1} = T_j R_j and R_{j+1} = R_j Q, Q = e^{-2 nu P^2 x}, from T_0 and
-    R_0 = T_1/T_0, under 2 log10(j_max) + 3 guard digits for the drift of
-    the products, in fixed point (specfun._quadratic_phase_sum, Python
-    integers scaled by 2^wp, wp = the guarded prec + 10 bits).  A sum of
+    R_0 = T_1/T_0, in fixed point (specfun._quadratic_phase_sum, Python
+    integers scaled by 2^wp, wp = prec + 10 bits), under the caller's guard
+    (_gaussian_terms), which covers the drift of the products.  A sum of
     fewer than three terms per residue is direct."""
     period, p = mdl.period, mdl.power
-    j_max = (n_terms - 1) // period
-    if j_max < 2:
-        nu, weights, _ = mdl.table()
+    nu, weights, _ = mdl.table()
+    if n_terms <= 2 * period:
         return mp.fsum(w * n**p * mp.exp(-nu * n * n * x) for n in range(1, n_terms + 1)
                        if (w := weights[(n - 1) % period]))
-    with mp.extradps(int(2 * math.log10(j_max)) + 3):
-        nu, weights, _ = mdl.table()
-        nu_x = nu * x
-        step = mp.exp(-2 * period**2 * nu_x)
-        acc = mp.mpc(0)
-        for a, w in enumerate(weights, 1):
-            if w:
-                acc += w * _quadratic_phase_sum(
-                    mp.exp(-a * a * nu_x), mp.exp(-period * (2 * a + period) * nu_x), step,
-                    a, n_terms, period, p)
-    return +acc
+    nu_x = nu * x
+    step = mp.exp(-2 * period**2 * nu_x)
+    acc = mp.mpc(0)
+    for a, w in enumerate(weights, 1):
+        if w:
+            acc += w * _quadratic_phase_sum(
+                mp.exp(-a * a * nu_x), mp.exp(-period * (2 * a + period) * nu_x), step,
+                a, n_terms, period, p)
+    return acc
 
 
 def dirichlet_delta(model, x, tol="1e-16"):
@@ -381,44 +366,29 @@ def _theta_data(mdl: SqrtBranched):
     return None
 
 
-def _theta_plan(mdl: SqrtBranched, xz, tol):
-    """(N, guard digits, beta) of the theta route at tol, in floats:
-    beta = Re 1/(2 M x), and N the cutoff whose tail, half the bound
-    _log_gaussian_tail at beta, is at most tol/2.  The guard holds the
-    rounding on the largest total the terms can reach, at most half of 1
-    plus the tail past n = 1, to a thousandth of tol; it adds
-    2 log10(k_max) + 3 digits for the drift of the products along a chain
-    of k_max = 2N/M steps, and the digits of |x|/Re x, by which the
-    rounding of 1/x, multiplied by n^2 in each exponent, can grow against
-    the size of the sum.  ConvergenceError past TERM_BUDGET."""
+def _theta_terms(mdl: SqrtBranched, xz, tol):
+    """(N, beta) of the theta route at tol: beta = Re 1/(2 M x), and N the
+    count whose tail, half the Gaussian bound at beta, is at most tol/2."""
     chi, power = _theta_data(mdl)
-    beta = float(mp.re(1 / (2 * chi.modulus * xz)))
-    log_tol = float(mp.log(tol))
-    n_terms = _gaussian_cut(beta, power, log_tol)
-    size = (1 + math.exp(_log_gaussian_tail(1, beta, power))) / 2
-    guard = max(0, math.ceil(math.log10(size) + 3 - mp.dps - log_tol / math.log(10)))
-    drift = int(2 * math.log10(max(1, 2 * n_terms // chi.modulus))) + 3
+    beta = float(mp.re(1 / xz)) / (2 * chi.modulus)
+    return _gauss_cutoff(beta, power, float(mp.log(tol)), TERM_BUDGET), beta
+
+
+def _theta_median(mdl: SqrtBranched, xz, tol, n_terms: int, beta: float):
+    """(value, err_estimate) of the theta route at tol as _theta_terms plans:
+    -1/2 modular._theta_value at tau = i/(2 pi x), formed under its guard,
+    modular._theta_guard at tol/1000 plus the digits of |x|/Re x, by which
+    the rounding of tau, times n^2 in each exponent, can grow against the
+    sum.  err_estimate is the tail bound plus that rounding and the final
+    rounding at the working precision."""
+    chi, power = _theta_data(mdl)
+    chains = _theta_chains(chi)
     phase = math.ceil(mp.mag(abs(xz) / mp.re(xz)) * math.log10(2))  # |x|/Re x < 2^mag
-    return n_terms, guard + drift + phase, beta
-
-
-def _theta_value(mdl: SqrtBranched, xz, tol, plan=None):
-    """(value, err_estimate) of the theta route at tol, summed as planned
-    by _theta_plan (by default, planned here) on modular._theta_sum, seeded
-    by q = e^{-1/(2 M x)} and Q = q^{2M} = e^{-1/x}.  err_estimate is the
-    tail bound past N plus the rounding: the guard holds that of the sum to
-    a thousandth of tol, and the value is rounded once more at the working
-    precision."""
-    chi, power = _theta_data(mdl)
-    n_terms, guard, beta = plan or _theta_plan(mdl, xz, tol)
+    log10_tol = (mp.mag(tol) - 1) * math.log10(2)  # at most log10 tol: tol >= 2^(mag - 1)
+    guard = phase + _theta_guard(n_terms, chains.half, beta, power, log10_tol - 3 + mp.dps)
     with mp.extradps(guard):
-        wp = mp.prec + _PHASE_GUARD_BITS
-        # on the real axis 1/x is real, and so are its exponentials
-        inv = 1 / (xz.real if xz.imag == 0 else xz)
-        acc = _theta_sum(_to_fixed(mp.exp(-inv / (2 * chi.modulus)), wp),
-                         _to_fixed(mp.exp(-inv), wp), n_terms, power, wp, _theta_chains(chi))
-        value = -_from_fixed(*acc, wp) / 2
-    value = +value
+        tau = mp.j / (2 * mp.pi * xz)
+    value = -_theta_value(tau, power, n_terms, guard, chains) / 2
     tail = mp.exp(_log_gaussian_tail(n_terms, beta, power)) / 2
     return value, tail + tol / 1000 + mp.eps * abs(value)
 
@@ -439,7 +409,7 @@ def sum_theta(model, x, tol="1e-12") -> SummationResult:
         raise ValueError("the theta route knows only the trefoil and poincare models")
     xz = _require_right_half(x)
     _require_reachable(tol)
-    value, err = _theta_value(mdl, xz, tol)
+    value, err = _theta_median(mdl, xz, tol, *_theta_terms(mdl, xz, tol))
     return SummationResult(mdl.label, xz, AverageKind.MEDIAN, "theta-series", value, err)
 
 
@@ -630,19 +600,20 @@ def cross_routes(model, x, tol="1e-10"):
     """All independent median values at x, as a dict keyed by route.
 
     Both models: the closed route and the theta series (sum_theta).
-    Trefoil: also the average of the two eta-integral laterals, and
-    eta-integral mul plus the explicit lateral difference.  Poincare: also
-    a variant of the closed route with its first three nonzero transforms
-    swapped for median_laplace_unit values, each one finite-part quadrature
-    pass at tol/8."""
+    trefoil_borel() itself, whose theta series the eta integral sums: also
+    the average of the two eta-integral laterals, and eta-integral mul plus
+    the explicit lateral difference.  Every other model (Poincare, or one
+    built by hand): also a variant of the closed route with its first three
+    nonzero transforms swapped for median_laplace_unit values, each one
+    finite-part quadrature pass at tol/8."""
     tol = require_tol(tol)
     mdl = _resolve_model(model)
     xz = _require_right_half(x)
     closed = _closed_value(mdl, xz, AverageKind.MEDIAN, tol)
     routes = {"erfi-series": closed}
     if _theta_data(mdl) is not None:
-        routes["theta-series"] = _theta_value(mdl, xz, tol)[0]
-    if mdl.k == 5:
+        routes["theta-series"] = _theta_median(mdl, xz, tol, *_theta_terms(mdl, xz, tol))[0]
+    if mdl is trefoil_borel():
         part = tol / 4
         mul = _eta_integral_value(xz, AverageKind.MUL, part)
         mur = _eta_integral_value(xz, AverageKind.MUR, part)
@@ -691,7 +662,7 @@ def _closed_terms(mdl: SqrtBranched, xz, tol):
 def _median_value(mdl: SqrtBranched, xz, tol):
     """(value, route, err_estimate) of the median at tol by the cheaper
     route, each with its own estimate (for the closed route, tol): the theta
-    series when its nonzero terms, counted by _theta_plan before any work,
+    series when its nonzero terms, counted by _theta_terms before any work,
     number fewer than _THETA_TERMS_PER_CLOSED_TERM times the closed route's
     N_alg, else the closed route.  N_alg is at least _grid(0) = 8, so a
     theta count below that bound needs no _peel_order.  A route past its
@@ -701,16 +672,15 @@ def _median_value(mdl: SqrtBranched, xz, tol):
     data = _theta_data(mdl)
     if data is not None:
         try:
-            plan = _theta_plan(mdl, xz, tol)
+            n_terms, beta = _theta_terms(mdl, xz, tol)
         except ConvergenceError:
-            plan = None
-        if plan is not None:
-            chi = data[0]
-            # two nonzero residues mod M per chain
-            cost = (plan[0] * 2 * len(_theta_chains(chi).chains) / chi.modulus
-                    / _THETA_TERMS_PER_CLOSED_TERM)
-            if cost < _grid(0) or cost < _closed_terms(mdl, xz, tol):
-                return (*_theta_value(mdl, xz, tol, plan), "theta-series")
+            n_terms = math.inf
+        chi = data[0]
+        # two nonzero residues mod M per chain
+        cost = (n_terms * 2 * len(_theta_chains(chi).chains) / chi.modulus
+                / _THETA_TERMS_PER_CLOSED_TERM)
+        if cost < _grid(0) or cost < _closed_terms(mdl, xz, tol):
+            return (*_theta_median(mdl, xz, tol, n_terms, beta), "theta-series")
     return _closed_value(mdl, xz, AverageKind.MEDIAN, tol), tol, "erfi-series"
 
 

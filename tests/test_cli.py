@@ -62,6 +62,16 @@ def test_sum_json_value_and_csv_header():
     assert header == "model,kind,route,x_re,x_im,value_re,value_im,err_estimate"
 
 
+def test_sum_median_takes_one_route_with_or_without_the_cross_check():
+    """The median goes through sum_median either way, so --cross-check adds
+    the independent routes but does not change the route or the value."""
+    alone = json.loads(run_cli("sum", "--x", "2", "--output", "json").stdout)
+    checked = json.loads(run_cli("sum", "--x", "2", "--cross-check", "--output", "json").stdout)
+    assert alone["route"] == checked["route"] == "theta-series"
+    assert alone["value"] == checked["value"]
+    assert "routes" in checked and "routes" not in alone
+
+
 def test_sum_complex_point_parses():
     proc = run_cli("sum", "--x", "1+0.8i", "--object", "poincare",
                    "--output", "json")

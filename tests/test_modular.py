@@ -4,13 +4,12 @@ import math
 import random
 import time
 from fractions import Fraction
-from math import ceil, sqrt
 
 import pytest
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from borelsum import checks, modular
+from borelsum import checks, modular, summation
 from borelsum.characters import chi12, chi60
 from borelsum.errors import ConvergenceError, DomainError
 from borelsum.invariants import phi
@@ -137,9 +136,11 @@ def test_delta_equals_weighted_theta():
 @pytest.mark.parametrize("x", ["0.001", "0.002+0.3j", "1e-5-0.2j"])
 def test_delta_equals_weighted_theta_near_the_axis(x):
     """The lateral difference's Gaussian sum (summation._gaussian_sum)
-    against the theta sum here.  The two share only the fixed-point stepping
-    kernel (specfun._quadratic_phase_sum), which has its own test; their
-    seeds, cutoffs and guard digits are separate."""
+    against the theta sum here.  The two share their cutoff
+    (specfun._gauss_cutoff), their guard rule (modular._theta_guard) and
+    the fixed-point stepping kernel, which has its own test; their seeds
+    and walks are separate: mpc seeds per residue mod the weight period
+    there, integer seeds per chain mod 6 here."""
     assert checks.delta_theta_gap(mp.mpmathify(x), "1e-20") < mp.mpf("1e-14")
 
 
@@ -167,8 +168,8 @@ def test_eta_tilde_radial_error_estimate_covers_the_error(alpha, dps):
 
 
 def test_theta_sum_transcendental_call_budget(monkeypatch):
-    """Every theta sum makes two expjpi calls, q = e^{pi i tau/12} and
-    Q = q^24, and steps the rest on integers: near the real axis, where
+    """Every theta sum makes at most two expjpi calls, q = e^{pi i tau/12}
+    and Q = q^24, and steps the rest on integers: near the real axis, where
     the sum runs to thousands of terms, and for the short sums of the eta
     integrand alike."""
     calls = [0]
@@ -187,6 +188,33 @@ def test_theta_sum_transcendental_call_budget(monkeypatch):
         calls[0] = 0
         run()
         assert calls[0] <= 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eta(2 * mp.j),
+    lambda: eta_tilde(mp.mpf("0.004") * mp.j),
+    lambda: summation.sum_theta("poincare", mp.mpf("0.7"), tol="1e-15"),
+], ids=["eta", "eta_tilde", "sum_theta"])
+def test_theta_front_end_seeds_imaginary_tau_by_real_exponentials(monkeypatch, call):
+    """On the imaginary axis of tau, eta, eta_tilde and the theta route seed
+    _theta_sum with q and Q from two real exponentials: no expjpi call, and
+    imaginary integers exactly 0."""
+    seeds, expjpi_calls = [], [0]
+    theta_sum, expjpi = modular._theta_sum, mp.expjpi
+
+    def recorded(q, big_q, *rest):
+        seeds.append((q, big_q))
+        return theta_sum(q, big_q, *rest)
+
+    def counted(x):
+        expjpi_calls[0] += 1
+        return expjpi(x)
+
+    monkeypatch.setattr(modular, "_theta_sum", recorded)
+    monkeypatch.setattr(mp, "expjpi", counted)
+    call()
+    assert len(seeds) == 1 and expjpi_calls[0] == 0
+    assert all(q[1] == 0 and big_q[1] == 0 for q, big_q in seeds)
 
 
 def test_theta_chains_of_the_two_sign_tables():
@@ -231,35 +259,55 @@ def test_theta_sum_of_chi60_against_plain_loop(weight):
 
 def test_theta_sum_below_the_float_range_raises():
     """Im tau = 1e-400 underflows beta = pi Im tau/12 to 0 in floats: the
-    cutoff loop runs out of its term budget rather than overflow."""
+    cutoff raises ConvergenceError rather than overflow."""
     with pytest.raises(ConvergenceError):
         eta_tilde(mp.mpc("0.3", "1e-400"))
 
 
-def _mpf_gauss_cutoff(beta, s, target):
-    """_gauss_cutoff with its loop on the mpf bound gaussian_tail, kept as
-    the reference for the float log-domain loop."""
-    n = max(8, int(ceil(sqrt(float((mp.dps + 5) * mp.log(10) / beta)))))
-    while gaussian_tail(n, beta, s) > target:
-        n = int(n * 1.3) + 1
-        if n > 2_000_000:
-            raise ConvergenceError("theta series cutoff exceeded the term budget")
-    return n
+def _mpf_smallest_count(beta, s, target):
+    """The smallest n >= 1 with gaussian_tail(n, beta, s) <= target, in mpf,
+    by doubling and bisection: the reference for the float cutoff."""
+    lo, hi = 0, 1
+    while gaussian_tail(hi, beta, s) > target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gaussian_tail(mid, beta, s) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _check_count(got, beta, s, target):
+    """got is the reference count: it meets the target and got - 1 misses."""
+    assert got == _mpf_smallest_count(beta, s, target), (beta, s, target)
+    assert gaussian_tail(got, beta, s) <= target
+    assert got == 1 or gaussian_tail(got - 1, beta, s) > target
 
 
 @pytest.mark.parametrize("dps", [15, 25, 50])
 def test_gauss_cutoff_equals_the_mpf_loop(dps):
-    """The theta cutoff in floats picks the same count as the mpf loop, for
-    Im tau from 1e-5 to 1e3 at the target _theta_sum sets, with both
-    weights."""
+    """specfun._gauss_cutoff, the one cutoff of every theta and Gaussian sum,
+    picks the smallest count whose mpf bound gaussian_tail meets the
+    target, with both weights, for theta sums from Im tau = 1e-5 to 1e3 at
+    eta's target 10^-(dps+5) of the first term.  Past the term budget, at
+    Im tau = 1e-12, the theta front end raises ConvergenceError before any
+    work.  The lateral difference's use of the cutoff is checked in
+    test_summation."""
     with mp.workdps(dps):
         for j in range(33):
-            beta = mp.pi * mp.mpf(10) ** (-5 + mp.mpf(j) / 4) / 12
+            v = mp.mpf(10) ** (-5 + mp.mpf(j) / 4)
+            beta = mp.pi * v / 12
             target = mp.exp(-beta) * mp.mpf(10) ** (-(dps + 5))
-            b, log_target = float(beta), float(mp.log(target))
             for s in (0, 1):
-                assert _gauss_cutoff(b, s, log_target) == _mpf_gauss_cutoff(beta, s, target), (
-                    beta, s)
+                _check_count(_gauss_cutoff(float(beta), s, float(mp.log(target))), beta, s, target)
+        beta = mp.pi * mp.mpf("1e-12") / 12
+        for s in (0, 1):
+            target = mp.exp(-beta) * mp.mpf(10) ** (-(dps + 5))
+            assert _mpf_smallest_count(beta, s, target) > modular._SERIES_BUDGET
+            with pytest.raises(ConvergenceError):
+                modular._theta_value(mp.mpc("0.3", "1e-12"), s)
 
 
 def _plain_theta_sums(tau, dps):

@@ -260,48 +260,53 @@ def test_closed_route_sums_delta_at_most_once(monkeypatch, model):
         assert calls[0] == want, (x, kind)
 
 
-def _mpf_gaussian_terms(mdl, x, scale, tol):
-    """_gaussian_terms with its cutoff loop on the mpf bound gaussian_tail,
-    kept as the reference for the float log-domain loop."""
-    beta = mp.mpf(mdl.nu_lower) * mp.re(x)
-    n = 8
-    while scale * specfun.gaussian_tail(n, beta, mdl.power) > tol / 2:
-        n = summation._grid(n + 1)
-        if n > summation.TERM_BUDGET:
-            raise ConvergenceError("lateral difference: Re x too small for the budget")
-    size = scale * (mp.exp(-beta) + specfun.gaussian_tail(1, beta, mdl.power))
-    return n, max(0, int(mp.ceil(mp.log10(size * summation._roundoff_floor() / tol))))
+def _mpf_guard(n_terms, stride, beta, s, slack):
+    """modular._theta_guard in mpf."""
+    size = 1 / (2 * beta) + 1 / mp.sqrt(2 * mp.e * beta) if s else mp.sqrt(mp.pi / beta) / 2
+    return (int(2 * mp.log10(max(1, mp.mpf(n_terms) / stride))) + 3
+            + max(0, int(mp.ceil(mp.log10(size) - slack))))
+
+
+def _delta_case(mdl, re_x, tol):
+    """(x, scale, beta, mpf target) of the lateral difference's Gaussian sum."""
+    x = mp.mpc(re_x, "0.7")
+    pref = mp.gamma(1 - mp.mpf(mdl.k) / 2) * mp.power(x, mp.mpf(mdl.k) / 2 - 1)
+    scale = abs(pref) * mdl.coeff_bound
+    return x, scale, mp.mpf(mdl.nu_lower) * re_x, tol / (2 * scale)
 
 
 @pytest.mark.parametrize("dps", [15, 25, 50])
 @pytest.mark.parametrize("model", [trefoil_borel, poincare_borel])
 def test_gaussian_terms_equal_the_mpf_loop(model, dps):
-    """The float cutoff of the lateral difference picks the same count and
-    guard as the mpf loop, on Re x from 1e-5 to 1e3 and tolerances from
-    the roundoff floor to 1e-10; at the top of the range e^{-2 beta n}
-    underflows a float, and at the bottom both exceed the term budget."""
+    """The float cutoff of the lateral difference (_gaussian_terms) picks
+    the smallest count whose mpf bound gaussian_tail meets tol/2, and guard
+    digits by the rule of modular._theta_guard in mpf, on Re x from 1e-5
+    to 1e3 and tolerances from the roundoff floor to 1e-10; at the top of
+    the range e^{-2 beta n} underflows a float.  At Re x = 1e-9 the mpf
+    count passes the term budget and the cutoff raises ConvergenceError."""
     mdl = model()
     with mp.workdps(dps):
         assert math.exp(-2 * mdl.nu_lower * 1e3 * 8) == 0
+        tols = (summation._roundoff_floor(), mp.mpf(10) ** (5 - dps), mp.mpf("1e-10"))
         for j in range(33):
-            x = mp.mpc(mp.mpf(10) ** (-5 + mp.mpf(j) / 4), "0.7")
-            pref = mp.gamma(1 - mp.mpf(mdl.k) / 2) * mp.power(x, mp.mpf(mdl.k) / 2 - 1)
-            scale = abs(pref) * mdl.coeff_bound
-            for tol in (summation._roundoff_floor(), mp.mpf(10) ** (5 - dps), mp.mpf("1e-10")):
-                try:
-                    want = _mpf_gaussian_terms(mdl, x, scale, tol)
-                except ConvergenceError:
-                    with pytest.raises(ConvergenceError):
-                        summation._gaussian_terms(mdl, x, scale, tol)
-                    continue
-                assert summation._gaussian_terms(mdl, x, scale, tol) == want, (x, tol)
+            for tol in tols:
+                x, scale, beta, target = _delta_case(mdl, mp.mpf(10) ** (-5 + mp.mpf(j) / 4), tol)
+                n, guard = summation._gaussian_terms(mdl, x, scale, tol)
+                assert specfun.gaussian_tail(n, beta, mdl.power) <= target, (x, tol)
+                assert n == 1 or specfun.gaussian_tail(n - 1, beta, mdl.power) > target, (x, tol)
+                slack = mp.log10(tol / scale) - 3 + dps
+                assert guard == _mpf_guard(n, mdl.period, beta, mdl.power, slack), (x, tol)
+        x, scale, beta, target = _delta_case(mdl, mp.mpf("1e-9"), tols[0])
+        assert specfun.gaussian_tail(summation.TERM_BUDGET, beta, mdl.power) > target
+        with pytest.raises(ConvergenceError):
+            summation._gaussian_terms(mdl, x, scale, tols[0])
 
 
 @pytest.mark.parametrize("re_part", ["1e-320", "1e-330"])
 @pytest.mark.parametrize("model", ["trefoil", "poincare"])
 def test_dirichlet_delta_with_beta_below_the_float_range(model, re_part):
     """Re x so small that beta is subnormal or 0 as a float: the cutoff
-    runs into the term budget, as the mpf loop did, and does not divide
+    raises ConvergenceError, as past the term budget, and does not divide
     by zero."""
     with pytest.raises(ConvergenceError):
         dirichlet_delta(model, mp.mpc(re_part, 1), tol="1e-10")
@@ -563,6 +568,17 @@ def test_cross_routes_poincare_keys_and_gaps():
     assert set(routes) == {"erfi-series", "theta-series", "finite-part-quadrature"}
     gap = abs(routes["erfi-series"] - routes["finite-part-quadrature"])
     assert gap < mp.mpf("1e-12")
+
+
+def test_cross_routes_of_a_custom_five_half_model():
+    """A model of k = 5 other than the trefoil's own is checked by
+    finite-part quadrature, as a Poincare-like model is: the eta integral
+    sums the trefoil's theta series, whatever the model's weights."""
+    mdl = _scaled(trefoil_borel(), 2)
+    routes = cross_routes(mdl, 2, tol="1e-10")
+    assert set(routes) == {"erfi-series", "finite-part-quadrature"}
+    assert route_gap(routes) < mp.mpf("1e-10")
+    assert sum_median(mdl, 2, cross_check=True).err_estimate < mp.mpf("1e-8")
 
 
 def test_sum_median_folds_cross_gap_into_error():

@@ -81,3 +81,23 @@ def test_tracer_counts_the_quadrature_and_theta_layers(monkeypatch):
     assert metrics["specfun.integrand_evals"] == counts["evals"] > 0
     assert metrics["specfun.panels"] == counts["panels"] > 0
     assert metrics["modular.theta_sum.calls"] == counts["theta"] > 0
+
+
+def test_tracer_counts_the_theta_route_terms(monkeypatch):
+    """A traced median on the theta route counts its terms: the route sizes
+    its one theta sum by the shared cutoff specfun._gauss_cutoff, which the
+    tracer wraps under modular's name, once per sum."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    from mpmath import mp
+
+    from borelsum import summation
+    from borelsum.borel import trefoil_borel
+
+    def call():
+        return borelsum.sum_median("trefoil", 2, tol="1e-12")
+
+    metrics = tracing.traced(borelsum, call).metrics(1)
+    assert call().route == "theta-series"
+    n_terms, _ = summation._theta_terms(trefoil_borel(), mp.mpc(2), mp.mpf("1e-12"))
+    assert metrics["modular.theta_terms"] == n_terms > 0
