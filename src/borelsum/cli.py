@@ -192,6 +192,8 @@ def _cmd_radial(cfg: RunConfig, args) -> tuple[dict, bool]:
         raise _UsageError(f"--alpha: {exc}") from exc
     if angle.alpha == 0:
         raise _UsageError("--alpha must be nonzero")
+    if cfg.object != "trefoil":
+        raise _UsageError(f"--object {cfg.object}: the trefoil is the only model with a radial route")
     result = radial_limit(angle, tol=cfg.tol)
     target = phi(angle)
     payload = {

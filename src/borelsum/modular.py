@@ -29,10 +29,13 @@ q = e^{pi i t u/12} from mpmath's exp_fixed and cos_sin_fixed, Q = q^24 by
 five products, the theta sum, the mirror value, and both kernels
 (t - w)^{-3/2} and (1/t - w)^{-3/2}/t^2 from specfun's integer complex
 square root.  The quadrature stays on the same integers and forms one mpc
-per ray.  wp (_eta_ray_wp) is prec plus the theta guard of the longest sum
-on the ray (at t = 1), 10 bits, and the bits of |Im w|^{-5/2}, the most a
-kernel's derivative can multiply the roundings of its argument by, as
-|t - w| >= |Im w| for real t.
+per ray.  _eta_ray_plan sizes the ray from its tol, not from the working
+precision: rho from a bound on the tail past it, one theta cutoff per
+doubling panel of ray_integrate, and wp the bits of tol plus the theta
+guard of the longest sum on the ray (at t = 1), 10 bits, and the bits of
+|Im w|^{-5/2}, the most a kernel's derivative can multiply the roundings of
+its argument by, as |t - w| >= |Im w| for real t; never more than
+_eta_ray_wp, those bits at the full working precision.
 
 Every theta sum is the same integer kernel _theta_sum, on q = e^{pi i
 tau/12} and Q = q^24: every n with chi(n) != 0 is prime to 6, so
@@ -67,7 +70,7 @@ suite rather than folded in here.
 from __future__ import annotations
 
 from functools import cache
-from math import ceil, e, isqrt, log2, log10, pi, sqrt
+from math import ceil, e, exp, isqrt, log, log1p, log2, log10, pi, sqrt
 from numbers import Rational
 from typing import NamedTuple
 
@@ -259,8 +262,9 @@ def _eta_nodes(direction, wp: int):
 
 
 def _eta_ray_wp(w, direction) -> int:
-    """Working bits of _eta_ray's integer kernel: prec, the theta guard of
-    the longest sum on the ray (at t = 1), 10 bits for the products, and the
+    """The most working bits an _eta_ray on w and u = direction takes, its
+    bits at the full working precision: prec, the theta guard of the
+    longest sum on the ray (at t = 1), 10 bits for the products, and the
     bits of |Im w|^{-5/2}, the most a kernel's derivative can multiply the
     roundings of its argument by, as |t - w| >= |Im w| for real t."""
     b_unit = pi * float(mp.im(direction)) / 12
@@ -269,30 +273,87 @@ def _eta_ray_wp(w, direction) -> int:
             + max(0, ceil(-2.5 * log2(abs(float(mp.im(w)))))))
 
 
-def _eta_ray(w, direction, digits: int, tol):
+# an eta ray's tol is spent as 1/16 on the tail past rho, 1/16 on the
+# truncated theta sums, 1/16 on the roundings and the rest on the quadrature
+_RAY_SHARE = 16
+
+
+class _RayPlan(NamedTuple):
+    """The work of one _eta_ray: the length rho, the working bits wp, the
+    theta cutoff of each doubling panel [2^k, 2^(k+1)] by k, and the log of
+    the Gaussian tail that every cutoff meets at every node of its panel."""
+
+    rho: float
+    wp: int
+    counts: tuple
+    log_tail: float
+
+
+def _eta_ray_plan(w, direction, tol) -> _RayPlan:
+    """The _RayPlan of _eta_ray on w and u = direction to tol, the tail,
+    the truncations and the roundings each to the share s of tol.  With
+    b = pi Im u/12, |eta(t u)| <= e^{-b t}/(1 - e^{-3 b t}), |eta(u/t)| =
+    sqrt(t) |eta(t u)| and |r - w| >= |Im w| for real r, so the folded
+    integrand is at most |eta(t u)| |Im w|^{-3/2} (1 + t^{-3/2}), and the
+    same bound with the Gaussian tail of a theta sum in place of |eta(t u)|
+    bounds the truncation of each node.
+
+    - rho is the smallest t >= 2 whose tail bound 2 |Im w|^{-3/2}
+      e^{-b t}/(b (1 - e^{-3 b t})) is at most s, and never past
+      (dps + 8) ln 10/b, where the theta sum is 10^-(dps+8) of its leading
+      term;
+    - each count is _gauss_cutoff at its panel's left end, where b t is
+      least and the count largest, for the tail s |Im w|^{3/2}/(2 (rho - 1))
+      of each node, so that the truncations over [1, rho] sum to s;
+    - wp is the bits of s plus the guard terms of _eta_ray_wp (the theta
+      guard of the sum at t = 1, 10 bits, the bits of |Im w|^{-5/2}), and
+      never more than _eta_ray_wp.
+
+    s is tol/16, but no finer than 2^-prec, below which the working
+    precision resolves nothing."""
+    b = pi * float(mp.im(direction)) / 12
+    im_w = abs(float(mp.im(w)))
+    log_share = max(float(mp.log(tol)) - log(_RAY_SHARE), -mp.prec * log(2))
+    log_kernel = 1.5 * log(im_w) - log(2)
+    # the least t with e^{-b t} <= c/(1 - e^{-3 b t}), c = s b |Im w|^{3/2}/2:
+    # one step from t0 = max(2, -ln(c)/b) lands at or past it
+    log_c = log_share + log(b) + log_kernel
+    start = max(2.0, -log_c / b)
+    rho = min(max(2.0, (-log_c - log1p(-exp(-3 * b * start))) / b),
+              max(2.0, (mp.dps + 8) * _LN10 / b))
+    log_trunc = log_share + log_kernel - log(rho - 1)
+    counts = tuple(_gauss_cutoff(b * 2**k, 0, log_trunc) for k in range(int(rho).bit_length()))
+    bits = (ceil(-log_share / log(2)) + ceil(_theta_guard(counts[0], 6, b, 0) * log2(10))
+            + _PHASE_GUARD_BITS + max(0, ceil(-2.5 * log2(im_w))))
+    return _RayPlan(rho, min(bits, _eta_ray_wp(w, direction)), counts, log_trunc)
+
+
+def _eta_ray(w, direction, tol):
     """int eta(t u) (t - w)^{-3/2} dt over 1/rho <= t <= rho, u = direction
     a unit complex number with Im u > 0, Im w != 0, principal power, to tol.
-    Past rho = 12 digits ln 10/(pi Im u) the theta sum is below 10^-digits
-    of its leading term.  The interval is folded at t = 1, the fixed point
-    of tau -> -1/tau: t -> 1/t maps [1/rho, 1] onto [1, rho] with
-    dt -> dt/t^2, and the node t u and its mirror u/t share one theta sum,
-    so the integrand on [1, rho] is f(t) + f(1/t)/t^2.
+    The interval is folded at t = 1, the fixed point of tau -> -1/tau:
+    t -> 1/t maps [1/rho, 1] onto [1, rho] with dt -> dt/t^2, and the node
+    t u and its mirror u/t share one theta sum, so the integrand on
+    [1, rho] is f(t) + f(1/t)/t^2.
 
-    The integrand is a FixedKernel at wp = _eta_ray_wp(w, u): the node t
-    arrives as an integer scaled by 2^wp, the pair (eta(t u), eta(u/t))
-    comes from _eta_nodes, each kernel from _fixed_inverse_three_halves, and
-    the value leaves on integers; the quadrature forms one mpc per ray."""
-    rho = 12 * digits * mp.log(10) / (mp.pi * mp.im(direction))
-    b_unit = pi * float(mp.im(direction)) / 12
-    log_target = (mp.dps + 5) * _LN10
-    wp = _eta_ray_wp(w, direction)
+    rho, the theta cutoffs and wp come from tol (_eta_ray_plan): the tail
+    past rho, the truncated theta sums and the roundings each take 1/16 of
+    tol, the quadrature the rest.  From t = 1 the panels of ray_integrate
+    are [2^k, 2^(k+1)] and their bisections, so a node tf scaled by 2^wp
+    lies in panel k = tf.bit_length() - wp - 1 and takes that panel's
+    count, found once per ray.
+
+    The integrand is a FixedKernel at the plan's wp: the node t arrives as
+    an integer scaled by 2^wp, the pair (eta(t u), eta(u/t)) comes from
+    _eta_nodes, each kernel from _fixed_inverse_three_halves, and the value
+    leaves on integers; the quadrature forms one mpc per ray."""
+    rho, wp, counts, _ = _eta_ray_plan(w, direction, tol)
     node = _eta_nodes(direction, wp)
     w_re, w_im = _to_fixed(w, wp)
-    one, one_squared = 1 << wp, 1 << 2 * wp
+    one_squared, top = 1 << 2 * wp, wp + 1
 
     def integrand(tf: int):
-        b = b_unit * (tf / one)
-        near, far = node(tf, _gauss_cutoff(b, 0, -b - log_target))
+        near, far = node(tf, counts[tf.bit_length() - top])
         inv_t = one_squared // tf
         inv_t2 = (inv_t * inv_t) >> wp
         kr, ki = _fixed_inverse_three_halves((inv_t - w_re, -w_im), wp)
@@ -300,7 +361,7 @@ def _eta_ray(w, direction, digits: int, tol):
         fr, fi = _fixed_mul(far, ((kr * inv_t2) >> wp, (ki * inv_t2) >> wp), wp)
         return nr + fr, ni + fi
 
-    return ray_integrate(FixedKernel(integrand, wp), 1, rho, tol)
+    return ray_integrate(FixedKernel(integrand, wp), 1, rho, tol * (_RAY_SHARE - 3) / _RAY_SHARE)
 
 
 def eta(tau, route: str = "theta"):
@@ -365,12 +426,13 @@ def _g_direct(xr, tol):
     # w = x/u, z - x = u (t - w) and the principal powers agree:
     # (z - x)^{-3/2} dz = u^{-1/2} (t - w)^{-3/2} dt
     direction = mp.expj(3 * mp.pi / 8)
-    ray = _eta_ray(xr / direction, direction, mp.dps + 8, tol)
+    ray = _eta_ray(xr / direction, direction, tol)
     return mp.expj(-3 * mp.pi / 16) * ray
 
 
 def zagier_g(x, tol="1e-16", route: str = "laplace"):
-    """Boundary function at real x != 0.
+    """Boundary function at real x != 0; a complex x with a nonzero
+    imaginary part raises DomainError naming it.
 
     The default route delegates to the lateral Laplace value at i/(2 pi x),
     side mul for x > 0 and mur for x < 0.  route="direct" integrates the
@@ -382,7 +444,10 @@ def zagier_g(x, tol="1e-16", route: str = "laplace"):
     if isinstance(x, Rational):
         a = mp.mpf(x.numerator) / x.denominator
     else:
-        a = require_finite(mp.mpf(x), "x")
+        a = require_finite(x, "x")
+        if mp.im(a):
+            raise DomainError(f"x must be real, not {a}")
+        a = mp.re(a)
     if a == 0:
         raise DomainError("x must be nonzero")
     if route == "direct":

@@ -38,7 +38,9 @@ along the ray halfway between arg x and the imaginary axis, below the point
 x for mul and above it for mur.  On the real parameter t = 2 pi |z| it is
 one modular._eta_ray, the same folded eta integral as the direct route of
 zagier_g: t = 1 is the fixed point of tau -> -1/tau, so each node and its
-mirror 1/t share one theta sum and no node inverts.
+mirror 1/t share one theta sum and no node inverts.  The ray takes the
+route's tol divided by |sqrt(3) x^{3/2} sqrt(2 pi)|, and sizes its length,
+theta cutoffs and working bits to that (modular._eta_ray_plan).
 It converges for boundary x on the imaginary axis, where the closed route
 diverges, and includes the constant term automatically.  sum_eta_integral
 integrates one ray, on the wide side of x (mul when Im x >= 0, else mur);
@@ -523,9 +525,9 @@ def sum_erfi(model, x, kind="median", tol="1e-12") -> SummationResult:
 
 
 def _bisector(xz, kind: AverageKind, tol):
-    """(theta, dist) of the lateral ray on side kind: with room the angle
+    """The angle theta of the lateral ray on side kind: with room the angle
     from x to the imaginary axis on that side, theta = arg x -+ room/2 is
-    the bisector and dist = |x| sin(room/2) its distance from x.
+    the bisector, at the distance dist = |x| sin(room/2) from x.
     eta(2 pi i z) (x - z)^{-3/2} is analytic on Re z > 0 away from z = x,
     so every ray inside that sector gives the same lateral value; the
     bisector stays farthest from both the branch point x and the natural
@@ -540,14 +542,13 @@ def _bisector(xz, kind: AverageKind, tol):
         raise RayGeometryError(
             f"no admissible ray for side '{kind.value}' at arg x = {mp.nstr(arg_x)}"
         )
-    return arg_x + orient * half, dist
+    return arg_x + orient * half
 
 
 def _eta_integral_value(xz, kind: AverageKind, tol):
     """The lateral value on side kind (mul or mur) by its bisector ray, to tol."""
     orient = _DELTA_FACTOR[kind]
-    theta, dist = _bisector(xz, kind, tol)
-    digits = mp.dps + 8 + max(0, int(-1.5 * mp.log10(dist))) + int(1.5 * mp.log10(1 + abs(xz)))
+    theta = _bisector(xz, kind, tol)
     # tau = 2 pi i z along z = r e^{i theta} is t u with t = 2 pi r and
     # u = i e^{i theta}, exactly imaginary on theta = 0.  With W = 2 pi x
     # e^{-i theta}, (x - z)^{-3/2} dz = e^{-i theta/2} sqrt(2 pi)
@@ -556,7 +557,7 @@ def _eta_integral_value(xz, kind: AverageKind, tol):
     direction = mp.j * mp.expj(theta)
     w = 2 * mp.pi * xz * mp.expj(-theta)
     scale = mp.sqrt(6 * mp.pi) * mp.power(xz, mp.mpf("1.5"))  # sqrt(3) x^{3/2} sqrt(2 pi)
-    ray = _eta_ray(w, direction, digits, tol / abs(scale))
+    ray = _eta_ray(w, direction, tol / abs(scale))
     return -orient * mp.j * mp.expj(-theta / 2) * scale * ray
 
 
@@ -762,8 +763,10 @@ def radial_limit(alpha, tol="1e-10") -> SummationResult:
     is the unit-circle boundary value at angle alpha.  The error series in
     eps grows with the denominator of alpha, so the ladder starts at
     eps_0 = |y| / (50 den^2).  err_estimate adds the rung tolerance times
-    the ladder's gain to the last Richardson correction."""
+    the ladder's gain to the last Richardson correction.  A tol below
+    _roundoff_floor raises ToleranceError before any work."""
     tol = require_tol(tol)
+    _require_reachable(tol)
     a, den = rational_parts(alpha)
     if a == 0:
         raise DomainError("alpha must be nonzero")

@@ -145,6 +145,20 @@ def test_radial_alpha_zero_is_a_usage_error():
     assert "nonzero" in proc.stderr
 
 
+def test_radial_of_the_poincare_sphere_is_a_usage_error():
+    """radial_limit has a route for the trefoil alone; --object poincare
+    must not print the trefoil's limit under the Poincare sphere's name."""
+    proc = run_cli("radial", "--alpha", "1/3", "--object", "poincare")
+    assert proc.returncode == 2
+    assert "usage error" in proc.stderr and "trefoil" in proc.stderr
+
+
+def test_radial_tolerance_below_roundoff_exits_four():
+    proc = run_cli("radial", "--alpha", "1/3", "--tol", "1e-30")
+    assert proc.returncode == 4
+    assert "roundoff" in proc.stderr
+
+
 def test_usage_errors_exit_two():
     assert run_cli("sum").returncode == 2
     assert run_cli("verify", "--suite", "everything").returncode == 2

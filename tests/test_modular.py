@@ -357,6 +357,82 @@ def test_g_frozen_value_and_domain():
         zagier_g(1, route="sideways")
 
 
+@pytest.mark.parametrize("x", [1 + 1j, mp.mpc(1, 1), mp.mpc(-2, "1e-30")], ids=str)
+def test_g_refuses_a_complex_x(x):
+    with pytest.raises(DomainError, match="x must be real"):
+        zagier_g(x)
+
+
+def test_g_takes_a_complex_x_on_the_real_axis():
+    assert zagier_g(mp.mpc(1, 0), tol="1e-12") == zagier_g(1, tol="1e-12")
+    assert zagier_g(1 + 0j, tol="1e-12", route="direct") == zagier_g(1, tol="1e-12", route="direct")
+
+
+@pytest.mark.parametrize("route", ["laplace", "direct"])
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_g_meets_loose_tolerances(dps, route):
+    """Both routes size their eta ray to tol: at 1e-6 and 1e-10 each value
+    is within tol of the same route at dps + 20 and tol 10^-(dps+5)."""
+    for x in ("1", "-0.5", "0.2", "7"):
+        with mp.workdps(dps + 20):
+            reference = zagier_g(mp.mpf(x), tol=mp.mpf(10) ** -(dps + 5), route=route)
+        for tol in ("1e-6", "1e-10"):
+            with mp.workdps(dps):
+                value = zagier_g(mp.mpf(x), tol=tol, route=route)
+            with mp.workdps(dps + 20):
+                assert abs(value - reference) <= mp.mpf(tol), (x, tol)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: summation.sum_eta_integral(mp.mpc(2, "1.5"), "mul", tol="1e-16"),
+                 id="sum-eta-integral"),
+    pytest.param(lambda: summation.sum_eta_integral(mp.mpc("0.3", 2), "median", tol="1e-6"),
+                 id="sum-eta-integral-loose"),
+    pytest.param(lambda: zagier_g(-0.5, tol="1e-10", route="direct"), id="g-direct"),
+])
+def test_panel_theta_cutoff_never_undercounts(monkeypatch, run):
+    """Each doubling panel takes the theta cutoff of its left end, where b t
+    is least: at every node it is at least _gauss_cutoff at the node's own
+    b t, for the tail the ray's plan holds every node to."""
+    plans, nodes = [], []
+    plan, node_kernel = modular._eta_ray_plan, modular._eta_nodes
+
+    def recorded_plan(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    def recorded_nodes(direction, wp):
+        node = node_kernel(direction, wp)
+        b_unit = math.pi * float(direction.imag) / 12
+
+        def recorded(tf, n_terms):
+            nodes.append((b_unit * tf / 2**wp, n_terms, plans[-1].log_tail))
+            return node(tf, n_terms)
+
+        return recorded
+
+    monkeypatch.setattr(modular, "_eta_ray_plan", recorded_plan)
+    monkeypatch.setattr(modular, "_eta_nodes", recorded_nodes)
+    run()
+    assert nodes
+    assert all(n_terms >= _gauss_cutoff(b, 0, log_tail) for b, n_terms, log_tail in nodes)
+
+
+@pytest.mark.parametrize("tol", ["0.5", "1e-6", "1e-12", "1e-40"])
+def test_eta_ray_plan_does_no_more_than_the_working_precision_asks(tol):
+    """However fine tol is, the ray stops by the length at which the theta
+    sum is 10^-(dps+8) of its leading term and takes no more bits than
+    _eta_ray_wp; however coarse, it is at least [1, 2] long."""
+    for phi in ("0.3", "1.1780972450961724", "1.5707963267948966"):
+        direction = mp.expj(mp.mpf(phi))
+        for w in (mp.mpc(3, -2), mp.mpc("0.5", "1e-3"), mp.mpc(-40, 7)):
+            rho, wp, counts, _ = modular._eta_ray_plan(w, direction, mp.mpf(tol))
+            b = math.pi * float(direction.imag) / 12
+            assert 2 <= rho <= max(2, (mp.dps + 8) * _LN10 / b)
+            assert wp <= modular._eta_ray_wp(w, direction)
+            assert len(counts) == int(rho).bit_length()
+
+
 def test_g_two_phi_identity():
     assert checks.two_phi_gap("1e-16") < mp.mpf("1e-14")
 
