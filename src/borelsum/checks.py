@@ -333,6 +333,11 @@ def _exact_suite():
     yield Check("l2-closed-form", l2_closed_form_gap(), "1e-12")
 
 
+def _reachable(tol):
+    """tol, or at low precision the routes' floor 10^(3-dps) and a digit."""
+    return max(mp.mpf(tol), mp.mpf(10) ** (4 - mp.dps))
+
+
 def _identity_suite():
     # g(1) and g(1/2) enter three checks each; evaluate them once
     g = lru_cache(maxsize=None)(zagier_g)
@@ -342,15 +347,15 @@ def _identity_suite():
                     phi_gap(a, eta_tilde_radial(a)[0], -2), "1e-4")
     for a in (Fraction(1), Fraction(2), Fraction(1, 2)):
         yield Check(f"g-modularity-{a.numerator}-{a.denominator}",
-                    g_inversion_gap([a], "1e-16", g), "1e-6")
-    yield Check("two-phi-identity", two_phi_gap("1e-16", g), "1e-4")
+                    g_inversion_gap([a], _reachable("1e-16"), g), "1e-6")
+    yield Check("two-phi-identity", two_phi_gap(_reachable("1e-16"), g), "1e-4")
     # matched truncation: the n^-3 coefficient decay caps plain partial sums
     # near 1e-7, but the same cutoff on both sides cancels exactly in the ratio
     gap, ratio = appendix_factor_gap(mp.mpf("0.1"), 4000)
     yield Check("poincare-appendix-factor", gap, "1e-9",
                 f"measured conversion factor {mp.nstr(ratio, 12)}")
-    r_one = g_route_ratio(Fraction(1), "1e-14", "1e-16", g)
-    r_half = g_route_ratio(Fraction(1, 2), "1e-14", "1e-16", g)
+    r_one = g_route_ratio(Fraction(1), _reachable("1e-14"), _reachable("1e-16"), g)
+    r_half = g_route_ratio(Fraction(1, 2), _reachable("1e-14"), _reachable("1e-16"), g)
     reference = g_route_constant()
     yield Check("g-direct-route-constant", abs(r_one - r_half) / abs(r_one), "1e-6",
                 f"measured ratio {mp.nstr(r_one, 12)}; "
@@ -368,8 +373,7 @@ def _summation_suite():
     for model in THETA_WEIGHTS:
         yield Check(f"theta-weights-{model}", theta_weight_gap(model), f"1e{5 - mp.dps}",
                     "Borel weights against the transform of the theta sign table")
-    # 1e-14, or at 15 digits the closed route's floor 10^(3-dps) and a digit
-    closed_tol = max(mp.mpf("1e-14"), mp.mpf(10) ** (4 - mp.dps))
+    closed_tol = _reachable("1e-14")
     yield Check("median-reality", reality_gap("trefoil", [mp.mpf("3.7")], closed_tol), "1e-10")
     yield Check("conjugation-symmetry", conjugation_gap([mp.mpc(2, "1.5")], "1e-12"), "1e-8")
     yield Check("asymptotic-truncation", asymptotic_ratio(mp.mpf(20), [4], closed_tol), "2",

@@ -431,16 +431,17 @@ def _g_direct(xr, tol):
 
 
 def zagier_g(x, tol="1e-16", route: str = "laplace"):
-    """Boundary function at real x != 0; a complex x with a nonzero
-    imaginary part raises DomainError naming it.
+    """Boundary function at real x != 0.  A complex x with a nonzero
+    imaginary part raises DomainError, a tol below 10^(3-dps) ToleranceError.
 
     The default route delegates to the lateral Laplace value at i/(2 pi x),
     side mul for x > 0 and mur for x < 0.  route="direct" integrates the
     kernel (z - x)^{-3/2} against eta(z) along a rotated ray instead; the
     two routes differ by a fixed x-independent constant."""
-    from .summation import AverageKind, sum_eta_integral
+    from .summation import AverageKind, _require_reachable, sum_eta_integral
 
     tol = require_tol(tol)
+    _require_reachable(tol)
     if isinstance(x, Rational):
         a = mp.mpf(x.numerator) / x.denominator
     else:

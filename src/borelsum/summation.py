@@ -25,10 +25,10 @@ the median on it), and
 
     median = L + sgn(Im x) delta.
 
-Of L's tolerance that bound on the tail takes 15/16 and the A_K kernels
-the rest, shared over the terms by their coefficient bounds: each kernel
-gets an absolute target from tol, not from the working precision, and
-specfun sizes both its branches to it.
+Every kind sums L to tol/2, over the N_alg terms that bound asks for, and
+delta to tol/4.  Of L's share the tail takes 15/16 and the A_K kernels the
+rest, shared over the terms by their coefficient bounds: each kernel gets an
+absolute target from tol, and specfun sizes both its branches to it.
 
 integral route (5/2-power model only): the weight-3/2 theta integral
 
@@ -44,7 +44,7 @@ theta cutoffs and working bits to that (modular._eta_ray_plan).
 It converges for boundary x on the imaginary axis, where the closed route
 diverges, and includes the constant term automatically.  sum_eta_integral
 integrates one ray, on the wide side of x (mul when Im x >= 0, else mur);
-every other kind is that ray plus the Stokes jump mur - mul = 2 delta.
+every other kind is that ray at tol/2 plus the Stokes jump, delta at tol/4.
 cross_routes integrates both sides directly, as independent routes.
 
 finite-part quadrature (the Poincare cross-check): median_laplace_unit
@@ -283,12 +283,8 @@ def median_laplace_unit(k: int, y, tol="1e-10"):
     return value
 
 
-def _grid(n_min) -> int:
-    """Smallest term count >= n_min in 8, 15, 25, 39, ... (40% steps)."""
-    n = 8
-    while n < n_min:
-        n = int(n * 1.4) + 4
-    return n
+# the fewest terms N_alg the closed route sums
+_MIN_TERMS = 8
 
 
 def _roundoff_floor():
@@ -417,10 +413,10 @@ def sum_theta(model, x, tol="1e-12") -> SummationResult:
 
 def _peel_order(mdl: SqrtBranched, x, tol):
     """(K, N_alg, guard digits): peel the orders j < K, sum the algebraic
-    parts A_K of N_alg terms, and guard the largest restored order.  Past
-    N_alg the bound on A_K, summed as N^{s-2K}/(2K-s), is held to tol;
-    K = m + M rises from M = 2 while one more order, which costs a
-    periodic_power_sum fill, saves 8 terms.  N_alg is on the _grid."""
+    parts A_K of N_alg terms, and guard the largest restored order.  N_alg
+    is the least count, at least _MIN_TERMS, past which the bound on A_K,
+    summed as N^{s-2K}/(2K-s), is within tol; K = m + M rises from M = 2
+    while one more order, which costs a periodic_power_sum fill, saves 8 terms."""
     m = (mdl.k - 1) // 2
     s = mdl.power
     scale = 2**m / math.prod(range(1, 2 * m, 2)) * mdl.coeff_bound  # a_k A
@@ -444,7 +440,7 @@ def _peel_order(mdl: SqrtBranched, x, tol):
     n_exact = terms(big_k)
     while n_exact - (nxt := terms(big_k + 1)) >= 8:
         big_k, n_exact = big_k + 1, nxt
-    n_alg = _grid(n_exact)
+    n_alg = max(_MIN_TERMS, math.ceil(n_exact))
     if n_alg > TERM_BUDGET:
         raise ConvergenceError(f"{mdl.label} closed route: tolerance out of reach")
     # zeta(2j + 1 - s) <= 2 bounds the restored sum of order j
@@ -493,21 +489,19 @@ _TAIL_SHARE = mp.mpf(15) / 16
 
 
 def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
-    """L + f delta, f = sgn(Im x) + the kind's delta factor, L to tol when
-    f = 0, else L to tol/2 and f delta to tol/2.  Of L's share the tail
-    bound of _peel_order takes _TAIL_SHARE and the kernels the rest, so
-    that the two together stay within it; L is summed under the guard
-    digits of _peel_order."""
+    """L + f delta, f = sgn(Im x) + the kind's delta factor: L to tol/2 and
+    delta to tol/4 for every kind (|f| <= 2), so the kinds share one L and
+    one delta.  Of L's share the tail bound of _peel_order takes _TAIL_SHARE
+    and the kernels the rest; L is summed under the guard digits of _peel_order."""
     _require_reachable(tol)
     factor = int(mp.sign(mp.im(xz))) + _DELTA_FACTOR[kind]
-    share = tol / 2 if factor else tol
-    tail = share * _TAIL_SHARE
+    tail = tol / 2 * _TAIL_SHARE
     big_k, n_alg, boost = _peel_order(mdl, xz, tail)
     with mp.extradps(boost):
-        base = _closed_base(mdl, xz, big_k, n_alg, share - tail)
+        base = _closed_base(mdl, xz, big_k, n_alg, tol / 2 - tail)
     if not factor:
         return +base
-    return base + factor * dirichlet_delta(mdl, xz, tol / (2 * abs(factor)))
+    return base + factor * dirichlet_delta(mdl, xz, tol / 4)
 
 
 def sum_erfi(model, x, kind="median", tol="1e-12") -> SummationResult:
@@ -571,16 +565,17 @@ def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
     tau -> -1/tau, so that one theta sum at |tau| >= 1 serves each node and
     its mirror.  The wide side's kind is that ray at tol.  Every other kind
     (the narrow side, or the median) is the ray at tol/2 plus the Stokes
-    jump at tol/2, mur - mul = 2 delta (dirichlet_delta): mul = mur - 2 delta,
-    mur = mul + 2 delta, median = mur - delta = mul + delta.
+    jump, with delta (dirichlet_delta) at tol/4 as on the closed route:
+    mul = mur - 2 delta, mur = mul + 2 delta, median = mur - delta = mul + delta.
 
     Each side's sector has room = pi/2 -+ arg x.  RayGeometryError is raised
     when Re x < 0, where a sector would cross Re z = 0, when a sector the
     kind needs is empty, or when its bisector passes within sqrt(tol) of x,
     |x| sin(room/2) < sqrt(tol): the narrow side's sector counts for every
     kind but the wide one, so the domain is the one the direct rays of
-    cross_routes have."""
+    cross_routes have.  A tol below the roundoff floor raises ToleranceError."""
     tol = require_tol(tol)
+    _require_reachable(tol)
     kind = _kind(side)
     xz = mp.mpc(require_finite(x, "x"))
     if xz == 0:
@@ -593,7 +588,7 @@ def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
         _bisector(xz, narrow, tol)
         factor = _DELTA_FACTOR[kind] - _DELTA_FACTOR[wide]
         value = (_eta_integral_value(xz, wide, tol / 2)
-                 + factor * dirichlet_delta(trefoil_borel(), xz, tol / (2 * abs(factor))))
+                 + factor * dirichlet_delta(trefoil_borel(), xz, tol / 4))
     return SummationResult("trefoil", xz, kind, "eta-integral", value, tol)
 
 
@@ -641,21 +636,20 @@ def route_gap(routes):
 # The route choice of sum_median weighs the theta route's nonzero terms
 # against the closed route's N_alg, both known before any work.  Per call,
 # best of 7 (2 cores, Python 3.11.7, pure-Python mpmath), at tol 1e-12 and
-# 25 digits and at tol 1e-25 and 50 digits: a theta term costs 0.42-0.59 us
-# on the real axis and about 0.9 us off it, on top of about 0.1 ms per call;
-# a unit of N_alg costs 34-42 us, and the closed route at its smallest
-# N_alg = 8 costs 0.28-0.44 ms.  On the real axis of both models the two
-# routes broke even at 47 to 66 theta terms per unit of N_alg, between
-# |x| = 300 and 10^5, where N_alg is 8 or 15.
+# 25 digits and at tol 1e-25 and 50 digits: a theta term costs 0.41-0.56 us
+# on the real axis and about 0.9 us off it, on top of about 0.09 ms per call;
+# the closed route at its smallest N_alg = 8 costs 0.27-0.40 ms.  On the real
+# axis of both models the routes broke even at 55 to 66 theta terms per unit
+# of N_alg (68 once), between |x| = 1300 and 3600, where N_alg is 8 to 13.
+# 50 lies below it: a call sent to the closed route early costs at most 17% more.
 _THETA_TERMS_PER_CLOSED_TERM = 50
 
 
 def _closed_terms(mdl: SqrtBranched, xz, tol):
-    """N_alg of the closed median at tol (_peel_order; off the real axis the
-    closed route sums its base to tol/2, at most one grid step more), inf
-    past the budget."""
+    """N_alg of the closed median at tol, as _closed_value plans it
+    (_peel_order at tol/2 times _TAIL_SHARE), inf past the budget."""
     try:
-        return _peel_order(mdl, xz, tol * _TAIL_SHARE)[1]
+        return _peel_order(mdl, xz, tol / 2 * _TAIL_SHARE)[1]
     except ConvergenceError:
         return math.inf
 
@@ -665,7 +659,7 @@ def _median_value(mdl: SqrtBranched, xz, tol):
     route, each with its own estimate (for the closed route, tol): the theta
     series when its nonzero terms, counted by _theta_terms before any work,
     number fewer than _THETA_TERMS_PER_CLOSED_TERM times the closed route's
-    N_alg, else the closed route.  N_alg is at least _grid(0) = 8, so a
+    N_alg, else the closed route.  N_alg is at least _MIN_TERMS, so a
     theta count below that bound needs no _peel_order.  A route past its
     term budget is never the cheaper one; a tol below _roundoff_floor
     raises for either."""
@@ -680,7 +674,7 @@ def _median_value(mdl: SqrtBranched, xz, tol):
         # two nonzero residues mod M per chain
         cost = (n_terms * 2 * len(_theta_chains(chi).chains) / chi.modulus
                 / _THETA_TERMS_PER_CLOSED_TERM)
-        if cost < _grid(0) or cost < _closed_terms(mdl, xz, tol):
+        if cost < _MIN_TERMS or cost < _closed_terms(mdl, xz, tol):
             return (*_theta_median(mdl, xz, tol, n_terms, beta), "theta-series")
     return _closed_value(mdl, xz, AverageKind.MEDIAN, tol), tol, "erfi-series"
 

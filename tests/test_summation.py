@@ -89,6 +89,12 @@ def test_tolerance_below_roundoff_raises():
         sum_median("poincare", 2, tol="1e-30")
     with pytest.raises(ToleranceError):
         radial_limit(Fraction(1, 3), tol="1e-30")
+    with pytest.raises(ToleranceError):
+        sum_eta_integral(mp.mpc(2, "1.5"), "mul", tol="1e-40")
+    with pytest.raises(ToleranceError):
+        zagier_g(1, tol="1e-40")
+    with pytest.raises(ToleranceError):
+        zagier_g(1, tol="1e-40", route="direct")
 
 
 def test_readme_quick_start_at_fifteen_digits():
@@ -323,6 +329,20 @@ def test_laterals_differ_by_twice_delta():
     delta = dirichlet_delta("trefoil", x)
     assert abs(mur - mul - 2 * delta) < mp.mpf("5e-13")
     assert abs((mur + mul) / 2 - med) < mp.mpf("1e-22")
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_closed_route_kinds_share_one_lateral_and_one_delta(model, dps):
+    """Every kind of the closed route is one lateral base L plus a multiple
+    of one delta, so the kinds agree with each other far inside tol, on and
+    off the real axis."""
+    tol = mp.mpf("1e-10")
+    with mp.workdps(dps):
+        for x in (2, mp.mpc(2, "1.5"), mp.mpc("0.7", "-0.4"), mp.mpc(5, 3), mp.mpc("0.3", 2)):
+            mur, mul, med = (sum_erfi(model, x, kind, tol=tol).value
+                             for kind in ("mur", "mul", "median"))
+            assert abs((mur + mul) / 2 - med) <= tol / 1000, x
 
 
 def test_delta_is_imaginary_on_the_real_axis():
