@@ -37,6 +37,7 @@ from .summation import (
     averaged_value,
     cross_routes,
     dirichlet_delta,
+    median_boundary_sum,
     radial_limit,
     sum_erfi,
     sum_eta_integral,
@@ -86,6 +87,7 @@ __all__ = [
     "f_at_root_of_unity",
     "l_series_partial",
     "l_value_exact",
+    "median_boundary_sum",
     "phi",
     "poincare_borel",
     "poincare_coeffs",

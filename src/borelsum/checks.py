@@ -24,6 +24,7 @@ from .series import borel_transform
 from .summation import (
     cross_routes,
     dirichlet_delta,
+    median_boundary_sum,
     radial_limit,
     route_gap,
     sum_erfi,
@@ -191,6 +192,20 @@ def g_route_ratio(x, direct_tol, laplace_tol, g=zagier_g):
     return g(x, tol=direct_tol, route="direct") / g(x, tol=laplace_tol)
 
 
+def g_closed_gap(xs, tol, g=zagier_g):
+    """Worst |g(x) by the closed route's lateral base - g(x) by the
+    Laplace route| over the xs.  Equal in theory: the paper's eta-integral
+    formula for L, Zagier's theorem on g and the delta-theta identity
+    together say so, and this gap measures that chain."""
+    return max(abs(g(x, tol=tol, route="closed") - g(x, tol=tol)) for x in xs)
+
+
+def radial_gap(alpha, model, tol):
+    """|radial_limit(alpha, tol, model) - median_boundary_sum(alpha, model)|."""
+    limit = radial_limit(alpha, tol=tol, model=model).value
+    return abs(limit - median_boundary_sum(alpha, model))
+
+
 def g_route_constant():
     """The measured value of g_route_ratio, 2 pi / sqrt 3 e^{-i pi/4}."""
     return 2 * mp.pi / mp.sqrt(3) * mp.expjpi(mp.mpf(-1) / 4)
@@ -341,7 +356,7 @@ def _reachable(tol):
 def _identity_suite():
     # g(1) and g(1/2) enter three checks each; evaluate them once
     g = lru_cache(maxsize=None)(zagier_g)
-    yield Check("delta-theta-identity", delta_theta_gap(mp.mpf(1), "1e-20"), "1e-12")
+    yield Check("delta-theta-identity", delta_theta_gap(mp.mpf(1), _reachable("1e-20")), "1e-12")
     for a in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
         yield Check(f"strange-radial-{a.numerator}-{a.denominator}",
                     phi_gap(a, eta_tilde_radial(a)[0], -2), "1e-4")
@@ -363,6 +378,9 @@ def _identity_suite():
                 f"difference {mp.nstr(abs(r_one - reference), 3)}")
     yield Check("l-value-hurwitz-sums", l_value_hurwitz_gap(), f"1e{5 - mp.dps}",
                 "relative, against kappa nu^-s L(2s-1)")
+    yield Check("g-closed-route", g_closed_gap((Fraction(1), Fraction(1, 2)),
+                                               _reachable("1e-16"), g), "1e-10",
+                "closed lateral base L(i/(2 pi x)) against the Laplace route, x = 1, 1/2")
 
 
 def _summation_suite():
@@ -380,6 +398,11 @@ def _summation_suite():
                 "remainder over the first omitted term")
     limit = radial_limit(Fraction(1), tol="1e-12").value
     yield Check("radial-limit-alpha-1", phi_gap(Fraction(1), limit), "1e-4")
+    for model in ("trefoil", "poincare"):
+        for a in (Fraction(1), Fraction(1, 3), Fraction(3, 4)):
+            yield Check(f"radial-limit-{model}-{a.numerator}-{a.denominator}",
+                        radial_gap(a, model, _reachable("1e-12")), "1e-10",
+                        "against the median's theta series at the root of unity")
 
 
 def _poincare_transseries_suite():

@@ -20,7 +20,14 @@ from mpmath import mp
 from .checks import SUITES, run_suite
 from .errors import ConvergenceError, DomainError, QuadratureError, ToleranceError, require_tol
 from .invariants import RationalAngle, phi, poincare_coeffs, trefoil_coeffs
-from .summation import AverageKind, radial_limit, route_gap, sum_erfi, sum_median
+from .summation import (
+    AverageKind,
+    median_boundary_sum,
+    radial_limit,
+    route_gap,
+    sum_erfi,
+    sum_median,
+)
 
 __all__ = ["RunConfig", "main"]
 
@@ -192,12 +199,13 @@ def _cmd_radial(cfg: RunConfig, args) -> tuple[dict, bool]:
         raise _UsageError(f"--alpha: {exc}") from exc
     if angle.alpha == 0:
         raise _UsageError("--alpha must be nonzero")
-    if cfg.object != "trefoil":
-        raise _UsageError(f"--object {cfg.object}: the trefoil is the only model with a radial route")
-    result = radial_limit(angle, tol=cfg.tol)
-    target = phi(angle)
+    result = radial_limit(angle, tol=cfg.tol, model=cfg.object)
+    # the target: the paper's q-factorial sum phi for the trefoil, the finite
+    # sum of the median's theta series at the root of unity for Poincare
+    target = phi(angle) if cfg.object == "trefoil" else median_boundary_sum(angle, cfg.object)
     payload = {
         "command": "radial",
+        "model": result.model,
         "alpha": str(angle.alpha),
         "limit": _complex_pair(result.value),
         "err_estimate": _real_str(result.err_estimate),

@@ -64,11 +64,15 @@ values of the unit-disk function continuously from either half plane.
 g(-x) is the conjugate of g(x) for real x.  A direct route integrates
 (z - x)^{-3/2} eta(z) along a ray rotated into the upper half plane; its
 ratio to the lateral value is a fixed constant, measured by the verify
-suite rather than folded in here.
+suite rather than folded in here.  A closed route sums the same lateral
+value as the closed erfi series' lateral base at i/(2 pi x)
+(summation._lateral), with no ray; verify's g-closed-route check compares
+it with the Laplace route.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from math import ceil, e, exp, isqrt, log, log1p, log2, log10, pi, sqrt
 from numbers import Rational
@@ -218,18 +222,22 @@ def _theta_value(tau, weight: int, n_terms=None, guard=None, chains=_CHI12_CHAIN
     return +acc
 
 
-def rational_parts(alpha):
-    """(value, denominator) of a rational angle alpha, taken by the rule of
-    invariants.RationalAngle: an int, a Fraction or an "a/b" string.  A
-    float or mpf raises DomainError naming alpha before any work, since its
-    binary fraction would size the ladder for a denominator near 2^54, and
-    one that is not finite says so."""
+def _rational_angle(alpha) -> Fraction:
+    """alpha as a Fraction by the rule of invariants.RationalAngle: an int,
+    a Fraction or an "a/b" string.  A float or mpf raises DomainError naming
+    alpha before any work, since its binary fraction would size the boundary
+    sums for a denominator near 2^54, and one that is not finite says so."""
     try:
-        frac = _angle(alpha).alpha
+        return _angle(alpha).alpha
     except DomainError:
         if not isinstance(alpha, str):
             require_finite(alpha, "alpha")
         raise
+
+
+def rational_parts(alpha):
+    """(value, denominator) of a rational angle alpha (_rational_angle)."""
+    frac = _rational_angle(alpha)
     return mp.mpf(frac.numerator) / frac.denominator, frac.denominator
 
 
@@ -437,8 +445,13 @@ def zagier_g(x, tol="1e-16", route: str = "laplace"):
     The default route delegates to the lateral Laplace value at i/(2 pi x),
     side mul for x > 0 and mur for x < 0.  route="direct" integrates the
     kernel (z - x)^{-3/2} against eta(z) along a rotated ray instead; the
-    two routes differ by a fixed x-independent constant."""
-    from .summation import AverageKind, _require_reachable, sum_eta_integral
+    two routes differ by a fixed x-independent constant.  route="closed"
+    sums the closed route's lateral base L at the same point to tol
+    (summation._lateral): L is analytic across the imaginary axis, and on
+    it equals the Laplace route's lateral value, with no ray and no theta
+    sum."""
+    from .borel import trefoil_borel
+    from .summation import AverageKind, _lateral, _require_reachable, sum_eta_integral
 
     tol = require_tol(tol)
     _require_reachable(tol)
@@ -453,9 +466,11 @@ def zagier_g(x, tol="1e-16", route: str = "laplace"):
         raise DomainError("x must be nonzero")
     if route == "direct":
         return _g_direct(a, tol)
-    if route != "laplace":
-        raise ValueError("route must be 'laplace' or 'direct'")
+    if route not in ("laplace", "closed"):
+        raise ValueError("route must be 'laplace', 'direct' or 'closed'")
     point = mp.j / (2 * mp.pi * a)
+    if route == "closed":
+        return _lateral(trefoil_borel(), point, tol)
     side = AverageKind.MUL if a > 0 else AverageKind.MUR
     return sum_eta_integral(point, side=side, tol=tol).value
 

@@ -84,11 +84,12 @@ order below it to the panel tolerance; a panel that no pair settles is
 bisected.  It raises QuadratureError instead of returning a low-quality
 value.
 
-The radial limits of summation and modular share one extrapolation ladder,
-_radial_ladder: nine samples at start/2^j, Richardson-extrapolated to 0.
-Its Lagrange weights at 0 do not depend on start, so the most that an error
-in every sample can move the limit by is one exact multiple of that error,
-_LADDER_GAIN.
+modular.eta_tilde_radial takes its radial limits on one extrapolation
+ladder, _radial_ladder: nine samples at start/2^j, Richardson-extrapolated
+to 0.  Its Lagrange weights at 0 do not depend on start, so the most that
+an error in every sample can move the limit by is one exact multiple of
+that error, _LADDER_GAIN.  summation.radial_limit needs no ladder: it sums
+the boundary value itself.
 """
 
 from __future__ import annotations
@@ -685,7 +686,7 @@ _LADDER_GAIN = Fraction(1580293, 192913)
 
 def _radial_ladder(sample, start):
     """Richardson limit at h = 0 of sample(h) on the ladder h_j = start/2^j,
-    j < 9, the one ladder of the radial limits.
+    j < 9, the ladder of eta_tilde_radial.
 
     Returns (limit, correction, samples), the correction the last one of
     richardson_limit; an error e in every sample moves the limit by at most

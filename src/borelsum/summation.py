@@ -75,10 +75,31 @@ specfun._gauss_cutoff at tol/2 and the guard modular._theta_guard at
 tol/1000.  sum_median takes it wherever its nonzero terms cost less than
 the closed route's N_alg (_median_value).
 
-radial route: median values at x = eps + i y extrapolated to the boundary
-point i y on specfun._radial_ladder, the one ladder that eta_tilde_radial
-shares; at y = 1/(2 pi alpha) the limit is the unit-circle boundary value at
-angle alpha.
+radial route (both models): the lateral base L is analytic across the
+imaginary axis, and only delta diverges there, so the median's limit along
+x = eps + i y is L(i y) + sgn(y) delta*, with no extrapolation.  L is the
+closed route's own sum at x = i y (_lateral), where _peel_order's bound
+holds on the edge arg x = +-pi/2 of its sector.  delta* is the boundary
+value of delta, exact by the Lawrence-Zagier lemma: with C(n) =
+w_n e^{-i nu n^2 y} periodic and of mean zero,
+
+    delta* = i^k Gamma(1 - k/2) (i y)^{k/2-1} L(-p, C),
+
+a finite sum of Bernoulli polynomials at roots of unity
+(characters.l_value_cyclotomic).  At y = 1/(2 pi alpha) the limit is the
+median's theta series at the root of unity e^{2 pi i alpha}, which the same
+lemma makes the finite sum median_boundary_sum: for the trefoil, phi(alpha).
+
+Read together, three facts make the trefoil's theta identity more than a
+measurement.  The paper's eta-integral formula writes L as the lateral
+Laplace value that zagier_g takes at x = i/(2 pi a), so L(i/(2 pi a)) =
+g(a); by Zagier's theorem g is the obstruction to the modularity of
+eta_tilde, -1/2 eta_tilde(i/(2 pi x)) - g is a multiple of
+eta_tilde(2 pi i x); and by the delta-theta identity (verify's check of
+that name) that multiple is delta.  So median = L + sgn(Im x) delta is
+-1/2 eta_tilde(i/(2 pi x)), the trefoil's theta series.  The chain is
+measured, not proved, here: verify's g-closed-route check compares L at
+i/(2 pi a) with the Laplace route's g, which shares no code with it.
 """
 
 from __future__ import annotations
@@ -86,6 +107,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import count, islice
 
 from mpmath import mp
@@ -98,7 +120,7 @@ from .borel import (
     poincare_borel,
     trefoil_borel,
 )
-from .characters import chi12, chi60
+from .characters import chi12, chi60, l_value_cyclotomic
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -107,10 +129,9 @@ from .errors import (
     require_finite,
     require_tol,
 )
-from .modular import _eta_ray, _theta_chains, _theta_guard, _theta_value, rational_parts
+from .modular import _eta_ray, _rational_angle, _theta_chains, _theta_guard, _theta_value
 from .specfun import (
     FixedKernel,
-    _LADDER_GAIN,
     _adaptive_segment,
     _algebraic,
     _fixed_mul,
@@ -118,7 +139,6 @@ from .specfun import (
     _gauss_cutoff,
     _log_gaussian_tail,
     _quadratic_phase_sum,
-    _radial_ladder,
     _remainder_factor,
     _to_fixed,
     dawson_deficit,
@@ -137,6 +157,7 @@ __all__ = [
     "route_gap",
     "sum_median",
     "radial_limit",
+    "median_boundary_sum",
     "median_laplace_unit",
     "median_laplace_unit_closed",
 ]
@@ -155,11 +176,10 @@ _DELTA_FACTOR = {AverageKind.MUL: -1, AverageKind.MEDIAN: 0, AverageKind.MUR: 1}
 class SummationResult:
     """Value of one summation route at one point, with its context.
 
-    err_estimate is the route's own estimate (tol for the closed and
-    integral routes, the tail bound plus rounding for the theta route, the
-    ladder's for the radial route), or the cross-route gap when a
-    cross-check measured more.  routes holds the independent route values
-    of a cross-checked median, else None."""
+    err_estimate is the route's own estimate (tol for the closed, integral
+    and radial routes, the tail bound plus rounding for the theta route),
+    or the cross-route gap when a cross-check measured more.  routes holds
+    the independent route values of a cross-checked median, else None."""
 
     model: str
     x: object
@@ -337,20 +357,63 @@ def _gaussian_sum(mdl: SqrtBranched, x, n_terms: int):
     return acc
 
 
-def dirichlet_delta(model, x, tol="1e-16"):
-    """Exponentially small lateral difference: median - mul = mur - median.
-
-    Equals i^k Gamma(1 - k/2) x^{k/2-1} sum_n c_n e^{-eta_n x}; the sum is a
-    weighted theta series, so the cutoff is Gaussian in n."""
-    mdl = _resolve_model(model)
-    xz = _require_right_half(x)
-    tol = require_tol(tol)
+def _delta_prefactor(mdl: SqrtBranched, x):
+    """i^k Gamma(1 - k/2) x^{k/2-1}, the factor of delta's Gaussian sum and
+    of its boundary value."""
     k = mdl.k
-    pref = mp.j**k * mp.gamma(1 - mp.mpf(k) / 2) * mp.power(xz, mp.mpf(k) / 2 - 1)
+    return mp.j**k * mp.gamma(1 - mp.mpf(k) / 2) * mp.power(x, mp.mpf(k) / 2 - 1)
+
+
+def _delta(mdl: SqrtBranched, xz, tol, pref=None):
+    """delta at x, Re x > 0, to tol, with no check of tol: the routes call
+    it at tol/4, near their own floor.  pref is _delta_prefactor at x,
+    formed here unless the caller has it."""
+    if pref is None:
+        pref = _delta_prefactor(mdl, xz)
     n_terms, guard = _gaussian_terms(mdl, xz, abs(pref) * mdl.coeff_bound, tol)
     with mp.extradps(guard):
         acc = _gaussian_sum(mdl, xz, n_terms)
     return pref * acc
+
+
+def _delta_floor():
+    """64 eps: the smallest tolerance delta accepts at the working
+    precision, per unit of its size.  Its sum runs under guard digits for
+    tol, so what tol cannot reach is the rounding of the prefactor and of
+    its product with the sum, a few eps relative to delta's own size, which
+    is exponentially small, not 1."""
+    return 64 * mp.eps
+
+
+def _require_delta_reachable(tol, floor):
+    """ToleranceError for a tol below the floor."""
+    if tol < floor:
+        raise ToleranceError(f"tolerance {mp.nstr(tol, 3)} is below the roundoff floor "
+                             f"{mp.nstr(floor, 3)} of delta at {mp.dps} digits")
+
+
+def dirichlet_delta(model, x, tol="1e-16"):
+    """Exponentially small lateral difference: median - mul = mur - median.
+
+    Equals i^k Gamma(1 - k/2) x^{k/2-1} sum_n c_n e^{-eta_n x}; the sum is a
+    weighted theta series, so the cutoff is Gaussian in n.  A tol below
+    _delta_floor times the bound |prefactor| coeff_bound e^{-nu Re x} on its
+    first term raises ToleranceError before any work; near the imaginary
+    axis, where the sum outgrows its first term, a tol below _delta_floor
+    times |delta| raises after it.  The routes call the sum itself (_delta)
+    at tol/4, with no check."""
+    mdl = _resolve_model(model)
+    xz = _require_right_half(x)
+    tol = require_tol(tol)
+    pref = _delta_prefactor(mdl, xz)
+    unit = _delta_floor()
+    # e^{-nu Re x} in floats underflows to 0 for large Re x, where the
+    # check after the work still holds
+    _require_delta_reachable(
+        tol, unit * abs(pref) * mdl.coeff_bound * math.exp(-mdl.nu_lower * float(mp.re(xz))))
+    value = _delta(mdl, xz, tol, pref)
+    _require_delta_reachable(tol, unit * abs(value))
+    return value
 
 
 def _theta_data(mdl: SqrtBranched):
@@ -362,6 +425,15 @@ def _theta_data(mdl: SqrtBranched):
     if mdl is poincare_borel():
         return chi60(2), 0
     return None
+
+
+def _require_theta_data(mdl: SqrtBranched):
+    """_theta_data, or ValueError for a model that has no theta series."""
+    data = _theta_data(mdl)
+    if data is None:
+        raise ValueError("the theta route and the boundary values know only the trefoil "
+                         "and poincare models")
+    return data
 
 
 def _theta_terms(mdl: SqrtBranched, xz, tol):
@@ -403,8 +475,7 @@ def sum_theta(model, x, tol="1e-12") -> SummationResult:
     the roundoff floor of the closed route raises ToleranceError."""
     tol = require_tol(tol)
     mdl = _resolve_model(model)
-    if _theta_data(mdl) is None:
-        raise ValueError("the theta route knows only the trefoil and poincare models")
+    _require_theta_data(mdl)
     xz = _require_right_half(x)
     _require_reachable(tol)
     value, err = _theta_median(mdl, xz, tol, *_theta_terms(mdl, xz, tol))
@@ -488,20 +559,29 @@ def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int, budget):
 _TAIL_SHARE = mp.mpf(15) / 16
 
 
-def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
-    """L + f delta, f = sgn(Im x) + the kind's delta factor: L to tol/2 and
-    delta to tol/4 for every kind (|f| <= 2), so the kinds share one L and
-    one delta.  Of L's share the tail bound of _peel_order takes _TAIL_SHARE
-    and the kernels the rest; L is summed under the guard digits of _peel_order."""
-    _require_reachable(tol)
-    factor = int(mp.sign(mp.im(xz))) + _DELTA_FACTOR[kind]
-    tail = tol / 2 * _TAIL_SHARE
+def _lateral(mdl: SqrtBranched, xz, tol):
+    """L at x to tol, on Re x >= 0: of tol the tail bound of _peel_order
+    takes _TAIL_SHARE and the kernels the rest, and L is summed under the
+    guard digits of _peel_order.  Unlike delta, L is analytic across the
+    imaginary axis, and its plan holds there (arg x = +-pi/2); so this
+    entry has no Re x > 0 gate, which the public routes keep."""
+    tail = tol * _TAIL_SHARE
     big_k, n_alg, boost = _peel_order(mdl, xz, tail)
     with mp.extradps(boost):
-        base = _closed_base(mdl, xz, big_k, n_alg, tol / 2 - tail)
+        base = _closed_base(mdl, xz, big_k, n_alg, tol - tail)
+    return +base
+
+
+def _closed_value(mdl: SqrtBranched, xz, kind: AverageKind, tol):
+    """L + f delta, f = sgn(Im x) + the kind's delta factor: L to tol/2
+    (_lateral) and delta to tol/4 for every kind (|f| <= 2), so the kinds
+    share one L and one delta."""
+    _require_reachable(tol)
+    factor = int(mp.sign(mp.im(xz))) + _DELTA_FACTOR[kind]
+    base = _lateral(mdl, xz, tol / 2)
     if not factor:
-        return +base
-    return base + factor * dirichlet_delta(mdl, xz, tol / 4)
+        return base
+    return base + factor * _delta(mdl, xz, tol / 4)
 
 
 def sum_erfi(model, x, kind="median", tol="1e-12") -> SummationResult:
@@ -588,7 +668,7 @@ def sum_eta_integral(x, side="mul", tol="1e-16") -> SummationResult:
         _bisector(xz, narrow, tol)
         factor = _DELTA_FACTOR[kind] - _DELTA_FACTOR[wide]
         value = (_eta_integral_value(xz, wide, tol / 2)
-                 + factor * dirichlet_delta(trefoil_borel(), xz, tol / 4))
+                 + factor * _delta(trefoil_borel(), xz, tol / 4))
     return SummationResult("trefoil", xz, kind, "eta-integral", value, tol)
 
 
@@ -614,7 +694,7 @@ def cross_routes(model, x, tol="1e-10"):
         mul = _eta_integral_value(xz, AverageKind.MUL, part)
         mur = _eta_integral_value(xz, AverageKind.MUR, part)
         routes["eta-integral-average"] = (mul + mur) / 2
-        routes["eta-integral-mul-plus-delta"] = mul + dirichlet_delta(mdl, xz, part)
+        routes["eta-integral-mul-plus-delta"] = mul + _delta(mdl, xz, part)
     else:
         # swap the first three nonzero closed-form transforms for quadrature
         other = closed
@@ -647,7 +727,8 @@ _THETA_TERMS_PER_CLOSED_TERM = 50
 
 def _closed_terms(mdl: SqrtBranched, xz, tol):
     """N_alg of the closed median at tol, as _closed_value plans it
-    (_peel_order at tol/2 times _TAIL_SHARE), inf past the budget."""
+    (_lateral at tol/2: _peel_order at tol/2 times _TAIL_SHARE), inf past
+    the budget."""
     try:
         return _peel_order(mdl, xz, tol / 2 * _TAIL_SHARE)[1]
     except ConvergenceError:
@@ -748,27 +829,67 @@ def averaged_value(model, avg, p, tol="1e-10"):
     return ahead + phase * crossed
 
 
-def radial_limit(alpha, tol="1e-10") -> SummationResult:
-    """Boundary value at the point i/(2 pi alpha) by a radial median ladder.
+def _boundary_angle(alpha) -> Fraction:
+    """alpha as a Fraction (modular._rational_angle); DomainError for 0."""
+    frac = _rational_angle(alpha)
+    if frac == 0:
+        raise DomainError("alpha must be nonzero")
+    return frac
+
+
+def _delta_boundary(mdl: SqrtBranched, frac: Fraction, point):
+    """delta* = lim delta(eps + i y) as eps -> 0, at the point i y,
+    y = d/(2 pi a) for alpha = a/d: i^k Gamma(1 - k/2) (i y)^{k/2-1} L(-p, C)
+    with C(n) = w_n e^{-i nu n^2 y}, by the Lawrence-Zagier lemma, which
+    l_value_cyclotomic checks (C must have mean zero).  nu = 2 pi^2/M for the
+    modulus M of the model's theta series, whose Gaussians e^{-n^2/(2 M x)}
+    are the Poisson duals of delta's e^{-nu n^2 x}; so the phase is
+    e^{i pi s n^2/h}, s = -sgn(a) d and h = M |a|, and C has the period
+    lcm(P, M |a|).  The L-value is formed under the digits of |prefactor|,
+    so that its error of a few eps stays a few eps of delta*."""
+    modulus = _require_theta_data(mdl)[0].modulus
+    a, d = frac.numerator, frac.denominator
+    pref = _delta_prefactor(mdl, point)
+    with mp.extradps(max(0, int(mp.log10(abs(pref))) + 1)):
+        weights = mdl.table()[1]
+        table = (weights[-1], *weights[:-1])  # w_n at index n mod P
+        value = l_value_cyclotomic(table, mdl.power, -d if a > 0 else d, modulus * abs(a))
+    return pref * value
+
+
+def median_boundary_sum(alpha, model="trefoil"):
+    """The median's boundary value at the root of unity zeta = e^{2 pi i alpha},
+    exact up to rounding: the theta series -1/2 sum n^r C(n) q^{n^2} of
+    sum_theta at q^{n^2} = zeta^{n^2/(2 M)}, which by the Lawrence-Zagier
+    lemma is the finite sum -1/2 L(-r, C zeta^{n^2/(2 M)})
+    (characters.l_value_cyclotomic), over the period M d at alpha = a/d.
+    For the trefoil it equals phi(alpha) (Zagier's strange identity), and
+    it shares no code with phi's q-factorial sum."""
+    frac = _boundary_angle(alpha)
+    chi, power = _require_theta_data(_resolve_model(model))
+    value = l_value_cyclotomic(chi.table, power, frac.numerator, chi.modulus * frac.denominator)
+    return -value / 2
+
+
+def radial_limit(alpha, tol="1e-10", model="trefoil") -> SummationResult:
+    """Boundary value of the median at the point i y, y = 1/(2 pi alpha):
+    the limit of the median along x = eps + i y as eps -> 0.
 
     alpha is an int, a Fraction or an "a/b" string; a float or mpf raises
-    DomainError (modular.rational_parts).  specfun._radial_ladder
-    extrapolates the median values at x = eps + i y to eps = 0; the limit
-    is the unit-circle boundary value at angle alpha.  The error series in
-    eps grows with the denominator of alpha, so the ladder starts at
-    eps_0 = |y| / (50 den^2).  err_estimate adds the rung tolerance times
-    the ladder's gain to the last Richardson correction.  A tol below
-    _roundoff_floor raises ToleranceError before any work."""
+    DomainError (modular._rational_angle).  The closed route's lateral base
+    L is analytic across the imaginary axis, so median = L + sgn(Im x) delta
+    tends to L(i y) + sgn(y) delta*, with delta* the exact boundary value of
+    delta (_delta_boundary).  L is summed at tol/2 by the closed route's own
+    plan (_lateral), and delta* is exact up to a few eps, so err_estimate is
+    tol.  The limit is median_boundary_sum(alpha, model), for the trefoil
+    phi(alpha).  model is "trefoil", "poincare" or one of their SqrtBranched
+    models.  A tol below _roundoff_floor raises ToleranceError before any
+    work."""
     tol = require_tol(tol)
     _require_reachable(tol)
-    a, den = rational_parts(alpha)
-    if a == 0:
-        raise DomainError("alpha must be nonzero")
-    y = 1 / (2 * mp.pi * a)
-    mdl = trefoil_borel()
-    inner = max(min(tol / 10, mp.mpf("1e-14")), _roundoff_floor())
-    limit, err, _ = _radial_ladder(
-        lambda e: _closed_value(mdl, e + mp.j * y, AverageKind.MEDIAN, inner),
-        abs(y) / (50 * den**2))
-    return SummationResult("trefoil", mp.mpc(0, y), AverageKind.MEDIAN, "radial", limit,
-                           err + inner * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator)
+    frac = _boundary_angle(alpha)
+    mdl = _resolve_model(model)
+    y = frac.denominator / (2 * mp.pi * frac.numerator)
+    point = mp.mpc(0, y)
+    value = _lateral(mdl, point, tol / 2) + int(mp.sign(y)) * _delta_boundary(mdl, frac, point)
+    return SummationResult(mdl.label, point, AverageKind.MEDIAN, "radial", value, tol)

@@ -14,8 +14,11 @@ from borelsum.characters import (
     chi12,
     chi60,
     l_series_partial,
+    l_value_cyclotomic,
     l_value_exact,
+    l_value_negative,
 )
+from borelsum.errors import DomainError
 
 
 def test_chi12_sign_pattern():
@@ -96,3 +99,37 @@ def test_hurwitz_sums_match_the_l_values():
 def test_partial_sum_rejects_divergent_exponent():
     with pytest.raises(ValueError):
         l_series_partial(chi12(), 1, 50)
+
+
+@pytest.mark.parametrize("chi", [chi12(), chi60(1), chi60(2)], ids=["chi12", "chi60-1", "chi60-2"])
+def test_l_value_cyclotomic_with_no_phase_is_l_value_negative(chi):
+    """At s = 0 the phase is 1 and C is the sign table itself."""
+    for k in range(4):
+        exact = l_value_negative(chi, k)
+        value = l_value_cyclotomic(chi.table, k, 0, 2)
+        assert abs(value - mp.mpf(exact.numerator) / exact.denominator) < mp.mpf("1e-20"), k
+
+
+def test_l_value_cyclotomic_matches_the_bernoulli_polynomial_sum():
+    """L(-p, C) = -(M^p/(p+1)) sum_{n<=M} C(n) B_{p+1}(n/M) for a phase of
+    order 2h = 24 on the mod-12 character, summed term by term with
+    mp.bernpoly at 20 more digits."""
+    chi = chi12()
+    for p, s, h in ((1, 1, 12), (1, -5, 12), (0, 7, 36), (2, 3, 12)):
+        modulus = 12 * h // gcd(12, h)
+        got = l_value_cyclotomic(chi.table, p, s, h)
+        with mp.extradps(20):
+            want = -(mp.mpf(modulus) ** p / (p + 1)) * mp.fsum(
+                chi(n) * mp.expjpi(mp.mpf(s * n * n) / h) * mp.bernpoly(p + 1, mp.mpf(n) / modulus)
+                for n in range(1, modulus + 1))
+        assert abs(got - want) < mp.mpf("1e-22"), (p, s, h)
+
+
+def test_l_value_cyclotomic_needs_mean_zero_and_a_period():
+    """The Lawrence-Zagier lemma wants C of mean zero: a table that is 1 at
+    every odd n has mean 1/2.  An odd s h leaves no period of the form
+    lcm(P, h)."""
+    with pytest.raises(DomainError, match="mean"):
+        l_value_cyclotomic((0, 1), 0, 0, 2)
+    with pytest.raises(ValueError, match="even"):
+        l_value_cyclotomic(chi12().table, 1, 1, 3)

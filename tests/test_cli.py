@@ -3,9 +3,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
+
+from borelsum.summation import median_boundary_sum
 
 
 def run_cli(*args):
@@ -145,12 +148,20 @@ def test_radial_alpha_zero_is_a_usage_error():
     assert "nonzero" in proc.stderr
 
 
-def test_radial_of_the_poincare_sphere_is_a_usage_error():
-    """radial_limit has a route for the trefoil alone; --object poincare
-    must not print the trefoil's limit under the Poincare sphere's name."""
-    proc = run_cli("radial", "--alpha", "1/3", "--object", "poincare")
-    assert proc.returncode == 2
-    assert "usage error" in proc.stderr and "trefoil" in proc.stderr
+def test_radial_of_the_poincare_sphere_hits_its_boundary_sum():
+    """--object poincare takes the Poincare sphere's own radial limit, under
+    its own name, against the finite sum of its median's theta series at the
+    root of unity, not the trefoil's phi."""
+    proc = run_cli("radial", "--alpha", "1/3", "--object", "poincare", "--output", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["model"] == "poincare"
+    target = median_boundary_sum(Fraction(1, 3), "poincare")
+    assert abs(mp.mpf(doc["target"]["re"]) - target.real) < mp.mpf("1e-20")
+    assert abs(mp.mpf(doc["target"]["im"]) - target.imag) < mp.mpf("1e-20")
+    assert mp.mpf(doc["abs_diff"]) <= mp.mpf(doc["err_estimate"])
+    trefoil = json.loads(run_cli("radial", "--alpha", "1/3", "--output", "json").stdout)
+    assert trefoil["model"] == "trefoil" and trefoil["target"] != doc["target"]
 
 
 def test_radial_tolerance_below_roundoff_exits_four():
@@ -214,7 +225,7 @@ def test_verify_all_at_fifteen_digits():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["passed"] is True
-    assert len(doc["checks"]) == 32
+    assert len(doc["checks"]) == 39
 
 
 def test_verify_exact_json_lists_its_checks_in_order():

@@ -368,7 +368,7 @@ def test_g_takes_a_complex_x_on_the_real_axis():
     assert zagier_g(1 + 0j, tol="1e-12", route="direct") == zagier_g(1, tol="1e-12", route="direct")
 
 
-@pytest.mark.parametrize("route", ["laplace", "direct"])
+@pytest.mark.parametrize("route", ["laplace", "direct", "closed"])
 @pytest.mark.parametrize("dps", [15, 25, 50])
 def test_g_meets_loose_tolerances(dps, route):
     """Both routes size their eta ray to tol: at 1e-6 and 1e-10 each value
@@ -381,6 +381,19 @@ def test_g_meets_loose_tolerances(dps, route):
                 value = zagier_g(mp.mpf(x), tol=tol, route=route)
             with mp.workdps(dps + 20):
                 assert abs(value - reference) <= mp.mpf(tol), (x, tol)
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_g_closed_route_matches_the_laplace_route(dps):
+    """g(x) = L(i/(2 pi x)), the closed route's lateral base on the
+    imaginary axis, shares no ray and no theta sum with the Laplace route;
+    the two agree within their two tolerances on both half lines, at the
+    smallest tolerance both reach and at 1e-10."""
+    with mp.workdps(dps):
+        for tol in {mp.mpf("1e-10"), max(mp.mpf("1e-16"), mp.mpf(10) ** (4 - dps))}:
+            for x in (Fraction(1), Fraction(1, 2), mp.mpf("-0.8"), mp.mpf(3), mp.sqrt(2)):
+                gap = abs(zagier_g(x, tol=tol, route="closed") - zagier_g(x, tol=tol))
+                assert gap <= 2 * tol, (x, tol)
 
 
 @pytest.mark.parametrize("run", [
@@ -462,7 +475,7 @@ def test_g_taylor_count_validation():
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0, -1], ids=str)
-@pytest.mark.parametrize("route", ["laplace", "direct"])
+@pytest.mark.parametrize("route", ["laplace", "direct", "closed"])
 def test_zagier_g_refuses_a_tolerance_that_certifies_nothing(route, tol):
     start = time.perf_counter()
     with pytest.raises(DomainError, match="tolerance"):

@@ -19,6 +19,7 @@ from borelsum.summation import (
     averaged_value,
     cross_routes,
     dirichlet_delta,
+    median_boundary_sum,
     median_laplace_unit,
     median_laplace_unit_closed,
     radial_limit,
@@ -95,6 +96,10 @@ def test_tolerance_below_roundoff_raises():
         zagier_g(1, tol="1e-40")
     with pytest.raises(ToleranceError):
         zagier_g(1, tol="1e-40", route="direct")
+    with pytest.raises(ToleranceError):
+        zagier_g(1, tol="1e-40", route="closed")
+    with pytest.raises(ToleranceError):
+        radial_limit(Fraction(1, 3), tol="1e-30", model="poincare")
 
 
 def test_readme_quick_start_at_fifteen_digits():
@@ -834,6 +839,99 @@ def test_radial_limit_half():
     assert abs(res.value - target) < mp.mpf("1e-8")
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1, 5), Fraction(2, 5), Fraction(1, 3),
+                                   Fraction(3, 4)])
+def test_poincare_radial_limit_err_estimate_covers_the_error(alpha):
+    """The Poincare twin of test_radial_limit_err_estimate_covers_the_error:
+    at 15, 25 and 50 digits, at the default tol and at 10^(5 - dps), against
+    the finite boundary sum of the median's theta series at dps + 30."""
+    for dps in (15, 25, 50):
+        for tol in sorted({"1e-10", f"1e{5 - dps}"}):
+            with mp.workdps(dps):
+                res = radial_limit(alpha, tol=tol, model="poincare")
+            assert (res.model, res.route) == ("poincare", "radial")
+            with mp.workdps(dps + 30):
+                gap = abs(res.value - median_boundary_sum(alpha, "poincare"))
+            assert res.err_estimate >= gap, (alpha, dps, tol)
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_lateral_base_meets_its_tolerance_on_the_imaginary_axis(model, dps):
+    """L at x = i y, arg x = +-pi/2, the edge of the sector of _peel_order's
+    bound: within tol of the boundary value (phi for the trefoil, the theta
+    series' finite sum for the Poincare sphere) less sgn(y) delta*, both at
+    dps + 30, on both half axes, at 1e-10 and 10^(5 - dps)."""
+    mdl = summation._resolve_model(model)
+    for alpha in (Fraction(1), Fraction(-1, 3), Fraction(3, 4), Fraction(-5, 7)):
+        for tol in {mp.mpf("1e-10"), mp.mpf(10) ** (5 - dps)}:
+            with mp.workdps(dps):
+                y = alpha.denominator / (2 * mp.pi * alpha.numerator)
+                got = summation._lateral(mdl, mp.mpc(0, y), tol)
+            with mp.workdps(dps + 30):
+                y = alpha.denominator / (2 * mp.pi * alpha.numerator)
+                boundary = (invariants.phi(alpha) if model == "trefoil"
+                            else median_boundary_sum(alpha, model))
+                want = boundary - mp.sign(y) * summation._delta_boundary(mdl, alpha, mp.mpc(0, y))
+                assert abs(got - want) <= tol, (alpha, tol)
+
+
+def test_median_boundary_sum_is_phi_for_the_trefoil():
+    """Zagier's strange identity on all 718 angles a/d with d <= 24 and
+    0 < |a| < 2d: the theta series of the trefoil median at the root of
+    unity, a cyclotomic L-value, against the q-factorial sum phi, which
+    shares no code with it."""
+    worst = mp.mpf(0)
+    for d in range(1, 25):
+        for a in range(1 - 2 * d, 2 * d):
+            if a and math.gcd(a, d) == 1:
+                alpha = Fraction(a, d)
+                worst = max(worst, abs(median_boundary_sum(alpha) - invariants.phi(alpha)))
+    assert worst < mp.mpf("1e-20")
+
+
+def test_boundary_values_know_two_models():
+    """delta* and the boundary sum need the model's theta series: a model
+    built by hand has none, and alpha = 0 is no boundary point."""
+    scaled = _scaled(trefoil_borel(), 2)
+    with pytest.raises(ValueError, match="trefoil and poincare"):
+        radial_limit(1, model=scaled)
+    with pytest.raises(ValueError, match="trefoil and poincare"):
+        median_boundary_sum(1, scaled)
+    with pytest.raises(DomainError, match="nonzero"):
+        median_boundary_sum(0, "poincare")
+    with pytest.raises(DomainError, match="nonzero"):
+        radial_limit(0, model="poincare")
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("model,x", [("trefoil", mp.mpc(2, "1.5")), ("poincare", "0.7"),
+                                     ("trefoil", mp.mpc("1e-3", -3)),
+                                     ("poincare", mp.mpc("1e-6", "0.16")),
+                                     ("trefoil", mp.mpc(6, -45))], ids=str)
+def test_dirichlet_delta_has_a_roundoff_floor(model, x, dps):
+    """delta is rounded relative to its own size, so a tol below 64 eps
+    times the larger of its first-term bound and |delta| raises
+    ToleranceError; at 25 digits tol 1e-30 and 1e-40 returned values
+    1.4e-26 (trefoil, 2+1.5i) and 2.6e-28 (Poincare, 0.7) off, with no
+    refusal.  At that floor delta is within tol of its value at dps + 30."""
+    mdl = summation._resolve_model(model)
+    with mp.workdps(dps):
+        xz = mp.mpc(x)
+        first = (abs(summation._delta_prefactor(mdl, xz)) * mdl.coeff_bound
+                 * mp.exp(-mdl.nu_lower * mp.re(xz)))
+        with pytest.raises(ToleranceError, match="floor"):
+            dirichlet_delta(model, xz, tol=mp.mpf(10) ** (-dps - 15))
+        size = max(first, abs(dirichlet_delta(model, xz, tol=mp.mpf(10) ** (5 - dps))))
+        floor = summation._delta_floor() * size
+        with pytest.raises(ToleranceError, match="floor"):
+            dirichlet_delta(model, xz, tol=floor / 2)
+        got = dirichlet_delta(model, xz, tol=floor * (1 + mp.mpf("1e-6")))
+    with mp.workdps(dps + 30):
+        want = summation._delta(mdl, xz, floor * mp.mpf("1e-10"))
+        assert abs(got - want) <= floor, (model, x)
+
+
 NEAR_AXIS_IM = ["0.16", "-0.16", "0.21", "-0.21", "3"]
 
 
@@ -876,11 +974,12 @@ def test_dirichlet_delta_far_down_the_gaussian(model, im_part):
 
 
 def test_radial_limit_work_budget(monkeypatch):
-    """The closed route splits each kernel into its algebraic part, summed
-    only as far as its own bound asks (39 terms per rung here), and the
-    Stokes term, summed as one Gaussian recurrence: radial_limit(3/4) made
-    5,831 kernel calls and 6,065 exp calls when each term paid a whole
-    kernel."""
+    """radial_limit sums the closed route's algebraic parts once, at the
+    boundary point, as far as their own bound asks (N_alg = 20 here, 7 of
+    them with a nonzero weight), and adds delta's boundary value, a finite
+    cyclotomic sum: radial_limit(3/4) makes 7 kernel calls and 3 exp calls.
+    It made 5,831 and 6,065 when each term paid a whole kernel, and these
+    bounds were 250 and 800 while it ran a nine-rung ladder."""
     calls = {"kernel": 0, "exp": 0}
     kernel, exp = summation._algebraic, mp.exp
 
@@ -895,8 +994,8 @@ def test_radial_limit_work_budget(monkeypatch):
     monkeypatch.setattr(summation, "_algebraic", counted_kernel)
     monkeypatch.setattr(mp, "exp", counted_exp)
     radial_limit(Fraction(3, 4))
-    assert calls["kernel"] <= 250
-    assert calls["exp"] <= 800
+    assert calls["kernel"] <= 12
+    assert calls["exp"] <= 10
 
 
 def test_radial_limit_validation():
@@ -915,9 +1014,15 @@ def test_radial_limits_take_rational_angles_only(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(summation, "_closed_value", no_work)
+        patch.setattr(summation, "_lateral", no_work)
+        patch.setattr(summation, "l_value_cyclotomic", no_work)
         patch.setattr(modular, "eta_tilde", no_work)
         with pytest.raises(DomainError, match="alpha"):
             radial_limit(0.3)
+        with pytest.raises(DomainError, match="alpha"):
+            radial_limit(0.3, model="poincare")
+        with pytest.raises(DomainError, match="alpha"):
+            median_boundary_sum(0.3)
         with pytest.raises(DomainError, match="alpha"):
             modular.eta_tilde_radial(mp.mpf(1) / 3)
     assert radial_limit(Fraction(3, 10)).value == radial_limit("3/10").value
