@@ -22,6 +22,7 @@ from .invariants import phi, poincare_coeffs, trefoil_coeffs
 from .modular import eta_tilde, eta_tilde_radial, rational_parts, zagier_g, zagier_g_taylor
 from .series import borel_transform
 from .summation import (
+    _roundoff_floor,
     cross_routes,
     dirichlet_delta,
     median_boundary_sum,
@@ -349,8 +350,9 @@ def _exact_suite():
 
 
 def _reachable(tol):
-    """tol, or at low precision the routes' floor 10^(3-dps) and a digit."""
-    return max(mp.mpf(tol), mp.mpf(10) ** (4 - mp.dps))
+    """tol, or at low precision the routes' floor (summation._roundoff_floor)
+    and a digit."""
+    return max(mp.mpf(tol), 10 * _roundoff_floor())
 
 
 def _identity_suite():

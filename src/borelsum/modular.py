@@ -37,26 +37,36 @@ guard of the longest sum on the ray (at t = 1), 10 bits, and the bits of
 its argument by, as |t - w| >= |Im w| for real t; never more than
 _eta_ray_wp, those bits at the full working precision.
 
-Every theta sum is the same integer kernel _theta_sum, on q = e^{pi i
-tau/12} and Q = q^24: every n with chi(n) != 0 is prime to 6, so
-n^2 = 1 + 24 e_n with e_n whole, and the sum is q times the sum of
-chi(n) Q^{e_n} over the chains n = 6 k + 1 and n = 6 k + 5, along each of
-which chi alternates and the terms step by two products per term, from
-Q^2, Q^3 and Q^4 formed once.  The same holds for any sign table C mod
-2P that flips sign every P steps and lives on n^2 = 1 + 4P e_n
-(_theta_chains): chi60(2), whose chains run mod 30, is summed the same way
-by summation's theta route.  specfun._fixed_phase_sum steps each chain on
+Every theta sum at a point tau of the upper half plane is the same
+integer kernel _theta_sum, on q = e^{pi i tau/12} and Q = q^24: every n
+with chi(n) != 0 is prime to 6, so n^2 = 1 + 24 e_n with e_n whole, and
+the sum is q times the sum of chi(n) Q^{e_n} over the chains n = 6 k + 1
+and n = 6 k + 5, along each of which chi alternates and the terms step by
+two products per term, from Q^2, Q^3 and Q^4 formed once.  The same
+holds for any sign table C mod 2P that flips sign every P steps and lives
+on n^2 = 1 + 4P e_n (_theta_chains): chi60(2), whose chains run mod 30,
+is summed the same way by summation's theta route.  specfun._fixed_phase_sum steps each chain on
 Python integers scaled by 2^wp, wp = prec + 10 bits at the guarded
 precision.  One planner serves every theta and Gaussian sum: the cutoff
 specfun._gauss_cutoff, held to each caller's budget, and the guard
 _theta_guard.  _theta_value, the one front end from tau to an mpc, seeds
 q = e^{pi i tau/(2P)} and Q = e^{2 pi i tau} by two expjpi calls, or two
 real exponentials when tau is imaginary; eta and eta_tilde take its
-default plan, summation's theta route its own count and guard.
+default plan, _theta_plan, summation's theta route its own count and
+guard.
 
 eta_tilde is the companion weighted by an extra factor n.  Its radial limits
 at rational points are finite even though the unweighted series has none,
 which is what the boundary identities in the tests probe.
+eta_tilde_radial takes them on a Richardson ladder of samples at
+alpha + i eps, alpha = a/d, that do not go through _theta_sum: there the
+coefficient chi(n) e^{pi i a n^2/(12 d)} has period 12 d, so each sample
+(_boundary_sampler) is a sum of real Gaussian sums, one per residue class
+mod 12 d, stepped by specfun._fixed_gauss_sum at two integer products a
+term, each times its root-of-unity phase once.  The phases come from one
+expjpi per ladder and alpha enters as a Fraction; the cutoff and guard
+are eta_tilde's own plan, so that eta_tilde at the same point is the
+independent check of every sample.
 
 zagier_g(x) is the lateral Laplace value at i/(2 pi x): the sum side is
 "mul" for x > 0 and "mur" for x < 0, so that g picks up the boundary
@@ -79,6 +89,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
 from .characters import DirichletCharacter, chi12
@@ -87,8 +98,10 @@ from .invariants import _angle
 from .specfun import (
     _LN10,
     _LADDER_GAIN,
+    _LADDER_RUNGS,
     _PHASE_GUARD_BITS,
     FixedKernel,
+    _fixed_gauss_sum,
     _fixed_inverse_three_halves,
     _fixed_mul,
     _fixed_phase_sum,
@@ -195,6 +208,15 @@ def _theta_sum(q, big_q, n_terms: int, weight: int, wp: int, chains=_CHI12_CHAIN
     return _fixed_mul(q, (acc_re, acc_im), wp)
 
 
+def _theta_plan(b: float, weight: int, stride: int = _CHI12_CHAINS.half) -> tuple[int, int]:
+    """eta's default plan for a theta sum whose terms are at most
+    n^weight e^{-b n^2}, along chains of the given stride: (N, guard), N the
+    cutoff at 10^-(dps+5) of the first term, held to _SERIES_BUDGET, and
+    the guard _theta_guard at slack 0."""
+    n_terms = _gauss_cutoff(b, weight, -b - (mp.dps + 5) * _LN10, _SERIES_BUDGET)
+    return n_terms, _theta_guard(n_terms, stride, b, weight)
+
+
 def _theta_value(tau, weight: int, n_terms=None, guard=None, chains=_CHI12_CHAINS):
     """sum C(n) n^weight q^{n^2} over n <= n_terms as an mpc, q = e^{pi i
     tau/(2P)}, along the chains of C (default chi12, P = 6), seeded by q and
@@ -203,9 +225,7 @@ def _theta_value(tau, weight: int, n_terms=None, guard=None, chains=_CHI12_CHAIN
     term and _theta_guard at slack 0."""
     half = chains.half
     if n_terms is None:
-        b = pi * float(tau.imag) / (2 * half)
-        n_terms = _gauss_cutoff(b, weight, -b - (mp.dps + 5) * _LN10, _SERIES_BUDGET)
-        guard = _theta_guard(n_terms, half, b, weight)
+        n_terms, guard = _theta_plan(pi * float(tau.imag) / (2 * half), weight, half)
     with mp.extradps(guard):
         wp = mp.prec + _PHASE_GUARD_BITS
         if tau.real:
@@ -408,22 +428,74 @@ def eta_tilde(tau):
     return _theta_value(tz, 1)
 
 
+def _boundary_sampler(alpha: Fraction, finest):
+    """The function eps -> eta_tilde(alpha + i eps) for eps >= finest, by
+    residue classes mod M = 12 d, alpha = a/d in lowest terms.
+
+    With b = pi eps/12 and omega = e^{pi i/(12 d)}, the coefficient
+    chi12(n) omega^{a n^2} of n e^{-b n^2} has period M, as a M (2 n + M)
+    = 24 d a (n + 6 d) is a multiple of 24 d, so eta_tilde is the sum over
+    r < M with chi12(r) != 0 of chi12(r) omega^{a r^2 mod 24 d} G_r, each
+    G_r = sum of n e^{-b n^2} over n = r, r + M, ..., a real sum that
+    specfun._fixed_gauss_sum steps on integers, from T = e^{-b r^2},
+    R = e^{-b (2 r M + M^2)} and the step e^{-2 b M^2}.  Each sample takes
+    eta_tilde's plan (_theta_plan): the same cutoff N and the same guard,
+    which covers the shorter chains and the seeds, stepped over r < M from
+    three real exponentials.  The powers of omega do not depend on eps:
+    one expjpi forms them, at the working bits of the finest sample, and
+    every sample multiplies each G_r by its phase once, exactly."""
+    a, period = alpha.numerator, 12 * alpha.denominator
+    chi = chi12()
+    with mp.extradps(_theta_plan(pi * float(finest) / 12, 1)[1]):
+        top = mp.prec + _PHASE_GUARD_BITS
+        unit = _to_fixed(mp.expjpi(mp.mpf(1) / period), top)
+    powers = [(1 << top, 0)]
+    for _ in range(2 * period - 1):
+        powers.append(_fixed_mul(powers[-1], unit, top))
+    phases = {r: tuple(chi(r) * part for part in powers[a * r * r % (2 * period)])
+              for r in range(period) if chi(r)}
+
+    def sample(eps):
+        n_terms, guard = _theta_plan(pi * float(eps) / 12, 1)
+        with mp.extradps(guard):
+            wp = mp.prec + _PHASE_GUARD_BITS
+            decay = mp.pi * eps / 12
+            # e^{-b r^2} steps by e^{-b (2 r + 1)}, e^{-b (2 r M + M^2)} by e^{-2 b M}
+            rise, head, shift = (to_fixed(mp.exp(-decay * k)._mpf_, wp)
+                                 for k in (1, period**2, 2 * period))
+            term, square, step = 1 << wp, (rise * rise) >> wp, (head * head) >> wp
+            acc_re = acc_im = 0
+            for r in range(min(period, n_terms + 1)):
+                if r in phases:
+                    g = _fixed_gauss_sum(term, head, step, r, n_terms, period, 1, wp)
+                    acc_re += phases[r][0] * g
+                    acc_im += phases[r][1] * g
+                term, rise, head = (term * rise) >> wp, (rise * square) >> wp, (head * shift) >> wp
+            acc = _from_fixed(acc_re, acc_im, wp + top)
+        return +acc
+
+    return sample
+
+
 def eta_tilde_radial(alpha):
     """Radial limit of eta_tilde at the rational point alpha: an int, a
     Fraction or an "a/b" string (rational_parts).
 
     specfun._radial_ladder extrapolates the values at alpha + i eps to
     eps = 0 from eps_0 = 0.002 / den^2: the error series blows up with the
-    denominator of alpha.  The ladder runs under 5 guard digits, so that
-    alpha, the samples and the tableau are resolved past the working
-    precision.  Returns (limit, err_estimate): the last Richardson
+    denominator of alpha.  Each value is a residue-class sample
+    (_boundary_sampler), which takes alpha exactly, as a Fraction, and
+    shares one table of phases across the ladder.  The ladder runs under 5
+    guard digits, so that the samples and the tableau are resolved past the
+    working precision.  Returns (limit, err_estimate): the last Richardson
     correction plus the ladder's gain times eps max |sample| at the working
     eps, which covers the rounding and recurrence drift of each sample and
     the rounding of the limit."""
     with mp.extradps(5):
-        a, den = rational_parts(alpha)
+        frac = _rational_angle(alpha)
+        start = mp.mpf("0.002") / frac.denominator**2
         limit, correction, samples = _radial_ladder(
-            lambda eps: eta_tilde(a + mp.j * eps), mp.mpf("0.002") / den**2)
+            _boundary_sampler(frac, start / 2**(_LADDER_RUNGS - 1)), start)
     sample_err = mp.eps * max(abs(v) for v in samples)
     return +limit, correction + sample_err * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
 

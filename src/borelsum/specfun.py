@@ -64,6 +64,10 @@ wp = prec + 10 bits, after the caller has raised prec by its own guard for
 the drift of the products: four integer products and two shifts per
 complex product, with no normalisation.  The theta sums seed it on
 integers, the Gaussian sum through its mpc wrapper _quadratic_phase_sum.
+_fixed_gauss_sum is the same recurrence on real values, two integer
+products and two shifts a term: modular's boundary samples split into
+real Gaussian sums, one per residue class, each multiplied by its phase
+once after the loop.
 The kernels (t - w)^{-3/2} of modular's eta ray integrand stay on the same
 integers: _fixed_inverse_three_halves forms z^{-3/2} as (1/z) sqrt(1/z),
 1/z from the exact integer norm, and _fixed_sqrt takes the principal root
@@ -167,6 +171,21 @@ def _fixed_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,
             sr += tr
             si += ti
     return sr, si
+
+
+def _fixed_gauss_sum(term: int, ratio: int, step: int, n_first: int, n_last: int, stride: int,
+                     weight: int, wp: int) -> int:
+    """_fixed_phase_sum on real values, integers scaled by 2^wp, at weight 0
+    or 1: sum of n^weight T_n over n = n_first, n_first + stride, ...
+    <= n_last, with T <- T R and R <- R step per stride.  Two integer
+    products and two shifts per term, and on real seeds the real part of
+    _fixed_phase_sum, bit for bit."""
+    acc = n_first**weight * term
+    for n in range(n_first + stride, n_last + 1, stride):
+        term = (term * ratio) >> wp
+        ratio = (ratio * step) >> wp
+        acc += n * term if weight else term
+    return acc
 
 
 def _fixed_sqrt(z, wp: int):
@@ -679,19 +698,21 @@ def richardson_limit(hs, vals):
     return tab[0], abs(tab[0] - diag_prev)
 
 
-# sum over j < 9 of |prod_{k != j} h_k / (h_k - h_j)|, h_j = 2^-j: the
-# absolute Lagrange weights at h = 0 of the ladder, whatever its start
+# the rungs of the ladder, and the sum over j < 9 of |prod_{k != j} h_k /
+# (h_k - h_j)|, h_j = 2^-j: the absolute Lagrange weights at h = 0 of the
+# ladder, whatever its start
+_LADDER_RUNGS = 9
 _LADDER_GAIN = Fraction(1580293, 192913)
 
 
 def _radial_ladder(sample, start):
     """Richardson limit at h = 0 of sample(h) on the ladder h_j = start/2^j,
-    j < 9, the ladder of eta_tilde_radial.
+    j < _LADDER_RUNGS = 9, the ladder of eta_tilde_radial.
 
     Returns (limit, correction, samples), the correction the last one of
     richardson_limit; an error e in every sample moves the limit by at most
     e _LADDER_GAIN."""
-    hs = [start / 2**j for j in range(9)]
+    hs = [start / 2**j for j in range(_LADDER_RUNGS)]
     samples = [sample(h) for h in hs]
     limit, correction = richardson_limit(hs, samples)
     return limit, correction, samples

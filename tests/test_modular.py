@@ -167,6 +167,65 @@ def test_eta_tilde_radial_error_estimate_covers_the_error(alpha, dps):
     assert err >= actual, (alpha, dps)
 
 
+SAMPLER_ALPHAS = BOUNDARY_ALPHAS + [Fraction(-1), Fraction(2), Fraction(5, 7),
+                                   Fraction(-7, 12), Fraction(11, 3), Fraction(1, 12)]
+
+
+def _ladder_ends(alpha):
+    """The first and the last rung eps of eta_tilde_radial's ladder at alpha."""
+    start = mp.mpf("0.002") / alpha.denominator**2
+    return start, start / 2**8
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("alpha", SAMPLER_ALPHAS, ids=str)
+def test_boundary_samples_match_eta_tilde(alpha, dps):
+    """A residue-class sample, real Gaussian sums mod 12 d times their
+    phases, against the generic theta sum eta_tilde at the same point, at
+    the first and the last rung of the ladder."""
+    with mp.workdps(dps):
+        first, last = _ladder_ends(alpha)
+        sample = modular._boundary_sampler(alpha, last)
+        for eps in (first, last):
+            want = eta_tilde(mp.mpf(alpha.numerator) / alpha.denominator + mp.j * eps)
+            assert abs(sample(eps) - want) <= mp.mpf(10) ** (5 - dps) * max(1, abs(want)), eps
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(2, 3), Fraction(-7, 12)], ids=str)
+def test_eta_tilde_radial_work_budget(monkeypatch, alpha):
+    """One expjpi per ladder, no generic theta sum, and per rung exactly as
+    many real steps as there are n <= N with chi12(n) != 0, N eta_tilde's
+    own cutoff at that eps."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the boundary samples went through the generic theta sum")
+
+    expjpi_calls, steps = [0], {}
+    expjpi, gauss_sum = mp.expjpi, modular._fixed_gauss_sum
+
+    def counted(x):
+        expjpi_calls[0] += 1
+        return expjpi(x)
+
+    def stepped(term, ratio, step, n_first, n_last, stride, weight, wp):
+        steps[n_last] = steps.get(n_last, 0) + len(range(n_first, n_last + 1, stride))
+        return gauss_sum(term, ratio, step, n_first, n_last, stride, weight, wp)
+
+    monkeypatch.setattr(mp, "expjpi", counted)
+    monkeypatch.setattr(modular, "eta_tilde", no_work)
+    monkeypatch.setattr(modular, "_theta_sum", no_work)
+    monkeypatch.setattr(modular, "_fixed_gauss_sum", stepped)
+    eta_tilde_radial(alpha)
+    assert expjpi_calls[0] == 1
+    chi = chi12()
+    with mp.extradps(5):
+        first, _ = _ladder_ends(alpha)
+        cutoffs = [modular._theta_plan(math.pi * float(first / 2**j) / 12, 1)[0]
+                   for j in range(9)]
+    assert sorted(steps) == sorted(cutoffs)
+    for n_terms in cutoffs:
+        assert steps[n_terms] == sum(1 for n in range(1, n_terms + 1) if chi(n)), n_terms
+
+
 def test_theta_sum_transcendental_call_budget(monkeypatch):
     """Every theta sum makes at most two expjpi calls, q = e^{pi i tau/12}
     and Q = q^24, and steps the rest on integers: near the real axis, where

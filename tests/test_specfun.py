@@ -15,7 +15,9 @@ from borelsum.specfun import (
     _algebraic,
     _dawson_maclaurin,
     _emodd_tail2,
+    _fixed_gauss_sum,
     _fixed_inverse_three_halves,
+    _fixed_phase_sum,
     _fixed_sqrt,
     _from_fixed,
     _gl_fixed,
@@ -207,6 +209,23 @@ def test_quadratic_phase_sum_against_plain_loop(dps, weight):
         size = abs(_plain_phase_sum(*map(abs, seeds), n_first, n_last, stride, weight))
         assert abs(got - want) <= mp.mpf(10) ** -dps * size, (dps, weight)
         assert abs(got - want) <= abs(mpc_loop - want), (dps, weight)
+
+
+@pytest.mark.parametrize("weight", [0, 1])
+def test_fixed_gauss_sum_is_the_real_phase_sum(weight):
+    """On real seeds the real kernel is _fixed_phase_sum with zero imaginary
+    parts, bit for bit: the same products, shifts and sums, at two integer
+    products a term instead of eight.  Gaussian shapes T = e^{-b n^2} along
+    n = r + M k, from a few terms to thousands, b near the real axis and
+    far from it, with seeds rounded at wp."""
+    wp = 170
+    for b, r, period, n_last in [(1e-7, 1, 48, 25_100), (1e-7, 47, 48, 25_100), (0.01, 5, 12, 60),
+                                 (2e-4, 7, 36, 400), (0.3, 11, 12, 11), (1e-5, 1, 12, 7_000)]:
+        seeds = [int(mp.exp(-b * x) * 2**wp) for x in (r * r, 2 * r * period + period**2,
+                                                       2 * period**2)]
+        got = _fixed_gauss_sum(*seeds, r, n_last, period, weight, wp)
+        complex_seeds = [(x, 0) for x in seeds]
+        assert (got, 0) == _fixed_phase_sum(*complex_seeds, r, n_last, period, weight, wp)
 
 
 def _fixed_grid(wp):

@@ -164,6 +164,17 @@ def test_tolerance_near_roundoff_is_reached(model):
             assert _reference_error(model, x, tol) <= tol, x
 
 
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_verify_suite_floor_is_the_routes_floor_and_a_digit(dps):
+    """checks._reachable lifts a tol to ten times summation._roundoff_floor,
+    the value 10^(4-dps) it had as its own constant."""
+    with mp.workdps(dps):
+        floor = mp.mpf(10) ** (4 - dps)
+        assert checks._reachable("1e-300") == floor
+        assert checks._reachable(floor / 2) == floor
+        assert checks._reachable("1e-10") == mp.mpf("1e-10")
+
+
 # the real axis, both half planes, Re x = 1e-3 and |x| >= 40
 CALIBRATION_GRID = [("2", "0"), ("0.6", "2"), ("3", "-1.5"), ("1e-3", "0.5"),
                     ("1e-3", "-3"), ("40", "0"), ("6", "-45")]
@@ -1008,7 +1019,9 @@ def test_radial_limits_take_rational_angles_only(monkeypatch):
     by the rule of invariants.RationalAngle: its binary fraction would size
     the ladder for denominator 1, and radial_limit(0.3) returned a value
     8e-3 off the one at Fraction(3, 10).  A Fraction and an "a/b" string
-    agree."""
+    agree.  eta_tilde_radial's work is its residue-class sampler and the
+    real kernel that it steps; eta_tilde stays patched, so that a return to
+    the generic route is caught too."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the angle was checked")
 
@@ -1017,6 +1030,8 @@ def test_radial_limits_take_rational_angles_only(monkeypatch):
         patch.setattr(summation, "_lateral", no_work)
         patch.setattr(summation, "l_value_cyclotomic", no_work)
         patch.setattr(modular, "eta_tilde", no_work)
+        patch.setattr(modular, "_boundary_sampler", no_work)
+        patch.setattr(modular, "_fixed_gauss_sum", no_work)
         with pytest.raises(DomainError, match="alpha"):
             radial_limit(0.3)
         with pytest.raises(DomainError, match="alpha"):
