@@ -467,7 +467,7 @@ def _boundary_sampler(alpha: Fraction, finest):
             acc_re = acc_im = 0
             for r in range(min(period, n_terms + 1)):
                 if r in phases:
-                    g = _fixed_gauss_sum(term, head, step, r, n_terms, period, 1, wp)
+                    g = _fixed_gauss_sum(term, head, step, r, n_terms, period, wp)
                     acc_re += phases[r][0] * g
                     acc_im += phases[r][1] * g
                 term, rise, head = (term * rise) >> wp, (rise * square) >> wp, (head * shift) >> wp

@@ -174,17 +174,17 @@ def _fixed_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,
 
 
 def _fixed_gauss_sum(term: int, ratio: int, step: int, n_first: int, n_last: int, stride: int,
-                     weight: int, wp: int) -> int:
-    """_fixed_phase_sum on real values, integers scaled by 2^wp, at weight 0
-    or 1: sum of n^weight T_n over n = n_first, n_first + stride, ...
-    <= n_last, with T <- T R and R <- R step per stride.  Two integer
-    products and two shifts per term, and on real seeds the real part of
-    _fixed_phase_sum, bit for bit."""
-    acc = n_first**weight * term
+                     wp: int) -> int:
+    """_fixed_phase_sum at weight 1 on real values, integers scaled by 2^wp:
+    sum of n T_n over n = n_first, n_first + stride, ... <= n_last, with
+    T <- T R and R <- R step per stride.  Two integer products and two
+    shifts per term, and on real seeds the real part of _fixed_phase_sum,
+    bit for bit."""
+    acc = n_first * term
     for n in range(n_first + stride, n_last + 1, stride):
         term = (term * ratio) >> wp
         ratio = (ratio * step) >> wp
-        acc += n * term if weight else term
+        acc += n * term
     return acc
 
 

@@ -22,7 +22,7 @@ from borelsum.modular import (
     zagier_g,
     zagier_g_taylor,
 )
-from borelsum.specfun import _LN10, _from_fixed, gaussian_tail
+from borelsum.specfun import _LADDER_RUNGS, _LN10, _from_fixed, gaussian_tail
 
 G_AT_ONE = mp.mpc("0.0999004225046296", "-0.241180954897479")
 
@@ -174,7 +174,7 @@ SAMPLER_ALPHAS = BOUNDARY_ALPHAS + [Fraction(-1), Fraction(2), Fraction(5, 7),
 def _ladder_ends(alpha):
     """The first and the last rung eps of eta_tilde_radial's ladder at alpha."""
     start = mp.mpf("0.002") / alpha.denominator**2
-    return start, start / 2**8
+    return start, start / 2**(_LADDER_RUNGS - 1)
 
 
 @pytest.mark.parametrize("dps", [15, 25, 50])
@@ -206,9 +206,9 @@ def test_eta_tilde_radial_work_budget(monkeypatch, alpha):
         expjpi_calls[0] += 1
         return expjpi(x)
 
-    def stepped(term, ratio, step, n_first, n_last, stride, weight, wp):
+    def stepped(term, ratio, step, n_first, n_last, stride, wp):
         steps[n_last] = steps.get(n_last, 0) + len(range(n_first, n_last + 1, stride))
-        return gauss_sum(term, ratio, step, n_first, n_last, stride, weight, wp)
+        return gauss_sum(term, ratio, step, n_first, n_last, stride, wp)
 
     monkeypatch.setattr(mp, "expjpi", counted)
     monkeypatch.setattr(modular, "eta_tilde", no_work)
@@ -220,7 +220,7 @@ def test_eta_tilde_radial_work_budget(monkeypatch, alpha):
     with mp.extradps(5):
         first, _ = _ladder_ends(alpha)
         cutoffs = [modular._theta_plan(math.pi * float(first / 2**j) / 12, 1)[0]
-                   for j in range(9)]
+                   for j in range(_LADDER_RUNGS)]
     assert sorted(steps) == sorted(cutoffs)
     for n_terms in cutoffs:
         assert steps[n_terms] == sum(1 for n in range(1, n_terms + 1) if chi(n)), n_terms
