@@ -7,10 +7,11 @@ Both models have the form
 with k odd, weights w_n of period P, and branch points accumulating along
 [eta_1, oo).  SqrtBranched holds that shape as data: nu, the power s and the
 weight table w_1..w_P, computed once per working precision and kept on the
-model together with its Hurwitz-zeta sums (periodic_power_sum).  Principal
-powers are used throughout, so the first sheet is the cut plane
-C \\ [eta_1, oo).  The second determination negates every (eta_n - p)^{1/2}
-at once; with k odd that is a global sign flip of the whole sum.
+model, and its Hurwitz-zeta sums (periodic_power_sum), kept once per 64-bit
+bucket of the working precision.  Principal powers are used throughout, so
+the first sheet is the cut plane C \\ [eta_1, oo).  The second determination
+negates every (eta_n - p)^{1/2} at once; with k odd that is a global sign
+flip of the whole sum.
 
 Truncation of the tail sum_{n > N} uses |eta_n - p| >= eta_n/2 once
 eta_{N+1} >= 2|p|, which gives the explicit bound
@@ -155,17 +156,21 @@ def periodic_power_sum(g: SqrtBranched, s):
     """sum_n c_n eta_n^{-s} = nu^{-s} sum_n w_n n^{p-2s}, p = g.power.
 
     With w of period P this is nu^{-s} P^{p-2s} sum_a w_a zeta(2s - p, a/P),
-    Hurwitz zeta values, exact at the working precision.  Kept in g.table()
-    by s, so each order is summed once per model and precision."""
-    nu, weights, sums = g.table()
+    Hurwitz zeta values.  Each is summed at the 64-bit bucket above the
+    working precision and kept in g.table() at that bucket by s, so each
+    order is summed once per model and bucket, whatever precisions the
+    callers' guard digits pass through, and returned rounded to the working
+    precision."""
     s = mp.mpf(s)
-    value = sums.get(s)
-    if value is None:
-        expo = 2 * s - g.power
-        total = mp.fsum(w_a * mp.zeta(expo, mp.mpf(a) / g.period)
-                        for a, w_a in enumerate(weights, 1) if w_a)
-        value = sums[s] = nu ** (-s) * mp.power(g.period, -expo) * total
-    return value
+    with mp.workprec(-(-mp.prec // 64) * 64):
+        nu, weights, sums = g.table()
+        value = sums.get(s)
+        if value is None:
+            expo = 2 * s - g.power
+            total = mp.fsum(w_a * mp.zeta(expo, mp.mpf(a) / g.period)
+                            for a, w_a in enumerate(weights, 1) if w_a)
+            value = sums[s] = nu ** (-s) * mp.power(g.period, -expo) * total
+    return +value
 
 
 @cache

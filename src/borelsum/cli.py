@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from mpmath import mp
 
@@ -336,7 +337,9 @@ def _render(payload: dict, output: str) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it was
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value settings file; flags win")
     common.add_argument("--precision", type=int, default=None, dest="precision",

@@ -58,15 +58,16 @@ guard.
 eta_tilde is the companion weighted by an extra factor n.  Its radial limits
 at rational points are finite even though the unweighted series has none,
 which is what the boundary identities in the tests probe.
-eta_tilde_radial takes them on a Richardson ladder of samples at
+eta_tilde_radial takes them on a Richardson ladder of nine samples at
 alpha + i eps, alpha = a/d, that do not go through _theta_sum: there the
 coefficient chi(n) e^{pi i a n^2/(12 d)} has period 12 d, so each sample
-(_boundary_sampler) is a sum of real Gaussian sums, one per residue class
-mod 12 d, stepped by specfun._fixed_gauss_sum at two integer products a
-term, each times its root-of-unity phase once.  The phases come from one
-expjpi per ladder and alpha enters as a Fraction; the cutoff and guard
-are eta_tilde's own plan, so that eta_tilde at the same point is the
-independent check of every sample.
+is a sum of real Gaussian sums, one per residue class mod 12 d, each times
+its root-of-unity phase once.  One sweep over the classes forms all nine
+(_boundary_ladder): it steps the finest rung's terms at two integer
+products a term and squares them into each coarser rung's.  The phases
+come from one expjpi per ladder and alpha enters as a Fraction; each rung
+sums the n of eta_tilde's own plan, so that eta_tilde at the same point
+is the independent check of every sample.
 
 zagier_g(x) is the lateral Laplace value at i/(2 pi x): the sum side is
 "mul" for x > 0 and "mur" for x < 0, so that g picks up the boundary
@@ -101,13 +102,13 @@ from .specfun import (
     _LADDER_RUNGS,
     _PHASE_GUARD_BITS,
     FixedKernel,
-    _fixed_gauss_sum,
+    _fixed_gauss_ladder,
     _fixed_inverse_three_halves,
     _fixed_mul,
     _fixed_phase_sum,
     _from_fixed,
     _gauss_cutoff,
-    _radial_ladder,
+    _ladder_limit,
     _to_fixed,
     fit_poly_coeffs,
     ray_integrate,
@@ -428,76 +429,68 @@ def eta_tilde(tau):
     return _theta_value(tz, 1)
 
 
-def _boundary_sampler(alpha: Fraction, finest):
-    """The function eps -> eta_tilde(alpha + i eps) for eps >= finest, by
-    residue classes mod M = 12 d, alpha = a/d in lowest terms.
+def _boundary_ladder(alpha: Fraction, start) -> tuple[list, int]:
+    """The samples eta_tilde(alpha + i start/2^j), j < _LADDER_RUNGS, alpha
+    = a/d in lowest terms, as (re, im) integers scaled by 2^scale, and scale.
 
     With b = pi eps/12 and omega = e^{pi i/(12 d)}, the coefficient
-    chi12(n) omega^{a n^2} of n e^{-b n^2} has period M, as a M (2 n + M)
-    = 24 d a (n + 6 d) is a multiple of 24 d, so eta_tilde is the sum over
-    r < M with chi12(r) != 0 of chi12(r) omega^{a r^2 mod 24 d} G_r, each
-    G_r = sum of n e^{-b n^2} over n = r, r + M, ..., a real sum that
-    specfun._fixed_gauss_sum steps on integers, from T = e^{-b r^2},
-    R = e^{-b (2 r M + M^2)} and the step e^{-2 b M^2}.  Each sample takes
-    eta_tilde's plan (_theta_plan): the same cutoff N and the same guard,
-    which covers the shorter chains and the seeds, stepped over r < M from
-    three real exponentials.  The powers of omega do not depend on eps:
-    one expjpi forms them, at the working bits of the finest sample, and
-    every sample multiplies each G_r by its phase once, exactly."""
+    chi12(n) omega^{a n^2} of n e^{-b n^2} has period M = 12 d, as
+    a M (2 n + M) = 24 d a (n + 6 d) is a multiple of 24 d, so a sample is
+    the sum over r < M with chi12(r) != 0 of chi12(r) omega^{a r^2 mod 24 d}
+    G_r, G_r = sum of n e^{-b n^2} over n = r, r + M, ...
+    specfun._fixed_gauss_ladder steps the finest rung's terms from
+    T = e^{-b r^2}, R = e^{-b (2 r M + M^2)} and e^{-2 b M^2} and squares
+    them into the coarser rungs', each summed to eta_tilde's own cutoff at
+    its eps (_theta_plan).  One wp serves all: the largest rung guard,
+    _PHASE_GUARD_BITS and a bit per squaring, which at most doubles a
+    term's error.  One expjpi forms the powers of omega, and each rung
+    takes each G_r times its phase once."""
     a, period = alpha.numerator, 12 * alpha.denominator
     chi = chi12()
-    with mp.extradps(_theta_plan(pi * float(finest) / 12, 1)[1]):
-        top = mp.prec + _PHASE_GUARD_BITS
-        unit = _to_fixed(mp.expjpi(mp.mpf(1) / period), top)
-    powers = [(1 << top, 0)]
+    cutoffs, guards = zip(*(_theta_plan(pi * float(start / 2**j) / 12, 1)
+                            for j in range(_LADDER_RUNGS)))
+    with mp.extradps(max(guards)):
+        wp = mp.prec + _PHASE_GUARD_BITS + _LADDER_RUNGS - 1
+        unit = _to_fixed(mp.expjpi(mp.mpf(1) / period), wp)
+        decay = mp.pi * start / (12 * 2**(_LADDER_RUNGS - 1))
+        # e^{-b r^2} steps by e^{-b (2 r + 1)}, e^{-b (2 r M + M^2)} by e^{-2 b M}
+        rise, head, shift = (to_fixed(mp.exp(-decay * k)._mpf_, wp)
+                             for k in (1, period**2, 2 * period))
+    powers = [(1 << wp, 0)]
     for _ in range(2 * period - 1):
-        powers.append(_fixed_mul(powers[-1], unit, top))
-    phases = {r: tuple(chi(r) * part for part in powers[a * r * r % (2 * period)])
-              for r in range(period) if chi(r)}
-
-    def sample(eps):
-        n_terms, guard = _theta_plan(pi * float(eps) / 12, 1)
-        with mp.extradps(guard):
-            wp = mp.prec + _PHASE_GUARD_BITS
-            decay = mp.pi * eps / 12
-            # e^{-b r^2} steps by e^{-b (2 r + 1)}, e^{-b (2 r M + M^2)} by e^{-2 b M}
-            rise, head, shift = (to_fixed(mp.exp(-decay * k)._mpf_, wp)
-                                 for k in (1, period**2, 2 * period))
-            term, square, step = 1 << wp, (rise * rise) >> wp, (head * head) >> wp
-            acc_re = acc_im = 0
-            for r in range(min(period, n_terms + 1)):
-                if r in phases:
-                    g = _fixed_gauss_sum(term, head, step, r, n_terms, period, wp)
-                    acc_re += phases[r][0] * g
-                    acc_im += phases[r][1] * g
-                term, rise, head = (term * rise) >> wp, (rise * square) >> wp, (head * shift) >> wp
-            acc = _from_fixed(acc_re, acc_im, wp + top)
-        return +acc
-
-    return sample
+        powers.append(_fixed_mul(powers[-1], unit, wp))
+    term, square, step = 1 << wp, (rise * rise) >> wp, (head * head) >> wp
+    samples = [[0, 0] for _ in cutoffs]
+    for r in range(min(period, cutoffs[-1] + 1)):
+        if sign := chi(r):
+            phase_re, phase_im = (sign * part for part in powers[a * r * r % (2 * period)])
+            spans = [range(r, n_terms + 1, period) for n_terms in cutoffs]
+            for acc, g in zip(samples, _fixed_gauss_ladder(term, head, step, spans, wp)):
+                acc[0] += phase_re * g
+                acc[1] += phase_im * g
+        term, rise, head = (term * rise) >> wp, (rise * square) >> wp, (head * shift) >> wp
+    return samples, 2 * wp
 
 
 def eta_tilde_radial(alpha):
     """Radial limit of eta_tilde at the rational point alpha: an int, a
     Fraction or an "a/b" string (rational_parts).
 
-    specfun._radial_ladder extrapolates the values at alpha + i eps to
-    eps = 0 from eps_0 = 0.002 / den^2: the error series blows up with the
-    denominator of alpha.  Each value is a residue-class sample
-    (_boundary_sampler), which takes alpha exactly, as a Fraction, and
-    shares one table of phases across the ladder.  The ladder runs under 5
-    guard digits, so that the samples and the tableau are resolved past the
-    working precision.  Returns (limit, err_estimate): the last Richardson
-    correction plus the ladder's gain times eps max |sample| at the working
-    eps, which covers the rounding and recurrence drift of each sample and
-    the rounding of the limit."""
+    specfun._ladder_limit extrapolates the values at alpha + i eps_0/2^j,
+    j < 9, to 0 from eps_0 = 0.002 / den^2: the error series blows up with
+    the denominator of alpha.  One residue-class sweep (_boundary_ladder)
+    forms all nine, and takes alpha exactly, as a Fraction.  The
+    ladder runs under 5 guard digits, so that the samples and the limit are
+    resolved past the working precision.  Returns (limit, err_estimate): the
+    last Richardson correction plus the ladder's gain times eps max |sample|
+    at the working eps, which covers the rounding and recurrence drift of
+    each sample and the rounding of the limit."""
     with mp.extradps(5):
         frac = _rational_angle(alpha)
-        start = mp.mpf("0.002") / frac.denominator**2
-        limit, correction, samples = _radial_ladder(
-            _boundary_sampler(frac, start / 2**(_LADDER_RUNGS - 1)), start)
-    sample_err = mp.eps * max(abs(v) for v in samples)
-    return +limit, correction + sample_err * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
+        samples, scale = _boundary_ladder(frac, mp.mpf("0.002") / frac.denominator**2)
+        limit, correction = _ladder_limit(samples, scale)
+        largest = max(abs(_from_fixed(*s, scale)) for s in samples)
+    return +limit, correction + mp.eps * largest * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
 
 
 def _g_direct(xr, tol):

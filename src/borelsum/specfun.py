@@ -64,10 +64,9 @@ wp = prec + 10 bits, after the caller has raised prec by its own guard for
 the drift of the products: four integer products and two shifts per
 complex product, with no normalisation.  The theta sums seed it on
 integers, the Gaussian sum through its mpc wrapper _quadratic_phase_sum.
-_fixed_gauss_sum is the same recurrence on real values, two integer
-products and two shifts a term: modular's boundary samples split into
-real Gaussian sums, one per residue class, each multiplied by its phase
-once after the loop.
+_fixed_gauss_ladder steps it on real values, two integer products a term,
+for the terms e^{-b n^2} of the finest rung of modular's boundary ladder,
+and squares them into every coarser rung's, whose b is twice as large.
 The kernels (t - w)^{-3/2} of modular's eta ray integrand stay on the same
 integers: _fixed_inverse_three_halves forms z^{-3/2} as (1/z) sqrt(1/z),
 1/z from the exact integer norm, and _fixed_sqrt takes the principal root
@@ -88,18 +87,18 @@ order below it to the panel tolerance; a panel that no pair settles is
 bisected.  It raises QuadratureError instead of returning a low-quality
 value.
 
-modular.eta_tilde_radial takes its radial limits on one extrapolation
-ladder, _radial_ladder: nine samples at start/2^j, Richardson-extrapolated
-to 0.  Its Lagrange weights at 0 do not depend on start, so the most that
-an error in every sample can move the limit by is one exact multiple of
-that error, _LADDER_GAIN.  summation.radial_limit needs no ladder: it sums
-the boundary value itself.
+modular.eta_tilde_radial extrapolates nine samples at start/2^j to 0 by
+_ladder_limit, whose Lagrange weights at 0 do not depend on start: exact
+integers, so that an error e in every sample moves the limit by at most
+e _LADDER_GAIN.  summation.radial_limit needs no ladder: it sums the
+boundary value itself.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple
 
 from mpmath import mp
@@ -173,19 +172,24 @@ def _fixed_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,
     return sr, si
 
 
-def _fixed_gauss_sum(term: int, ratio: int, step: int, n_first: int, n_last: int, stride: int,
-                     wp: int) -> int:
-    """_fixed_phase_sum at weight 1 on real values, integers scaled by 2^wp:
-    sum of n T_n over n = n_first, n_first + stride, ... <= n_last, with
-    T <- T R and R <- R step per stride.  Two integer products and two
-    shifts per term, and on real seeds the real part of _fixed_phase_sum,
-    bit for bit."""
-    acc = n_first * term
-    for n in range(n_first + stride, n_last + 1, stride):
+def _fixed_gauss_ladder(term: int, ratio: int, step: int, spans, wp: int) -> list[int]:
+    """sum of n T_n over each span, ranges of n of one start and stride, each
+    a prefix of the next, on integers scaled by 2^wp.  Along the last span
+    T <- T R and R <- R step, _fixed_phase_sum's real part at weight 1 bit
+    for bit; each earlier span's T is the next one's squared, rounded down,
+    as b doubles in T = e^{-b n^2}: a T <= 1 off by e is then off by at most
+    2 e + 2^-wp."""
+    terms = [term]
+    append = terms.append
+    for _ in range(len(spans[-1]) - 1):
         term = (term * ratio) >> wp
         ratio = (ratio * step) >> wp
-        acc += n * term
-    return acc
+        append(term)
+    sums = [sum(map(mul, spans[-1], terms))]
+    for span in reversed(spans[:-1]):
+        terms = [(t * t) >> wp for t in terms[:len(span)]]
+        sums.append(sum(map(mul, span, terms)))
+    return sums[::-1]
 
 
 def _fixed_sqrt(z, wp: int):
@@ -698,24 +702,27 @@ def richardson_limit(hs, vals):
     return tab[0], abs(tab[0] - diag_prev)
 
 
-# the rungs of the ladder, and the sum over j < 9 of |prod_{k != j} h_k /
-# (h_k - h_j)|, h_j = 2^-j: the absolute Lagrange weights at h = 0 of the
-# ladder, whatever its start
+# the rungs of the ladder; the Lagrange weights prod_{k != j} h_k/(h_k - h_j)
+# at h = 0 of all its nodes h_j = 2^-j and of all but the last, integers over
+# one denominator; and the first ones' absolute sum, 1580293/192913 ~ 8.19
 _LADDER_RUNGS = 9
-_LADDER_GAIN = Fraction(1580293, 192913)
+_LADDER_WEIGHTS = (
+    ((1, -510, 86360, -6217920, 205605888, -3183575040, 22638755840, -68451041280, 68719476736),
+     19923090075),
+    ((-1, 254, -21336, 755904, -12094464, 87392256, -266338304, 268435456), 78129765))
+_LADDER_GAIN = Fraction(sum(map(abs, _LADDER_WEIGHTS[0][0])), _LADDER_WEIGHTS[0][1])
 
 
-def _radial_ladder(sample, start):
-    """Richardson limit at h = 0 of sample(h) on the ladder h_j = start/2^j,
-    j < _LADDER_RUNGS = 9, the ladder of eta_tilde_radial.
-
-    Returns (limit, correction, samples), the correction the last one of
-    richardson_limit; an error e in every sample moves the limit by at most
-    e _LADDER_GAIN."""
-    hs = [start / 2**j for j in range(_LADDER_RUNGS)]
-    samples = [sample(h) for h in hs]
-    limit, correction = richardson_limit(hs, samples)
-    return limit, correction, samples
+def _ladder_limit(samples, scale: int):
+    """The limit at h = 0 of samples at h_j = start/2^j, j < _LADDER_RUNGS,
+    (re, im) pairs of integers scaled by 2^scale, and its last correction,
+    the gap to the limit of all but the last rung: richardson_limit's value
+    and last diagonal, each summed on the integers by _LADDER_WEIGHTS.  An
+    error e in every sample moves the limit by at most e _LADDER_GAIN."""
+    limit, coarser = (_from_fixed(sum(map(mul, numerators, (s[0] for s in samples))),
+                                  sum(map(mul, numerators, (s[1] for s in samples))), scale) / den
+                      for numerators, den in _LADDER_WEIGHTS)
+    return limit, abs(limit - coarser)
 
 
 def fit_poly_coeffs(xs, ys):

@@ -196,6 +196,33 @@ def test_periodic_power_sum_keys_on_every_weight():
     assert abs(second - first - gap) < mp.mpf("1e-22")
 
 
+def test_periodic_power_sum_is_kept_per_64_bit_bucket(monkeypatch):
+    """A sum is summed once per 64-bit bucket of the working precision: a
+    second call at another precision of the same bucket makes no mp.zeta
+    call and returns the bucket's value rounded to its own precision, and
+    the next bucket sums anew."""
+    mdl = _reweighted(trefoil_borel(), 1, 1)
+    calls, zeta = [0], mp.zeta
+
+    def counted(*args):
+        calls[0] += 1
+        return zeta(*args)
+
+    monkeypatch.setattr(mp, "zeta", counted)
+    s = mp.mpf(7) / 2
+    with mp.workprec(128):
+        at_bucket = periodic_power_sum(mdl, s)
+    filled = calls[0]
+    assert filled == sum(1 for w in mdl.table()[1] if w)
+    for prec in (65, 100, 127, 128):
+        with mp.workprec(prec):
+            assert periodic_power_sum(mdl, s) == +at_bucket, prec
+    assert calls[0] == filled
+    with mp.workprec(129):
+        periodic_power_sum(mdl, s)
+    assert calls[0] == 2 * filled
+
+
 def test_appendix_route_conversion_factor():
     """Matched truncations make the slowly-converging ratio exact."""
     for terms in (500, 4000):

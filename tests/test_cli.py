@@ -1,4 +1,5 @@
-"""End-to-end runs of the command line interface in a subprocess."""
+"""End-to-end runs of the command line interface in a subprocess, and of
+its entry point main in process."""
 
 import json
 import subprocess
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from borelsum import cli
 from borelsum.summation import median_boundary_sum
 
 
@@ -177,6 +179,17 @@ def test_usage_errors_exit_two():
     assert run_cli("sum", "--x", "2", "--eps-ray", "0.1").returncode == 2
     # the radial ladder is fixed by the library, not tuned from the command line
     assert run_cli("radial", "--alpha", "1/2", "--rungs", "5").returncode == 2
+
+
+def test_main_builds_its_parser_once(capsys):
+    """In one process two calls of main build one parser, and a usage error
+    after a good call still exits 2."""
+    cli._build_parser.cache_clear()
+    assert cli.main(["coeffs", "--n", "2"]) == 0
+    assert cli.main(["coeffs", "--n", "3", "--output", "json"]) == 0
+    assert cli.main(["radial"]) == 2
+    assert cli._build_parser.cache_info().misses == 1
+    assert "--alpha" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

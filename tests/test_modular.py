@@ -22,7 +22,14 @@ from borelsum.modular import (
     zagier_g,
     zagier_g_taylor,
 )
-from borelsum.specfun import _LADDER_RUNGS, _LN10, _from_fixed, gaussian_tail
+from borelsum.specfun import (
+    _LADDER_GAIN,
+    _LADDER_RUNGS,
+    _LN10,
+    _from_fixed,
+    gaussian_tail,
+    richardson_limit,
+)
 
 G_AT_ONE = mp.mpc("0.0999004225046296", "-0.241180954897479")
 
@@ -171,59 +178,90 @@ SAMPLER_ALPHAS = BOUNDARY_ALPHAS + [Fraction(-1), Fraction(2), Fraction(5, 7),
                                    Fraction(-7, 12), Fraction(11, 3), Fraction(1, 12)]
 
 
-def _ladder_ends(alpha):
-    """The first and the last rung eps of eta_tilde_radial's ladder at alpha."""
-    start = mp.mpf("0.002") / alpha.denominator**2
-    return start, start / 2**(_LADDER_RUNGS - 1)
+def _ladder_start(alpha):
+    """The first rung eps of eta_tilde_radial's ladder at alpha."""
+    return mp.mpf("0.002") / alpha.denominator**2
 
 
 @pytest.mark.parametrize("dps", [15, 25, 50])
 @pytest.mark.parametrize("alpha", SAMPLER_ALPHAS, ids=str)
 def test_boundary_samples_match_eta_tilde(alpha, dps):
-    """A residue-class sample, real Gaussian sums mod 12 d times their
-    phases, against the generic theta sum eta_tilde at the same point, at
-    the first and the last rung of the ladder."""
+    """Every sample of the residue-class sweep, real Gaussian sums mod 12 d
+    times their phases, the coarser rungs squared from the finest, against
+    the generic theta sum eta_tilde at the same point, on all nine rungs."""
     with mp.workdps(dps):
-        first, last = _ladder_ends(alpha)
-        sample = modular._boundary_sampler(alpha, last)
-        for eps in (first, last):
+        start = _ladder_start(alpha)
+        samples, scale = modular._boundary_ladder(alpha, start)
+        assert len(samples) == _LADDER_RUNGS
+        for j, sample in enumerate(samples):
+            eps = start / 2**j
             want = eta_tilde(mp.mpf(alpha.numerator) / alpha.denominator + mp.j * eps)
-            assert abs(sample(eps) - want) <= mp.mpf(10) ** (5 - dps) * max(1, abs(want)), eps
+            got = _from_fixed(*sample, scale)
+            assert abs(got - want) <= mp.mpf(10) ** (5 - dps) * max(1, abs(want)), j
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("alpha", SAMPLER_ALPHAS, ids=str)
+def test_eta_tilde_radial_is_the_richardson_limit_of_its_samples(alpha, dps):
+    """The limit and the correction of eta_tilde_radial, from exact integer
+    Lagrange weights, against the Neville tableau richardson_limit on the
+    same nine samples as mpc at the ladder's 5 guard digits: the limit to
+    its rounding, the err_estimate to its rounding plus a few units of
+    the guarded precision times the ladder's gain."""
+    with mp.workdps(dps):
+        limit, err = eta_tilde_radial(alpha)
+        with mp.extradps(5):
+            start = _ladder_start(alpha)
+            samples, scale = modular._boundary_ladder(alpha, start)
+            values = [_from_fixed(*sample, scale) for sample in samples]
+            want, correction = richardson_limit([start / 2**j for j in range(_LADDER_RUNGS)], values)
+            largest = max(abs(v) for v in values)
+            noise = 4 * mp.eps * largest * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
+        want_err = correction + mp.eps * largest * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
+        assert abs(limit - want) <= mp.eps * abs(want) + noise
+        assert abs(err - want_err) <= mp.eps * want_err + noise
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(2, 3), Fraction(-7, 12)], ids=str)
 def test_eta_tilde_radial_work_budget(monkeypatch, alpha):
-    """One expjpi per ladder, no generic theta sum, and per rung exactly as
-    many real steps as there are n <= N with chi12(n) != 0, N eta_tilde's
-    own cutoff at that eps."""
+    """One expjpi per ladder, no generic theta sum, and one sweep: the
+    finest rung steps exactly as many terms as there are n <= N_8 with
+    chi12(n) != 0, and every coarser rung j squares exactly as many as
+    there are n <= N_j, N_j eta_tilde's own cutoff at that rung's eps;
+    each residue class r mod 12 d sums n = r, r + 12 d, ... <= N_j."""
     def no_work(*args, **kwargs):
         raise AssertionError("the boundary samples went through the generic theta sum")
 
-    expjpi_calls, steps = [0], {}
-    expjpi, gauss_sum = mp.expjpi, modular._fixed_gauss_sum
+    expjpi_calls, terms, residues = [0], [0] * _LADDER_RUNGS, []
+    expjpi, gauss_ladder = mp.expjpi, modular._fixed_gauss_ladder
 
     def counted(x):
         expjpi_calls[0] += 1
         return expjpi(x)
 
-    def stepped(term, ratio, step, n_first, n_last, stride, wp):
-        steps[n_last] = steps.get(n_last, 0) + len(range(n_first, n_last + 1, stride))
-        return gauss_sum(term, ratio, step, n_first, n_last, stride, wp)
+    def stepped(term, ratio, step, spans, wp):
+        residues.append(spans)
+        for j, span in enumerate(spans):
+            terms[j] += len(span)
+        return gauss_ladder(term, ratio, step, spans, wp)
 
     monkeypatch.setattr(mp, "expjpi", counted)
     monkeypatch.setattr(modular, "eta_tilde", no_work)
     monkeypatch.setattr(modular, "_theta_sum", no_work)
-    monkeypatch.setattr(modular, "_fixed_gauss_sum", stepped)
+    monkeypatch.setattr(modular, "_fixed_gauss_ladder", stepped)
     eta_tilde_radial(alpha)
     assert expjpi_calls[0] == 1
-    chi = chi12()
+    chi, period = chi12(), 12 * alpha.denominator
     with mp.extradps(5):
-        first, _ = _ladder_ends(alpha)
-        cutoffs = [modular._theta_plan(math.pi * float(first / 2**j) / 12, 1)[0]
+        start = _ladder_start(alpha)
+        cutoffs = [modular._theta_plan(math.pi * float(start / 2**j) / 12, 1)[0]
                    for j in range(_LADDER_RUNGS)]
-    assert sorted(steps) == sorted(cutoffs)
-    for n_terms in cutoffs:
-        assert steps[n_terms] == sum(1 for n in range(1, n_terms + 1) if chi(n)), n_terms
+    assert cutoffs == sorted(cutoffs)
+    for n_terms, count in zip(cutoffs, terms):
+        assert count == sum(1 for n in range(1, n_terms + 1) if chi(n)), n_terms
+    for spans in residues:
+        r = spans[0].start
+        assert spans == [range(r, n_terms + 1, period) for n_terms in cutoffs]
 
 
 def test_theta_sum_transcendental_call_budget(monkeypatch):

@@ -15,7 +15,9 @@ from borelsum.specfun import (
     _algebraic,
     _dawson_maclaurin,
     _emodd_tail2,
-    _fixed_gauss_sum,
+    _LADDER_RUNGS,
+    _LADDER_WEIGHTS,
+    _fixed_gauss_ladder,
     _fixed_inverse_three_halves,
     _fixed_phase_sum,
     _fixed_sqrt,
@@ -26,7 +28,7 @@ from borelsum.specfun import (
     _log_gaussian_tail,
     _maclaurin_boost,
     _quadratic_phase_sum,
-    _radial_ladder,
+    _ladder_limit,
     _remainder,
     _remainder_factor,
     _to_fixed,
@@ -211,20 +213,32 @@ def test_quadratic_phase_sum_against_plain_loop(dps, weight):
         assert abs(got - want) <= abs(mpc_loop - want), (dps, weight)
 
 
-def test_fixed_gauss_sum_is_the_real_phase_sum():
-    """On real seeds the real kernel is _fixed_phase_sum at weight 1 with
-    zero imaginary parts, bit for bit: the same products, shifts and sums, at two integer
-    products a term instead of eight.  Gaussian shapes T = e^{-b n^2} along
-    n = r + M k, from a few terms to thousands, b near the real axis and
-    far from it, with seeds rounded at wp."""
+def test_fixed_gauss_ladder_steps_the_last_span_and_squares_the_rest():
+    """On real seeds the last span's sum is _fixed_phase_sum at weight 1
+    with zero imaginary parts, bit for bit: the same products, shifts and
+    sums, at two integer products a term instead of eight.  Every earlier
+    span sums the squares of the next one's terms over its own n, each
+    e^{-b n^2} with b doubling per span: within 2^m (2 (K + 1)^2 + 1) units
+    of 2^-wp a term of sum n e^{-b n^2}, m the squarings and K the steps of
+    the last span.  Gaussian shapes T = e^{-b n^2} along n = r + M k, from
+    a few terms to thousands, b near the real axis and far from it, with
+    seeds rounded at wp, and spans that end before r."""
     wp = 170
     for b, r, period, n_last in [(1e-7, 1, 48, 25_100), (1e-7, 47, 48, 25_100), (0.01, 5, 12, 60),
                                  (2e-4, 7, 36, 400), (0.3, 11, 12, 11), (1e-5, 1, 12, 7_000)]:
-        seeds = [int(mp.exp(-b * x) * 2**wp) for x in (r * r, 2 * r * period + period**2,
-                                                       2 * period**2)]
-        got = _fixed_gauss_sum(*seeds, r, n_last, period, wp)
+        with mp.workprec(wp + 10):
+            seeds = [int(mp.exp(-mp.mpf(b) * x) * 2**wp) for x in (r * r, 2 * r * period + period**2,
+                                                           2 * period**2)]
+        spans = [range(r, int(n_last / 2**(m / 2)) + 1, period) for m in reversed(range(4))]
+        got = _fixed_gauss_ladder(*seeds, spans, wp)
         complex_seeds = [(x, 0) for x in seeds]
-        assert (got, 0) == _fixed_phase_sum(*complex_seeds, r, n_last, period, 1, wp)
+        assert (got[-1], 0) == _fixed_phase_sum(*complex_seeds, r, n_last, period, 1, wp)
+        ulps = 2 * len(spans[-1])**2 + 1
+        with mp.workdps(60):
+            for m, (span, value) in enumerate(zip(reversed(spans), reversed(got))):
+                want = mp.fsum(n * mp.exp(-mp.mpf(b) * 2**m * n * n) for n in span)
+                bound = 2**m * ulps * sum(span)
+                assert abs(value - want * 2**wp) <= bound, (b, r, m)
 
 
 def _fixed_grid(wp):
@@ -560,29 +574,47 @@ def test_richardson_input_validation():
         richardson_limit([1, 0], [0, 0])
 
 
+def _lagrange_weights(rungs):
+    """The Lagrange weights at h = 0 of the nodes 2^-j, j < rungs, as exact
+    Fractions."""
+    hs = [Fraction(1, 2**j) for j in range(rungs)]
+    return [math.prod(hk / (hk - hj) for k, hk in enumerate(hs) if k != j)
+            for j, hj in enumerate(hs)]
+
+
 def test_ladder_gain_is_the_sum_of_the_lagrange_weights():
     """The Lagrange weights at h = 0 of the nodes 2^-j, j < 9, in exact
     arithmetic: they sum to 1, and their absolute values to _LADDER_GAIN."""
-    hs = [Fraction(1, 2**j) for j in range(9)]
-    weights = [math.prod(hk / (hk - hj) for k, hk in enumerate(hs) if k != j)
-               for j, hj in enumerate(hs)]
+    weights = _lagrange_weights(9)
     assert sum(weights) == 1
     assert sum(abs(w) for w in weights) == _LADDER_GAIN
 
 
-def test_radial_ladder_samples_the_halving_ladder():
-    """Nine samples at start / 2^j, extrapolated by richardson_limit."""
-    seen = []
+def test_ladder_weights_are_the_exact_lagrange_weights():
+    """The integer weights of the ladder's limit and of its last correction
+    are, over their denominators, the exact Lagrange weights at 0 of all
+    nine rungs and of the first eight."""
+    assert _LADDER_RUNGS == 9
+    for (numerators, den), rungs in zip(_LADDER_WEIGHTS, (9, 8)):
+        assert [Fraction(p, den) for p in numerators] == _lagrange_weights(rungs)
 
-    def sample(h):
-        seen.append(h)
-        return 7 + 3 * h - h**4
 
-    limit, correction, samples = _radial_ladder(sample, mp.mpf("0.01"))
-    assert seen == [mp.mpf("0.01") / 2**j for j in range(9)]
-    assert samples == [7 + 3 * h - h**4 for h in seen]
-    assert abs(limit - 7) < mp.mpf("1e-20")
-    assert correction < mp.mpf("1e-20")
+def test_ladder_limit_is_the_richardson_limit():
+    """On samples at start / 2^j given as integers scaled by 2^scale, the
+    limit and the last correction are richardson_limit's on the same samples
+    as mpc, to a few units of the samples' rounding: exact on a polynomial
+    of degree 4, and with a correction of its own on e^h (1 + i)."""
+    scale = 100
+    hs = [mp.mpf(1) / 2**j for j in range(9)]
+    for f in (lambda h: 7 + 3 * h - h**4 + 2j * h * h, lambda h: mp.exp(h) * (1 + 1j)):
+        samples = [_to_fixed(f(h), scale) for h in hs]
+        limit, correction = _ladder_limit(samples, scale)
+        want, want_correction = richardson_limit(hs, [_from_fixed(*s, scale) for s in samples])
+        unit = 64 * (mp.eps + mp.mpf(2)**-scale) * 8
+        assert abs(limit - want) <= unit
+        assert abs(correction - want_correction) <= unit
+        assert abs(limit - f(0)) <= unit + want_correction
+    assert correction > mp.mpf("1e-18")
 
 
 def test_fit_poly_coeffs_recovers_polynomial():

@@ -1019,7 +1019,7 @@ def test_radial_limits_take_rational_angles_only(monkeypatch):
     by the rule of invariants.RationalAngle: its binary fraction would size
     the ladder for denominator 1, and radial_limit(0.3) returned a value
     8e-3 off the one at Fraction(3, 10).  A Fraction and an "a/b" string
-    agree.  eta_tilde_radial's work is its residue-class sampler and the
+    agree.  eta_tilde_radial's work is its residue-class sweep and the
     real kernel that it steps; eta_tilde stays patched, so that a return to
     the generic route is caught too."""
     def no_work(*args, **kwargs):
@@ -1030,8 +1030,8 @@ def test_radial_limits_take_rational_angles_only(monkeypatch):
         patch.setattr(summation, "_lateral", no_work)
         patch.setattr(summation, "l_value_cyclotomic", no_work)
         patch.setattr(modular, "eta_tilde", no_work)
-        patch.setattr(modular, "_boundary_sampler", no_work)
-        patch.setattr(modular, "_fixed_gauss_sum", no_work)
+        patch.setattr(modular, "_boundary_ladder", no_work)
+        patch.setattr(modular, "_fixed_gauss_ladder", no_work)
         with pytest.raises(DomainError, match="alpha"):
             radial_limit(0.3)
         with pytest.raises(DomainError, match="alpha"):
