@@ -479,18 +479,18 @@ def eta_tilde_radial(alpha):
     specfun._ladder_limit extrapolates the values at alpha + i eps_0/2^j,
     j < 9, to 0 from eps_0 = 0.002 / den^2: the error series blows up with
     the denominator of alpha.  One residue-class sweep (_boundary_ladder)
-    forms all nine, and takes alpha exactly, as a Fraction.  The
-    ladder runs under 5 guard digits, so that the samples and the limit are
-    resolved past the working precision.  Returns (limit, err_estimate): the
-    last Richardson correction plus the ladder's gain times eps max |sample|
-    at the working eps, which covers the rounding and recurrence drift of
-    each sample and the rounding of the limit."""
+    forms all nine, with alpha exactly, as a Fraction, under 5 guard digits
+    that resolve the samples and the limit past the working precision.
+    Returns (limit, err_estimate): the last Richardson correction plus the
+    ladder's gain times eps max |sample| at the working eps, which covers
+    the rounding and recurrence drift of each sample and of the limit."""
     with mp.extradps(5):
         frac = _rational_angle(alpha)
         samples, scale = _boundary_ladder(frac, mp.mpf("0.002") / frac.denominator**2)
         limit, correction = _ladder_limit(samples, scale)
         largest = max(abs(_from_fixed(*s, scale)) for s in samples)
-    return +limit, correction + mp.eps * largest * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
+    sample_err = mp.eps * largest
+    return +limit, correction + sample_err * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
 
 
 def _g_direct(xr, tol):

@@ -719,9 +719,9 @@ def _ladder_limit(samples, scale: int):
     the gap to the limit of all but the last rung: richardson_limit's value
     and last diagonal, each summed on the integers by _LADDER_WEIGHTS.  An
     error e in every sample moves the limit by at most e _LADDER_GAIN."""
-    limit, coarser = (_from_fixed(sum(map(mul, numerators, (s[0] for s in samples))),
-                                  sum(map(mul, numerators, (s[1] for s in samples))), scale) / den
-                      for numerators, den in _LADDER_WEIGHTS)
+    re, im = zip(*samples)
+    limit, coarser = (_from_fixed(sum(map(mul, weights, re)), sum(map(mul, weights, im)),
+                                  scale) / den for weights, den in _LADDER_WEIGHTS)
     return limit, abs(limit - coarser)
 
 

@@ -201,7 +201,7 @@ def test_periodic_power_sum_is_kept_per_64_bit_bucket(monkeypatch):
     second call at another precision of the same bucket makes no mp.zeta
     call and returns the bucket's value rounded to its own precision, and
     the next bucket sums anew."""
-    mdl = _reweighted(trefoil_borel(), 1, 1)
+    mdl = _reweighted(trefoil_borel(), 1, 1)  # the trefoil's data, no sum kept yet
     calls, zeta = [0], mp.zeta
 
     def counted(*args):

@@ -214,10 +214,12 @@ def test_eta_tilde_radial_is_the_richardson_limit_of_its_samples(alpha, dps):
             start = _ladder_start(alpha)
             samples, scale = modular._boundary_ladder(alpha, start)
             values = [_from_fixed(*sample, scale) for sample in samples]
-            want, correction = richardson_limit([start / 2**j for j in range(_LADDER_RUNGS)], values)
+            hs = [start / 2**j for j in range(_LADDER_RUNGS)]
+            want, correction = richardson_limit(hs, values)
+            gain = mp.mpf(_LADDER_GAIN.numerator) / _LADDER_GAIN.denominator
             largest = max(abs(v) for v in values)
-            noise = 4 * mp.eps * largest * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
-        want_err = correction + mp.eps * largest * _LADDER_GAIN.numerator / _LADDER_GAIN.denominator
+            noise = 4 * mp.eps * largest * gain
+        want_err = correction + mp.eps * largest * gain
         assert abs(limit - want) <= mp.eps * abs(want) + noise
         assert abs(err - want_err) <= mp.eps * want_err + noise
 

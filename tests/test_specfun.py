@@ -10,13 +10,13 @@ from mpmath import mp
 
 from borelsum.specfun import (
     _LADDER_GAIN,
+    _LADDER_RUNGS,
+    _LADDER_WEIGHTS,
     _ORDERS,
     FixedKernel,
     _algebraic,
     _dawson_maclaurin,
     _emodd_tail2,
-    _LADDER_RUNGS,
-    _LADDER_WEIGHTS,
     _fixed_gauss_ladder,
     _fixed_inverse_three_halves,
     _fixed_phase_sum,
@@ -227,8 +227,8 @@ def test_fixed_gauss_ladder_steps_the_last_span_and_squares_the_rest():
     for b, r, period, n_last in [(1e-7, 1, 48, 25_100), (1e-7, 47, 48, 25_100), (0.01, 5, 12, 60),
                                  (2e-4, 7, 36, 400), (0.3, 11, 12, 11), (1e-5, 1, 12, 7_000)]:
         with mp.workprec(wp + 10):
-            seeds = [int(mp.exp(-mp.mpf(b) * x) * 2**wp) for x in (r * r, 2 * r * period + period**2,
-                                                           2 * period**2)]
+            seeds = [int(mp.exp(-mp.mpf(b) * x) * 2**wp)
+                     for x in (r * r, 2 * r * period + period**2, 2 * period**2)]
         spans = [range(r, int(n_last / 2**(m / 2)) + 1, period) for m in reversed(range(4))]
         got = _fixed_gauss_ladder(*seeds, spans, wp)
         complex_seeds = [(x, 0) for x in seeds]
@@ -604,17 +604,19 @@ def test_ladder_limit_is_the_richardson_limit():
     limit and the last correction are richardson_limit's on the same samples
     as mpc, to a few units of the samples' rounding: exact on a polynomial
     of degree 4, and with a correction of its own on e^h (1 + i)."""
-    scale = 100
-    hs = [mp.mpf(1) / 2**j for j in range(9)]
+    scale, hs = 100, [mp.mpf(1) / 2**j for j in range(9)]
+    # the roundings of the samples and of the sums, times the gain ~8.19, with room
+    unit = 512 * (mp.eps + mp.mpf(2)**-scale)
+    corrections = []
     for f in (lambda h: 7 + 3 * h - h**4 + 2j * h * h, lambda h: mp.exp(h) * (1 + 1j)):
         samples = [_to_fixed(f(h), scale) for h in hs]
         limit, correction = _ladder_limit(samples, scale)
         want, want_correction = richardson_limit(hs, [_from_fixed(*s, scale) for s in samples])
-        unit = 64 * (mp.eps + mp.mpf(2)**-scale) * 8
         assert abs(limit - want) <= unit
         assert abs(correction - want_correction) <= unit
-        assert abs(limit - f(0)) <= unit + want_correction
-    assert correction > mp.mpf("1e-18")
+        assert abs(limit - f(0)) <= unit + correction
+        corrections.append(correction)
+    assert corrections[0] <= unit < mp.mpf("1e-18") < corrections[1]
 
 
 def test_fit_poly_coeffs_recovers_polynomial():
