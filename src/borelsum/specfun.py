@@ -66,7 +66,7 @@ complex product, with no normalisation.  The theta sums seed it on
 integers, the Gaussian sum through its mpc wrapper _quadratic_phase_sum.
 _fixed_gauss_ladder steps it on real values, two integer products a term,
 for the terms e^{-b n^2} of the finest rung of modular's boundary ladder,
-and squares them into every coarser rung's, whose b is twice as large.
+and multiplies them into rung j's, e^{-j b n^2}, at one product a term.
 The kernels (t - w)^{-3/2} of modular's eta ray integrand stay on the same
 integers: _fixed_inverse_three_halves forms z^{-3/2} as (1/z) sqrt(1/z),
 1/z from the exact integer norm, and _fixed_sqrt takes the principal root
@@ -87,17 +87,16 @@ order below it to the panel tolerance; a panel that no pair settles is
 bisected.  It raises QuadratureError instead of returning a low-quality
 value.
 
-modular.eta_tilde_radial extrapolates nine samples at start/2^j to 0 by
-_ladder_limit, whose Lagrange weights at 0 do not depend on start: exact
-integers, so that an error e in every sample moves the limit by at most
-e _LADDER_GAIN.  summation.radial_limit needs no ladder: it sums the
-boundary value itself.
+modular.eta_tilde_radial extrapolates sixteen samples at j h_1 to 0 by
+_ladder_limit, whose Lagrange weights at 0, (-1)^(j-1) C(16, j), do not
+depend on h_1: exact integers, so that an error e in every sample moves
+the limit by at most e _LADDER_GAIN = e (2^16 - 1).  summation.radial_limit
+needs no ladder: it sums the boundary value itself.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -173,23 +172,23 @@ def _fixed_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: int,
 
 
 def _fixed_gauss_ladder(term: int, ratio: int, step: int, spans, wp: int) -> list[int]:
-    """sum of n T_n over each span, ranges of n of one start and stride, each
-    a prefix of the next, on integers scaled by 2^wp.  Along the last span
-    T <- T R and R <- R step, _fixed_phase_sum's real part at weight 1 bit
-    for bit; each earlier span's T is the next one's squared, rounded down,
-    as b doubles in T = e^{-b n^2}: a T <= 1 off by e is then off by at most
-    2 e + 2^-wp."""
-    terms = [term]
-    append = terms.append
-    for _ in range(len(spans[-1]) - 1):
+    """sum of n T_n^j over each span j = 1, 2, ..., ranges of n of one start
+    and stride, each a prefix of the one before, on integers scaled by 2^wp.
+    Along the first span T <- T R and R <- R step, _fixed_phase_sum's real
+    part at weight 1 bit for bit; span j's terms are span j - 1's times the
+    first one's, rounded down, as T^j = e^{-j b n^2} for T = e^{-b n^2}: a
+    T <= 1 off by e gives a T^j off by at most j (e + 2^-wp)."""
+    base = [term]
+    append = base.append
+    for _ in range(len(spans[0]) - 1):
         term = (term * ratio) >> wp
         ratio = (ratio * step) >> wp
         append(term)
-    sums = [sum(map(mul, spans[-1], terms))]
-    for span in reversed(spans[:-1]):
-        terms = [(t * t) >> wp for t in terms[:len(span)]]
+    terms, sums = base, [sum(map(mul, spans[0], base))]
+    for span in spans[1:]:
+        terms = [(t * u) >> wp for t, u in zip(base[:len(span)], terms)]
         sums.append(sum(map(mul, span, terms)))
-    return sums[::-1]
+    return sums
 
 
 def _fixed_sqrt(z, wp: int):
@@ -702,26 +701,26 @@ def richardson_limit(hs, vals):
     return tab[0], abs(tab[0] - diag_prev)
 
 
-# the rungs of the ladder; the Lagrange weights prod_{k != j} h_k/(h_k - h_j)
-# at h = 0 of all its nodes h_j = 2^-j and of all but the last, integers over
-# one denominator; and the first ones' absolute sum, 1580293/192913 ~ 8.19
-_LADDER_RUNGS = 9
-_LADDER_WEIGHTS = (
-    ((1, -510, 86360, -6217920, 205605888, -3183575040, 22638755840, -68451041280, 68719476736),
-     19923090075),
-    ((-1, 254, -21336, 755904, -12094464, 87392256, -266338304, 268435456), 78129765))
-_LADDER_GAIN = Fraction(sum(map(abs, _LADDER_WEIGHTS[0][0])), _LADDER_WEIGHTS[0][1])
+# eta_tilde_radial's rungs h_j = j h_1, and the absolute sum of their weights
+_LADDER_RUNGS = 16
+_LADDER_GAIN = 2**_LADDER_RUNGS - 1
+
+
+def _ladder_weights(rungs: int) -> tuple[list[int], list[int]]:
+    """The Lagrange weights at 0, prod_{k != j} k/(k - j), of the nodes
+    1..rungs, (-1)^(j-1) C(rungs, j), and of 2..rungs, 0 at j = 1."""
+    weights = [(-1)**(j - 1) * math.comb(rungs, j) for j in range(1, rungs + 1)]
+    return weights, [(1 - j) * w for j, w in enumerate(weights, 1)]
 
 
 def _ladder_limit(samples, scale: int):
-    """The limit at h = 0 of samples at h_j = start/2^j, j < _LADDER_RUNGS,
-    (re, im) pairs of integers scaled by 2^scale, and its last correction,
-    the gap to the limit of all but the last rung: richardson_limit's value
-    and last diagonal, each summed on the integers by _LADDER_WEIGHTS.  An
-    error e in every sample moves the limit by at most e _LADDER_GAIN."""
+    """The limit at 0 of samples at h_j = j h_1, j = 1, 2, ..., (re, im)
+    integers scaled by 2^scale, and its gap to the limit without the finest
+    rung: richardson_limit's value and last correction, integer sums by
+    _ladder_weights.  Sample errors e move the limit by e (2^rungs - 1) at most."""
     re, im = zip(*samples)
-    limit, coarser = (_from_fixed(sum(map(mul, weights, re)), sum(map(mul, weights, im)),
-                                  scale) / den for weights, den in _LADDER_WEIGHTS)
+    limit, coarser = (_from_fixed(sum(map(mul, weights, re)), sum(map(mul, weights, im)), scale)
+                      for weights in _ladder_weights(len(samples)))
     return limit, abs(limit - coarser)
 
 

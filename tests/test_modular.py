@@ -179,22 +179,28 @@ SAMPLER_ALPHAS = BOUNDARY_ALPHAS + [Fraction(-1), Fraction(2), Fraction(5, 7),
 
 
 def _ladder_start(alpha):
-    """The first rung eps of eta_tilde_radial's ladder at alpha."""
-    return mp.mpf("0.002") / alpha.denominator**2
+    """The finest rung eps_1 of eta_tilde_radial's ladder at alpha; rung j
+    sits at j eps_1."""
+    return mp.mpf("1.5e-4") / alpha.denominator**2
+
+
+# the guard digits of eta_tilde_radial: 5, plus the digits of the gain
+LADDER_GUARD = 5 + math.ceil(math.log10(_LADDER_GAIN))
 
 
 @pytest.mark.parametrize("dps", [15, 25, 50])
 @pytest.mark.parametrize("alpha", SAMPLER_ALPHAS, ids=str)
 def test_boundary_samples_match_eta_tilde(alpha, dps):
     """Every sample of the residue-class sweep, real Gaussian sums mod 12 d
-    times their phases, the coarser rungs squared from the finest, against
-    the generic theta sum eta_tilde at the same point, on all nine rungs."""
+    times their phases, each rung's terms the previous rung's times the
+    finest's, against the generic theta sum eta_tilde at the same point, on
+    all the rungs."""
     with mp.workdps(dps):
         start = _ladder_start(alpha)
         samples, scale = modular._boundary_ladder(alpha, start)
         assert len(samples) == _LADDER_RUNGS
-        for j, sample in enumerate(samples):
-            eps = start / 2**j
+        for j, sample in enumerate(samples, 1):
+            eps = j * start
             want = eta_tilde(mp.mpf(alpha.numerator) / alpha.denominator + mp.j * eps)
             got = _from_fixed(*sample, scale)
             assert abs(got - want) <= mp.mpf(10) ** (5 - dps) * max(1, abs(want)), j
@@ -205,32 +211,76 @@ def test_boundary_samples_match_eta_tilde(alpha, dps):
 def test_eta_tilde_radial_is_the_richardson_limit_of_its_samples(alpha, dps):
     """The limit and the correction of eta_tilde_radial, from exact integer
     Lagrange weights, against the Neville tableau richardson_limit on the
-    same nine samples as mpc at the ladder's 5 guard digits: the limit to
-    its rounding, the err_estimate to its rounding plus a few units of
-    the guarded precision times the ladder's gain."""
+    same samples as mpc at the ladder's guard digits, the h = j eps_1 in
+    decreasing order: the limit to its rounding, the err_estimate to its
+    rounding plus a few units of the guarded precision times the ladder's
+    gain."""
     with mp.workdps(dps):
         limit, err = eta_tilde_radial(alpha)
-        with mp.extradps(5):
+        rounding = mp.eps * abs(limit)
+        with mp.extradps(LADDER_GUARD):
             start = _ladder_start(alpha)
             samples, scale = modular._boundary_ladder(alpha, start)
-            values = [_from_fixed(*sample, scale) for sample in samples]
-            hs = [start / 2**j for j in range(_LADDER_RUNGS)]
+            values = [_from_fixed(*sample, scale) for sample in reversed(samples)]
+            hs = [j * start for j in range(_LADDER_RUNGS, 0, -1)]
             want, correction = richardson_limit(hs, values)
-            gain = mp.mpf(_LADDER_GAIN.numerator) / _LADDER_GAIN.denominator
             largest = max(abs(v) for v in values)
-            noise = 4 * mp.eps * largest * gain
-        want_err = correction + mp.eps * largest * gain
+            noise = 4 * mp.eps * largest * _LADDER_GAIN
+            want_err = correction + mp.eps * largest * _LADDER_GAIN + rounding
         assert abs(limit - want) <= mp.eps * abs(want) + noise
         assert abs(err - want_err) <= mp.eps * want_err + noise
+
+
+LADDER_GRID = SAMPLER_ALPHAS + sorted(
+    {sign * Fraction(a, d) for d in range(1, 7) for a in range(1, 2 * d) if math.gcd(a, d) == 1
+     for sign in (1, -1)} - set(SAMPLER_ALPHAS))
+
+
+@pytest.mark.parametrize("dps, ceiling", [(15, "1e-14"), (25, "1e-21"), (50, "1e-21")])
+def test_eta_tilde_radial_reaches_minus_two_phi_on_the_grid(dps, ceiling):
+    """eta_tilde_radial against -2 phi at dps + 30 on SAMPLER_ALPHAS and the
+    46 angles +-a/d, d <= 6, a < 2 d: its err_estimate covers the error on
+    every angle, and the error stays below a ceiling the ladder is measured
+    to reach (at most 1.9e-15 at 15 digits, 3.9e-23 at 25 and 50), so that
+    a retuned ladder cannot give up digits unnoticed."""
+    worst = 0
+    for alpha in LADDER_GRID:
+        with mp.workdps(dps):
+            limit, err = eta_tilde_radial(alpha)
+        with mp.workdps(dps + 30):
+            actual = abs(limit + 2 * phi(alpha))
+        assert actual <= err, (alpha, dps)
+        worst = max(worst, actual)
+    assert len(LADDER_GRID) == 46 + 5
+    assert worst <= mp.mpf(ceiling)
+
+
+class _CountedInt(int):
+    """An int that counts its products with another _CountedInt: the
+    stepping and the chain products of _fixed_gauss_ladder, not the sums'
+    products by n."""
+    products = 0
+
+    def __mul__(self, other):
+        if isinstance(other, _CountedInt):
+            _CountedInt.products += 1
+            return _CountedInt(int(self) * int(other))
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+    def __rshift__(self, bits):
+        return _CountedInt(int(self) >> bits)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(2, 3), Fraction(-7, 12)], ids=str)
 def test_eta_tilde_radial_work_budget(monkeypatch, alpha):
     """One expjpi per ladder, no generic theta sum, and one sweep: the
-    finest rung steps exactly as many terms as there are n <= N_8 with
-    chi12(n) != 0, and every coarser rung j squares exactly as many as
-    there are n <= N_j, N_j eta_tilde's own cutoff at that rung's eps;
-    each residue class r mod 12 d sums n = r, r + 12 d, ... <= N_j."""
+    finest rung steps exactly as many terms as there are n <= N_1 with
+    chi12(n) != 0, at two products a step, and every later rung j takes
+    exactly one product a term for as many terms as there are n <= N_j,
+    N_j eta_tilde's own cutoff at j eps_1; each residue class r mod 12 d
+    sums n = r, r + 12 d, ... <= N_j."""
     def no_work(*args, **kwargs):
         raise AssertionError("the boundary samples went through the generic theta sum")
 
@@ -245,22 +295,24 @@ def test_eta_tilde_radial_work_budget(monkeypatch, alpha):
         residues.append(spans)
         for j, span in enumerate(spans):
             terms[j] += len(span)
-        return gauss_ladder(term, ratio, step, spans, wp)
+        return gauss_ladder(*map(_CountedInt, (term, ratio, step)), spans, wp)
 
     monkeypatch.setattr(mp, "expjpi", counted)
     monkeypatch.setattr(modular, "eta_tilde", no_work)
     monkeypatch.setattr(modular, "_theta_sum", no_work)
     monkeypatch.setattr(modular, "_fixed_gauss_ladder", stepped)
+    monkeypatch.setattr(_CountedInt, "products", 0)
     eta_tilde_radial(alpha)
     assert expjpi_calls[0] == 1
     chi, period = chi12(), 12 * alpha.denominator
-    with mp.extradps(5):
+    with mp.extradps(LADDER_GUARD):
         start = _ladder_start(alpha)
-        cutoffs = [modular._theta_plan(math.pi * float(start / 2**j) / 12, 1)[0]
-                   for j in range(_LADDER_RUNGS)]
-    assert cutoffs == sorted(cutoffs)
-    for n_terms, count in zip(cutoffs, terms):
-        assert count == sum(1 for n in range(1, n_terms + 1) if chi(n)), n_terms
+        cutoffs = [modular._theta_plan(math.pi * float(j * start) / 12, 1)[0]
+                   for j in range(1, _LADDER_RUNGS + 1)]
+    assert cutoffs == sorted(cutoffs, reverse=True)
+    counts = [sum(1 for n in range(1, n_terms + 1) if chi(n)) for n_terms in cutoffs]
+    assert terms == counts
+    assert _CountedInt.products == 2 * (counts[0] - len(residues)) + sum(counts[1:])
     for spans in residues:
         r = spans[0].start
         assert spans == [range(r, n_terms + 1, period) for n_terms in cutoffs]

@@ -11,7 +11,6 @@ from mpmath import mp
 from borelsum.specfun import (
     _LADDER_GAIN,
     _LADDER_RUNGS,
-    _LADDER_WEIGHTS,
     _ORDERS,
     FixedKernel,
     _algebraic,
@@ -29,6 +28,7 @@ from borelsum.specfun import (
     _maclaurin_boost,
     _quadratic_phase_sum,
     _ladder_limit,
+    _ladder_weights,
     _remainder,
     _remainder_factor,
     _to_fixed,
@@ -213,32 +213,31 @@ def test_quadratic_phase_sum_against_plain_loop(dps, weight):
         assert abs(got - want) <= abs(mpc_loop - want), (dps, weight)
 
 
-def test_fixed_gauss_ladder_steps_the_last_span_and_squares_the_rest():
-    """On real seeds the last span's sum is _fixed_phase_sum at weight 1
+def test_fixed_gauss_ladder_steps_the_first_span_and_multiplies_the_rest():
+    """On real seeds the first span's sum is _fixed_phase_sum at weight 1
     with zero imaginary parts, bit for bit: the same products, shifts and
-    sums, at two integer products a term instead of eight.  Every earlier
-    span sums the squares of the next one's terms over its own n, each
-    e^{-b n^2} with b doubling per span: within 2^m (2 (K + 1)^2 + 1) units
-    of 2^-wp a term of sum n e^{-b n^2}, m the squarings and K the steps of
-    the last span.  Gaussian shapes T = e^{-b n^2} along n = r + M k, from
-    a few terms to thousands, b near the real axis and far from it, with
-    seeds rounded at wp, and spans that end before r."""
+    sums, at two integer products a term instead of eight.  Every later
+    span j sums the previous one's terms times the first one's over its own
+    n, each e^{-j b n^2}: within j (2 (K + 1)^2 + 2) units of 2^-wp a term
+    of sum n e^{-j b n^2}, K the steps of the first span.  Gaussian shapes
+    T = e^{-b n^2} along n = r + M k, from a few terms to thousands, b near
+    the real axis and far from it, with seeds rounded at wp, and spans that
+    end before r."""
     wp = 170
     for b, r, period, n_last in [(1e-7, 1, 48, 25_100), (1e-7, 47, 48, 25_100), (0.01, 5, 12, 60),
                                  (2e-4, 7, 36, 400), (0.3, 11, 12, 11), (1e-5, 1, 12, 7_000)]:
         with mp.workprec(wp + 10):
             seeds = [int(mp.exp(-mp.mpf(b) * x) * 2**wp)
                      for x in (r * r, 2 * r * period + period**2, 2 * period**2)]
-        spans = [range(r, int(n_last / 2**(m / 2)) + 1, period) for m in reversed(range(4))]
+        spans = [range(r, int(n_last / math.sqrt(j)) + 1, period) for j in range(1, 6)]
         got = _fixed_gauss_ladder(*seeds, spans, wp)
         complex_seeds = [(x, 0) for x in seeds]
-        assert (got[-1], 0) == _fixed_phase_sum(*complex_seeds, r, n_last, period, 1, wp)
-        ulps = 2 * len(spans[-1])**2 + 1
+        assert (got[0], 0) == _fixed_phase_sum(*complex_seeds, r, n_last, period, 1, wp)
+        ulps = 2 * len(spans[0])**2 + 2
         with mp.workdps(60):
-            for m, (span, value) in enumerate(zip(reversed(spans), reversed(got))):
-                want = mp.fsum(n * mp.exp(-mp.mpf(b) * 2**m * n * n) for n in span)
-                bound = 2**m * ulps * sum(span)
-                assert abs(value - want * 2**wp) <= bound, (b, r, m)
+            for j, (span, value) in enumerate(zip(spans, got), 1):
+                want = mp.fsum(n * mp.exp(-mp.mpf(b) * j * n * n) for n in span)
+                assert abs(value - want * 2**wp) <= j * ulps * sum(span), (b, r, j)
 
 
 def _fixed_grid(wp):
@@ -574,49 +573,54 @@ def test_richardson_input_validation():
         richardson_limit([1, 0], [0, 0])
 
 
-def _lagrange_weights(rungs):
-    """The Lagrange weights at h = 0 of the nodes 2^-j, j < rungs, as exact
-    Fractions."""
-    hs = [Fraction(1, 2**j) for j in range(rungs)]
-    return [math.prod(hk / (hk - hj) for k, hk in enumerate(hs) if k != j)
-            for j, hj in enumerate(hs)]
+def _lagrange_weights(nodes):
+    """The Lagrange weights at h = 0 of the nodes, prod_{k != j} k/(k - j),
+    as exact Fractions."""
+    return [math.prod(Fraction(k, k - j) for k in nodes if k != j) for j in nodes]
 
 
 def test_ladder_gain_is_the_sum_of_the_lagrange_weights():
-    """The Lagrange weights at h = 0 of the nodes 2^-j, j < 9, in exact
+    """The Lagrange weights at h = 0 of the nodes j h_1, j = 1..16, in exact
     arithmetic: they sum to 1, and their absolute values to _LADDER_GAIN."""
-    weights = _lagrange_weights(9)
+    assert _LADDER_RUNGS == 16
+    weights = _lagrange_weights(range(1, _LADDER_RUNGS + 1))
     assert sum(weights) == 1
-    assert sum(abs(w) for w in weights) == _LADDER_GAIN
+    assert sum(abs(w) for w in weights) == _LADDER_GAIN == 2**16 - 1
 
 
 def test_ladder_weights_are_the_exact_lagrange_weights():
     """The integer weights of the ladder's limit and of its last correction
-    are, over their denominators, the exact Lagrange weights at 0 of all
-    nine rungs and of the first eight."""
-    assert _LADDER_RUNGS == 9
-    for (numerators, den), rungs in zip(_LADDER_WEIGHTS, (9, 8)):
-        assert [Fraction(p, den) for p in numerators] == _lagrange_weights(rungs)
+    are the exact Lagrange weights at 0 of all the rungs 1..m and of the
+    rungs 2..m, the finest dropped (weight 0): on the sixteen rungs of
+    eta_tilde_radial and on ladders around it."""
+    for rungs in (2, 3, 9, _LADDER_RUNGS, 20):
+        weights, coarser = _ladder_weights(rungs)
+        assert weights == _lagrange_weights(range(1, rungs + 1)), rungs
+        assert coarser == [0] + _lagrange_weights(range(2, rungs + 1)), rungs
 
 
 def test_ladder_limit_is_the_richardson_limit():
-    """On samples at start / 2^j given as integers scaled by 2^scale, the
-    limit and the last correction are richardson_limit's on the same samples
-    as mpc, to a few units of the samples' rounding: exact on a polynomial
-    of degree 4, and with a correction of its own on e^h (1 + i)."""
-    scale, hs = 100, [mp.mpf(1) / 2**j for j in range(9)]
-    # the roundings of the samples and of the sums, times the gain ~8.19, with room
-    unit = 512 * (mp.eps + mp.mpf(2)**-scale)
-    corrections = []
-    for f in (lambda h: 7 + 3 * h - h**4 + 2j * h * h, lambda h: mp.exp(h) * (1 + 1j)):
-        samples = [_to_fixed(f(h), scale) for h in hs]
-        limit, correction = _ladder_limit(samples, scale)
-        want, want_correction = richardson_limit(hs, [_from_fixed(*s, scale) for s in samples])
-        assert abs(limit - want) <= unit
-        assert abs(correction - want_correction) <= unit
-        assert abs(limit - f(0)) <= unit + correction
-        corrections.append(correction)
-    assert corrections[0] <= unit < mp.mpf("1e-18") < corrections[1]
+    """On samples at h_j = j/8, j = 1..16, given as integers scaled by
+    2^scale, the limit and the last correction are richardson_limit's on
+    the same samples as mpc, with the h in decreasing order, to a few units
+    of the samples' rounding times the gain: exact on a polynomial of
+    degree 4, and with a correction of its own on e^h (1 + i)."""
+    scale = 200
+    with mp.workdps(40):
+        hs = [mp.mpf(j) / 8 for j in range(1, _LADDER_RUNGS + 1)]
+        # the roundings of the samples and of the sums, times the gain, with room
+        unit = 64 * _LADDER_GAIN * (mp.eps + mp.mpf(2)**-scale)
+        corrections = []
+        for f in (lambda h: 7 + 3 * h - h**4 + 2j * h * h, lambda h: mp.exp(h) * (1 + 1j)):
+            samples = [_to_fixed(f(h), scale) for h in hs]
+            limit, correction = _ladder_limit(samples, scale)
+            want, want_correction = richardson_limit(
+                hs[::-1], [_from_fixed(*s, scale) for s in samples[::-1]])
+            assert abs(limit - want) <= unit
+            assert abs(correction - want_correction) <= unit
+            assert abs(limit - f(0)) <= unit + correction
+            corrections.append(correction)
+        assert corrections[0] <= unit < mp.mpf("1e-25") < corrections[1]
 
 
 def test_fit_poly_coeffs_recovers_polynomial():
