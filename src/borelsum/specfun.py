@@ -9,40 +9,48 @@ the difference outside would cost.  The kernel is two parts,
     R_k0(z) = A_k0(z) + i sgn(Im z) sqrt(pi) z e^{-z^2},
 
 the algebraic part _algebraic(z, k0) and the Stokes term _stokes(z), which
-vanishes on the real axis; _remainder is _algebraic + _stokes, so every
-branch of the kernel lives in _algebraic.  The closed route sums the
-algebraic parts alone: its Stokes terms add up to a multiple of
-summation.dirichlet_delta.
+vanishes on the real axis; _remainder is _algebraic + _stokes.  The closed
+route sums the algebraic parts alone: its Stokes terms add up to a multiple
+of summation.dirichlet_delta.  It takes them at n z_1, n = 1..N_alg, from
+one integer pass, _algebraic_sum: z_1, w_1 = 1/(2 z_1^2) and sqrt(pi) are
+converted once, at the scale of the most demanding term (_fixed_terms);
+term n's z is n z_1 and its w is w_1/n^2 by integer division; the weighted
+sum leaves as one mpc.  _algebraic, _remainder and _large_z_sum are its
+one-term case, so each branch below has one implementation.
 
 _algebraic(z, k0, digits) holds A_k0(z) to the absolute target
 10^-digits, plus its rounding to the working precision.  The closed route
 passes each term its share of the route's tolerance; dawson, the deficits
 and _remainder pass nothing, and the default _relative_digits is
 10^-(dps+12) relative to the size of A_k0.  One rule, _maclaurin_boost,
-sizes both branches from the target.  The large-z series summed to its
-smallest term errs by at most _remainder_factor times its first neglected
-term (below), and the large-z branch is taken once twice that bound meets
-the target, which leaves the other half to the roundings, and in any case
-past |z|^2 = (dps+12) ln 10.  For the relative default the crossover is
-that radius; for the closed route it is far below it.  Below the crossover _algebraic sums
-the Maclaurin series once, at 0.4343 |z|^2 digits (its own cancellation)
-plus log10 of the leading terms where they exceed 1, plus the target's
-digits and a guard, and then subtracts the leading terms, by Horner's rule
-in 1/(2 z^2), and the Stokes term, at the same precision.  The Maclaurin
-loop runs in fixed point, on Python integers scaled by 2^wp: fixed point
-rounds to 2^-wp absolute where mpf rounds relative to each value, so wp is
-that precision plus the bits of 1/|z| below |z| = 1 and 8 more.  Past the
-peak of its terms the cut |term| <= eps |sum| is decided on the integer
-parts of term and sum, so it needs no mp abs.  Above the crossover the
-divergent large-z series is A_k0, summed from k = k0 in fixed point too:
-the first term (2k0-1)!! w^k0, w = 1/(2 z^2), times the sum of
-t_k = term_k/first, t <- (2k+1) w t on integers at wp = prec + 10 bits +
-the bits of |z|^2, since the factor 2k+1 < 2|z|^2 multiplies the rounding
-of w.  prec there is the target's digits plus log10 of the first term and
-a guard (_large_z_digits), at most the working precision.  The loop stops
-at the smallest term, found once in floats, or once |t| <= 2^-16 eps times
-the sum on the integer norms, which leaves the dropped tail far below an
-ulp; one mpc product at wp gives A_k0.  The sizing around the kernels is
+sizes both branches from the target (_plan).  The large-z series summed to
+its smallest term errs by at most _remainder_factor times its first
+neglected term (below), and the large-z branch is taken once twice that
+bound meets the target, which leaves the other half to the roundings, and
+in any case past |z|^2 = (dps+12) ln 10.  For the relative default the
+crossover is that radius; for the closed route it is far below it.
+
+Below the crossover A_k0 is 2 z D(z) less the leading terms, by Horner's
+rule in w = 1/(2 z^2), and less the Stokes term, e^{-z^2} from exp_fixed
+and cos_sin_fixed, all on Python integers scaled by 2^wp.  The precision
+is 0.4343 |z|^2 digits (the Maclaurin sum's own cancellation) plus log10
+of the leading terms where they exceed 1, plus the target's digits and a
+guard.  Fixed point rounds to 2^-wp absolute where mpf rounds relative to
+each value, so wp adds to that precision the bits of 1/|z| below |z| = 1
+and 8 more, as _dawson_maclaurin does, and the bits of 2 |z|^2 k0, by
+which the roundings of w and of -z^2 grow; 2 z D, about 2 z^2 at small z,
+is kept at the bits of 1/|z| more.  Past the peak of its terms the cut
+|term| <= eps |sum| is decided on the integer parts of term and sum, so it
+needs no mp abs.  Above the crossover the divergent large-z series is
+A_k0, summed from k = k0 in fixed point too: the first term
+(2k0-1)!! w^k0, k0 integer products, times the sum of t_k = term_k/first,
+t <- (2k+1) w t on integers at wp = prec + 10 bits + the bits of |z|^2,
+since the factor 2k+1 < 2|z|^2 multiplies the rounding of w.  prec there
+is the target's digits plus log10 of the first term and a guard
+(_large_z_digits), at most the working precision, and the first term is
+held to wp bits.  The loop stops at the smallest term, found once in
+floats, or once |t| <= 2^-16 eps times the sum on the integer norms, which
+leaves the dropped tail far below an ulp.  The sizing around the kernels is
 in floats: _maclaurin_boost takes |z|^2 and arg z from the float parts of
 z and the terms (2k-1)!!/|2 z^2|^k from lgamma, _remainder_factor uses
 lgamma rounded up, and the one cutoff of every theta and Gaussian sum,
@@ -101,7 +109,8 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, pi_fixed
 
 from .errors import ConvergenceError, QuadratureError
 
@@ -224,24 +233,22 @@ def _quadratic_phase_sum(term, ratio, step, n_first: int, n_last: int, stride: i
     return _from_fixed(*_fixed_phase_sum(*seeds, n_first, n_last, stride, weight, wp), wp)
 
 
-def _dawson_maclaurin(z):
-    # D(z) = sum_k z (-2 z^2)^k / (2k+1)!!, each term the last times -2 z^2
-    # over 2k+3, on integers scaled by 2^wp.  Fixed point rounds to 2^-wp
-    # absolute, so wp adds to prec the bits of 1/|z| below |z| = 1, where
-    # the sum is about z, and 8 bits for the roundings of about 100 steps.
-    # Terms peak near k ~ |z|^2; past the peak the cut |term| <= eps |acc|
-    # is decided on integer norms, |re| + |im| >= |term| against
-    # max(|re|, |im|) <= |acc|, so it fires no earlier than the mpf cut, or
-    # once the term is within one unit of 2^-wp, below which floor rounding
-    # would hold it at -1 for ever
-    zz = mp.mpc(z)
-    if not zz:
-        return zz
-    wp = mp.prec + max(0, -mp.mag(zz)) + 8
-    shift = mp.prec - 1  # eps = 2^(1 - prec)
-    tr, ti = ar, ai = _to_fixed(zz, wp)
-    sr, si = _to_fixed(-2 * zz * zz, wp)
-    peak = float(abs(zz)) ** 2
+def _minus_two_square(z, wp: int):
+    """-2 z^2 for z = (re, im), integers scaled by 2^wp."""
+    re, im = z
+    return -((re * re - im * im) >> (wp - 1)), -((re * im) >> (wp - 2))
+
+
+def _fixed_dawson_maclaurin(z, step, peak: float, shift: int, wp: int):
+    # D(z) = sum_k z (-2 z^2)^k / (2k+1)!!, each term the last times
+    # step = -2 z^2 over 2k+3, on (re, im) integers scaled by 2^wp.  Terms
+    # peak near k ~ |z|^2 = peak; past the peak the cut |term| <= 2^-shift
+    # |acc| is decided on integer norms, |re| + |im| >= |term| against
+    # max(|re|, |im|) <= |acc|, so it fires no earlier than the same cut on
+    # the values, or once the term is within one unit of 2^-wp, below which
+    # floor rounding would hold it at -1 for ever
+    tr, ti = ar, ai = z
+    sr, si = step
     k = 0
     while True:
         d = 2 * k + 3
@@ -252,12 +259,28 @@ def _dawson_maclaurin(z):
         if k > peak:
             size = abs(tr) + abs(ti)
             if size <= 2 or size << shift <= max(abs(ar), abs(ai)):
-                return _from_fixed(ar, ai, wp)
+                return ar, ai
+
+
+def _dawson_maclaurin(z):
+    """D(z) by its Maclaurin series, _fixed_dawson_maclaurin cut at eps:
+    fixed point rounds to 2^-wp absolute, so wp adds to prec the bits of
+    1/|z| below |z| = 1, where the sum is about z, and 8 bits for the
+    roundings of about 100 steps."""
+    zz = mp.mpc(z)
+    if not zz:
+        return zz
+    wp = mp.prec + max(0, -mp.mag(zz)) + 8
+    fixed = _to_fixed(zz, wp)
+    return _from_fixed(*_fixed_dawson_maclaurin(fixed, _minus_two_square(fixed, wp), _abs2(zz),
+                                                mp.prec - 1, wp), wp)
 
 
 def _stokes(z):
     """i sgn(Im z) sqrt(pi) z e^{-z^2}, the part of R_k0 past every algebraic
-    order; 0 on the real axis."""
+    order; 0 on the real axis.  _remainder adds it above the crossover,
+    where e^{-z^2} can pass any fixed scale; below it the Maclaurin branch
+    forms the same term on its integers (_maclaurin_term)."""
     s = mp.sign(mp.im(z))
     return s * mp.j * mp.sqrt(mp.pi) * z * mp.exp(-z * z) if s else mp.mpf(0)
 
@@ -266,6 +289,13 @@ def _abs2(zz) -> float:
     """|z|^2 from the float parts of z; inf past the float range."""
     re, im = float(zz.real), float(zz.imag)
     return re * re + im * im
+
+
+def _phase(zz) -> float:
+    """2 |arg z| folded into [0, pi/2], the phase of _remainder_factor for
+    A_k0, which is even."""
+    angle = abs(math.atan2(float(zz.imag), float(zz.real)))
+    return 2 * min(angle, math.pi - angle)
 
 
 def _log10_term(k: int, r2: float) -> float:
@@ -292,6 +322,11 @@ _MACLAURIN_GUARD = 4
 
 
 def _maclaurin_boost(zz, k0: int, digits=None):
+    """_maclaurin_boost_at for z, from the float parts of z."""
+    return _maclaurin_boost_at(_abs2(zz), _phase(zz), k0, digits)
+
+
+def _maclaurin_boost_at(r2: float, phase: float, k0: int, digits=None):
     """Digits above mp.dps at which the Maclaurin branch holds A_k0(z) to
     10^-digits absolute (negative when that target is coarser than the
     working precision), or None where the large-z branch meets it.
@@ -306,53 +341,42 @@ def _maclaurin_boost(zz, k0: int, digits=None):
     digits, and removing the k0 leading terms, the largest about
     (2k0-3)!!/|2 z^2|^(k0-1) where they rise, cancels that size too.  digits
     defaults to _relative_digits, the relative accuracy of dawson and the
-    deficits, whose crossover is then (dps+12) ln 10."""
-    r2 = _abs2(zz)
+    deficits, whose crossover is then (dps+12) ln 10.  |z|^2 = r2 and
+    2 |arg z| = phase, in floats."""
     if r2 > (mp.dps + 12) * _LN10:
         return None
     r2 = max(r2, 1e-300)
     if digits is None:
         digits = _relative_digits(r2, k0)
     j = max(k0, math.ceil(r2 - 0.5)) + 1
-    angle = abs(math.atan2(float(zz.imag), float(zz.real)))
-    phase = 2 * min(angle, math.pi - angle)  # A_k0 is even
     if _log10_term(j, r2) + math.log10(2 * _remainder_factor(j, phase)) <= -digits:
         return None
     lead = max(0.0, _log10_term(k0 - 1, r2)) + math.log10(k0) if k0 > 1 else 0.0
     return math.ceil(digits + 0.4343 * r2 + lead) + _MACLAURIN_GUARD - mp.dps
 
 
-def _large_z_sum(z, k0: int):
-    # sum_{k>=k0} of the divergent series as first * S, first = (2k0-1)!! w^k0
-    # with w = 1/(2 z^2), S the sum of t_k = term_k/first: t_k0 = 1 and
-    # t <- (2k+1) w t, on integers scaled by 2^wp.  Up to the smallest term,
-    # where (2k+1)|w| reaches 1, |t| <= 1, so each step rounds once, to
-    # 2^-wp absolute, after the product by 2k+1; that factor, below 2|z|^2,
-    # also multiplies the rounding of w, so wp adds to prec the bits of |z|^2
-    # and 10 more.  Before the smallest term the loop stops at |t| <=
-    # 2^-16 eps |S|, decided on integer norms as in _dawson_maclaurin: no
-    # earlier than the cut |t| <= eps |S| on the values, with no float, which
-    # eps underflows past 300 digits.  The tail that cut drops can reach an
-    # ulp of S; the 16 bits leave it far below one, so with w, first and
-    # first * S formed at wp, the sum is rounded to prec once, and no worse
-    # than the same loop in mpc
-    zz = mp.mpc(z)
-    r2 = min(_abs2(zz), 1e18)  # past 1e18 the cut fires within a few terms
-    shift = mp.prec + 15  # 2^-16 eps, eps = 2^(1 - prec)
-    wp = mp.prec + 10 + math.ceil(r2).bit_length()
-    with mp.workprec(wp):
-        w = 1 / (2 * zz * zz)
-        wr, wi = _to_fixed(w, wp)
-        tr, ti = ar, ai = 1 << wp, 0
-        for k in range(k0, math.ceil(r2 - 0.5)):  # while (2k+1) |w| < 1
-            d = 2 * k + 1
-            tr, ti = (d * (tr * wr - ti * wi)) >> wp, (d * (tr * wi + ti * wr)) >> wp
-            if (abs(tr) + abs(ti)) << shift <= max(abs(ar), abs(ai)):
-                break
-            ar += tr
-            ai += ti
-        acc = math.prod(range(1, 2 * k0, 2)) * w**k0 * _from_fixed(ar, ai, wp)
-    return +acc
+def _fixed_large_z(w, k0: int, r2: float, shift: int, wp: int):
+    # S = sum_{k>=k0} t_k, t_k0 = 1 and t <- (2k+1) w t, on (re, im)
+    # integers scaled by 2^wp, w = 1/(2 z^2) at that scale and r2 = |z|^2.
+    # Up to the smallest term, where (2k+1)|w| reaches 1, |t| <= 1, so each
+    # step rounds once, to 2^-wp absolute, after the product by 2k+1; that
+    # factor, below 2|z|^2, also multiplies the rounding of w, which is why
+    # wp adds to prec the bits of |z|^2 and 10 more.  Before the smallest
+    # term the loop stops at |t| <= 2^-shift |S|, shift = prec + 15, decided
+    # on integer norms as in _fixed_dawson_maclaurin: no earlier than the
+    # cut |t| <= eps |S| on the values, with no float, which eps underflows
+    # past 300 digits.  The tail that cut drops can reach an ulp of S; the
+    # 16 bits leave it far below one
+    wr, wi = w
+    tr, ti = ar, ai = 1 << wp, 0
+    for k in range(k0, math.ceil(min(r2, 1e18) - 0.5)):  # while (2k+1) |w| < 1
+        d = 2 * k + 1
+        tr, ti = (d * (tr * wr - ti * wi)) >> wp, (d * (tr * wi + ti * wr)) >> wp
+        if (abs(tr) + abs(ti)) << shift <= max(abs(ar), abs(ai)):
+            break
+        ar += tr
+        ai += ti
+    return ar, ai
 
 
 # digits the large-z sum adds to its target over its first term, for the
@@ -360,40 +384,194 @@ def _large_z_sum(z, k0: int):
 _LARGE_Z_GUARD = 4
 
 
-def _large_z_digits(zz, k0: int, digits=None) -> int:
+def _large_z_digits(r2: float, k0: int, digits=None) -> int:
     """Working digits of the large-z branch for A_k0(z) to 10^-digits
-    absolute: the sum is its first term (2k0-1)!!/(2 z^2)^k0 times a sum S
-    of size about 1, so S needs digits + log10 of that term and a guard,
-    and never more than mp.dps.  For the relative default,
+    absolute at |z|^2 = r2: the sum is its first term (2k0-1)!!/(2 z^2)^k0
+    times a sum S of size about 1, so S needs digits + log10 of that term
+    and a guard, and never more than mp.dps.  For the relative default,
     _relative_digits, that is never below mp.dps."""
     if digits is None:
         return mp.dps
-    r2 = min(_abs2(zz), 1e18)  # as in _large_z_sum
+    r2 = min(r2, 1e18)  # past 1e18 the cut fires within a few terms
     return min(math.ceil(digits + _log10_term(k0, r2)) + _LARGE_Z_GUARD, mp.dps)
 
 
-def _algebraic_parts(zz, k0: int, digits=None):
-    """(A_k0(z), the Stokes term it was formed with): below the crossover
-    A_k0 is the Maclaurin sum less the leading terms and the Stokes term,
-    both under the boost of _maclaurin_boost for the target 10^-digits;
-    above it A_k0 is _large_z_sum, which needs no Stokes term, and the
-    second part is None."""
-    boost = _maclaurin_boost(zz, k0, digits)
+class _Term(NamedTuple):
+    """The plan of one term A_k0(n z_1) at |n z_1|^2 = r2: its branch, the
+    precision prec of the branch in bits, the scale 2^wp of its loop, the
+    scale of its value, and the scale of the powers w^k0 (wp below the
+    crossover, where Horner's rule runs at wp)."""
+
+    n: int
+    r2: float
+    maclaurin: bool
+    prec: int
+    wp: int
+    scale: int
+    power_scale: int
+
+
+def _double_factorial(k0: int) -> int:
+    """(2k0-1)!!, 1 at k0 = 0."""
+    return math.prod(range(1, 2 * k0, 2))
+
+
+def _large_z_plan(n: int, r2: float, log2_r2: float, k0: int, prec: int) -> _Term:
+    """The large-z branch with S at prec bits (wp as in _fixed_large_z),
+    and first * S at the scale that holds the first term (2k0-1)!! w^k0 to
+    wp bits, as S, log2 |2 z^2| = 1 + log2_r2.  Its powers of w run at that
+    scale plus the bits of k0 (2k0-1)!!, by which their roundings grow, and
+    of |w|^k0 where |w| > 1."""
+    wp = prec + 10 + math.ceil(min(r2, 1e18)).bit_length()
+    dfact = _double_factorial(k0)
+    scale = max(0, wp - math.floor(math.log2(dfact) - k0 * (1 + log2_r2)))
+    grow = (k0 * dfact).bit_length() + 2 + k0 * max(0, math.ceil(-1 - log2_r2))
+    return _Term(n, r2, False, prec, wp, scale, scale + grow)
+
+
+def _maclaurin_plan(n: int, r2: float, k0: int, prec: int, mag: int) -> _Term:
+    """The Maclaurin branch at prec bits: wp adds the bits of 1/|z| below
+    |z| = 1 and 8 more, as _dawson_maclaurin, and the bits of 2 |z|^2 k0,
+    by which the rounding of w grows along Horner's rule and that of -z^2
+    moves e^{-z^2}.  The value's scale adds the bits of 1/|z| once more,
+    for 2 z D(z), about 2 z^2 there.  mag is mp.mag of z_1, |z| < 2^mag."""
+    extra = max(0, 1 - mag - n.bit_length())
+    wp = prec + extra + 8 + math.ceil(2 * r2 * max(k0, 1) + 1).bit_length()
+    return _Term(n, r2, True, prec, wp, wp + extra, wp)
+
+
+def _geometry(zz):
+    """(|z|^2, log2 |z|^2, 2 |arg z| as _phase, mp.mag z) of z in floats,
+    log2 |z|^2 from mp.mag past the float range."""
+    if not zz:
+        return 0.0, 2.0, 0.0, 1
+    r2, mag = _abs2(zz), int(mp.mag(zz))
+    return r2, math.log2(r2) if 0 < r2 < math.inf else 2.0 * mag, _phase(zz), mag
+
+
+def _plan(n: int, geometry, k0: int, digits) -> _Term:
+    """The branch and precision of A_k0(n z_1) to 10^-digits absolute (the
+    relative default when digits is None) by _maclaurin_boost, from the
+    _geometry of z_1."""
+    r2_one, log2_r2, phase, mag = geometry
+    r2 = n * n * r2_one
+    boost = _maclaurin_boost_at(r2, phase, k0, digits)
     if boost is None:
-        with mp.workdps(_large_z_digits(zz, k0, digits)):
-            value = _large_z_sum(zz, k0)
-        return +value, None
-    with mp.extradps(boost):
-        # the leading terms (2k-1)!! w^k, w = 1/(2 z^2), by Horner:
-        # 1 + w (1 + 3 w (1 + 5 w (...))); no w at k0 <= 1, so R_1(0) = -1
-        lead = mp.mpf(min(k0, 1))
-        if k0 > 1:
-            w = 1 / (2 * zz * zz)
-            for k in range(k0 - 1, 0, -1):
-                lead = 1 + (2 * k - 1) * w * lead
-        stokes = _stokes(zz)
-        acc = 2 * zz * _dawson_maclaurin(zz) - lead - stokes
-    return +acc, stokes
+        prec = dps_to_prec(_large_z_digits(r2, k0, digits))
+        return _large_z_plan(n, r2, log2_r2 + 2 * math.log2(n), k0, prec)
+    return _maclaurin_plan(n, r2, k0, dps_to_prec(mp.dps + boost), mag)
+
+
+def _maclaurin_term(term: _Term, k0: int, z_one, w_one, root_pi: int, sign: int, top: int):
+    """(A_k0, Stokes term) at n z_1 on integers scaled by 2^term.scale:
+    2 z D(z) less the leading terms (2k-1)!! w^k, w = w_1/n^2, by Horner's
+    rule 1 + w (1 + 3 w (1 + 5 w (...))), and less i sgn(Im z) sqrt(pi) z
+    e^{-z^2}, e^{-z^2} by exp_fixed and cos_sin_fixed, these two at
+    2^term.wp; the seeds z_1, w_1 and sqrt(pi) at scale 2^top."""
+    n, wp = term.n, term.wp
+    drop = top - wp
+    z = (n * z_one[0]) >> drop, (n * z_one[1]) >> drop
+    step = _minus_two_square(z, wp)
+    d_re, d_im = _fixed_dawson_maclaurin(z, step, term.r2, term.prec - 1, wp)
+    lift = term.scale - wp
+    shift = wp - lift - 1  # 2 z D at the value's scale
+    acc_re, acc_im = (z[0] * d_re - z[1] * d_im) >> shift, (z[0] * d_im + z[1] * d_re) >> shift
+    one = 1 << wp
+    lead = min(k0, 1) << wp, 0  # no w at k0 <= 1, so R_1(0) = -1
+    if k0 > 1:
+        nn = n * n
+        w = (w_one[0] // nn) >> drop, (w_one[1] // nn) >> drop
+        for k in range(k0 - 1, 0, -1):
+            re, im = _fixed_mul(w, lead, wp)
+            lead = one + (2 * k - 1) * re, (2 * k - 1) * im
+    stokes = 0, 0
+    if sign:
+        size = exp_fixed(step[0] >> 1, wp)
+        cos, sin = cos_sin_fixed(step[1] >> 1, wp)
+        re, im = _fixed_mul(z, ((size * cos) >> wp, (size * sin) >> wp), wp)
+        root = sign * (root_pi >> drop)
+        stokes = -(root * im) >> wp, (root * re) >> wp
+    stokes = stokes[0] << lift, stokes[1] << lift
+    return (acc_re - (lead[0] << lift) - stokes[0], acc_im - (lead[1] << lift) - stokes[1],
+            stokes)
+
+
+def _large_z_term(term: _Term, k0: int, w_one, top: int):
+    """A_k0 at n z_1 by the large-z series, (2k0-1)!! w^k0 times
+    _fixed_large_z, w = w_1/n^2 from w_1 at scale 2^top, on integers scaled
+    by 2^term.scale."""
+    nn = term.n * term.n
+    wp, scale, power_scale = term.wp, term.scale, term.power_scale
+    drop = top - wp
+    sum_re, sum_im = _fixed_large_z(((w_one[0] // nn) >> drop, (w_one[1] // nn) >> drop), k0,
+                                    term.r2, term.prec + 15, wp)
+    drop = top - power_scale
+    w = (w_one[0] // nn) >> drop, (w_one[1] // nn) >> drop
+    first = 1 << power_scale, 0
+    for _ in range(k0):
+        first = _fixed_mul(first, w, power_scale)
+    dfact, grow = _double_factorial(k0), power_scale - scale
+    first_re, first_im = (dfact * first[0]) >> grow, (dfact * first[1]) >> grow
+    return (first_re * sum_re - first_im * sum_im) >> wp, (first_re * sum_im + first_im * sum_re) >> wp
+
+
+def _fixed_terms(zz, k0: int, terms) -> list:
+    """A_k0(n z) for each planned term, as (re, im, Stokes term, scale): the
+    Stokes term that the Maclaurin branch subtracted, (re, im) at the same
+    scale, or None above the crossover.  z, w = 1/(2 z^2) and sqrt(pi) are
+    converted once, at the scale of the most demanding term and the bits
+    of its n; every term is Python integers from there."""
+    top = max(max(t.wp + t.n.bit_length(), t.power_scale) for t in terms) + 2
+    z_one = _to_fixed(zz, top)
+    w_one = root_pi = None
+    if k0 > 1 or not all(t.maclaurin for t in terms):
+        mag = int(mp.mag(zz)) if zz else 0  # 1/(2 z^2) raises at z = 0
+        with mp.workprec(top + max(0, -2 * mag) + 8):  # |w| < 2^(8 - 2 mag)
+            w_one = _to_fixed(1 / (2 * zz * zz), top)
+    sign = int(mp.sign(zz.imag))
+    if sign and any(t.maclaurin for t in terms):
+        root_pi = math.isqrt(pi_fixed(top) << top)
+    out = []
+    for t in terms:
+        if t.maclaurin:
+            out.append((*_maclaurin_term(t, k0, z_one, w_one, root_pi, sign, top), t.scale))
+        else:
+            out.append((*_large_z_term(t, k0, w_one, top), None, t.scale))
+    return out
+
+
+def _algebraic_sum(z_one, k0: int, terms, power: int):
+    """sum of weight n^power A_k0(n z_1) over terms (n, weight, digits), each
+    A_k0 held to 10^-digits absolute as _algebraic holds it, the weights
+    mpf: one integer pass (_fixed_terms), the products by the weights exact
+    on the mantissas, and one mpc at the end, rounded to the working
+    precision."""
+    if not terms:
+        return mp.mpc(0)
+    zz = mp.mpc(z_one)
+    geometry = _geometry(zz)
+    plans = [_plan(n, geometry, k0, digits) for n, _, digits in terms]
+    weights = [weight._mpf_ for _, weight, _ in terms]
+    scale = max(t.scale for t in plans) + max(-exp for _, _, exp, _ in weights)
+    acc_re = acc_im = 0
+    for (n, _, _), (sign, man, exp, _), (re, im, _, term_scale) in zip(
+            terms, weights, _fixed_terms(zz, k0, plans)):
+        lift = scale - term_scale + exp
+        re, im = (man * re) << lift, (man * im) << lift
+        if sign:
+            re, im = -re, -im
+        if power >= 0:
+            acc_re += re * n**power
+            acc_im += im * n**power
+        else:
+            acc_re += re // n**-power
+            acc_im += im // n**-power
+    return _from_fixed(acc_re, acc_im, scale)
+
+
+def _algebraic_parts(zz, k0: int, digits=None):
+    """_fixed_terms of the one term z, digits as _algebraic."""
+    return _fixed_terms(zz, k0, [_plan(1, _geometry(zz), k0, digits)])[0]
 
 
 def _algebraic(z, k0: int, digits=None):
@@ -402,17 +580,29 @@ def _algebraic(z, k0: int, digits=None):
     neglected term (2k0-1)!!/|2 z^2|^k0.  Within 10^-digits absolute, plus
     the rounding to the working precision; digits defaults to 10^-(dps+12)
     relative (_relative_digits)."""
-    return _algebraic_parts(mp.mpc(z), k0, digits)[0]
+    re, im, _, scale = _algebraic_parts(mp.mpc(z), k0, digits)
+    return _from_fixed(re, im, scale)
+
+
+def _large_z_sum(z, k0: int):
+    """sum_{k>=k0} (2k-1)!!/(2 z^2)^k summed to its smallest term at the
+    working precision: _algebraic's large-z branch at prec = mp.prec."""
+    zz = mp.mpc(z)
+    r2, log2_r2, _, _ = _geometry(zz)
+    re, im, _, scale = _fixed_terms(zz, k0, [_large_z_plan(1, r2, log2_r2, k0, mp.prec)])[0]
+    return _from_fixed(re, im, scale)
 
 
 def _remainder(z, k0: int):
     """R_k0(z) = 2 z D(z) - sum_{k<k0} (2k-1)!!/(2 z^2)^k = _algebraic(z, k0)
     + _stokes(z), even in z and O(z^{-2 k0}) at infinity away from the
     diagonals arg z = +-pi/4.  Below the crossover the Stokes term added
-    back is the one the Maclaurin branch subtracted."""
+    back is the one the Maclaurin branch subtracted, on its integers."""
     zz = mp.mpc(z)
-    algebraic, stokes = _algebraic_parts(zz, k0)
-    return algebraic + (_stokes(zz) if stokes is None else stokes)
+    re, im, stokes, scale = _algebraic_parts(zz, k0)
+    if stokes is None:
+        return _from_fixed(re, im, scale) + _stokes(zz)
+    return _from_fixed(re + stokes[0], im + stokes[1], scale)
 
 
 def _remainder_factor(k0: int, phase) -> float:

@@ -133,7 +133,7 @@ from .modular import _eta_ray, _rational_angle, _theta_chains, _theta_guard, _th
 from .specfun import (
     FixedKernel,
     _adaptive_segment,
-    _algebraic,
+    _algebraic_sum,
     _fixed_mul,
     _from_fixed,
     _gauss_cutoff,
@@ -534,23 +534,27 @@ def _closed_base(mdl: SqrtBranched, x, big_k: int, n_alg: int, budget):
     A_K(n z_1) c_n/n, z_1^2 = nu x, are summed, over the n <= N_alg; the
     Stokes terms it leaves out sum to sgn(Im x) delta.  The term of n enters
     L with a factor of at most a_k |x|^{m-1} coeff_bound n^{p-1}/sqrt(nu), so
-    its kernel A_K is held to budget/N_alg over that factor."""
+    its kernel A_K is held to budget/N_alg over that factor.  The sum of
+    w_n n^{p-1} A_K(n z_1) is one pass of specfun._algebraic_sum on Python
+    integers, z_1 converted once, and the restored orders one mp.fdot, so
+    no mpc product is made per term or per order."""
     m = (mdl.k - 1) // 2
     p = mdl.power
     a_k = mp.mpf(2) ** m / math.prod(range(1, 2 * m, 2))
     nu, weights, _ = mdl.table()
-    restored = mp.fsum(
-        math.prod(range(1, 2 * j, 2)) / mp.mpf(2) ** j * x ** (m - 1 - j)
-        * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2)
-        for j in range(m, big_k))
+    orders = range(m, big_k)
+    restored = mp.fdot([math.prod(range(1, 2 * j, 2)) / mp.mpf(2) ** j
+                        * periodic_power_sum(mdl, mp.mpf(2 * j + 1) / 2) for j in orders],
+                       [x ** (m - 1 - j) for j in orders])
     # in logs: |x| and the budget may lie past the float range
     digits = (math.log10(n_alg * float(a_k) * mdl.coeff_bound / math.sqrt(mdl.nu_lower))
               + (m - 1) * float(mp.log10(abs(x))) - float(mp.log10(budget)))
     # eta_n = nu n^2, so sqrt(y_n) = n sqrt(nu x) and sqrt(eta_n) = n sqrt(nu)
     root_nu = mp.sqrt(nu)
     z_one = root_nu * mp.sqrt(x)
-    acc = mp.fsum(w * n**p * _algebraic(n * z_one, big_k, digits + (p - 1) * math.log10(n)) / n
-                  for n in range(1, n_alg + 1) if (w := weights[(n - 1) % mdl.period]))
+    terms = [(n, w, digits + (p - 1) * math.log10(n)) for n in range(1, n_alg + 1)
+             if (w := weights[(n - 1) % mdl.period])]
+    acc = _algebraic_sum(z_one, big_k, terms, p - 1)
     return mdl.a0 + a_k * (restored + x ** (m - 1) * acc / root_nu)
 
 
@@ -714,15 +718,16 @@ def route_gap(routes):
 
 
 # The route choice of sum_median weighs the theta route's nonzero terms
-# against the closed route's N_alg, both known before any work.  Per call,
-# best of 7 (2 cores, Python 3.11.7, pure-Python mpmath), at tol 1e-12 and
-# 25 digits and at tol 1e-25 and 50 digits: a theta term costs 0.41-0.56 us
-# on the real axis and about 0.9 us off it, on top of about 0.09 ms per call;
-# the closed route at its smallest N_alg = 8 costs 0.27-0.40 ms.  On the real
-# axis of both models the routes broke even at 55 to 66 theta terms per unit
-# of N_alg (68 once), between |x| = 1300 and 3600, where N_alg is 8 to 13.
-# 50 lies below it: a call sent to the closed route early costs at most 17% more.
-_THETA_TERMS_PER_CLOSED_TERM = 50
+# against the closed route's N_alg, both known before any work.  On the real
+# axis, x from 150 to 8000, at tol 1e-12 and 25 digits and at tol 1e-25 and
+# 50 digits, scripts/route_breakeven.py (best of 9, 2 cores, Python 3.11.7,
+# pure-Python mpmath) found the routes breaking even at 43.8 and 39.3 theta
+# terms per unit of N_alg for the trefoil and at 47.3 and 58.4 for the
+# Poincare sphere, where N_alg is 8 to 10: a theta term costs about 0.5 us,
+# and the closed route 0.24-0.25 ms at 25 digits and 0.32-0.34 ms at 50.  45
+# sits among them: near it a call sent to the slower route costs at most
+# about 10% more.
+_THETA_TERMS_PER_CLOSED_TERM = 45
 
 
 def _closed_terms(mdl: SqrtBranched, xz, tol):
@@ -735,6 +740,18 @@ def _closed_terms(mdl: SqrtBranched, xz, tol):
         return math.inf
 
 
+def _theta_cost(mdl: SqrtBranched, xz, tol):
+    """(nonzero terms, N, beta) of the theta route at tol, N and beta as
+    _theta_terms plans them, N = inf past the term budget: C has two
+    nonzero residues mod M per chain."""
+    try:
+        n_terms, beta = _theta_terms(mdl, xz, tol)
+    except ConvergenceError:
+        n_terms, beta = math.inf, None
+    chi = _theta_data(mdl)[0]
+    return n_terms * 2 * len(_theta_chains(chi).chains) / chi.modulus, n_terms, beta
+
+
 def _median_value(mdl: SqrtBranched, xz, tol):
     """(value, route, err_estimate) of the median at tol by the cheaper
     route, each with its own estimate (for the closed route, tol): the theta
@@ -745,16 +762,9 @@ def _median_value(mdl: SqrtBranched, xz, tol):
     term budget is never the cheaper one; a tol below _roundoff_floor
     raises for either."""
     _require_reachable(tol)
-    data = _theta_data(mdl)
-    if data is not None:
-        try:
-            n_terms, beta = _theta_terms(mdl, xz, tol)
-        except ConvergenceError:
-            n_terms = math.inf
-        chi = data[0]
-        # two nonzero residues mod M per chain
-        cost = (n_terms * 2 * len(_theta_chains(chi).chains) / chi.modulus
-                / _THETA_TERMS_PER_CLOSED_TERM)
+    if _theta_data(mdl) is not None:
+        nonzero, n_terms, beta = _theta_cost(mdl, xz, tol)
+        cost = nonzero / _THETA_TERMS_PER_CLOSED_TERM
         if cost < _MIN_TERMS or cost < _closed_terms(mdl, xz, tol):
             return (*_theta_median(mdl, xz, tol, n_terms, beta), "theta-series")
     return _closed_value(mdl, xz, AverageKind.MEDIAN, tol), tol, "erfi-series"

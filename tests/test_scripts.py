@@ -27,8 +27,10 @@ def _run(script, args):
                            "--tol", "1e-6"], "# worst gap "),
         ("route_grid.py", ["--model", "poincare", "--steps", "1", "--re", "2", "2",
                            "--im", "0", "0", "--tol", "1e-6"], "# worst gap "),
+        ("route_breakeven.py", ["--steps", "2", "--x", "100", "200", "--repeat", "1"],
+         "# break-even ratio "),
     ],
-    ids=["gamma_ladder", "radial_scan", "route_grid", "route_grid_poincare"],
+    ids=["gamma_ladder", "radial_scan", "route_grid", "route_grid_poincare", "route_breakeven"],
 )
 def test_script_runs(script, args, last):
     done = _run(script, args)

@@ -156,6 +156,23 @@ def test_deficit_family_against_library_erfi(name, dps):
                 assert abs(got - want) <= bound * abs(want), (name, dps, z)
 
 
+@pytest.mark.parametrize("dps", [15, 25, 50])
+def test_dawson_keeps_its_relative_accuracy_at_small_complex_z(dps):
+    """Off the real axis R_0(z) = 2 z D(z) is about 2 z^2 while the Stokes
+    term that the Maclaurin branch subtracts and _remainder adds back is
+    about sqrt(pi) z: both on the branch's integers, dawson = R_0/(2 z)
+    stays within a few eps of D(z).  Added back in mpc, it cancelled the
+    digits of 1/|z| (3e4 eps at |z| = 1e-6 and 25 digits)."""
+    with mp.workdps(dps):
+        for modulus in ("1e-8", "1e-6", "1e-3"):
+            for angle in ("0.3", "1.2", "2.9", "-1.5"):
+                z = mp.mpf(modulus) * mp.expj(mp.mpf(angle))
+                got = dawson(z)
+                with mp.workdps(dps + 30):
+                    want = mp.sqrt(mp.pi) / 2 * mp.exp(-z * z) * mp.erfi(z)
+                    assert abs(got - want) <= mp.mpf(10) ** (1 - dps) * abs(want), (dps, z)
+
+
 @pytest.mark.parametrize("dps", [25, 50])
 def test_dawson_maclaurin_cut(dps):
     """The Maclaurin sum alone, at the working precision, on |z| <= 1 where

@@ -987,26 +987,65 @@ def test_dirichlet_delta_far_down_the_gaussian(model, im_part):
 def test_radial_limit_work_budget(monkeypatch):
     """radial_limit sums the closed route's algebraic parts once, at the
     boundary point, as far as their own bound asks (N_alg = 20 here, 7 of
-    them with a nonzero weight), and adds delta's boundary value, a finite
-    cyclotomic sum: radial_limit(3/4) makes 7 kernel calls and 3 exp calls.
-    It made 5,831 and 6,065 when each term paid a whole kernel, and these
-    bounds were 250 and 800 while it ran a nine-rung ladder."""
-    calls = {"kernel": 0, "exp": 0}
-    kernel, exp = summation._algebraic, mp.exp
+    them with a nonzero weight), in one pass of the integer kernel
+    specfun._algebraic_sum, and adds delta's boundary value, a finite
+    cyclotomic sum: radial_limit(3/4) hands the kernel 7 terms and makes
+    3 exp calls.  It made 5,831 kernel calls and 6,065 exp calls when each
+    term paid a whole kernel, and these bounds were 250 and 800 while it
+    ran a nine-rung ladder."""
+    calls = {"terms": 0, "exp": 0}
+    kernel, exp = summation._algebraic_sum, mp.exp
 
-    def counted_kernel(z, k0, digits):
-        calls["kernel"] += 1
-        return kernel(z, k0, digits)
+    def counted_kernel(z_one, k0, terms, power):
+        calls["terms"] += len(terms)
+        return kernel(z_one, k0, terms, power)
 
     def counted_exp(x):
         calls["exp"] += 1
         return exp(x)
 
-    monkeypatch.setattr(summation, "_algebraic", counted_kernel)
+    monkeypatch.setattr(summation, "_algebraic_sum", counted_kernel)
     monkeypatch.setattr(mp, "exp", counted_exp)
     radial_limit(Fraction(3, 4))
-    assert calls["kernel"] <= 12
+    assert 0 < calls["terms"] <= 12
     assert calls["exp"] <= 10
+
+
+@pytest.mark.parametrize("model", ["trefoil", "poincare"])
+def test_closed_base_makes_no_mpc_product_per_term(monkeypatch, model):
+    """_lateral converts z_1 and w_1 = 1/(2 z_1^2) once and sums every
+    algebraic part on integers, and its restored orders by one mp.fdot, so
+    its mpc products (__mul__ and __rmul__, counted as in
+    test_large_z_sum_multiplication_budget) grow neither with N_alg nor
+    with K: equal at 60+40i, tol 1e-12 (trefoil N_alg 9 and K = 4), and at
+    i/(6 pi), tol 6e-9 (N_alg 31 and K = 5).  With one mpc kernel call a
+    term they were 18 and 129 (Poincare: 26 and 210)."""
+    mdl = summation._resolve_model(model)
+    points = [(mp.mpc(60, 40), mp.mpf("1e-12")), (mp.mpc(0, 1) / (6 * mp.pi), mp.mpf("6e-9"))]
+    counts = []
+    for x, tol in points:
+        counts.append((summation._peel_order(mdl, x, tol * summation._TAIL_SHARE)[1],
+                       _mpc_products(monkeypatch, lambda: summation._lateral(mdl, x, tol))))
+    (few, fixed), (many, products) = counts
+    assert many >= 3 * few
+    assert products == fixed
+
+
+def _mpc_products(monkeypatch, call) -> int:
+    """The mpc __mul__ and __rmul__ calls that call() makes."""
+    mpc_type = type(mp.mpc(1))
+    calls = [0]
+    with monkeypatch.context() as patch:
+        for name in ("__mul__", "__rmul__"):
+            inner = getattr(mpc_type, name)
+
+            def count(self, other, inner=inner):
+                calls[0] += 1
+                return inner(self, other)
+
+            patch.setattr(mpc_type, name, count)
+        call()
+    return calls[0]
 
 
 def test_radial_limit_validation():
