@@ -512,7 +512,8 @@ def _large_z_term(term: _Term, k0: int, w_one, top: int):
         first = _fixed_mul(first, w, power_scale)
     dfact, grow = _double_factorial(k0), power_scale - scale
     first_re, first_im = (dfact * first[0]) >> grow, (dfact * first[1]) >> grow
-    return (first_re * sum_re - first_im * sum_im) >> wp, (first_re * sum_im + first_im * sum_re) >> wp
+    return ((first_re * sum_re - first_im * sum_im) >> wp,
+            (first_re * sum_im + first_im * sum_re) >> wp)
 
 
 def _fixed_terms(zz, k0: int, terms) -> list:

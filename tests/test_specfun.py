@@ -14,6 +14,7 @@ from borelsum.specfun import (
     _ORDERS,
     FixedKernel,
     _algebraic,
+    _algebraic_sum,
     _dawson_maclaurin,
     _emodd_tail2,
     _fixed_gauss_ladder,
@@ -468,6 +469,32 @@ def test_algebraic_part_meets_an_absolute_target(k0, dps, targets):
                     err = abs(got - want)
                     assert err <= mp.mpf(10) ** -digits + mp.mpf(10) ** -dps * abs(want), \
                         (k0, dps, digits, z)
+
+
+@pytest.mark.parametrize("dps", [15, 25, 50])
+@pytest.mark.parametrize("power", [0, -1])
+def test_algebraic_sum_is_the_sum_of_its_one_term_cases(dps, power):
+    """The closed route's integer pass against mp.fsum of weight n^power
+    _algebraic(n z_1, K, digits_n) over the same 30 terms, both at the
+    working precision: each term runs the same loops at the same
+    precision, only from z_1 and w_1 = 1/(2 z_1^2) converted once, so the
+    two agree within twice each term's target plus the roundings.  At
+    z_1^2 = nu x for x on and off both axes and near the closed route's
+    corners, with targets that put the crossover among the terms."""
+    with mp.workdps(dps):
+        nu = mp.pi**2 / 6
+        for x in (mp.mpf("0.3"), mp.mpc(2, 1), mp.mpc(60, 40), mp.mpc(0, 1) / (6 * mp.pi)):
+            z_one = mp.sqrt(nu * x)
+            for k0, digits in ((4, dps // 2), (7, dps - 5)):
+                terms = [(n, mp.mpf(-1) ** n * (1 + mp.mpf(n) / 7), digits + power * math.log10(n))
+                         for n in range(1, 31)]
+                got = _algebraic_sum(z_one, k0, terms, power)
+                parts = [w * mp.mpf(n) ** power * _algebraic(n * z_one, k0, d) for n, w, d in terms]
+                want = mp.fsum(parts)
+                bound = (mp.fsum(2 * abs(w) * mp.mpf(n) ** power * mp.mpf(10) ** -d
+                                 for n, w, d in terms)
+                         + 4 * mp.eps * (mp.fsum(abs(v) for v in parts) + abs(want)))
+                assert abs(got - want) <= bound, (dps, power, x, k0)
 
 
 def test_integrate_segment_polynomial():
